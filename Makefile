@@ -1,16 +1,18 @@
 GO ?= go
 
-.PHONY: check build vet test race tier1 bench benchdiff benchsmoke tracesmoke servesmoke obssmoke graphsmoke memsmoke scalesmoke fabricsmoke tools clean
+.PHONY: check build vet test race tier1 bench benchdiff benchsmoke perfbenchtest tracesmoke servesmoke obssmoke graphsmoke memsmoke scalesmoke fabricsmoke tools clean
 
 # The full pre-merge gate: vet + build + race-enabled tests + tier-1 +
-# a single-iteration pass over every benchmark so they can't rot + a
-# trace-export smoke test + the daemon end-to-end smoke test + the
-# telemetry-plane smoke test (prom exposition, pprof, per-request trace
-# fragments) + the graph-family sweep smoke test over the enlarged
-# registry grid + the streaming-evaluation memory gate on a
-# 10M-instruction trace + the paper-scale streaming gate (200M
-# instructions, never materialized, inside the same budget).
-check: vet build race tier1 benchsmoke tracesmoke servesmoke obssmoke graphsmoke memsmoke scalesmoke fabricsmoke
+# a single-iteration pass over every benchmark so they can't rot + the
+# repo benchmark's self-test (its own module, so tier-1 never compiles
+# it against the internal API) + a trace-export smoke test + the daemon
+# end-to-end smoke test + the telemetry-plane smoke test (prom
+# exposition, pprof, per-request trace fragments) + the graph-family
+# sweep smoke test over the enlarged registry grid + the
+# streaming-evaluation memory gate on a 10M-instruction trace + the
+# paper-scale streaming gate (200M instructions, never materialized,
+# inside the same budget).
+check: vet build race tier1 benchsmoke perfbenchtest tracesmoke servesmoke obssmoke graphsmoke memsmoke scalesmoke fabricsmoke
 
 build:
 	$(GO) build ./...
@@ -59,6 +61,13 @@ benchdiff:
 # One iteration of every benchmark: catches compile breaks and panics.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x . > /dev/null
+
+# The repo benchmark's self-test: perfbench/ is a separate module
+# (replace exocore => ../), so this is what compiles it against the
+# internal API. Runs every workload and the ledger at tiny sizes,
+# writing only to test temp dirs.
+perfbenchtest:
+	cd perfbench && $(GO) test -count=1 .
 
 # Trace-export smoke test: run one driver with -trace and validate the
 # output as a well-formed, properly nested Chrome trace-event array.

@@ -48,8 +48,7 @@ type App struct {
 	Workers int    // worker-pool bound (0 = GOMAXPROCS)
 
 	// ChunkInsts is the -chunk-insts value: dynamic instructions per
-	// streaming chunk for trace synthesis (0 = materialize the whole
-	// trace in one pass, the legacy path).
+	// streaming chunk for trace synthesis.
 	ChunkInsts int
 
 	// StoreDir is the -store value: a directory for the persistent
@@ -62,8 +61,6 @@ type App struct {
 	CPUProfile string // write a CPU profile to this file
 	MemProfile string // write an allocation profile to this file on Close
 	Trace      string // write a Chrome trace-event JSON file on Close
-	NoSegCache bool   // disable the evaluation-unit cache (A/B baseline)
-	NoDelta    bool   // disable delta evaluation, keep the unit cache
 
 	// Stderr receives progress logging and Fail output; Stdout receives
 	// Emit's JSON document. Both default to the os streams and are
@@ -106,14 +103,12 @@ func New(tool, benchDefault string) *App {
 	a.fs.IntVar(&a.MaxDyn, "maxdyn", runner.DefaultMaxDyn, "dynamic instruction budget per benchmark")
 	a.fs.IntVar(&a.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	a.fs.IntVar(&a.ChunkInsts, "chunk-insts", trace.DefaultChunkInsts,
-		"dynamic instructions per streaming trace chunk (0 = materialize whole trace)")
+		"dynamic instructions per streaming trace chunk")
 	a.fs.StringVar(&a.StoreDir, "store", "",
 		"persistent evaluation-unit store directory (created if missing; a restarted process comes up warm)")
 	a.fs.StringVar(&a.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	a.fs.StringVar(&a.MemProfile, "memprofile", "", "write an allocation profile to this file at exit")
 	a.fs.StringVar(&a.Trace, "trace", "", "write a Chrome trace-event JSON file (load in Perfetto) at exit")
-	a.fs.BoolVar(&a.NoSegCache, "nosegcache", false, "disable the evaluation-unit cache (A/B baseline)")
-	a.fs.BoolVar(&a.NoDelta, "nodelta", false, "disable incremental delta evaluation, keep the unit cache (A/B baseline)")
 	return a
 }
 
@@ -354,29 +349,17 @@ func ResolveBSASpecWith(reg *bsa.Registry, spec string) ([]string, error) {
 }
 
 // checkChunkInsts validates a -chunk-insts value with did-you-mean
-// guidance: 0 is the materialized whole-trace path, everything else must
-// land in [trace.MinChunkInsts, trace.MaxChunkInsts].
+// guidance: it must land in [trace.MinChunkInsts, trace.MaxChunkInsts].
 func checkChunkInsts(n int) error {
 	switch {
-	case n < 0:
-		return fmt.Errorf("-chunk-insts %d is negative; did you mean 0 (materialize the whole trace)?", n)
-	case n > 0 && n < trace.MinChunkInsts:
-		return fmt.Errorf("-chunk-insts %d is below the minimum %d; did you mean %d, or 0 to materialize the whole trace?",
+	case n < trace.MinChunkInsts:
+		return fmt.Errorf("-chunk-insts %d is below the minimum %d; did you mean %d?",
 			n, trace.MinChunkInsts, trace.MinChunkInsts)
 	case n > trace.MaxChunkInsts:
 		return fmt.Errorf("-chunk-insts %d exceeds the maximum %d; did you mean the default %d?",
 			n, trace.MaxChunkInsts, trace.DefaultChunkInsts)
 	}
 	return nil
-}
-
-// EngineChunkInsts maps the validated -chunk-insts flag to the runner
-// option encoding (flag 0 = materialized = negative option value).
-func (a *App) EngineChunkInsts() int {
-	if a.ChunkInsts == 0 {
-		return -1
-	}
-	return a.ChunkInsts
 }
 
 // CoreConfig returns the validated -core config.
@@ -401,9 +384,7 @@ func (a *App) UseAmdahl() bool { return a.Sched == "amdahl" }
 func (a *App) Engine() *runner.Engine {
 	if a.engine == nil {
 		opts := runner.Options{MaxDyn: a.MaxDyn, Workers: a.Workers,
-			BSAs:           a.Registry(),
-			ChunkInsts:     a.EngineChunkInsts(),
-			NoSegmentCache: a.NoSegCache, NoDelta: a.NoDelta,
+			BSAs: a.Registry(), ChunkInsts: a.ChunkInsts,
 			Tracer: a.tracer, Log: a.Log(),
 			Persist: a.persist(), Reg: a.obsReg}
 		if a.Verbose {

@@ -7,8 +7,10 @@ import (
 
 	"exocore/internal/cli"
 	"exocore/internal/cores"
+	"exocore/internal/exocore"
 	"exocore/internal/report"
 	"exocore/internal/runner"
+	"exocore/internal/sched"
 	"exocore/internal/workloads"
 )
 
@@ -75,8 +77,7 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 }
 
 // reportDoc renders an exploration as the exocore-result/v1 document
-// cmd/dse emits with -json, without the Metrics block (cache counters
-// legitimately differ between cached and uncached engines).
+// cmd/dse emits with -json, without the Metrics block.
 func reportDoc(t *testing.T, exp *Exploration) []byte {
 	t.Helper()
 	doc := report.New("dse")
@@ -101,60 +102,11 @@ func reportDoc(t *testing.T, exp *Exploration) []byte {
 	return buf.Bytes()
 }
 
-// TestCachedSweepByteIdentical is the end-to-end correctness gate for the
-// evaluation-unit cache: over the quick-set workloads and all 16 BSA
-// subsets, a sweep with unit-outcome memoization must produce a
-// byte-identical exocore-result/v1 document to a sweep that rebuilds
-// every unit from scratch.
-func TestCachedSweepByteIdentical(t *testing.T) {
-	var ws []*workloads.Workload
-	for _, name := range cli.QuickSet {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws = append(ws, w)
-	}
-	cs := []cores.Config{cores.OOO2}
-
-	cached, err := Explore(Options{
-		Workloads: ws, Cores: cs,
-		Engine: runner.New(runner.Options{MaxDyn: 10_000}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := Explore(Options{
-		Workloads: ws, Cores: cs,
-		Engine: runner.New(runner.Options{MaxDyn: 10_000, NoSegmentCache: true}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cb, ub := reportDoc(t, cached), reportDoc(t, uncached)
-	if !bytes.Equal(cb, ub) {
-		for i := range cb {
-			if i >= len(ub) || cb[i] != ub[i] {
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("cached and uncached sweeps diverge at byte %d:\ncached:   ...%s\nuncached: ...%s",
-					i, cb[lo:min(i+80, len(cb))], ub[lo:min(i+80, len(ub))])
-			}
-		}
-		t.Fatalf("cached doc (%d bytes) is a prefix of uncached doc (%d bytes)", len(cb), len(ub))
-	}
-}
-
-// TestDeltaMatchesFullRun is the end-to-end correctness gate for the
-// incremental delta-evaluation path (baseline-relative segmentation,
-// prefix reuse, the cross-core shared pool): over the quick-set
-// workloads and all 16 BSA subsets, a sweep on the default delta engine
-// must produce a byte-identical exocore-result/v1 document to a sweep on
-// an engine with delta evaluation disabled (the -nodelta escape hatch).
-func TestDeltaMatchesFullRun(t *testing.T) {
+// quickSweep explores the quick-set workloads on IO2 and OOO2 with a
+// default engine (delta evaluation over the unit cache, the only
+// evaluation path a scheduling context has).
+func quickSweep(t *testing.T) (*runner.Engine, []*workloads.Workload, []cores.Config, *Exploration) {
+	t.Helper()
 	var ws []*workloads.Workload
 	for _, name := range cli.QuickSet {
 		w, err := workloads.ByName(name)
@@ -164,35 +116,99 @@ func TestDeltaMatchesFullRun(t *testing.T) {
 		ws = append(ws, w)
 	}
 	cs := []cores.Config{cores.IO2, cores.OOO2}
-
-	delta, err := Explore(Options{
-		Workloads: ws, Cores: cs,
-		Engine: runner.New(runner.Options{MaxDyn: 10_000}),
-	})
+	eng := runner.New(runner.Options{MaxDyn: 10_000})
+	exp, err := Explore(Options{Workloads: ws, Cores: cs, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Explore(Options{
-		Workloads: ws, Cores: cs,
-		Engine: runner.New(runner.Options{MaxDyn: 10_000, NoDelta: true}),
-	})
+	return eng, ws, cs, exp
+}
+
+// uncachedRun evaluates assign on sc with a cache-less exocore.Run, which
+// segmentizes and evaluates every unit from scratch: the reference every
+// cached and delta-evaluated number is held to.
+func uncachedRun(t *testing.T, sc *sched.Context, assign exocore.Assignment) (int64, float64) {
+	t.Helper()
+	res, err := exocore.Run(sc.TDG, sc.Core, sc.BSAs, sc.Plans, assign, exocore.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res.Cycles, exocore.EnergyOf(res, sc.Core, sc.BSAs).TotalNJ()
+}
 
-	db, fb := reportDoc(t, delta), reportDoc(t, full)
-	if !bytes.Equal(db, fb) {
-		for i := range db {
-			if i >= len(fb) || db[i] != fb[i] {
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("delta and full sweeps diverge at byte %d:\ndelta: ...%s\nfull:  ...%s",
-					i, db[lo:min(i+80, len(db))], fb[lo:min(i+80, len(fb))])
+func schedContext(t *testing.T, eng *runner.Engine, w *workloads.Workload, core cores.Config) *sched.Context {
+	t.Helper()
+	sc, err := eng.Context(w, core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// TestCachedSweepByteIdentical is the end-to-end correctness gate for the
+// evaluation-unit cache: over the quick-set workloads and all 16 BSA
+// subsets, every design × bench row of a sweep must equal a cache-less
+// exocore.Run of the same assignment (sc.Oracle of the design's
+// subset). The design aggregates are rebuilt from the reference rows, so
+// the rendered exocore-result/v1 documents must be byte-identical.
+func TestCachedSweepByteIdentical(t *testing.T) {
+	eng, ws, cs, exp := quickSweep(t)
+
+	ref, err := NewShell(eng.BSAs(), nil, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range exp.Designs {
+		for _, w := range ws {
+			sc := schedContext(t, eng, w, d.Core)
+			c, e := uncachedRun(t, sc, sc.Oracle(SubsetBSAs(d.Mask)))
+			if err := ref.AddBench(d.Code, BenchResult{
+				Bench: w.Name, Category: w.Category, Cycles: c, EnergyNJ: e,
+			}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		t.Fatalf("delta doc (%d bytes) is a prefix of full doc (%d bytes)", len(db), len(fb))
+	}
+	ref.Normalize()
+
+	got, want := reportDoc(t, exp), reportDoc(t, ref)
+	if !bytes.Equal(got, want) {
+		for i := range got {
+			if i >= len(want) || got[i] != want[i] {
+				lo := max(i-80, 0)
+				t.Fatalf("sweep and uncached runs diverge at byte %d:\nsweep:    ...%s\nuncached: ...%s",
+					i, got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+			}
+		}
+		t.Fatalf("sweep doc (%d bytes) is a prefix of uncached doc (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestDeltaMatchesFullRun is the end-to-end correctness gate for the
+// incremental delta-evaluation path (baseline-relative composer
+// segmentation, prefix publication, interned keys, the cross-core shared
+// pool): after a sweep over the quick-set workloads, every number the
+// scheduler's choices rest on — each context's baseline and every
+// candidate solo — must equal a cache-less exocore.Run of the same
+// assignment.
+func TestDeltaMatchesFullRun(t *testing.T) {
+	eng, ws, cs, _ := quickSweep(t)
+
+	for _, core := range cs {
+		for _, w := range ws {
+			sc := schedContext(t, eng, w, core)
+			if c, e := uncachedRun(t, sc, nil); c != sc.BaseCycles || e != sc.BaseEnergyNJ {
+				t.Errorf("%s/%s baseline: delta (%d, %v), full (%d, %v)",
+					w.Name, core.Name, sc.BaseCycles, sc.BaseEnergyNJ, c, e)
+			}
+			for _, cand := range sc.Candidates {
+				c, e := uncachedRun(t, sc, exocore.Assignment{cand.LoopID: cand.BSA})
+				if c != cand.Cycles || e != cand.EnergyNJ {
+					t.Errorf("%s/%s candidate %s@L%d: delta (%d, %v), full (%d, %v)",
+						w.Name, core.Name, cand.BSA, cand.LoopID, cand.Cycles, cand.EnergyNJ, c, e)
+				}
+			}
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ const (
 // segClasses is nil unless the unit was evaluated with class
 // attribution (RunOpts.RecordRegions): the critical-path walk is pure
 // overhead for scheduling sweeps, so it is computed on demand and the
-// cached entry upgraded in place.
+// class-attributed outcome replaces the cached one (see Cache.store).
 type unitOutcome struct {
 	segDurs    []int64
 	segCounts  []energy.Counts
@@ -167,8 +167,7 @@ type Cache struct {
 	comp     *composer
 
 	// shared is the cross-core outcome pool for this cache's TDG,
-	// attached alongside the composer (so -nodelta runs never consult
-	// it); nil until composerFor runs.
+	// attached alongside the composer; nil until composerFor runs.
 	shared *sharedPool
 
 	// persist is the optional durable tier under this cache (see
@@ -334,19 +333,26 @@ func (c *Cache) lookup(k unitKey) *unitOutcome {
 	return nil
 }
 
-// store memoizes an outcome, returning the winning entry if another
-// goroutine computed the same key concurrently (outcomes are
-// deterministic, so either copy is correct).
+// store memoizes an outcome and returns the entry the cache now holds.
+// An entry another goroutine stored for the same key first wins
+// (outcomes are deterministic, so either copy is correct) unless it
+// lacks the class attribution o carries: then o replaces it, so a
+// class-attributed Run always gets classes back however its store
+// raced with a sweep, a candidate solo or a prefix publication.
+// Entries counts new keys only.
 func (c *Cache) store(k unitKey, o *unitOutcome) *unitOutcome {
 	s := c.shardOf(k)
 	s.mu.Lock()
-	if prev := s.m[k]; prev != nil {
+	prev := s.m[k]
+	if prev != nil && (prev.segClasses != nil || o.segClasses == nil) {
 		s.mu.Unlock()
 		return prev
 	}
 	s.m[k] = o
 	s.mu.Unlock()
-	c.entries.Add(1)
+	if prev == nil {
+		c.entries.Add(1)
+	}
 	return o
 }
 
@@ -362,17 +368,6 @@ func (c *Cache) storePrefix(k unitKey, o *unitOutcome) {
 	s.m[k] = o
 	s.mu.Unlock()
 	c.prefixes.Add(1)
-}
-
-// upgrade replaces a memoized outcome with a richer recomputation of
-// the same key (adding class attribution). Outcomes are deterministic,
-// so concurrent readers may see either version without harm.
-func (c *Cache) upgrade(k unitKey, o *unitOutcome) *unitOutcome {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	s.m[k] = o
-	s.mu.Unlock()
-	return o
 }
 
 // sharedKey identifies one offload solo unit across per-core caches: the
@@ -626,7 +621,7 @@ func (p *publisher) publish(out *unitOutcome, nsegs int, end int32, lastDur int6
 // durations and energy deltas are identical either way.
 // pub, when non-nil, publishes prefix outcomes at cut boundaries as the
 // evaluation passes them (prefix entries never carry classes; a later
-// class-attributed run re-evaluates and upgrades them).
+// class-attributed run re-evaluates and replaces them).
 // window, when positive, bounds the resident µDG during the core-resident
 // instruction stream (see RunOpts.WindowNodes); it must be 0 when classes
 // is set.

@@ -3,9 +3,12 @@ package exocore
 import (
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"exocore/internal/cores"
+	"exocore/internal/dg"
+	"exocore/internal/energy"
 )
 
 // TestCachedRunMatchesUncached is the correctness gate for the
@@ -124,6 +127,90 @@ func TestCacheConcurrentRuns(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ref, results[g]) {
 			t.Errorf("goroutine %d diverged from the serial uncached reference", g)
+		}
+	}
+}
+
+// TestStoreReplacesClasslessEntry pins the store rule that lets
+// class-attributed runs share a cache with sweeps: a class-attributed
+// outcome replaces a class-less entry for the same key and comes back
+// from store, a class-less outcome never displaces a class-attributed
+// one, and the key counts as one entry.
+func TestStoreReplacesClasslessEntry(t *testing.T) {
+	c := NewCache(cores.OOO2, 100)
+	k := unitKey{start: 0, end: 100}
+	plain := &unitOutcome{segDurs: []int64{7}, segCounts: make([]energy.Counts, 1)}
+	classed := &unitOutcome{segDurs: []int64{7}, segCounts: make([]energy.Counts, 1),
+		segClasses: make([][dg.NumEdgeClasses]int64, 1)}
+
+	if got := c.store(k, plain); got != plain {
+		t.Fatal("first store did not keep its outcome")
+	}
+	if got := c.store(k, classed); got != classed {
+		t.Fatal("class-attributed store got the class-less entry back")
+	}
+	if got := c.lookup(k); got != classed {
+		t.Error("lookup after replacement returned the class-less entry")
+	}
+	if got := c.store(k, plain); got != classed {
+		t.Error("class-less store displaced the class-attributed entry")
+	}
+	if n := c.Stats().Entries; n != 1 {
+		t.Errorf("entries = %d after three stores of one key, want 1", n)
+	}
+}
+
+// TestCacheConcurrentRegionRuns mixes class-attributed and plain Runs on
+// one fresh cache per round, the way a daemon's region request races a
+// sweep on a shared scheduling context: the plain runs evaluate faster
+// and usually store first, so every class-attributed run must still get
+// its classes back and match the cache-less reference exactly.
+func TestCacheConcurrentRegionRuns(t *testing.T) {
+	td := buildTDG(t, "mm", 4000)
+	bsas := allBSAs()
+	plans := analyzeAll(td, bsas)
+	offload := Assignment{}
+	for l := range plans["NS-DF"].Regions {
+		offload[l] = "NS-DF"
+	}
+	assigns := []Assignment{nil, offload}
+	refs := make([]*RunResult, len(assigns))
+	for i, a := range assigns {
+		var err error
+		if refs[i], err = Run(td, cores.OOO2, bsas, plans, a, RunOpts{RecordRegions: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const rounds, goroutines = 40, 4
+	for r := 0; r < rounds; r++ {
+		assign, ref := assigns[r%len(assigns)], refs[r%len(assigns)]
+		cache := NewCache(cores.OOO2, td.Trace.Len())
+		results := make([]*RunResult, goroutines)
+		errs := make([]error, goroutines)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				results[g], errs[g] = Run(td, cores.OOO2, bsas, plans, assign,
+					RunOpts{Cache: cache, RecordRegions: g%2 == 0})
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g, res := range results {
+			if errs[g] != nil {
+				t.Fatalf("round %d goroutine %d: %v", r, g, errs[g])
+			}
+			if res.Cycles != ref.Cycles || res.Counts != ref.Counts {
+				t.Errorf("round %d goroutine %d: totals diverge from the cache-less reference", r, g)
+			}
+			if g%2 == 0 && !reflect.DeepEqual(res.Regions, ref.Regions) {
+				t.Errorf("round %d goroutine %d: region table diverges from the cache-less reference", r, g)
+			}
 		}
 	}
 }

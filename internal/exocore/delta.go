@@ -14,8 +14,9 @@
 // result. For any assignment, every instruction of an atom resolves to
 // the same region, so segmentizing reduces to resolving each distinct
 // chain once and merging adjacent atoms — byte-identical to Segmentize
-// by construction (gated by TestComposerSegmentizeMatches and the
-// delta-vs-full equivalence tests).
+// by construction (gated by TestSegmentizeCoversTrace and the edge cases
+// in segmentize_test.go, which run both segmentizers, and by
+// TestRandomizedAssignmentsDeltaEqualsFull).
 package exocore
 
 import (

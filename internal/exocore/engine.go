@@ -85,15 +85,13 @@ type RunOpts struct {
 	// critical-path class histogram per (loop, model).
 	RecordRegions bool
 	// Cache, when non-nil, memoizes segment outcomes and pools evaluation
-	// arenas across Runs. It must have been created for the same core
-	// config and be used with a fixed (TDG, bsas, plans) tuple.
+	// arenas across Runs, and evaluates incrementally: composer
+	// segmentation, prefix-outcome publication and the cross-core shared
+	// pool. It must have been created for the same core config and be
+	// used with a fixed (TDG, bsas, plans) tuple. Without a cache, Run
+	// segmentizes and evaluates every unit from scratch — the reference
+	// the identity tests hold cached runs to.
 	Cache *Cache
-	// NoDelta disables the incremental-evaluation machinery (atom-based
-	// segmentation and prefix-outcome publication) while keeping the unit
-	// cache itself — the A/B escape hatch behind the -nodelta flag. Full
-	// and delta evaluation are byte-identical (see TestDeltaMatchesFullRun);
-	// this exists to measure the difference and to bisect regressions.
-	NoDelta bool
 	// Span, when active, receives one child span per evaluation unit
 	// (annotated with cache hit/miss) with nested transform spans. The
 	// zero Span disables tracing at nil-check cost.
@@ -262,23 +260,13 @@ func (r *RunResult) CyclesOf(name string) int64 {
 // instead of the per-instruction nest walk this replaces, which was the
 // single largest cost of uncached evaluation.
 func Segmentize(t *tdg.TDG, assign Assignment) []Segment {
-	return segmentizeAtoms(t, assign, nil, nil)
-}
-
-// segmentizeAtoms is Segmentize with caller-owned scratch: segs becomes
-// the result's backing array and resolved the per-loop region memo
-// (grown as needed). Pass nil for fresh allocations.
-func segmentizeAtoms(t *tdg.TDG, assign Assignment, segs []Segment, resolved []int32) []Segment {
 	nest := t.Nest
 	atoms := t.LoopAtoms()
-	if cap(resolved) < len(nest.Loops)+1 {
-		resolved = make([]int32, len(nest.Loops)+1)
-	}
-	resolved = resolved[:len(nest.Loops)+1]
+	resolved := make([]int32, len(nest.Loops)+1)
 	for i := range resolved {
 		resolved[i] = -2 // not yet resolved; -1 means "general core"
 	}
-	segs = segs[:0]
+	var segs []Segment
 	cur := Segment{LoopID: -2}
 	for _, a := range atoms {
 		region := resolved[a.Loop+1]
@@ -327,29 +315,25 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 		}
 	}
 
-	// Delta path: the composer's precomputed atoms segmentize in
-	// O(atoms) and its cut set drives prefix-outcome publication.
+	// With a cache, the composer's precomputed atoms segmentize in
+	// O(atoms) and its cut set drives prefix-outcome publication. One
+	// worker (graph + GPP arenas) serves every unit of this run, drawn
+	// from — and returned to — the per-config arena pool.
 	var comp *composer
 	var segs []Segment
-	if opts.Cache != nil && !opts.NoDelta {
-		comp = opts.Cache.composerFor(t, bsas, plans)
-		segs = comp.segmentize(assign)
-	} else {
-		segs = Segmentize(t, assign)
-	}
-	units := unitize(t, segs, assign, bsas)
-	res := &RunResult{Models: make([]ModelStat, 0, len(assign)+1)}
-
-	// One worker (graph + GPP arenas) serves every unit of this run,
-	// drawn from — and returned to — the per-config arena pool.
 	var w *segWorker
 	if opts.Cache != nil {
+		comp = opts.Cache.composerFor(t, bsas, plans)
+		segs = comp.segmentize(assign)
 		w = opts.Cache.getWorker()
 		defer opts.Cache.putWorker(w)
 	} else {
+		segs = Segmentize(t, assign)
 		w = acquireWorker(core, graphHintFor(len(t.Trace.Insts)), nil)
 		defer releaseWorker(core, w)
 	}
+	units := unitize(t, segs, assign, bsas)
+	res := &RunResult{Models: make([]ModelStat, 0, len(assign)+1)}
 
 	// Resolve the streaming window (0 = off from here on).
 	window := opts.WindowNodes
@@ -400,8 +384,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 				// caches for the same TDG.
 				var shared *sharedPool
 				var shKey sharedKey
-				if comp != nil && len(u.segs) == 1 && u.names[0] != "" &&
-					bsas[u.names[0]].OffloadsCore() {
+				if len(u.segs) == 1 && u.names[0] != "" && bsas[u.names[0]].OffloadsCore() {
 					shared = opts.Cache.shared
 					seg := u.segs[0]
 					shKey = sharedKey{
@@ -428,7 +411,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 				// predecessor (or a sibling replica sharing the directory)
 				// already derived. Class-attributed runs bypass it — classes
 				// are never persisted, and storing a classless outcome here
-				// would only be upgraded away again.
+				// would only be replaced again.
 				persist := opts.Cache.persist
 				if persist != nil && opts.RecordRegions {
 					persist = nil
@@ -442,18 +425,16 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 						}
 					}
 				}
-				// On the delta path, evaluating this unit also publishes
-				// outcomes for every cut-aligned prefix of it, so later
-				// assignments that cut the trace here pay only their delta.
+				// Evaluating this unit also publishes outcomes for every
+				// cut-aligned prefix of it, so later assignments that cut
+				// the trace here pay only their delta.
 				var pub *publisher
-				if comp != nil {
-					if cuts := comp.cutsIn(u.segs[0].Start, u.segs[len(u.segs)-1].End); len(cuts) > 0 {
-						pub = &publisher{
-							cache: opts.Cache,
-							descs: descScratch,
-							start: key.start,
-							cuts:  cuts,
-						}
+				if cuts := comp.cutsIn(u.segs[0].Start, u.segs[len(u.segs)-1].End); len(cuts) > 0 {
+					pub = &publisher{
+						cache: opts.Cache,
+						descs: descScratch,
+						start: key.start,
+						cuts:  cuts,
 					}
 				}
 				o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, window, pub)
@@ -470,9 +451,9 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 				}
 			case opts.RecordRegions && out.segClasses == nil:
 				// Cached by a sweep without class attribution; re-evaluate
-				// once with it and upgrade the entry.
+				// once with it and replace the entry.
 				o := evalUnit(w, t, bsas, plans, u, usp, true, 0, nil)
-				out = opts.Cache.upgrade(key, &o)
+				out = opts.Cache.store(key, &o)
 			}
 		} else {
 			o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, window, nil)

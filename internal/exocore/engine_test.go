@@ -65,19 +65,9 @@ func TestSegmentizeCoversTrace(t *testing.T) {
 	if len(assign) == 0 {
 		t.Fatal("SIMD found no vectorizable loop in mm")
 	}
-	segs := Segmentize(td, assign)
-	covered := 0
-	last := 0
-	for _, s := range segs {
-		if s.Start != last {
-			t.Fatalf("segment gap at %d", s.Start)
-		}
-		covered += s.End - s.Start
-		last = s.End
-	}
-	if covered != td.Trace.Len() {
-		t.Errorf("segments cover %d of %d insts", covered, td.Trace.Len())
-	}
+	eachSegmentizer(t, td, assign, func(t *testing.T, segs []Segment) {
+		checkCoverage(t, td, segs)
+	})
 }
 
 func TestEachBSASpeedsUpItsAffineWorkload(t *testing.T) {

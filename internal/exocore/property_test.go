@@ -94,7 +94,8 @@ func TestArbitraryAssignmentsAreSane(t *testing.T) {
 // assignments, a Run through the delta machinery (shared cache, atom
 // segmentation, prefix publication, cross-core shared pool) must agree
 // exactly — cycles, energy counts, model attribution, offload cycles and
-// per-region stats — with a from-scratch full Run on the same assignment.
+// per-region stats — with a cache-less Run, which segmentizes and
+// evaluates from scratch, on the same assignment.
 // The cache is shared across the whole corpus so later assignments
 // exercise prefix reuse against outcomes published by earlier ones, and
 // both cores draw from the same process-wide shared-pool registry the way
@@ -154,7 +155,7 @@ func TestRandomizedAssignmentsDeltaEqualsFull(t *testing.T) {
 					t.Fatal(err)
 				}
 				full, err := Run(td, core, bsas, plans, assign,
-					RunOpts{NoDelta: true, RecordRegions: regions})
+					RunOpts{RecordRegions: regions})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -52,15 +52,34 @@ func checkCoverage(t *testing.T, td *tdg.TDG, segs []Segment) {
 	}
 }
 
+// eachSegmentizer runs check on both segmentizers Run uses: Segmentize
+// (cache-less runs) and the delta composer's (cached runs), the latter
+// built over a minimal plan for each assigned loop.
+func eachSegmentizer(t *testing.T, td *tdg.TDG, assign Assignment, check func(t *testing.T, segs []Segment)) {
+	t.Helper()
+	plans := map[string]*tdg.Plan{}
+	for l, name := range assign {
+		if plans[name] == nil {
+			plans[name] = &tdg.Plan{BSA: name, Regions: map[int]*tdg.Region{}}
+		}
+		plans[name].Regions[l] = &tdg.Region{LoopID: l}
+	}
+	comp := newComposer(td, allBSAs(), plans)
+	t.Run("Segmentize", func(t *testing.T) { check(t, Segmentize(td, assign)) })
+	t.Run("composer", func(t *testing.T) { check(t, comp.segmentize(assign)) })
+}
+
 // TestSegmentizeEmptyTrace: a trace with no dynamic instructions yields no
 // segments (and no phantom GPP segment).
 func TestSegmentizeEmptyTrace(t *testing.T) {
 	td := buildTDG(t, "mm", 5000)
 	empty := &trace.Trace{Prog: td.Trace.Prog, Insts: []trace.DynInst{}}
 	tdEmpty := &tdg.TDG{Trace: empty, CFG: td.CFG, Nest: td.Nest, Prof: td.Prof}
-	if segs := Segmentize(tdEmpty, Assignment{0: "SIMD"}); len(segs) != 0 {
-		t.Errorf("empty trace produced %d segments: %+v", len(segs), segs)
-	}
+	eachSegmentizer(t, tdEmpty, Assignment{0: "SIMD"}, func(t *testing.T, segs []Segment) {
+		if len(segs) != 0 {
+			t.Errorf("empty trace produced %d segments: %+v", len(segs), segs)
+		}
+	})
 }
 
 // TestSegmentizeOutermostWins: when both loops of a nest are assigned, every
@@ -98,18 +117,19 @@ func TestSegmentizeOutermostWins(t *testing.T) {
 		t.Fatalf("nest not recognized: outer=%d inner=%d", outer, inner)
 	}
 
-	segs := Segmentize(td, Assignment{outer: "NS-DF", inner: "SIMD"})
-	checkCoverage(t, td, segs)
-	for _, seg := range segs {
-		if seg.LoopID == inner {
-			t.Errorf("inner loop %d surfaced as its own segment despite outer assignment: %+v", inner, seg)
+	eachSegmentizer(t, td, Assignment{outer: "NS-DF", inner: "SIMD"}, func(t *testing.T, segs []Segment) {
+		checkCoverage(t, td, segs)
+		for _, seg := range segs {
+			if seg.LoopID == inner {
+				t.Errorf("inner loop %d surfaced as its own segment despite outer assignment: %+v", inner, seg)
+			}
 		}
-	}
-	// The whole nest (everything after the single init instruction) must be
-	// one outer-loop segment.
-	if len(segs) != 2 || segs[0].LoopID != -1 || segs[1].LoopID != outer {
-		t.Fatalf("want [GPP init, outer nest], got %+v", segs)
-	}
+		// The whole nest (everything after the single init instruction)
+		// must be one outer-loop segment.
+		if len(segs) != 2 || segs[0].LoopID != -1 || segs[1].LoopID != outer {
+			t.Fatalf("want [GPP init, outer nest], got %+v", segs)
+		}
+	})
 }
 
 // TestSegmentizeWholeTraceRegion: a program whose every instruction is
@@ -127,14 +147,15 @@ func TestSegmentizeWholeTraceRegion(t *testing.T) {
 	if len(td.Nest.Loops) != 1 {
 		t.Fatalf("expected 1 loop, got %d", len(td.Nest.Loops))
 	}
-	segs := Segmentize(td, Assignment{0: "SIMD"})
-	checkCoverage(t, td, segs)
-	if len(segs) != 1 || segs[0].LoopID != 0 {
-		t.Fatalf("want a single whole-trace region segment, got %+v", segs)
-	}
-	if segs[0].Start != 0 || segs[0].End != td.Trace.Len() {
-		t.Fatalf("segment %+v does not span the whole %d-instruction trace", segs[0], td.Trace.Len())
-	}
+	eachSegmentizer(t, td, Assignment{0: "SIMD"}, func(t *testing.T, segs []Segment) {
+		checkCoverage(t, td, segs)
+		if len(segs) != 1 || segs[0].LoopID != 0 {
+			t.Fatalf("want a single whole-trace region segment, got %+v", segs)
+		}
+		if segs[0].Start != 0 || segs[0].End != td.Trace.Len() {
+			t.Fatalf("segment %+v does not span the whole %d-instruction trace", segs[0], td.Trace.Len())
+		}
+	})
 }
 
 // TestSegmentizeBackToBackRegions: two assigned loops executing with no
@@ -161,15 +182,16 @@ func TestSegmentizeBackToBackRegions(t *testing.T) {
 	}
 	first := td.Nest.InnermostOfInst(int(td.Trace.Insts[0].SI))
 	second := 1 - first
-	segs := Segmentize(td, Assignment{first: "NS-DF", second: "Trace-P"})
-	checkCoverage(t, td, segs)
-	if len(segs) != 2 {
-		t.Fatalf("want exactly 2 back-to-back region segments, got %+v", segs)
-	}
-	if segs[0].LoopID != first || segs[1].LoopID != second {
-		t.Errorf("segment order %+v does not follow execution order (L%d then L%d)", segs, first, second)
-	}
-	if segs[0].End != segs[1].Start {
-		t.Errorf("regions not adjacent: %+v", segs)
-	}
+	eachSegmentizer(t, td, Assignment{first: "NS-DF", second: "Trace-P"}, func(t *testing.T, segs []Segment) {
+		checkCoverage(t, td, segs)
+		if len(segs) != 2 {
+			t.Fatalf("want exactly 2 back-to-back region segments, got %+v", segs)
+		}
+		if segs[0].LoopID != first || segs[1].LoopID != second {
+			t.Errorf("segment order %+v does not follow execution order (L%d then L%d)", segs, first, second)
+		}
+		if segs[0].End != segs[1].Start {
+			t.Errorf("regions not adjacent: %+v", segs)
+		}
+	})
 }

@@ -58,13 +58,11 @@ type Options struct {
 	// DefaultMaxDyn). It is part of every cache key's identity, so one
 	// Engine serves exactly one budget.
 	MaxDyn int
-	// ChunkInsts selects how traces are synthesized. 0 (the default)
-	// streams workload generators in chunks of trace.DefaultChunkInsts;
-	// a positive value sets an explicit chunk size; a negative value
-	// selects the legacy materialized whole-trace path (workload
-	// generators fill one array in a single pass). Chunked and
-	// materialized synthesis are byte-identical, so ChunkInsts is NOT
-	// part of cache-key identity.
+	// ChunkInsts is the chunk size, in dynamic instructions, at which
+	// trace misses drain workload generators (<= 0 selects
+	// trace.DefaultChunkInsts). Every chunk size yields the same trace
+	// as Workload.Trace, so ChunkInsts is NOT part of cache-key
+	// identity.
 	ChunkInsts int
 	// Workers bounds concurrent jobs in ForEach/Map (0 = GOMAXPROCS).
 	Workers int
@@ -76,14 +74,6 @@ type Options struct {
 	BSAs *bsa.Registry
 	// Progress, if non-nil, observes every stage lookup.
 	Progress ProgressFunc
-	// NoSegmentCache disables the per-context evaluation-unit cache
-	// (exocore.Cache): every assignment evaluation rebuilds every unit
-	// from scratch. Used by the equivalence gate and for A/B measurement.
-	NoSegmentCache bool
-	// NoDelta disables incremental delta evaluation (atom-based
-	// segmentation and prefix-outcome publication) while keeping the unit
-	// cache. A/B escape hatch behind the -nodelta flag.
-	NoDelta bool
 	// Tracer, if non-nil, receives one span per stage cache miss, with
 	// per-unit segment spans and per-transform spans nested under the
 	// sched and eval stages. Nil keeps the hot path nil-check cheap.
@@ -99,7 +89,6 @@ type Options struct {
 	// context's unit cache: misses consult it before evaluating and
 	// fresh outcomes write through, so a restarted process comes up
 	// warm. The engine namespaces keys by (workload, core, MaxDyn).
-	// Ignored with NoSegmentCache.
 	Persist exocore.Persist
 }
 
@@ -119,8 +108,7 @@ type StageMetrics struct {
 type Metrics struct {
 	Stages []StageMetrics `json:"stages"`
 	// EvalCache aggregates the evaluation-unit cache counters over every
-	// scheduling context this engine created. Nil when the cache is
-	// disabled (Options.NoSegmentCache).
+	// scheduling context this engine created.
 	EvalCache *exocore.CacheStats `json:"eval_cache,omitempty"`
 	// Points is the full registry snapshot (every named instrument,
 	// sorted), the exportable form behind the stage/cache fields above.
@@ -171,11 +159,9 @@ type evalResult struct {
 // Engine is the shared evaluation engine. Safe for concurrent use.
 type Engine struct {
 	maxDyn     int
-	chunkInsts int // <0 = materialized path, 0 = default chunk size
+	chunkInsts int // <= 0 = default chunk size
 	workers    int
 	bsaReg     *bsa.Registry
-	noSegCache bool
-	noDelta    bool
 	persist    exocore.Persist
 
 	progressMu sync.Mutex
@@ -220,8 +206,6 @@ func New(opts Options) *Engine {
 		chunkInsts: opts.ChunkInsts,
 		workers:    workers,
 		bsaReg:     bsaReg,
-		noSegCache: opts.NoSegmentCache,
-		noDelta:    opts.NoDelta,
 		persist:    opts.Persist,
 		progress:   opts.Progress,
 		tracer:     opts.Tracer,
@@ -267,31 +251,29 @@ func (e *Engine) Metrics() Metrics {
 			Insts:  c.insts.Value(),
 		})
 	}
-	if !e.noSegCache {
-		var agg exocore.CacheStats
-		e.cachesMu.Lock()
-		for _, c := range e.caches {
-			s := c.Stats()
-			agg.Hits += s.Hits
-			agg.Misses += s.Misses
-			agg.BytesReused += s.BytesReused
-			agg.Entries += s.Entries
-			agg.PrefixEntries += s.PrefixEntries
-			agg.InternedSigs += s.InternedSigs
-			agg.SharedHits += s.SharedHits
-		}
-		e.cachesMu.Unlock()
-		// Mirror the aggregate into registry gauges so the exportable
-		// snapshot carries the cache state too.
-		e.reg.Gauge("evalcache.segment_hits").Set(agg.Hits)
-		e.reg.Gauge("evalcache.segment_misses").Set(agg.Misses)
-		e.reg.Gauge("evalcache.bytes_reused").Set(agg.BytesReused)
-		e.reg.Gauge("evalcache.entries").Set(agg.Entries)
-		e.reg.Gauge("evalcache.prefix_entries").Set(agg.PrefixEntries)
-		e.reg.Gauge("evalcache.interned_sigs").Set(agg.InternedSigs)
-		e.reg.Gauge("evalcache.shared_hits").Set(agg.SharedHits)
-		m.EvalCache = &agg
+	var agg exocore.CacheStats
+	e.cachesMu.Lock()
+	for _, c := range e.caches {
+		s := c.Stats()
+		agg.Hits += s.Hits
+		agg.Misses += s.Misses
+		agg.BytesReused += s.BytesReused
+		agg.Entries += s.Entries
+		agg.PrefixEntries += s.PrefixEntries
+		agg.InternedSigs += s.InternedSigs
+		agg.SharedHits += s.SharedHits
 	}
+	e.cachesMu.Unlock()
+	// Mirror the aggregate into registry gauges so the exportable
+	// snapshot carries the cache state too.
+	e.reg.Gauge("evalcache.segment_hits").Set(agg.Hits)
+	e.reg.Gauge("evalcache.segment_misses").Set(agg.Misses)
+	e.reg.Gauge("evalcache.bytes_reused").Set(agg.BytesReused)
+	e.reg.Gauge("evalcache.entries").Set(agg.Entries)
+	e.reg.Gauge("evalcache.prefix_entries").Set(agg.PrefixEntries)
+	e.reg.Gauge("evalcache.interned_sigs").Set(agg.InternedSigs)
+	e.reg.Gauge("evalcache.shared_hits").Set(agg.SharedHits)
+	m.EvalCache = &agg
 	m.Points = e.reg.Snapshot()
 	return m
 }
@@ -340,13 +322,10 @@ func (e *Engine) TraceCtx(ctx context.Context, w *workloads.Workload) (*trace.Tr
 		}
 		sp := e.tracer.BeginCtx(ctx, "stage", StageTrace+" "+key)
 		defer sp.End()
-		if e.chunkInsts < 0 {
-			return w.Trace(e.maxDyn) // legacy whole-trace path
-		}
-		// Default: drain the workload's generator-driven chunk source.
-		// Byte-identical to the whole-trace path (all model state
-		// carries across chunk boundaries), and the same code large
-		// streamed runs exercise, so the tier-1 suite gates it.
+		// Drain the workload's generator-driven chunk source: the same
+		// trace as Workload.Trace (all model state carries across chunk
+		// boundaries), and the same code large streamed runs exercise,
+		// so the tier-1 suite gates it.
 		src := w.Source(workloads.SourceConfig{MaxDyn: e.maxDyn, ChunkInsts: e.chunkInsts})
 		return trace.Materialize(src, min(e.maxDyn, 1<<16))
 	})
@@ -424,17 +403,14 @@ func (e *Engine) ContextCtx(ctx context.Context, w *workloads.Workload, core cor
 		sp := e.tracer.BeginCtx(ctx, "stage", StageSched+" "+key)
 		defer sp.End()
 		sc, err := sched.NewContextWith(td, core, e.bsaReg.New(),
-			sched.ContextOpts{NoSegmentCache: e.noSegCache, NoDelta: e.noDelta,
-				Workers: e.workers, Reg: e.reg, Span: sp,
+			sched.ContextOpts{Workers: e.workers, Reg: e.reg, Span: sp,
 				Persist: e.persist, PersistNS: e.persistNS(key)})
 		if err != nil {
 			return nil, err
 		}
-		if sc.Cache != nil {
-			e.cachesMu.Lock()
-			e.caches = append(e.caches, sc.Cache)
-			e.cachesMu.Unlock()
-		}
+		e.cachesMu.Lock()
+		e.caches = append(e.caches, sc.Cache)
+		e.cachesMu.Unlock()
 		return sc, nil
 	})
 	var insts int64
@@ -448,7 +424,7 @@ func (e *Engine) ContextCtx(ctx context.Context, w *workloads.Workload, core cor
 // persistNS derives the durable-store namespace for one scheduling
 // context: the format tag, the context key (workload/core) and the
 // engine's instruction budget. ChunkInsts is deliberately absent —
-// chunked and materialized synthesis are byte-identical — and the BSA
+// every chunk size synthesizes the same trace — and the BSA
 // registry needs no component because unit signatures carry the model
 // names themselves.
 func (e *Engine) persistNS(contextKey string) string {

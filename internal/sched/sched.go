@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"exocore/internal/cores"
 	"exocore/internal/exocore"
@@ -39,23 +40,18 @@ type Context struct {
 
 	// Cache memoizes evaluation-unit outcomes across every Run this
 	// context issues (baseline, per-candidate solos, and Evaluate calls
-	// for full designs). Nil when the cache is disabled.
+	// for full designs). Never nil.
 	Cache *exocore.Cache
 
 	BaseCycles   int64
 	BaseEnergyNJ float64
 	Candidates   []Candidate
 
-	reg     *obs.Registry
-	noDelta bool
+	reg *obs.Registry
 }
 
 // ContextOpts tunes context construction.
 type ContextOpts struct {
-	// NoSegmentCache disables unit-outcome memoization: every Run
-	// re-evaluates every unit from scratch. Used by the equivalence gate
-	// and for A/B measurement.
-	NoSegmentCache bool
 	// Reg, when non-nil, receives evaluation metrics (segment-length
 	// histogram, per-BSA offload counters) from every Run this context
 	// issues, including later Evaluate calls.
@@ -64,20 +60,15 @@ type ContextOpts struct {
 	// constructor issues (baseline plus each candidate solo). Inert spans
 	// cost a nil check.
 	Span obs.Span
-	// NoDelta disables the delta composer and prefix publication inside
-	// every Run this context issues (candidate solos and later Evaluate
-	// calls). The unit cache itself stays on unless NoSegmentCache is also
-	// set. A/B escape hatch behind the -nodelta flag.
-	NoDelta bool
 	// Workers bounds the number of candidate solo measurements run
-	// concurrently during construction. Values <= 1 keep the serial loop;
-	// an active Span also forces serial measurement because child spans
-	// share the parent's trace lane and must not overlap.
+	// concurrently during construction (values <= 1 measure one at a
+	// time). An active Span forces one worker because child spans share
+	// the parent's trace lane and must not overlap.
 	Workers int
 	// Persist, when non-nil, attaches a durable unit-outcome store under
 	// the context's cache, namespaced by PersistNS (which must uniquely
 	// identify the (trace, core, BSA set) tuple across restarts — see
-	// exocore.Cache.AttachPersist). Ignored with NoSegmentCache.
+	// exocore.Cache.AttachPersist).
 	Persist   exocore.Persist
 	PersistNS string
 }
@@ -90,12 +81,10 @@ func NewContext(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA) (*Contex
 
 // NewContextWith is NewContext with explicit options.
 func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts ContextOpts) (*Context, error) {
-	ctx := &Context{TDG: t, Core: core, BSAs: bsas, Plans: make(map[string]*tdg.Plan), reg: opts.Reg, noDelta: opts.NoDelta}
-	if !opts.NoSegmentCache {
-		ctx.Cache = exocore.NewCache(core, t.Trace.Len())
-		if opts.Persist != nil {
-			ctx.Cache.AttachPersist(opts.Persist, opts.PersistNS)
-		}
+	ctx := &Context{TDG: t, Core: core, BSAs: bsas, Plans: make(map[string]*tdg.Plan),
+		Cache: exocore.NewCache(core, t.Trace.Len()), reg: opts.Reg}
+	if opts.Persist != nil {
+		ctx.Cache.AttachPersist(opts.Persist, opts.PersistNS)
 	}
 	for name, b := range bsas {
 		ctx.Plans[name] = b.Analyze(t)
@@ -105,7 +94,7 @@ func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts
 		bsp = opts.Span.Child("run", "baseline")
 	}
 	base, err := exocore.Run(t, core, bsas, ctx.Plans, nil,
-		exocore.RunOpts{Cache: ctx.Cache, Span: bsp, Reg: opts.Reg, NoDelta: opts.NoDelta})
+		exocore.RunOpts{Cache: ctx.Cache, Span: bsp, Reg: opts.Reg})
 	bsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("sched: baseline: %w", err)
@@ -115,8 +104,8 @@ func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts
 
 	// Candidate solo measurements, in deterministic (BSA name, loop)
 	// order. The job list is built serially; measurement fans out on a
-	// bounded worker pool when requested, with results landing at their
-	// job index so Candidates keeps the exact serial order.
+	// bounded worker pool, with results landing at their job index so
+	// Candidates keeps the job order whatever the completion order.
 	type job struct {
 		name string
 		loop int
@@ -138,10 +127,15 @@ func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts
 		}
 	}
 
-	measure := func(j job, sp obs.Span) (Candidate, error) {
+	measure := func(j job) (Candidate, error) {
+		sp := obs.Span{}
+		if opts.Span.Active() {
+			sp = opts.Span.Child("run", "candidate "+j.name+"@L"+strconv.Itoa(j.loop))
+		}
 		res, err := exocore.Run(t, core, bsas, ctx.Plans,
 			exocore.Assignment{j.loop: j.name},
-			exocore.RunOpts{Cache: ctx.Cache, Span: sp, Reg: opts.Reg, NoDelta: opts.NoDelta})
+			exocore.RunOpts{Cache: ctx.Cache, Span: sp, Reg: opts.Reg})
+		sp.End()
 		if err != nil {
 			return Candidate{}, fmt.Errorf("sched: candidate %s@L%d: %w", j.name, j.loop, err)
 		}
@@ -153,53 +147,36 @@ func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts
 		}, nil
 	}
 
-	workers := opts.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	// Child spans share the parent's trace lane, so concurrent candidate
 	// spans would interleave and break the nesting invariant; tracing
-	// forces the serial path.
-	if workers > 1 && !opts.Span.Active() {
-		results := make([]Candidate, len(jobs))
-		errs := make([]error, len(jobs))
-		next := make(chan int)
-		done := make(chan struct{})
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				for i := range next {
-					results[i], errs[i] = measure(jobs[i], obs.Span{})
-				}
-			}()
-		}
-		for i := range jobs {
-			next <- i
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		ctx.Candidates = append(ctx.Candidates, results...)
-		return ctx, nil
+	// measures one candidate at a time.
+	workers := max(1, min(opts.Workers, len(jobs)))
+	if opts.Span.Active() {
+		workers = 1
 	}
-
-	for _, j := range jobs {
-		csp := obs.Span{}
-		if opts.Span.Active() {
-			csp = opts.Span.Child("run", "candidate "+j.name+"@L"+strconv.Itoa(j.loop))
-		}
-		cand, err := measure(j, csp)
-		csp.End()
+	ctx.Candidates = make([]Candidate, len(jobs))
+	errs := make([]error, len(jobs))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				ctx.Candidates[i], errs[i] = measure(jobs[i])
+			}
+		}()
+	}
+	for i := range jobs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	// The lowest-index failure wins, so the error is deterministic too.
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		ctx.Candidates = append(ctx.Candidates, cand)
 	}
 	return ctx, nil
 }
@@ -359,7 +336,7 @@ func (c *Context) Evaluate(assign exocore.Assignment) (int64, float64, error) {
 // registry the context was created with either way.
 func (c *Context) EvaluateSpan(assign exocore.Assignment, sp obs.Span) (int64, float64, error) {
 	res, err := exocore.Run(c.TDG, c.Core, c.BSAs, c.Plans, assign,
-		exocore.RunOpts{Cache: c.Cache, Span: sp, Reg: c.reg, NoDelta: c.noDelta})
+		exocore.RunOpts{Cache: c.Cache, Span: sp, Reg: c.reg})
 	if err != nil {
 		return 0, 0, err
 	}

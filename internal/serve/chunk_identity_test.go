@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"exocore/internal/cli"
@@ -12,13 +14,13 @@ import (
 )
 
 // TestChunkedMatchesMaterializedDocuments is the user-visible identity
-// property behind the streaming pipeline: the exocore-result/v1 document
-// a tool emits must be byte-identical whether the engine synthesized its
-// traces through the legacy materialized path or streamed them in chunks
-// — across benchmarks, cores, and chunk sizes chosen to split traces at
-// awkward offsets (mid-block, mid-region, far from the compaction
-// stride). Runs under the -race gate: the chunked engines pipeline chunk
-// synthesis on a producer goroutine.
+// property behind the streaming pipeline: the engine drains workload
+// sources in chunks, and the exocore-result/v1 document a tool emits must
+// be byte-identical at every chunk size — across benchmarks, cores, and
+// chunk sizes chosen to split traces at awkward offsets (mid-block,
+// mid-region, far from the compaction stride) against the default. The
+// drained trace itself must equal the workload's materialized whole
+// trace. Runs under the -race gate.
 func TestChunkedMatchesMaterializedDocuments(t *testing.T) {
 	const maxDyn = 8_000
 	coreNames := []string{"IO2", "OOO2"}
@@ -48,17 +50,33 @@ func TestChunkedMatchesMaterializedDocuments(t *testing.T) {
 		return buf.Bytes()
 	}
 
+	eng := runner.New(runner.Options{MaxDyn: maxDyn})
+	for _, w := range wls {
+		got, err := eng.Trace(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := w.Trace(maxDyn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Prog, want.Prog) || !slices.Equal(got.Insts, want.Insts) {
+			t.Errorf("%s: engine trace (%d insts) diverges from the materialized trace (%d insts)",
+				w.Name, got.Len(), want.Len())
+		}
+	}
+
 	for _, coreName := range coreNames {
 		core, ok := cores.ConfigByName(coreName)
 		if !ok {
 			t.Fatalf("unknown core %s", coreName)
 		}
-		want := docBytes(-1, core) // legacy materialized path
-		for _, chunk := range []int{257, 4096, 0 /* default 1Mi */} {
+		want := docBytes(0, core) // default 1Mi chunks
+		for _, chunk := range []int{257, 4096} {
 			got := docBytes(chunk, core)
 			if !bytes.Equal(got, want) {
-				t.Errorf("core %s chunk %d: document diverges from materialized path\n--- materialized ---\n%s\n--- chunked ---\n%s",
-					core.Name, chunk, firstDiff(want, got), firstDiff(got, want))
+				t.Errorf("core %s chunk %d: document diverges from the default chunk size\n--- default ---\n%s\n--- chunk %d ---\n%s",
+					core.Name, chunk, firstDiff(want, got), chunk, firstDiff(got, want))
 			}
 		}
 	}
