@@ -1,7 +1,8 @@
 // Command tracecheck validates a Chrome trace-event JSON file produced
 // by the -trace flag: it must parse as an event array and every span
-// must be well-formed and properly nested within its lane. Used by the
-// trace-smoke gate in the Makefile; exits non-zero on any violation.
+// must be well-formed and properly nested within its lane (the trace
+// scenario of scripts/e2e runs the same check in-process). Exits
+// non-zero on any violation.
 //
 // Usage: go run ./scripts/tracecheck <trace.json>
 package main
