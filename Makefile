@@ -18,10 +18,12 @@ vet:
 # engine, the exploration that fans out over it, the evaluation cache
 # with its sharded outcome map and cross-core shared pool, the serving
 # layer's singleflight/admission machinery, the fabric's shard
-# dispatcher with its work-stealing workers, and the persistent store's
-# locked LRU index).
+# dispatcher with its work-stealing workers, the persistent store's
+# locked LRU index, and the streaming trace pipeline: a chunk pool's
+# free list shared by the producer and consumer goroutines, the
+# generator sources that fill it and the profile builder they feed).
 race:
-	$(GO) test -race -count=1 ./internal/runner ./internal/dse ./internal/exocore ./internal/serve ./internal/fabric ./internal/store
+	$(GO) test -race -count=1 ./internal/runner ./internal/dse ./internal/exocore ./internal/serve ./internal/fabric ./internal/store ./internal/trace ./internal/workloads ./internal/ir
 
 # Tier-1 suite (ROADMAP.md): everything must build and all tests pass.
 tier1:

@@ -215,7 +215,8 @@ func (c *Coordinator) planSweep(req serve.SweepRequest) (*plan, error) {
 
 // Sweep coordinates one sweep: plan, dispatch every shard across the
 // replicas, reassemble. The result is byte-identical to POSTing the
-// same request at a single daemon (scripts/fabricsmoke gates this).
+// same request at a single daemon (the fabric scenario of scripts/e2e
+// gates this).
 func (c *Coordinator) Sweep(ctx context.Context, req serve.SweepRequest) ([]byte, error) {
 	p, err := c.planSweep(req)
 	if err != nil {

@@ -2,6 +2,8 @@ package ir
 
 import (
 	"encoding/binary"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"exocore/internal/isa"
@@ -68,28 +70,174 @@ type Profile struct {
 	TotalDyn   int64
 }
 
+type instInfo struct {
+	block int32
+	mem   int32 // index into ProfileBuilder.strides, or -1
+	start bool  // first instruction of its block
+	store bool
+}
+
+// strideSlots is how many distinct deltas a strideAcc counts inline
+// before spilling to its overflow map; regular accesses have one or two.
+const strideSlots = 4
+
 type strideAcc struct {
 	lastAddr uint64
-	seen     bool
-	deltas   map[int64]int64
 	samples  int64
+	seen     bool
+	n        int // inline slots in use
+	slots    [strideSlots]deltaCount
+	overflow map[int64]int64 // deltas past the inline slots
 }
 
+type deltaCount struct{ delta, n int64 }
+
+func (sa *strideAcc) add(delta int64) {
+	for i := range sa.slots[:sa.n] {
+		if sa.slots[i].delta == delta {
+			sa.slots[i].n++
+			return
+		}
+	}
+	if sa.n < strideSlots {
+		sa.slots[sa.n] = deltaCount{delta, 1}
+		sa.n++
+		return
+	}
+	if sa.overflow == nil {
+		sa.overflow = make(map[int64]int64)
+	}
+	sa.overflow[delta]++
+}
+
+// info classifies the accumulated deltas. Ties on frequency break
+// toward the smaller magnitude (then negative) delta: neither slot nor
+// map order may leak into the profile, which is compared byte-for-byte
+// across the materialized and streamed build paths.
+func (sa *strideAcc) info() StrideInfo {
+	info := StrideInfo{Samples: sa.samples}
+	var bestN int64
+	consider := func(delta, n int64) {
+		if n > bestN || (n == bestN && lessDelta(delta, info.Dominant)) {
+			info.Dominant, bestN = delta, n
+		}
+	}
+	for _, s := range sa.slots[:sa.n] {
+		consider(s.delta, s.n)
+	}
+	for delta, n := range sa.overflow {
+		consider(delta, n)
+	}
+	if sa.samples > 0 {
+		info.Consistent = float64(bestN) / float64(sa.samples)
+	}
+	return info
+}
+
+// loopState is one live occurrence of a loop on the builder's stack.
 type loopState struct {
 	id         int
+	inner      bool // the loop has no nested loops, so it records paths
+	iter       int64
 	iterBlocks []int
-	// addrIter maps word address -> (iteration number << 1) | isStore,
-	// bounded; used for carried-dependence detection.
-	addrIter map[uint64]depRec
-	iter     int64
+	deps       depTable
 }
 
-type depRec struct {
-	iter    int64
-	isStore bool
+// pathTally counts one loop's iteration paths. The string key is
+// materialized once per distinct path; a repeat of the loop's previous
+// path bumps its counter without touching the map.
+type pathTally struct {
+	counts map[string]*int64
+	last   []int
+	lastN  *int64
 }
 
-const maxDepTrack = 1 << 15 // bound the per-occurrence address map
+const maxDepTrack = 1 << 15 // bound the per-occurrence address table
+
+// depTable maps word address -> the iteration of its last access within
+// one loop occurrence, and whether that iteration stored to it: the
+// carried-dependence detector. Open addressing with linear probing.
+// Iterations are stamped on a clock that never runs backwards over the
+// table's life: iteration i of the current occurrence is start+i, and
+// each occurrence starts past every stamp already written, so a slot is
+// live only if its stamp is at least start, and starting an occurrence
+// clears the table in O(1).
+type depTable struct {
+	slots []depSlot
+	shift uint // 64 - log2(len(slots))
+	start uint64
+	last  uint64 // latest stamp written
+	n     int    // addresses held this occurrence
+}
+
+type depSlot struct {
+	addr uint64
+	mark uint64 // stamp<<1 | stored; 0 = never written
+}
+
+const depHashMul = 0x9E3779B97F4A7C15 // Fibonacci hashing
+
+// reset starts a new occurrence.
+func (t *depTable) reset() {
+	t.start, t.n = t.last+1, 0
+}
+
+// access records one access in iteration iter and reports whether it
+// closes a carried dependence: the address was last touched in an
+// earlier iteration, and that or this access is a store. Once
+// maxDepTrack addresses are held, nothing is inserted or updated; only
+// lookups continue.
+func (t *depTable) access(addr uint64, iter int64, store bool) bool {
+	track := t.n < maxDepTrack
+	if track && 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	stamp := t.start + uint64(iter)
+	var st uint64
+	if store {
+		st = 1
+	}
+	mask := len(t.slots) - 1
+	for i := int(addr * depHashMul >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		prev := s.mark >> 1
+		if prev < t.start {
+			if track {
+				*s = depSlot{addr: addr, mark: stamp<<1 | st}
+				t.n, t.last = t.n+1, stamp
+			}
+			return false
+		}
+		if s.addr == addr {
+			stored := s.mark&1 != 0
+			if track {
+				if stored && prev == stamp {
+					st = 1
+				}
+				s.mark, t.last = stamp<<1|st, stamp
+			}
+			return prev < stamp && (stored || store)
+		}
+	}
+}
+
+// grow doubles the table (at load 1/2), rehashing the live slots.
+func (t *depTable) grow() {
+	old := t.slots
+	t.slots = make([]depSlot, max(16, 2*len(old)))
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.mark>>1 < t.start {
+			continue
+		}
+		i := int(s.addr * depHashMul >> t.shift)
+		for t.slots[i].mark != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
 
 // BuildProfile derives the dynamic profile of t given its CFG and loops.
 func BuildProfile(cfg *CFG, nest *LoopNest, t *trace.Trace) *Profile {
@@ -107,20 +255,28 @@ func BuildProfile(cfg *CFG, nest *LoopNest, t *trace.Trace) *Profile {
 // the trace at any boundary produces the same Profile as one scan.
 // Resident memory is O(static program + distinct paths + loop depth),
 // never O(trace).
+//
+// Feed does O(1) work per instruction with no map operation on the
+// common path: static facts are tabulated per instruction, block and
+// loop at construction, the loop stack is reconciled only when the
+// block changes, loop instruction counts are added as run lengths, and
+// stride and dependence state live in slices and open-addressed tables.
 type ProfileBuilder struct {
-	cfg  *CFG
 	nest *LoopNest
 	p    *Profile
 
-	strides    map[int]*strideAcc
-	stack      []*loopState
-	pathCounts []map[string]*int64
-	pathBuf    []byte
-	freeLS     []*loopState
-	chain      []int // reused across instructions: loop chains are shallow
-	prevBlock  int
-	prevSI     int
-	first      bool // next instruction is dynamic index 0
+	insts    []instInfo // per static instruction
+	hdrDepth []int      // per block: stack depth of the loop it heads, or -1
+	chains   [][]int    // per loop: its ancestors outermost first, then itself
+	strides  []strideAcc
+	paths    []pathTally // per loop
+
+	stack     []*loopState // always chains[innermost loop of prevBlock]
+	freeLS    []*loopState
+	runFrom   int64 // dynamic index where the stack last changed
+	pathBuf   []byte
+	prevBlock int
+	prevSI    int
 }
 
 // NewProfileBuilder returns a builder for one dynamic execution of the
@@ -136,62 +292,86 @@ func NewProfileBuilder(cfg *CFG, nest *LoopNest) *ProfileBuilder {
 	for i := range p.Loops {
 		p.Loops[i] = LoopProfile{LoopID: i, PathCounts: make(map[string]int64)}
 	}
-	return &ProfileBuilder{
-		cfg:     cfg,
-		nest:    nest,
-		p:       p,
-		strides: make(map[int]*strideAcc),
-		// Path counts accumulate behind *int64 so the hot repeat case is
-		// a pure (non-allocating) byte-slice-keyed lookup; the string key
-		// is materialized only once per distinct path. Flattened into the
-		// exported PathCounts maps at Finish.
-		pathCounts: make([]map[string]*int64, len(nest.Loops)),
-		prevBlock:  -1,
-		first:      true,
+	pb := &ProfileBuilder{
+		nest:      nest,
+		p:         p,
+		insts:     make([]instInfo, len(cfg.Prog.Insts)),
+		hdrDepth:  make([]int, len(cfg.Blocks)),
+		chains:    make([][]int, len(nest.Loops)),
+		paths:     make([]pathTally, len(nest.Loops)),
+		prevBlock: -1,
 	}
+	for si := range pb.insts {
+		b := cfg.BlockOf[si]
+		op := cfg.Prog.Insts[si].Op
+		in := instInfo{block: int32(b), mem: -1, start: si == cfg.Blocks[b].Start, store: op.IsStore()}
+		if op.IsMem() {
+			in.mem = int32(len(pb.strides))
+			pb.strides = append(pb.strides, strideAcc{})
+		}
+		pb.insts[si] = in
+	}
+	for l := range pb.chains {
+		var chain []int
+		for a := l; a != -1; a = nest.Loops[a].Parent {
+			chain = append(chain, a)
+		}
+		slices.Reverse(chain)
+		pb.chains[l] = chain
+	}
+	// Loops are merged per header, so at most one loop on a block's
+	// chain has it as header.
+	for b := range pb.hdrDepth {
+		pb.hdrDepth[b] = -1
+		if inner := nest.InnermostOf[b]; inner != -1 {
+			for k, l := range pb.chains[inner] {
+				if nest.Loops[l].Header == b {
+					pb.hdrDepth[b] = k
+				}
+			}
+		}
+	}
+	return pb
 }
 
 func (pb *ProfileBuilder) recordPath(ls *loopState) {
-	if len(ls.iterBlocks) == 0 {
+	if len(ls.iterBlocks) == 0 { // only inner loops collect blocks
 		return
 	}
-	if pb.nest.Loops[ls.id].Inner() {
+	pt := &pb.paths[ls.id]
+	if slices.Equal(pt.last, ls.iterBlocks) {
+		*pt.lastN++
+	} else {
 		pb.pathBuf = appendPath(pb.pathBuf[:0], ls.iterBlocks)
-		pc := pb.pathCounts[ls.id]
-		if pc == nil {
-			pc = make(map[string]*int64)
-			pb.pathCounts[ls.id] = pc
+		if pt.counts == nil {
+			pt.counts = make(map[string]*int64)
 		}
-		if n, ok := pc[string(pb.pathBuf)]; ok {
-			*n++
-		} else {
-			n := new(int64)
-			*n = 1
-			pc[string(pb.pathBuf)] = n
+		n, ok := pt.counts[string(pb.pathBuf)]
+		if !ok {
+			n = new(int64)
+			pt.counts[string(pb.pathBuf)] = n
 		}
+		*n++
+		pt.last, pt.lastN = append(pt.last[:0], ls.iterBlocks...), n
 	}
 	ls.iterBlocks = ls.iterBlocks[:0]
 }
 
 // newLS recycles loop states through a free list: occurrences are
-// frequent (every entry from outside the loop) and a fresh dependence
-// map per occurrence was a top allocation site of a full DSE sweep.
-// Maps are cleared on reuse, or dropped when an earlier occurrence grew
-// them past any plausible steady-state size.
+// frequent (every entry from outside the loop), and a recycled state's
+// dependence table is reset in O(1), not reallocated.
 func (pb *ProfileBuilder) newLS(l int) *loopState {
+	var ls *loopState
 	if n := len(pb.freeLS); n > 0 {
-		ls := pb.freeLS[n-1]
+		ls = pb.freeLS[n-1]
 		pb.freeLS = pb.freeLS[:n-1]
-		if len(ls.addrIter) > 4096 {
-			ls.addrIter = make(map[uint64]depRec)
-		} else {
-			clear(ls.addrIter)
-		}
-		ls.id, ls.iter = l, 0
-		ls.iterBlocks = ls.iterBlocks[:0]
-		return ls
+	} else {
+		ls = &loopState{}
 	}
-	return &loopState{id: l, addrIter: make(map[uint64]depRec)}
+	ls.id, ls.inner, ls.iter = l, pb.nest.Loops[l].Inner(), 0
+	ls.iterBlocks = ls.iterBlocks[:0]
+	ls.deps.reset()
+	return ls
 }
 
 func (pb *ProfileBuilder) popTo(depth int) {
@@ -203,108 +383,95 @@ func (pb *ProfileBuilder) popTo(depth int) {
 	}
 }
 
+// flush adds the instructions since the last stack change, up to
+// dynamic index pos, to every active loop.
+func (pb *ProfileBuilder) flush(pos int64) {
+	for _, ls := range pb.stack {
+		pb.p.Loops[ls.id].DynInsts += pos - pb.runFrom
+	}
+	pb.runFrom = pos
+}
+
+// enter reconciles the loop stack with block b, entered at dynamic
+// index pos: afterwards it holds b's innermost loop and its ancestors,
+// with an occurrence opened for each loop not already live.
+func (pb *ProfileBuilder) enter(b int, pos int64) {
+	inner, top := pb.nest.InnermostOf[b], -1
+	if n := len(pb.stack); n > 0 {
+		top = pb.stack[n-1].id
+	}
+	if inner == top {
+		return
+	}
+	pb.flush(pos)
+	var chain []int
+	if inner != -1 {
+		chain = pb.chains[inner]
+	}
+	common := 0
+	for common < len(pb.stack) && common < len(chain) && pb.stack[common].id == chain[common] {
+		common++
+	}
+	pb.popTo(common)
+	for _, l := range chain[common:] {
+		pb.stack = append(pb.stack, pb.newLS(l))
+		pb.p.Loops[l].Entries++
+	}
+}
+
 // Feed accumulates one chunk of consecutive dynamic instructions. Chunks
 // must arrive in trace order.
 func (pb *ProfileBuilder) Feed(insts []trace.DynInst) {
-	cfg, nest, p := pb.cfg, pb.nest, pb.p
+	p := pb.p
+	base := p.TotalDyn
 	p.TotalDyn += int64(len(insts))
 	for i := range insts {
 		d := &insts[i]
 		si := int(d.SI)
-		b := cfg.BlockOf[si]
+		in := &pb.insts[si]
+		b := int(in.block)
 		// A block is (re-)entered at its first instruction when control
 		// arrived from elsewhere, or from the block's own end or later
 		// (single-block loops branching back to themselves): a backwards
 		// or same static step means re-entry.
-		enteredBlock := si == cfg.Blocks[b].Start &&
-			(pb.first || b != pb.prevBlock || pb.prevSI >= si)
-		pb.first = false
-		if enteredBlock {
+		entered := in.start && (b != pb.prevBlock || pb.prevSI >= si)
+		if b != pb.prevBlock {
+			pb.enter(b, base+int64(i))
+		}
+		if entered {
 			p.BlockCount[b]++
-		}
-
-		// Reconcile the loop stack with the innermost loop of this block.
-		inner := nest.InnermostOf[b]
-		if inner == -1 {
-			pb.popTo(0)
-		} else {
-			// Desired stack: ancestors of inner from outermost to inner.
-			chain := pb.chain[:0]
-			for l := inner; l != -1; l = nest.Loops[l].Parent {
-				chain = append(chain, l)
-			}
-			// chain is inner..outer; reverse.
-			for l, r := 0, len(chain)-1; l < r; l, r = l+1, r-1 {
-				chain[l], chain[r] = chain[r], chain[l]
-			}
-			pb.chain = chain
-			// Find common prefix with current stack.
-			common := 0
-			for common < len(pb.stack) && common < len(chain) && pb.stack[common].id == chain[common] {
-				common++
-			}
-			pb.popTo(common)
-			for _, l := range chain[common:] {
-				ls := pb.newLS(l)
-				pb.stack = append(pb.stack, ls)
-				p.Loops[l].Entries++
-			}
-		}
-
-		// Attribute the instruction to every active loop.
-		for _, ls := range pb.stack {
-			p.Loops[ls.id].DynInsts++
-		}
-
-		// Header re-entry = new iteration of the innermost matching loop.
-		if enteredBlock {
-			for _, ls := range pb.stack {
-				if nest.Loops[ls.id].Header == b {
-					if ls.iter > 0 {
-						pb.recordPath(ls)
-					}
-					ls.iter++
-					p.Loops[ls.id].Iterations++
+			// Header re-entry = new iteration of the loop it heads.
+			if k := pb.hdrDepth[b]; k >= 0 {
+				ls := pb.stack[k]
+				if ls.iter > 0 {
+					pb.recordPath(ls)
 				}
+				ls.iter++
+				p.Loops[ls.id].Iterations++
 			}
-			if len(pb.stack) > 0 {
-				top := pb.stack[len(pb.stack)-1]
-				if nest.Loops[top.id].Inner() {
-					top.iterBlocks = append(top.iterBlocks, b)
-				}
+			if n := len(pb.stack); n > 0 && pb.stack[n-1].inner {
+				top := pb.stack[n-1]
+				top.iterBlocks = append(top.iterBlocks, b)
 			}
 		}
 
 		// Stride + memory-dependence tracking.
-		op := cfg.Prog.Insts[si].Op
-		if op.IsMem() {
-			sa := pb.strides[si]
-			if sa == nil {
-				sa = &strideAcc{deltas: make(map[int64]int64)}
-				pb.strides[si] = sa
-			}
+		if in.mem >= 0 {
+			sa := &pb.strides[in.mem]
 			if sa.seen {
-				sa.deltas[int64(d.Addr)-int64(sa.lastAddr)]++
+				sa.add(int64(d.Addr) - int64(sa.lastAddr))
 				sa.samples++
 			}
-			sa.lastAddr = d.Addr
-			sa.seen = true
-
-			if len(pb.stack) > 0 {
-				top := pb.stack[len(pb.stack)-1]
-				if rec, ok := top.addrIter[d.Addr]; ok && rec.iter < top.iter &&
-					(rec.isStore || op.IsStore()) {
+			sa.lastAddr, sa.seen = d.Addr, true
+			if n := len(pb.stack); n > 0 {
+				top := pb.stack[n-1]
+				if top.deps.access(d.Addr, top.iter, in.store) {
 					p.Loops[top.id].CarriedMemDep = true
-				}
-				if len(top.addrIter) < maxDepTrack {
-					prev, ok := top.addrIter[d.Addr]
-					top.addrIter[d.Addr] = depRec{iter: top.iter, isStore: op.IsStore() || (ok && prev.isStore && prev.iter == top.iter)}
 				}
 			}
 		}
 
-		pb.prevBlock = b
-		pb.prevSI = si
+		pb.prevBlock, pb.prevSI = b, si
 	}
 }
 
@@ -312,6 +479,7 @@ func (pb *ProfileBuilder) Feed(insts []trace.DynInst) {
 // not be fed afterwards.
 func (pb *ProfileBuilder) Finish() *Profile {
 	p := pb.p
+	pb.flush(p.TotalDyn)
 	pb.popTo(0)
 
 	// Finalize loop stats.
@@ -326,39 +494,37 @@ func (pb *ProfileBuilder) Finish() *Profile {
 				lp.BackProb = 0
 			}
 		}
-		var best string
-		var bestN, total int64
-		for k, n := range pb.pathCounts[i] {
+		for k, n := range pb.paths[i].counts {
 			lp.PathCounts[k] = *n
-			total += *n
-			if *n > bestN {
-				best, bestN = k, *n
-			}
 		}
-		if total > 0 {
-			lp.HotPath = decodePath(best)
-			lp.HotPathFrac = float64(bestN) / float64(total)
-		}
+		lp.HotPath, lp.HotPathFrac = hotPath(lp.PathCounts)
 	}
 
-	// Finalize strides. Ties on frequency break toward the smaller
-	// magnitude (then negative) delta: map iteration order must not leak
-	// into the profile, which is compared byte-for-byte across the
-	// materialized and streamed build paths.
-	for si, sa := range pb.strides {
-		info := StrideInfo{Samples: sa.samples}
-		var bestN int64
-		for delta, n := range sa.deltas {
-			if n > bestN || (n == bestN && bestN > 0 && lessDelta(delta, info.Dominant)) {
-				info.Dominant, bestN = delta, n
-			}
+	// Finalize strides.
+	for si, in := range pb.insts {
+		if in.mem >= 0 && pb.strides[in.mem].seen {
+			p.Strides[si] = pb.strides[in.mem].info()
 		}
-		if sa.samples > 0 {
-			info.Consistent = float64(bestN) / float64(sa.samples)
-		}
-		p.Strides[si] = info
 	}
 	return p
+}
+
+// hotPath returns the most frequent iteration path of counts and its
+// share of all iterations. Ties break toward the smaller encoded path,
+// so map iteration order never picks the hot path.
+func hotPath(counts map[string]int64) ([]int, float64) {
+	var best string
+	var bestN, total int64
+	for k, n := range counts {
+		total += n
+		if n > bestN || (n == bestN && k < best) {
+			best, bestN = k, n
+		}
+	}
+	if total == 0 {
+		return nil, 0
+	}
+	return decodePath(best), float64(bestN) / float64(total)
 }
 
 // lessDelta orders stride deltas for dominant-stride tie-breaking:

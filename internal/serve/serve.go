@@ -31,7 +31,7 @@
 // Evaluation responses are the versioned exocore-result/v1 schema,
 // byte-identical to the equivalent cmd/tdgsim / cmd/dse -json output
 // for the same inputs (modulo the tool header and run-local metrics;
-// scripts/servesmoke gates this).
+// the serve scenario of scripts/e2e gates this).
 //
 // Production behaviors, not the evaluation math, are this package's
 // point: identical concurrent requests coalesce into one computation

@@ -2,24 +2,24 @@
 // runs (hundreds of millions of dynamic instructions) flow through the
 // trace→TDG→eval pipeline without ever materializing the whole []DynInst
 // array. A Source hands out bounded Chunks one at a time; generator-backed
-// sources recycle chunk buffers through a sync.Pool once the consumer
-// releases them, so steady-state memory is O(chunks in flight), not
-// O(trace).
+// sources recycle chunk buffers through their own ChunkPool once the
+// consumer releases them, so steady-state memory is O(chunks in flight),
+// not O(trace).
 package trace
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"exocore/internal/prog"
 )
 
 const (
 	// DefaultChunkInsts is the default dynamic instructions per chunk:
-	// 1Mi instructions = 16 MiB of DynInst per buffer, large enough that
-	// per-chunk overheads vanish and small enough that a handful of
-	// in-flight buffers stay far inside the paper-scale memory budget.
-	DefaultChunkInsts = 1 << 20
+	// 64Ki instructions = 1 MiB of DynInst per buffer, small enough that
+	// a chunk stays resident in L2 through every pass the producer and
+	// consumer make over it, large enough that producer/consumer
+	// hand-offs stay a negligible share of the work.
+	DefaultChunkInsts = 1 << 16
 	// MinChunkInsts is the smallest chunk size the CLI accepts: below
 	// the evaluation engine's compaction stride, per-chunk overhead
 	// (annotator calls, channel handoffs) starts to show in profiles.
@@ -40,19 +40,18 @@ type Chunk struct {
 	Base  int
 	Insts []DynInst
 
-	release func(*Chunk)
+	pool *ChunkPool // owner while checked out, nil otherwise
 }
 
 // Release returns the chunk's buffer to its source's pool. The chunk and
 // its Insts must not be touched afterwards. Calling Release on a chunk
-// without an owning pool (eg. a SliceSource view) is a no-op; releasing
-// is an optimization, never an obligation — unreleased buffers are
-// reclaimed by the garbage collector.
+// without an owning pool (eg. a SliceSource view), or a second time, is
+// a no-op; releasing is an optimization, never an obligation —
+// unreleased buffers are reclaimed by the garbage collector.
 func (c *Chunk) Release() {
-	if c.release != nil {
-		rel := c.release
-		c.release = nil
-		rel(c)
+	if p := c.pool; p != nil {
+		c.pool = nil
+		p.put(c)
 	}
 }
 
@@ -81,11 +80,20 @@ type Source interface {
 // high-water mark of buffers simultaneously outstanding — the streaming
 // pipeline's actual resident trace memory, exported as the
 // trace.chunk_high_water_bytes gauge by the evaluation layers.
+//
+// Released buffers wait on the pool's own free list, so they live
+// exactly as long as the pool (one per source) and a garbage collection
+// never forces a reallocation. A buffer is allocated only when every
+// earlier one is checked out, so the pool never holds more buffers than
+// its high-water mark. Get and Release may run on different goroutines
+// (a pipelined producer and its consumer).
 type ChunkPool struct {
-	chunkInsts  int
-	pool        sync.Pool
-	outstanding atomic.Int64
-	highWater   atomic.Int64
+	chunkInsts int
+
+	mu          sync.Mutex
+	free        []*Chunk
+	outstanding int
+	highWater   int
 }
 
 // NewChunkPool creates a pool of n-instruction chunk buffers (n <= 0
@@ -94,11 +102,7 @@ func NewChunkPool(n int) *ChunkPool {
 	if n <= 0 {
 		n = DefaultChunkInsts
 	}
-	p := &ChunkPool{chunkInsts: n}
-	p.pool.New = func() any {
-		return &Chunk{Insts: make([]DynInst, 0, n)}
-	}
-	return p
+	return &ChunkPool{chunkInsts: n}
 }
 
 // ChunkInsts returns the pool's per-chunk instruction capacity.
@@ -107,30 +111,37 @@ func (p *ChunkPool) ChunkInsts() int { return p.chunkInsts }
 // Get returns an empty chunk with the pool's full capacity available.
 // The chunk returns to the pool on Release.
 func (p *ChunkPool) Get() *Chunk {
-	c := p.pool.Get().(*Chunk)
-	c.Insts = c.Insts[:0]
-	c.Base = 0
-	c.release = p.put
-	n := p.outstanding.Add(1)
-	for {
-		hw := p.highWater.Load()
-		if n <= hw || p.highWater.CompareAndSwap(hw, n) {
-			break
-		}
+	p.mu.Lock()
+	var c *Chunk
+	if n := len(p.free); n > 0 {
+		c = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 	}
+	p.outstanding++
+	p.highWater = max(p.highWater, p.outstanding)
+	p.mu.Unlock()
+	if c == nil {
+		c = &Chunk{Insts: make([]DynInst, 0, p.chunkInsts)}
+	}
+	c.Base, c.Insts, c.pool = 0, c.Insts[:0], p
 	return c
 }
 
 func (p *ChunkPool) put(c *Chunk) {
-	p.outstanding.Add(-1)
-	p.pool.Put(c)
+	p.mu.Lock()
+	p.outstanding--
+	p.free = append(p.free, c)
+	p.mu.Unlock()
 }
 
 // HighWaterBytes returns the peak bytes of chunk buffers simultaneously
 // outstanding (checked out and not yet released).
 func (p *ChunkPool) HighWaterBytes() int64 {
 	const instBytes = 16 // unsafe.Sizeof(DynInst{}), kept packed by design
-	return p.highWater.Load() * int64(p.chunkInsts) * instBytes
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return int64(p.highWater) * int64(p.chunkInsts) * instBytes
 }
 
 // ChunkAccounting is implemented by sources that can report their peak

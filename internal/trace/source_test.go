@@ -3,6 +3,8 @@ package trace
 import (
 	"reflect"
 	"testing"
+
+	"exocore/internal/prog"
 )
 
 // bigTrace synthesizes a trace long enough to span many chunks, reusing
@@ -79,6 +81,64 @@ func TestChunkPoolHighWater(t *testing.T) {
 	}
 	// Double release must not double-count.
 	a.Release()
+}
+
+// loopSource replays a trace's instructions cyclically through a
+// ChunkPool until budget instructions have been yielded: the buffer
+// traffic of a looped generator source, without the simulator.
+type loopSource struct {
+	t      *Trace
+	pool   *ChunkPool
+	budget int
+	base   int
+}
+
+func (s *loopSource) Prog() *prog.Program { return s.t.Prog }
+func (s *loopSource) Err() error          { return nil }
+
+func (s *loopSource) Next() (*Chunk, bool) {
+	if s.base >= s.budget {
+		return nil, false
+	}
+	c := s.pool.Get()
+	n := min(s.pool.ChunkInsts(), s.budget-s.base)
+	for i := 0; i < n; i++ {
+		c.Insts = append(c.Insts, s.t.Insts[(s.base+i)%len(s.t.Insts)])
+	}
+	c.Base = s.base
+	s.base += n
+	return c, true
+}
+
+// TestChunkPoolReusesBuffers pins the free list: a warm pool recycles
+// without allocating, and a pipelined drain holds at most the producer's
+// chunk, the channel's and the consumer's, however the two goroutines
+// interleave. Released buffers never outnumber the high-water mark.
+func TestChunkPoolReusesBuffers(t *testing.T) {
+	p := NewChunkPool(1024)
+	p.Get().Release()
+	if allocs := testing.AllocsPerRun(100, func() { p.Get().Release() }); allocs != 0 {
+		t.Fatalf("warm Get+Release allocates %v times, want 0", allocs)
+	}
+
+	const chunk = 256
+	tr := bigTrace(1000)
+	src := &loopSource{t: tr, pool: NewChunkPool(chunk), budget: 200 * chunk}
+	got := drain(t, NewPipelined(src, DefaultPipelineDepth))
+	if len(got) != src.budget {
+		t.Fatalf("drained %d insts, want %d", len(got), src.budget)
+	}
+	for i := range got {
+		if got[i] != tr.Insts[i%len(tr.Insts)] {
+			t.Fatalf("inst %d differs from the looped trace", i)
+		}
+	}
+	if limit := int64(DefaultPipelineDepth+2) * chunk * 16; src.pool.HighWaterBytes() > limit {
+		t.Fatalf("pipelined drain held %d B of buffers, want <= %d", src.pool.HighWaterBytes(), limit)
+	}
+	if len(src.pool.free) != src.pool.highWater {
+		t.Fatalf("free list holds %d buffers after the drain, want the high-water %d", len(src.pool.free), src.pool.highWater)
+	}
 }
 
 func TestTeeObservesEveryChunk(t *testing.T) {

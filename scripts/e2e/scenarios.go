@@ -604,10 +604,12 @@ func scaleScenario(*env) (string, error) {
 	const (
 		wantDyn    = 200_000_000
 		overlapDyn = 1_000_000
-		// chunkBudget bounds resident trace buffers: producer + bounded
-		// channel + consumer is a handful of chunks (16 MiB each at the
-		// default size), with headroom for pool churn.
-		chunkBudget = 8 * trace.DefaultChunkInsts * 16
+		// chunkBudget bounds resident trace buffers to the producer's
+		// chunk, the channel's DefaultPipelineDepth and the consumer's
+		// (1 MiB each at the default size). There is no churn to allow
+		// for: the source's pool allocates a buffer only when every
+		// earlier one is checked out.
+		chunkBudget = (trace.DefaultPipelineDepth + 2) * trace.DefaultChunkInsts * 16
 	)
 	w, err := workloads.ByName("mm")
 	if err != nil {
