@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test race tier1 bench benchdiff benchsmoke perfbenchtest e2e tools clean
+.PHONY: check build vet test race tier1 fuzz bench benchdiff benchsmoke perfbenchtest e2e tools clean
 
 # The full pre-merge gate: vet + build + race-enabled tests + tier-1 +
-# a single-iteration pass over every benchmark so they can't rot + the
-# repo benchmark's self-test (its own module, so tier-1 never compiles
-# it against the internal API) + the end-to-end scenarios.
-check: vet build race tier1 benchsmoke perfbenchtest e2e
+# ten seconds of fuzzing + a single-iteration pass over every benchmark
+# so they can't rot + the repo benchmark's self-test (its own module, so
+# tier-1 never compiles it against the internal API) + the end-to-end
+# scenarios.
+check: vet build race tier1 fuzz benchsmoke perfbenchtest e2e
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,13 @@ tier1:
 
 test:
 	$(GO) test ./...
+
+# Fuzz streaming evaluation's chunk boundaries past the seed corpus
+# (which tier-1 runs): RunStream over any chunking of a trace must equal
+# the attribution-mode Run. A failing input lands in
+# internal/exocore/testdata/fuzz as a regression case.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzRunStreamChunks$$' -fuzztime 10s ./internal/exocore
 
 # Run the tracked benchmarks and record them in BENCH_9.json.
 # BENCH_7.json remains as the record of the previous optimization round;

@@ -141,11 +141,14 @@ var dfPool = sync.Pool{New: func() any {
 // dfStoreTab is an open-addressed address → completion-node table for
 // store-to-load forwarding, replacing a Go map on the per-op hot path.
 // Keys are word-aligned addresses tagged with bit 0 (addresses have the
-// low three bits clear) so the zero key can mean "empty slot".
+// low three bits clear) so the zero key can mean "empty slot". slots
+// lists the occupied slots in insertion order, so clearing and visiting
+// the table cost O(stores performed), not O(capacity) — a pooled table
+// keeps the capacity its largest region ever grew it to.
 type dfStoreTab struct {
 	keys  []uint64
 	nodes []dg.NodeID
-	used  int
+	slots []int32
 }
 
 const dfStoreTabInitSize = 1024
@@ -154,10 +157,11 @@ func (t *dfStoreTab) clear() {
 	if t.keys == nil {
 		t.keys = make([]uint64, dfStoreTabInitSize)
 		t.nodes = make([]dg.NodeID, dfStoreTabInitSize)
-	} else {
-		clear(t.keys)
 	}
-	t.used = 0
+	for _, i := range t.slots {
+		t.keys[i] = 0
+	}
+	t.slots = t.slots[:0]
 }
 
 func (t *dfStoreTab) get(addr uint64) (dg.NodeID, bool) {
@@ -174,10 +178,13 @@ func (t *dfStoreTab) get(addr uint64) (dg.NodeID, bool) {
 }
 
 func (t *dfStoreTab) set(addr uint64, n dg.NodeID) {
-	if 2*(t.used+1) > len(t.keys) {
+	if 2*(len(t.slots)+1) > len(t.keys) {
 		t.grow()
 	}
-	k := addr | 1
+	t.insert(addr|1, n)
+}
+
+func (t *dfStoreTab) insert(k uint64, n dg.NodeID) {
 	mask := uint64(len(t.keys) - 1)
 	for i := (k * 0x9E3779B97F4A7C15) >> 17 & mask; ; i = (i + 1) & mask {
 		switch t.keys[i] {
@@ -186,29 +193,25 @@ func (t *dfStoreTab) set(addr uint64, n dg.NodeID) {
 			return
 		case 0:
 			t.keys[i], t.nodes[i] = k, n
-			t.used++
+			t.slots = append(t.slots, int32(i))
 			return
 		}
 	}
 }
 
 func (t *dfStoreTab) grow() {
-	oldKeys, oldNodes := t.keys, t.nodes
+	oldKeys, oldNodes, oldSlots := t.keys, t.nodes, t.slots
 	t.keys = make([]uint64, 2*len(oldKeys))
 	t.nodes = make([]dg.NodeID, 2*len(oldNodes))
-	t.used = 0
-	for i, k := range oldKeys {
-		if k != 0 {
-			t.set(k&^1, oldNodes[i])
-		}
+	t.slots = make([]int32, 0, cap(oldSlots))
+	for _, i := range oldSlots {
+		t.insert(oldKeys[i], oldNodes[i])
 	}
 }
 
 func (t *dfStoreTab) forEach(f func(addr uint64, n dg.NodeID)) {
-	for i, k := range t.keys {
-		if k != 0 {
-			f(k&^1, t.nodes[i])
-		}
+	for _, i := range t.slots {
+		f(t.keys[i]&^1, t.nodes[i])
 	}
 }
 
@@ -358,7 +361,7 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 	}
 	if in.Op.IsStore() {
 		d.stores.set(dyn.Addr&^7, p)
-		if d.stores.used > 8192 {
+		if len(d.stores.slots) > 8192 {
 			d.stores.clear()
 			d.stores.set(dyn.Addr&^7, p)
 		}
@@ -416,8 +419,9 @@ func (d *Dataflow) WrittenRegs() []isa.Reg {
 }
 
 // ForEachStore visits every (address, completion node) pair of performed
-// stores, for forwarding into the core's dependence state at region exit.
-// Addresses are unique, so visit order does not matter to consumers.
+// stores, in first-store order, for forwarding into the core's dependence
+// state at region exit. Addresses are unique, so visit order does not
+// matter to consumers.
 func (d *Dataflow) ForEachStore(f func(addr uint64, node dg.NodeID)) {
 	d.stores.forEach(f)
 }

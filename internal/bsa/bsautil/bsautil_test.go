@@ -1,6 +1,7 @@
 package bsautil
 
 import (
+	"maps"
 	"testing"
 
 	"exocore/internal/bpred"
@@ -292,5 +293,37 @@ func TestDataflowLeanTimesIdentical(t *testing.T) {
 			da.Release()
 			dl.Release()
 		}
+	}
+}
+
+// TestStoreTabReuseVisitsOnlyNewStores: a pooled store table keeps the
+// capacity its largest region grew it to, but clearing and visiting it
+// must cost (and see) only the stores of the current region.
+func TestStoreTabReuseVisitsOnlyNewStores(t *testing.T) {
+	var tab dfStoreTab
+	tab.clear()
+	const big = 70_000 // past 64Ki stores: the table grows to 256Ki slots
+	for i := 0; i < big; i++ {
+		tab.set(uint64(i)*8, dg.NodeID(i))
+	}
+	if len(tab.keys) < 2*big {
+		t.Fatalf("table did not grow: %d slots for %d stores", len(tab.keys), big)
+	}
+	tab.clear()
+	want := map[uint64]dg.NodeID{0x1000: 7, 0x88: 9, 0xdead0: 11}
+	for addr, n := range want {
+		tab.set(addr, n)
+	}
+	got := map[uint64]dg.NodeID{}
+	visits := 0
+	tab.forEach(func(addr uint64, n dg.NodeID) {
+		got[addr] = n
+		visits++
+	})
+	if visits != len(want) || !maps.Equal(got, want) {
+		t.Fatalf("visited %d pairs %v, want exactly %v", visits, got, want)
+	}
+	if n, ok := tab.get(8); ok {
+		t.Fatalf("cleared entry still found (node %d)", n)
 	}
 }

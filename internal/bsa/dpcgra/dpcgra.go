@@ -334,7 +334,7 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 			// Remainder below the vector length: scalar on the core.
 			scalarIters += int64(len(group))
 			for _, it := range group {
-				m.scalar(ctx, it.Start, it.End)
+				ctx.ExecCore(it.Start, it.End)
 			}
 			continue
 		}
@@ -348,13 +348,6 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 			ArgInt("lanes", int64(groupSize))
 	}
 	return dg.None // completion flows through core receives
-}
-
-func (m *Model) scalar(ctx *tdg.Ctx, start, end int) {
-	uops := ctx.TDG.UOps()
-	for i := start; i < end; i++ {
-		ctx.GPP.Exec(uops[i], int32(i))
-	}
 }
 
 // scratchPool recycles instScratch records across regions (TransformRegion
@@ -455,8 +448,8 @@ func (m *Model) instance(ctx *tdg.Ctx, p *loopPlan, group []bsautil.Iteration, p
 	// Pass 3: sends core → CGRA.
 	instance := g.NewNode(dg.KindAccel, firstDyn)
 	for _, reg := range p.inputs {
-		info := gpp.Exec(cores.UOp{Op: sendOpFor(reg), Src1: reg, Dst: isa.NoReg}, firstDyn)
-		g.AddEdge(info.Complete, instance, 1, dg.EdgeAccelComm)
+		gpp.Exec(cores.UOp{Op: sendOpFor(reg), Src1: reg, Dst: isa.NoReg}, firstDyn)
+		g.AddEdge(gpp.LastComplete(), instance, 1, dg.EdgeAccelComm)
 		ctx.Counts.Add(energy.EvCGRAInput, 1)
 	}
 	// Pipelining: an instance may *start* II cycles after the previous
@@ -471,9 +464,9 @@ func (m *Model) instance(ctx *tdg.Ctx, p *loopPlan, group []bsautil.Iteration, p
 
 	// Pass 4: receives CGRA → core.
 	for _, reg := range p.outputs {
-		info := gpp.Exec(cores.UOp{Op: sendOpFor(reg), Dst: reg, Src1: isa.NoReg, Elide: true}, firstDyn)
+		gpp.Exec(cores.UOp{Op: sendOpFor(reg), Dst: reg, Src1: isa.NoReg, Elide: true}, firstDyn)
 		join := g.NewNode(dg.KindAccel, firstDyn)
-		g.AddEdge(info.Complete, join, 0, dg.EdgeAccelComm)
+		g.AddEdge(gpp.LastComplete(), join, 0, dg.EdgeAccelComm)
 		g.AddEdge(done, join, 1, dg.EdgeAccelComm)
 		gpp.SetRegDef(reg, join)
 		ctx.Counts.Add(energy.EvCGRAOutput, 1)

@@ -288,7 +288,7 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 			// Remainder: scalar replay on the core.
 			scalarIters += int64(len(group))
 			for _, it := range group {
-				m.scalar(ctx, it.Start, it.End)
+				ctx.ExecCore(it.Start, it.End)
 			}
 			return
 		}
@@ -328,13 +328,6 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 			ArgInt("reductions", int64(len(redSIs)))
 	}
 	return dg.None // everything flowed through the core pipeline
-}
-
-func (m *Model) scalar(ctx *tdg.Ctx, start, end int) {
-	uops := ctx.TDG.UOps()
-	for i := start; i < end; i++ {
-		ctx.GPP.Exec(uops[i], int32(i))
-	}
 }
 
 func (m *Model) vectorGroup(ctx *tdg.Ctx, p *loopPlan, group []bsautil.Iteration, scratch *groupScratch) {

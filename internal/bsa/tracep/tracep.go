@@ -9,7 +9,6 @@ package tracep
 
 import (
 	"exocore/internal/bsa/bsautil"
-	"exocore/internal/cores"
 	"exocore/internal/dg"
 	"exocore/internal/energy"
 	"exocore/internal/tdg"
@@ -179,14 +178,10 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 			gpp.SetRegDef(reg, squash)
 		}
 		gpp.Barrier(squash, dg.EdgeAccelReplay)
-		var lastInfo cores.ExecInfo
-		uops := ctx.TDG.UOps()
-		for i := it.Start; i < it.End; i++ {
-			lastInfo = gpp.Exec(uops[i], int32(i))
-		}
+		ctx.ExecCore(it.Start, it.End)
 		// Resume the trace engine with the core's architectural state.
 		resume := g.NewNode(dg.KindAccel, int32(it.End-1))
-		g.AddEdge(lastInfo.Complete, resume, 2, dg.EdgeAccelComm)
+		g.AddEdge(gpp.LastComplete(), resume, 2, dg.EdgeAccelComm)
 		df.Resume(resume, gpp)
 	}
 

@@ -87,8 +87,9 @@ func (c Config) Custom(name string) Config {
 }
 
 // UOp is the micro-operation unit the GPP graph constructor consumes.
-// Trace instructions convert 1:1; transforms (eg. SIMD vectorization)
-// synthesize new UOps that never appeared in the original trace.
+// Trace instructions enter through ExecTrace; transforms (eg. SIMD
+// vectorization) synthesize UOps that never appeared in the original
+// trace and issue them through Exec.
 type UOp struct {
 	Op     isa.Op
 	Dst    isa.Reg
@@ -118,31 +119,101 @@ func FromDyn(p *isa.Inst, d *trace.DynInst) UOp {
 
 const histSize = 256 // power of two ≥ max ROB
 
-// storeRec is one store-forwarding entry: the execute node of the last
-// store to a word, the retire index it was recorded at, and the GPP
-// generation it belongs to (entries from earlier generations are stale).
+// storeRec is one store-forwarding entry: the last store to a word — its
+// execute node on an attribution graph, its execute time on a lean one —
+// the retire index it was recorded at, and the GPP generation it belongs
+// to (entries from earlier generations are stale).
 type storeRec struct {
-	node dg.NodeID
-	age  int32
-	gen  uint32
+	val int64
+	age int32
+	gen uint32
 }
+
+// stageTimes is one lean-mode history entry: a uop's fetch, dispatch,
+// execute and commit times.
+type stageTimes struct{ f, d, e, c int64 }
+
+// handoff is a node an accelerator transform handed a lean core — a
+// register producer, a performed store or a fetch barrier — waiting to be
+// read as a time when the core next executes.
+type handoff struct {
+	node dg.NodeID
+	kind uint8 // handReg, handStore, handBarrier
+	reg  isa.Reg
+	age  int32
+	addr uint64
+}
+
+const (
+	handReg = iota
+	handStore
+	handBarrier
+)
 
 // GPP incrementally constructs the core µDG over a stream of UOps. It
 // persists architectural dependence state (register writers, recent store
 // addresses) across accelerated regions so that core↔accelerator
 // interaction edges are modeled, as the paper requires (§2.1 item 1).
+//
+// The state takes one of two forms, chosen by the mode of the graph it
+// appends to.
+// On an attribution graph it is µDG nodes: every uop builds its five
+// stage nodes and their edges, so critical paths can be walked. On a lean
+// graph it is times: a uop computes its stage times in registers, and no
+// node is allocated and no graph time written — a lean evaluation never
+// walks a path, so the graph would only be a detour. Nodes appear on a
+// lean graph only on demand, as anchors carrying a time, when a transform
+// asks for one (RegDef, LastCommit, LastStoreTo, LastComplete). Both forms
+// compute identical times; the differential tests in this package and in
+// internal/exocore pin them together.
 type GPP struct {
 	Cfg    Config
 	G      *dg.Graph
 	Counts *energy.Counts
 
+	n int // uops retired so far
+
+	// Attribution-mode state: nodes.
 	fetch    [histSize]dg.NodeID
 	dispatch [histSize]dg.NodeID
 	execute  [histSize]dg.NodeID
 	commit   [histSize]dg.NodeID
-	n        int // uops retired so far
 
 	regDef [isa.NumRegs]dg.NodeID // complete node of last writer
+
+	pendingRefill dg.NodeID // execute node of last mispredicted branch
+	redirectF     dg.NodeID // fetch node of last taken branch (group break)
+	barrier       dg.NodeID // node all subsequent fetches must follow
+	// barrierSeen records whether any fetch has been ordered after the
+	// current barrier yet. Only the first fetch needs the explicit edge:
+	// it acquires time ≥ barrier, and every later fetch follows it
+	// through the program edge (added first, so it also wins time ties
+	// exactly as the redundant barrier edge would have lost them).
+	barrierSeen bool
+	complete    dg.NodeID // complete node of the latest uop
+
+	// Lean-mode state: the same architecture as times. A history entry
+	// or register never written reads 0, which constrains nothing (every
+	// stage of every uop is at cycle 1 or later).
+	ring [histSize]stageTimes
+	regT [isa.NumRegs + 1]int64 // ready time per register, plus sinkSlot
+	// barrierT is the fetch floor set by barriers. Fetch times never
+	// decrease, so applying it to every fetch equals applying it once.
+	barrierT int64
+	// refillT and redirectT are the next fetch's misprediction-refill and
+	// taken-branch floors, latency included; 0 once consumed.
+	refillT, redirectT int64
+	lastTP             int64 // complete time of the latest uop
+	handoffs           []handoff
+	// Counted energy (see Fold): ExecTrace executions since the last fold
+	// per (static instruction of dec, memory level), and the entries
+	// touched.
+	dec     *Decoded
+	cnt     []int64
+	touched []int32
+	robBack int                      // commit distance of the ROB / in-flight limit (0: none)
+	rts     [numRT]*dg.ResourceTable // indexed by decInst.rt
+
 	// stores maps word address → last store. Entries are tagged with a
 	// generation number so Reset invalidates the whole table in O(1) (a
 	// pooled GPP resets once per unit evaluation; clearing thousands of
@@ -168,16 +239,6 @@ type GPP struct {
 	winBuf  []int64
 	winHead int
 	winLen  int
-
-	pendingRefill dg.NodeID // execute node of last mispredicted branch
-	redirectF     dg.NodeID // fetch node of last taken branch (group break)
-	barrier       dg.NodeID // node all subsequent fetches must follow
-	// barrierSeen records whether any fetch has been ordered after the
-	// current barrier yet. Only the first fetch needs the explicit edge:
-	// it acquires time ≥ barrier, and every later fetch follows it
-	// through the program edge (added first, so it also wins time ties
-	// exactly as the redundant barrier edge would have lost them).
-	barrierSeen bool
 }
 
 // NewGPP returns a constructor appending onto g, charging events to counts.
@@ -197,6 +258,13 @@ func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 		portRT:  dg.NewResourceTable(cfg.DCachePorts),
 		barrier: g.Origin(),
 	}
+	m.rts = [numRT]*dg.ResourceTable{rtALU: m.aluRT, rtMul: m.mulRT, rtFP: m.fpRT, rtPort: m.portRT}
+	switch {
+	case !cfg.InOrder && cfg.ROB > 0:
+		m.robBack = cfg.ROB
+	case cfg.InOrder && cfg.InFlight > 0:
+		m.robBack = cfg.InFlight
+	}
 	m.stores.init()
 	if !cfg.InOrder && cfg.Window > 0 {
 		m.winBuf = make([]int64, cfg.Window)
@@ -205,19 +273,21 @@ func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 		m.regDef[i] = g.Origin()
 	}
 	m.pendingRefill = dg.None
+	m.complete = dg.None
 	// Execution begins with a redirect to the entry PC: the first fetch
 	// group starts one cycle after the boundary.
 	m.redirectF = g.Origin()
+	m.redirectT = 1
 	return m
 }
 
 // Reset returns the GPP to its initial (drained-boundary) state on a new
 // graph and energy accumulator, reusing the resource-table rings and map
 // storage. The configuration is unchanged — pool GPPs per core config.
+// Energy counted since the last Fold is discarded.
 func (m *GPP) Reset(g *dg.Graph, counts *energy.Counts) {
 	m.G = g
 	m.Counts = counts
-	m.n = 0
 	m.gen++
 	if m.gen == 0 { // wrapped: stale tags could collide, really clear
 		m.stores.clear()
@@ -236,6 +306,17 @@ func (m *GPP) Reset(g *dg.Graph, counts *energy.Counts) {
 	}
 	m.pendingRefill = dg.None
 	m.redirectF = g.Origin()
+	m.complete = dg.None
+
+	clear(m.ring[:min(m.n, histSize)]) // entries past the old n were never written
+	clear(m.regT[:])
+	m.barrierT, m.refillT, m.redirectT, m.lastTP = 0, 0, 1, 0
+	m.handoffs = m.handoffs[:0]
+	for _, k := range m.touched {
+		m.cnt[k] = 0
+	}
+	m.touched = m.touched[:0]
+	m.n = 0
 }
 
 // MemBytes reports the memory a pooled GPP lets its next user skip
@@ -253,23 +334,82 @@ func (m *GPP) hist(arr *[histSize]dg.NodeID, back int) dg.NodeID {
 	return arr[(m.n-back)&(histSize-1)]
 }
 
+// last returns the lean history entry of the latest uop.
+func (m *GPP) last() *stageTimes { return &m.ring[(m.n-1)&(histSize-1)] }
+
 // Retired returns the number of UOps run through the core so far.
 func (m *GPP) Retired() int { return m.n }
+
+// anchor returns a fresh lean-graph node carrying time t (None for the
+// "no producer" time -1), for a transform to hang edges off.
+func (m *GPP) anchor(t int64) dg.NodeID {
+	if t < 0 {
+		return dg.None
+	}
+	a := m.G.NewNode(dg.KindAccel, -1)
+	m.G.SetTime(a, t)
+	return a
+}
+
+// settle reads the nodes transforms handed a lean core as times.
+func (m *GPP) settle() {
+	if len(m.handoffs) == 0 {
+		return
+	}
+	for i := range m.handoffs {
+		h := &m.handoffs[i]
+		t := int64(-1) // None: no producer, no constraint
+		if h.node != dg.None {
+			t = m.G.Time(h.node)
+		}
+		switch h.kind {
+		case handReg:
+			m.regT[h.reg] = t
+		case handStore:
+			m.stores.set(h.addr, storeRec{val: t, age: h.age, gen: m.gen})
+		case handBarrier:
+			m.barrierT = max(m.barrierT, t)
+		}
+	}
+	m.handoffs = m.handoffs[:0]
+}
 
 // LastCommit returns the most recent commit node; before anything has
 // committed it returns the current barrier (the drained entry boundary),
 // so edges hung off it — accelerator entry transfers, configuration
 // loads — anchor at the boundary instead of disappearing.
 func (m *GPP) LastCommit() dg.NodeID {
+	if m.G.Lean() {
+		return m.anchor(m.EndTime())
+	}
 	if m.n == 0 {
 		return m.barrier
 	}
 	return m.hist(&m.commit, 1)
 }
 
+// LastComplete returns the completion node of the latest uop (None before
+// any has run), so a transform can hang an edge off a uop it issued.
+func (m *GPP) LastComplete() dg.NodeID {
+	switch {
+	case m.n == 0:
+		return dg.None
+	case m.G.Lean():
+		return m.anchor(m.lastTP)
+	}
+	return m.complete
+}
+
 // EndTime returns the completion time of the last committed uop, or the
 // barrier time if nothing has run yet.
 func (m *GPP) EndTime() int64 {
+	if m.G.Lean() {
+		m.settle()
+		if m.n == 0 {
+			return m.barrierT
+		}
+		return m.last().c
+	}
 	if c := m.LastCommit(); c != dg.None {
 		return m.G.Time(c)
 	}
@@ -280,6 +420,10 @@ func (m *GPP) EndTime() int64 {
 // returning from an offload accelerator, or loading a configuration).
 func (m *GPP) Barrier(node dg.NodeID, class dg.EdgeClass) {
 	if node == dg.None {
+		return
+	}
+	if m.G.Lean() {
+		m.handoffs = append(m.handoffs, handoff{node: node, kind: handBarrier})
 		return
 	}
 	// Model via a synthetic node so the edge class is preserved.
@@ -295,119 +439,93 @@ func (m *GPP) RegDef(r isa.Reg) dg.NodeID {
 	if !r.Valid() {
 		return dg.None
 	}
+	if m.G.Lean() {
+		m.settle()
+		return m.anchor(m.regT[r])
+	}
 	return m.regDef[r]
 }
 
 // SetRegDef overrides r's producing node (accelerator live-outs).
 func (m *GPP) SetRegDef(r isa.Reg, node dg.NodeID) {
-	if r.Valid() && r != isa.RZ {
-		m.regDef[r] = node
+	if !r.Valid() || r == isa.RZ {
+		return
 	}
+	if m.G.Lean() {
+		m.handoffs = append(m.handoffs, handoff{node: node, kind: handReg, reg: r})
+		return
+	}
+	m.regDef[r] = node
 }
 
 // NoteStore records an accelerator-performed store so later core loads
 // observe the memory dependence.
 func (m *GPP) NoteStore(addr uint64, node dg.NodeID) {
-	m.stores.set(addr&^7, storeRec{node: node, age: int32(m.n), gen: m.gen})
+	if m.G.Lean() {
+		m.handoffs = append(m.handoffs, handoff{node: node, kind: handStore, addr: addr &^ 7, age: int32(m.n)})
+		return
+	}
+	m.stores.set(addr&^7, storeRec{val: int64(node), age: int32(m.n), gen: m.gen})
 }
 
 // LastStoreTo returns the node of the last store to addr, or None.
 func (m *GPP) LastStoreTo(addr uint64) dg.NodeID {
-	if rec, ok := m.stores.get(addr &^ 7); ok && rec.gen == m.gen {
-		return rec.node
+	lean := m.G.Lean()
+	if lean {
+		m.settle()
 	}
-	return dg.None
+	rec, ok := m.stores.get(addr &^ 7)
+	switch {
+	case !ok || rec.gen != m.gen:
+		return dg.None
+	case lean:
+		return m.anchor(rec.val)
+	}
+	return dg.NodeID(rec.val)
 }
 
 const storeWindow = 4096 // uops a store-forwarding entry stays visible
 
-// CompactWindow bounds the resident µDG during long core-resident
-// streams: when more than window nodes are live, everything the core can
-// still reference is either inside the trailing uop history (protected
-// by the live floor — the fetch node of the oldest remembered uop) or an
-// architectural anchor (barrier, register definitions, store-forwarding
-// entries), which are re-anchored onto fresh time-preserving pin nodes;
-// all nodes below the floor are then retired via dg.Graph.Retire. Node
-// times are unchanged by construction — a pin copies its target's final
-// time over a zero-latency edge — so windowed evaluation is
-// byte-identical to whole-trace evaluation; only peak memory changes,
-// from O(trace) to O(window).
+// CompactWindow bounds the resident µDG of a lean evaluation: when more
+// than window nodes are resident, every one of them is retired. Between
+// uops a lean core holds no node — its state is times, and the nodes
+// transforms handed it are read as times here at the latest — so once the
+// transforms that created the resident nodes have returned, nothing can
+// reference them again. Node times are final and unchanged, so windowed
+// evaluation is byte-identical to whole-trace evaluation; only peak memory
+// changes, from O(trace) to O(window).
 //
-// Must be called only between uops of a core-resident segment, never
-// while an accelerator transform holding node references is in flight
-// (the exocore engine calls it on chunk boundaries of its GPP streaming
-// loop).
+// Call it only between transforms, never while one holding node
+// references is in flight (the exocore engine calls it between segments).
+// Attribution graphs are never compacted: critical-path walks need them
+// whole.
 func (m *GPP) CompactWindow(window int) {
 	g := m.G
-	if g.Resident() <= window {
+	if !g.Lean() || g.Resident() <= window {
 		return
 	}
-	floor := dg.NodeID(g.Len()) // next id: nothing kept by the history
-	back := m.n
-	if back > histSize {
-		back = histSize
-	}
-	if back > 0 {
-		if f := m.hist(&m.fetch, back); f != dg.None && f < floor {
-			floor = f
-		}
-	}
-	if m.pendingRefill != dg.None && m.pendingRefill < floor {
-		floor = m.pendingRefill
-	}
-	if m.redirectF != dg.None && m.redirectF < floor {
-		floor = m.redirectF
-	}
-	if floor <= g.Base() {
-		return
-	}
-	// Re-anchor architectural state below the floor. Pins allocate
-	// upward from the current end of the graph, so they survive the
-	// retirement they enable.
-	if m.barrier < floor {
-		m.barrier = m.pin(m.barrier)
-	}
-	lastOld, lastPin := dg.None, dg.None // most regDef entries repeat (eg. origin)
-	for r := range m.regDef {
-		if old := m.regDef[r]; old != dg.None && old < floor {
-			if old != lastOld {
-				lastOld, lastPin = old, m.pin(old)
-			}
-			m.regDef[r] = lastPin
-		}
-	}
-	m.stores.repin(m.gen, floor, m.pin)
-	g.Retire(floor)
+	m.settle()
+	g.Retire(dg.NodeID(g.Len()))
 }
 
-// pin allocates a zero-latency anchor carrying old's (final) time, so
-// old itself can be retired without losing the dependence time.
-func (m *GPP) pin(old dg.NodeID) dg.NodeID {
-	p := m.G.NewNode(dg.KindAccel, -1)
-	m.G.AddEdge(old, p, 0, dg.EdgeProgram)
-	return p
-}
-
-// ExecInfo exposes the key nodes of an executed UOp so accelerator
-// transforms can attach interaction edges.
-type ExecInfo struct {
-	Exec     dg.NodeID
-	Complete dg.NodeID
-	Commit   dg.NodeID
-}
-
-// Exec runs one UOp through the pipeline model, creating its nodes and
-// edges, booking resources and charging energy events. dynIdx tags the
-// nodes for debugging (-1 for synthetic uops).
-func (m *GPP) Exec(u UOp, dynIdx int32) ExecInfo {
+// Exec runs one UOp through the pipeline model, booking resources and
+// charging its energy events. On an attribution graph it creates the
+// uop's five stage nodes and their edges, tagged with dynIdx (-1 for
+// synthetic uops); on a lean graph it only advances the core's times.
+func (m *GPP) Exec(u UOp, dynIdx int32) {
 	if m.G.Lean() {
-		// Lean graphs carry no attribution state, so each stage node's
-		// time is just the maximum over its incoming edges: execLean
-		// computes that in registers and stores it once per node,
-		// replacing roughly a dozen relax calls per uop on the hottest
-		// loop in the system. Times are identical by construction; the
-		// differential test pins the two paths together.
-		return m.execLean(&u, dynIdx)
+		m.settle()
+		di := decode(u.Op, u.Dst, u.Src1, u.Src2)
+		var flags uint8
+		if u.Mispred {
+			flags |= trace.FlagMispred
+		}
+		if u.Taken {
+			flags |= trace.FlagTaken
+		}
+		m.step(&di, u.Addr, u.MemLat, flags)
+		m.charge(&u, u.Op.ClassOf())
+		return
 	}
 	g := m.G
 	cfg := &m.Cfg
@@ -474,7 +592,7 @@ func (m *GPP) Exec(u UOp, dynIdx int32) ExecInfo {
 	// Memory dependence: load after store to the same word.
 	if u.Op.IsLoad() {
 		if rec, ok := m.stores.get(u.Addr &^ 7); ok && rec.gen == m.gen && m.n-int(rec.age) < storeWindow {
-			g.AddEdge(rec.node, e, 2, dg.EdgeMemDep) // store-to-load forward
+			g.AddEdge(dg.NodeID(rec.val), e, 2, dg.EdgeMemDep) // store-to-load forward
 		}
 	}
 
@@ -532,200 +650,14 @@ func (m *GPP) Exec(u UOp, dynIdx int32) ExecInfo {
 	g.AddEdge(m.hist(&m.commit, 1), c, 0, dg.EdgeProgram)
 	g.AddEdge(m.hist(&m.commit, cfg.Width), c, 1, dg.EdgeWidth)
 
-	return m.finish(&u, cls, f, d, e, p, c)
-}
-
-// execLean is Exec for lean graphs: identical edge set and booking
-// order, but each stage time is accumulated in a register and written
-// once. A None source contributes nothing (mirroring AddEdge's guard).
-func (m *GPP) execLean(u *UOp, dynIdx int32) ExecInfo {
-	g := m.G
-	cfg := &m.Cfg
-
-	f := g.NewPipelineNodes(dynIdx)
-	d, e, p, c := f+1, f+2, f+3, f+4
-
-	cls := u.Op.ClassOf()
-
-	// --- Fetch ---
-	var tf int64
-	if n := m.hist(&m.fetch, 1); n != dg.None {
-		tf = g.Time(n)
-	}
-	if n := m.hist(&m.fetch, cfg.Width); n != dg.None {
-		if t := g.Time(n) + 1; t > tf {
-			tf = t
-		}
-	}
-	if !m.barrierSeen {
-		if m.barrier != dg.None {
-			if t := g.Time(m.barrier); t > tf {
-				tf = t
-			}
-		}
-		m.barrierSeen = true
-	}
-	if m.pendingRefill != dg.None {
-		if t := g.Time(m.pendingRefill) + int64(cfg.FrontendDepth); t > tf {
-			tf = t
-		}
-		m.pendingRefill = dg.None
-	}
-	if m.redirectF != dg.None {
-		if t := g.Time(m.redirectF) + 1; t > tf {
-			tf = t
-		}
-		m.redirectF = dg.None
-	}
-	g.SetTime(f, tf)
-
-	// --- Dispatch ---
-	td := tf + 2
-	if n := m.hist(&m.dispatch, 1); n != dg.None {
-		if t := g.Time(n); t > td {
-			td = t
-		}
-	}
-	if n := m.hist(&m.dispatch, cfg.Width); n != dg.None {
-		if t := g.Time(n) + 1; t > td {
-			td = t
-		}
-	}
-	if !cfg.InOrder && cfg.ROB > 0 {
-		if n := m.hist(&m.commit, cfg.ROB); n != dg.None {
-			if t := g.Time(n) + 1; t > td {
-				td = t
-			}
-		}
-	}
-	if cfg.InOrder && cfg.InFlight > 0 {
-		if n := m.hist(&m.commit, cfg.InFlight); n != dg.None {
-			if t := g.Time(n) + 1; t > td {
-				td = t
-			}
-		}
-	}
-	if !cfg.InOrder && cfg.Window > 0 && m.winLen >= cfg.Window {
-		if t := m.winBuf[m.winHead]; t > td {
-			td = t
-		}
-	}
-	g.SetTime(d, td)
-
-	// --- Execute ---
-	te := td + 1
-	if cfg.InOrder {
-		if n := m.hist(&m.execute, 1); n != dg.None {
-			if t := g.Time(n); t > te {
-				te = t
-			}
-		}
-	}
-	if u.Src1.Valid() && u.Src1 != isa.RZ {
-		if n := m.regDef[u.Src1]; n != dg.None {
-			if t := g.Time(n); t > te {
-				te = t
-			}
-		}
-	}
-	if u.Src2.Valid() && u.Src2 != isa.RZ {
-		if n := m.regDef[u.Src2]; n != dg.None {
-			if t := g.Time(n); t > te {
-				te = t
-			}
-		}
-	}
-	if u.Op == isa.FMA && u.Dst.Valid() {
-		if n := m.regDef[u.Dst]; n != dg.None {
-			if t := g.Time(n); t > te {
-				te = t
-			}
-		}
-	}
-	if u.Op.IsLoad() {
-		if rec, ok := m.stores.get(u.Addr &^ 7); ok && rec.gen == m.gen && m.n-int(rec.age) < storeWindow {
-			if t := g.Time(rec.node) + 2; t > te {
-				te = t
-			}
-		}
-	}
-	if t := m.issueRT.Book(te); t > te {
-		te = t
-	}
-	var rt *dg.ResourceTable
-	switch cls {
-	case isa.ClassIntAlu:
-		rt = m.aluRT
-	case isa.ClassIntMul, isa.ClassIntDiv:
-		rt = m.mulRT
-	case isa.ClassFpAdd, isa.ClassFpMul, isa.ClassFpDiv:
-		rt = m.fpRT
-	case isa.ClassVecAlu, isa.ClassVecMul:
-		rt = m.fpRT
-	case isa.ClassLoad, isa.ClassStore, isa.ClassVecMem:
-		rt = m.portRT
-	}
-	if rt != nil {
-		var when int64
-		switch {
-		case cls == isa.ClassIntDiv || cls == isa.ClassFpDiv:
-			when = rt.BookFor(te, int64(u.Op.Latency()))
-		case u.Op.IsVec() && !u.Op.IsMem():
-			when = rt.BookFor(te, 2)
-		default:
-			when = rt.Book(te)
-		}
-		if when > te {
-			te = when
-		}
-	}
-	g.SetTime(e, te)
-
-	// --- Complete ---
-	lat := int64(u.Op.Latency())
-	if u.Op.IsMem() {
-		lat = int64(u.MemLat)
-		if u.Op.IsStore() {
-			lat = 1
-		}
-	}
-	if lat < 1 {
-		lat = 1
-	}
-	tp := te + lat
-	g.SetTime(p, tp)
-
-	// --- Commit ---
-	tc := tp + 1
-	if n := m.hist(&m.commit, 1); n != dg.None {
-		if t := g.Time(n); t > tc {
-			tc = t
-		}
-	}
-	if n := m.hist(&m.commit, cfg.Width); n != dg.None {
-		if t := g.Time(n) + 1; t > tc {
-			tc = t
-		}
-	}
-	g.SetTime(c, tc)
-
-	return m.finish(u, cls, f, d, e, p, c)
-}
-
-// finish applies the mode-independent tail of one Exec: architectural
-// state updates, window bookkeeping, energy and history advance.
-func (m *GPP) finish(u *UOp, cls isa.Class, f, d, e, p, c dg.NodeID) ExecInfo {
-	g := m.G
-	cfg := &m.Cfg
-
 	// Architectural state updates.
 	if u.Dst.Valid() && u.Dst != isa.RZ {
 		m.regDef[u.Dst] = p
 	}
 	if u.Op.IsStore() {
-		m.stores.set(u.Addr&^7, storeRec{node: e, age: int32(m.n), gen: m.gen})
+		m.stores.set(u.Addr&^7, storeRec{val: int64(e), age: int32(m.n), gen: m.gen})
 		if m.stores.used > 2*storeWindow {
-			m.pruneStores()
+			m.stores.prune(m.gen, m.n)
 		}
 	}
 	if u.Op.IsBranch() && u.Mispred {
@@ -734,19 +666,10 @@ func (m *GPP) finish(u *UOp, cls isa.Class, f, d, e, p, c dg.NodeID) ExecInfo {
 	if u.Op.IsCtrl() && u.Taken {
 		m.redirectF = f
 	}
-
-	// Window bookkeeping: keep the Window largest issue times.
-	if !cfg.InOrder && cfg.Window > 0 {
-		et := g.Time(e)
-		if m.winLen < cfg.Window {
-			m.winGrow(et)
-		} else if et > m.winBuf[m.winHead] {
-			m.winReplaceMin(et)
-		}
-	}
+	m.noteIssue(g.Time(e))
 
 	// Energy accounting.
-	m.charge(u, cls)
+	m.charge(&u, cls)
 
 	// Advance history.
 	idx := m.n & (histSize - 1)
@@ -754,8 +677,122 @@ func (m *GPP) finish(u *UOp, cls isa.Class, f, d, e, p, c dg.NodeID) ExecInfo {
 	m.dispatch[idx] = d
 	m.execute[idx] = e
 	m.commit[idx] = c
+	m.complete = p
 	m.n++
-	return ExecInfo{Exec: e, Complete: p, Commit: c}
+}
+
+// ExecTrace runs trace instructions insts — dynamic indices base, base+1,
+// … of the program p decodes — through the pipeline model: the one drive
+// loop every trace instruction evaluated on the general core goes
+// through, whether streamed, in a unit's core-resident segments or
+// replayed by a transform. On a lean graph it is time-direct: no node, no
+// graph write, no per-instruction decode, and energy counted until Fold.
+// On an attribution graph each instruction goes through Exec.
+func (m *GPP) ExecTrace(p *Decoded, insts []trace.DynInst, base int) {
+	if !m.G.Lean() {
+		for i := range insts {
+			d := &insts[i]
+			m.Exec(FromDyn(&p.prog.Insts[d.SI], d), int32(base+i))
+		}
+		return
+	}
+	if p != m.dec {
+		m.Fold()
+		m.bind(p)
+	}
+	m.settle()
+	tab, cnt := p.insts, m.cnt
+	for i := range insts {
+		d := &insts[i]
+		m.step(&tab[d.SI], d.Addr, d.MemLat, d.Flags)
+		// Memory levels are two-bit (LevelNone..LevelMem).
+		k := int(d.SI)<<2 | int(d.Level&3)
+		if cnt[k] == 0 {
+			m.touched = append(m.touched, int32(k))
+		}
+		cnt[k]++
+	}
+}
+
+// step runs one uop through the lean pipeline model: the attribution
+// Exec's edges as a running maximum per stage, in the same booking order,
+// over the lean history ring and register times. dflags carries the
+// dynamic trace.FlagTaken and trace.FlagMispred bits.
+func (m *GPP) step(di *decInst, addr uint64, memLat uint16, dflags uint8) {
+	cfg := &m.Cfg
+	n := m.n
+	prev := &m.ring[(n-1)&(histSize-1)]
+	wide := &m.ring[(n-cfg.Width)&(histSize-1)]
+
+	// --- Fetch ---
+	tf := max(prev.f, wide.f+1, m.barrierT, m.refillT, m.redirectT)
+	m.refillT, m.redirectT = 0, 0
+
+	// --- Dispatch ---
+	td := max(tf+2, prev.d, wide.d+1)
+	if m.robBack > 0 {
+		td = max(td, m.ring[(n-m.robBack)&(histSize-1)].c+1)
+	}
+	if m.winBuf != nil && m.winLen == len(m.winBuf) {
+		td = max(td, m.winBuf[m.winHead])
+	}
+
+	// --- Execute ---
+	te := max(td+1, m.regT[di.src1], m.regT[di.src2], m.regT[di.acc])
+	if cfg.InOrder {
+		te = max(te, prev.e)
+	}
+	if di.flags&fLoad != 0 {
+		if rec, ok := m.stores.get(addr &^ 7); ok && rec.gen == m.gen && n-int(rec.age) < storeWindow {
+			te = max(te, rec.val+2)
+		}
+	}
+	te = m.issueRT.Book(te)
+	if rt := m.rts[di.rt]; rt != nil {
+		if di.busy == 0 {
+			te = rt.Book(te)
+		} else {
+			te = rt.BookFor(te, int64(di.busy))
+		}
+	}
+
+	// --- Complete, Commit ---
+	lat := int64(di.lat)
+	if lat == 0 {
+		lat = max(int64(memLat), 1)
+	}
+	tp := te + lat
+	tc := max(tp+1, prev.c, wide.c+1)
+
+	// Architectural state updates.
+	m.regT[di.dst] = tp
+	if di.flags&fStore != 0 {
+		m.stores.set(addr&^7, storeRec{val: te, age: int32(n), gen: m.gen})
+		if m.stores.used > 2*storeWindow {
+			m.stores.prune(m.gen, n)
+		}
+	}
+	if di.flags&fBranch != 0 && dflags&trace.FlagMispred != 0 {
+		m.refillT = te + int64(cfg.FrontendDepth)
+	}
+	if di.flags&fCtrl != 0 && dflags&trace.FlagTaken != 0 {
+		m.redirectT = tf + 1
+	}
+	m.noteIssue(te)
+	m.ring[n&(histSize-1)] = stageTimes{tf, td, te, tc}
+	m.lastTP = tp
+	m.n = n + 1
+}
+
+// noteIssue keeps the Window largest issue times (window bookkeeping).
+func (m *GPP) noteIssue(et int64) {
+	switch {
+	case m.winBuf == nil:
+	case m.winLen < len(m.winBuf):
+		m.winGrow(et)
+	case et > m.winBuf[m.winHead]:
+		m.winReplaceMin(et)
+	}
 }
 
 // winGrow inserts v into the not-yet-full buffer, kept sorted ascending
@@ -796,10 +833,6 @@ func (m *GPP) winReplaceMin(v int64) {
 		}
 	}
 	b[dst] = v
-}
-
-func (m *GPP) pruneStores() {
-	m.stores.prune(m.gen, m.n)
 }
 
 // storeTab is an open-addressed, linear-probe map from word address to
@@ -907,6 +940,8 @@ func (t *storeTab) prune(gen uint32, n int) {
 	}
 }
 
+// charge adds one uop's energy events to Counts (the per-uop form of the
+// counted fold, for attribution graphs and transform-synthesized uops).
 func (m *GPP) charge(u *UOp, cls isa.Class) {
 	c := m.Counts
 	c.Add(energy.EvFetch, 1)
@@ -960,22 +995,6 @@ func (m *GPP) charge(u *UOp, cls isa.Class) {
 		case trace.LevelMem:
 			c.Add(energy.EvL2Access, 1)
 			c.Add(energy.EvMemAccess, 1)
-		}
-	}
-}
-
-// repin redirects every live (current-generation) entry whose node falls
-// below the compaction floor onto a time-preserving pin node, so
-// CompactWindow can retire the original while LastStoreTo and the
-// store-forwarding lookup keep returning the exact same times.
-func (t *storeTab) repin(gen uint32, floor dg.NodeID, pin func(dg.NodeID) dg.NodeID) {
-	for i, k := range t.keys {
-		if k == 0 {
-			continue
-		}
-		rec := &t.recs[i]
-		if rec.gen == gen && rec.node != dg.None && rec.node < floor {
-			rec.node = pin(rec.node)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package cores
 
 import (
+	"slices"
+	"testing"
+
 	"exocore/internal/dg"
 	"exocore/internal/energy"
-	"testing"
 
 	"exocore/internal/bpred"
 	"exocore/internal/cache"
@@ -358,13 +360,68 @@ func memMix(n int64) *prog.Program {
 	return b.MustBuild()
 }
 
-// TestLeanExecTimesIdentical pins the lean fast path in Exec to the
-// attribution (AddEdge) path: the same uop stream through both graph
-// modes must produce bit-identical stage times for every instruction,
-// on every core config.
+// fwdChain: a load/increment/store recurrence through one memory word
+// (store-to-load forwarding every iteration) beside a multiply-accumulate
+// chain whose only loop-carried dependence is its accumulator, once
+// withFMA rewrites the FMul into an FMA. The functional simulator runs
+// the FMul form; the rewrite only changes what the timing model sees.
+func fwdChain(t *testing.T, n int64, withFMA bool) *trace.Trace {
+	b := prog.NewBuilder("fwdchain")
+	b.MovI(isa.R(1), n)
+	b.MovI(isa.R(9), 0x2000)
+	b.Label("loop")
+	b.Ld(isa.R(2), isa.R(9), 0)
+	b.AddI(isa.R(2), isa.R(2), 1)
+	b.St(isa.R(2), isa.R(9), 0)
+	b.FMul(isa.F(1), isa.F(2), isa.F(3))
+	b.SubI(isa.R(1), isa.R(1), 1)
+	b.Bne(isa.R(1), isa.RZ, "loop")
+	tr := buildTrace(t, b.MustBuild(), nil)
+	if withFMA {
+		p := *tr.Prog
+		p.Insts = append([]isa.Inst(nil), p.Insts...)
+		for i := range p.Insts {
+			if p.Insts[i].Op == isa.FMul {
+				p.Insts[i].Op = isa.FMA
+			}
+		}
+		tr = &trace.Trace{Prog: &p, Insts: tr.Insts}
+	}
+	return tr
+}
+
+// nodeStages returns the stage times of the latest uop on an attribution
+// graph: its five pipeline nodes are the last five created.
+func nodeStages(g *dg.Graph) [5]int64 {
+	var out [5]int64
+	f := dg.NodeID(g.Len() - 5)
+	for k := range out {
+		out[k] = g.Time(f + dg.NodeID(k))
+	}
+	return out
+}
+
+// leanStages returns the stage times of the latest uop of a lean core.
+func leanStages(m *GPP) [5]int64 {
+	h := m.last()
+	return [5]int64{h.f, h.d, h.e, m.lastTP, h.c}
+}
+
+// TestLeanExecTimesIdentical pins the time-direct lean core to the
+// attribution (node) core: the same instruction stream through ExecTrace
+// on both graph modes must give bit-identical fetch, dispatch, execute,
+// complete and commit times for every instruction and identical energy
+// counts once folded, on every core config, while the lean core
+// allocates no node. Each stream runs twice on the same two GPPs with a
+// Reset between, so entries a first run leaves in the store-forwarding
+// table must stay invisible to the second.
 func TestLeanExecTimesIdentical(t *testing.T) {
-	for _, prg := range []*prog.Program{serialChain(300), parallelOps(300), memMix(300)} {
-		tr := buildTrace(t, prg, nil)
+	traces := []*trace.Trace{
+		buildTrace(t, serialChain(300), nil), buildTrace(t, parallelOps(300), nil),
+		buildTrace(t, memMix(300), nil), fwdChain(t, 300, true),
+	}
+	for _, tr := range traces {
+		dec := Decode(tr.Prog)
 		for _, cfg := range Configs {
 			ga := dg.NewGraph()
 			gl := dg.NewGraph()
@@ -372,26 +429,86 @@ func TestLeanExecTimesIdentical(t *testing.T) {
 			var ca, cl energy.Counts
 			ma := NewGPP(cfg, ga, &ca)
 			ml := NewGPP(cfg, gl, &cl)
-			for i := range tr.Insts {
-				d := &tr.Insts[i]
-				u := FromDyn(&tr.Prog.Insts[d.SI], d)
-				ia := ma.Exec(u, int32(i))
-				il := ml.Exec(u, int32(i))
-				if ga.Time(ia.Exec) != gl.Time(il.Exec) ||
-					ga.Time(ia.Complete) != gl.Time(il.Complete) ||
-					ga.Time(ia.Commit) != gl.Time(il.Commit) {
-					t.Fatalf("%s/%s uop %d: attrib times (%d,%d,%d) != lean (%d,%d,%d)",
-						prg.Name, cfg.Name, i,
-						ga.Time(ia.Exec), ga.Time(ia.Complete), ga.Time(ia.Commit),
-						gl.Time(il.Exec), gl.Time(il.Complete), gl.Time(il.Commit))
+			for run := 0; run < 2; run++ {
+				if run > 0 {
+					ga.Reset()
+					gl.Reset()
+					ca, cl = energy.Counts{}, energy.Counts{}
+					ma.Reset(ga, &ca)
+					ml.Reset(gl, &cl)
+				}
+				for i := range tr.Insts {
+					ma.ExecTrace(dec, tr.Insts[i:i+1], i)
+					ml.ExecTrace(dec, tr.Insts[i:i+1], i)
+					if a, l := nodeStages(ga), leanStages(ml); a != l {
+						t.Fatalf("%s/%s run %d uop %d: attrib times %v != lean %v",
+							tr.Prog.Name, cfg.Name, run, i, a, l)
+					}
+				}
+				ml.Fold()
+				if ma.EndTime() != ml.EndTime() {
+					t.Fatalf("%s/%s run %d: end time %d != %d", tr.Prog.Name, cfg.Name, run, ma.EndTime(), ml.EndTime())
+				}
+				if ca != cl {
+					t.Fatalf("%s/%s run %d: energy counts diverge:\n%v\n%v", tr.Prog.Name, cfg.Name, run, ca, cl)
+				}
+				if gl.Len() != 1 {
+					t.Fatalf("%s/%s run %d: lean core allocated %d nodes", tr.Prog.Name, cfg.Name, run, gl.Len()-1)
 				}
 			}
-			if ma.EndTime() != ml.EndTime() {
-				t.Fatalf("%s/%s: end time %d != %d", prg.Name, cfg.Name, ma.EndTime(), ml.EndTime())
-			}
-			if ca != cl {
-				t.Fatalf("%s/%s: energy counts diverge", prg.Name, cfg.Name)
-			}
 		}
+	}
+}
+
+// TestLeanHandoffsMatchAttribution drives the transform-facing API — a
+// register producer, a performed store and a barrier handed to the core,
+// then the anchors a transform reads back — through both graph modes:
+// every time a transform can observe must agree, and a node the lean core
+// was handed is read when the core next executes.
+func TestLeanHandoffsMatchAttribution(t *testing.T) {
+	var got [2][]int64
+	for mode, lean := range []bool{false, true} {
+		g := dg.NewGraph()
+		g.ResetMode(lean)
+		m := NewGPP(OOO2, g, &energy.Counts{})
+		obs := func(n dg.NodeID) {
+			if n == dg.None {
+				got[mode] = append(got[mode], -1)
+				return
+			}
+			got[mode] = append(got[mode], g.Time(n))
+		}
+		at := func(t int64) dg.NodeID {
+			n := g.NewNode(dg.KindAccel, -1)
+			g.AddEdge(g.Origin(), n, t, dg.EdgeAccelComm)
+			return n
+		}
+		obs(m.LastCommit())
+		obs(m.LastComplete())
+		m.Barrier(at(300), dg.EdgeAccelComm)
+		obs(m.LastCommit())
+		prod := at(500)
+		m.SetRegDef(isa.R(5), prod)
+		g.AddEdge(at(550), prod, 0, dg.EdgeAccelComm) // still relaxing when handed over
+		m.NoteStore(0x2000, at(700))
+		obs(m.RegDef(isa.R(5)))
+		obs(m.LastStoreTo(0x2004))
+		obs(m.LastStoreTo(0x3000))
+		m.SetRegDef(isa.R(6), dg.None)
+		obs(m.RegDef(isa.R(6)))
+		m.Exec(UOp{Op: isa.Add, Dst: isa.R(7), Src1: isa.R(5), Src2: isa.R(6)}, 0)
+		obs(m.LastComplete())
+		m.Exec(UOp{Op: isa.Ld, Dst: isa.R(1), Src1: isa.RZ, Addr: 0x2000, MemLat: 4}, 1)
+		obs(m.LastComplete())
+		obs(m.LastCommit())
+		obs(m.RegDef(isa.R(7)))
+		obs(m.RegDef(isa.NoReg))
+		got[mode] = append(got[mode], m.EndTime(), int64(m.Retired()))
+	}
+	if !slices.Equal(got[0], got[1]) {
+		t.Fatalf("attribution %v != lean %v", got[0], got[1])
+	}
+	if got[1][3] != 550 {
+		t.Errorf("handed register read at %d, want its time when next read (550)", got[1][3])
 	}
 }

@@ -26,7 +26,9 @@
 //     to a pure max — final node times are bit-identical to attribution
 //     mode (attribution only changes which predecessor is *recorded* on
 //     ties, never the computed maximum) at a third of the write traffic.
-//     Scheduling sweeps, which never walk paths, run lean.
+//     Scheduling sweeps, which never walk paths, run lean, and on a lean
+//     graph the general core adds no nodes at all: cores.GPP keeps its
+//     state as times, so only accelerator transforms populate the graph.
 //
 // # Windowed (streaming) construction
 //
@@ -35,8 +37,8 @@
 // drops every node below a caller-proven live floor by compacting the
 // flat slices; node IDs keep their meaning (indices are rebased), and
 // peak memory becomes O(window) instead of O(trace). See
-// cores.GPP.CompactWindow for the live-floor computation and the
-// pin-node re-anchoring of long-lived architectural references.
+// cores.GPP.CompactWindow: a lean core references no node between
+// transforms, so everything resident can be retired there.
 package dg
 
 import (

@@ -622,9 +622,8 @@ func (p *publisher) publish(out *unitOutcome, nsegs int, end int32, lastDur int6
 // pub, when non-nil, publishes prefix outcomes at cut boundaries as the
 // evaluation passes them (prefix entries never carry classes; a later
 // class-attributed run re-evaluates and replaces them).
-// window, when positive, bounds the resident µDG during the core-resident
-// instruction stream (see RunOpts.WindowNodes); it must be 0 when classes
-// is set.
+// window, when positive, bounds the resident µDG between segments (see
+// RunOpts.WindowNodes); it must be 0 when classes is set.
 func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 	plans map[string]*tdg.Plan, u unit, sp obs.Span, classes bool, window int, pub *publisher) unitOutcome {
 
@@ -670,40 +669,26 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 				}
 			}
 		} else {
-			uops := t.UOps()
-			for j := seg.Start; j < seg.End; {
-				// Bound the run at the next publish cut so the hot
-				// instruction loop carries no per-uop cut test.
+			dec, insts := t.Decoded(), t.Trace.Insts
+			for j := seg.Start; ; {
+				// Run up to the next publish cut, if one falls inside
+				// the segment.
 				stop := seg.End
 				if pub != nil && pub.next < len(pub.cuts) {
 					if c := int(pub.cuts[pub.next]); c > j && c < stop {
 						stop = c
 					}
 				}
-				for j < stop {
-					lim := stop
-					if window > 0 {
-						if l := j + compactStride; l < lim {
-							lim = l
-						}
-					}
-					for ; j < lim; j++ {
-						w.gpp.Exec(uops[j], int32(j))
-					}
-					// Between chunks no transform holds node references,
-					// so stale nodes can be retired; times are unchanged
-					// (CompactWindow pins the architectural anchors).
-					if window > 0 {
-						w.gpp.CompactWindow(window)
-					}
-				}
-				if j == seg.End {
+				w.gpp.ExecTrace(dec, insts[j:stop], j)
+				if stop == seg.End {
 					break
 				}
 				// j is the next cut, strictly inside the segment: publish
 				// the prefix ending here. The truncated general-core
 				// segment's duration and counts come from the current
 				// pipeline state (prefix stability).
+				j = stop
+				w.gpp.Fold()
 				end := w.gpp.EndTime()
 				if end < lastEnd {
 					end = lastEnd
@@ -712,6 +697,7 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 				pub.next++
 			}
 		}
+		w.gpp.Fold()
 		end := w.gpp.EndTime()
 		if endNode != dg.None && w.g.Time(endNode) > end {
 			end = w.g.Time(endNode)
@@ -721,6 +707,11 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 		}
 		if end < lastEnd {
 			end = lastEnd
+		}
+		// The segment's nodes are dead once its end is read (a lean core
+		// holds none between segments).
+		if window > 0 {
+			w.gpp.CompactWindow(window)
 		}
 		dur := end - lastEnd
 		out.segDurs[i] = dur

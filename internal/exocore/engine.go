@@ -101,30 +101,26 @@ type RunOpts struct {
 	// "eval.offload_segments.<name>" counters, and the
 	// "dg.graph_high_water_bytes" gauge (peak resident µDG footprint).
 	Reg *obs.Registry
-	// WindowNodes bounds the resident µDG during core-resident streaming:
-	// when the live graph exceeds the bound, nodes behind every
-	// architectural reference are retired (their times are already final
-	// — see cores.GPP.CompactWindow), making peak memory O(window)
-	// instead of O(trace) with byte-identical results. 0 selects
-	// DefaultWindowNodes; negative disables windowing (whole-trace
-	// graphs). Windowing is forced off when RecordRegions is set —
-	// critical-path attribution walks the whole unit graph.
+	// WindowNodes bounds the resident µDG of lean (time-only) unit
+	// evaluations. A lean general core allocates no node; only accelerator
+	// transforms do, and once a segment ends nothing references its nodes
+	// again, so when more than WindowNodes are resident between segments
+	// all of them are retired (see cores.GPP.CompactWindow). Peak memory
+	// becomes O(window) instead of O(trace), with byte-identical results.
+	// 0 selects DefaultWindowNodes; negative disables windowing
+	// (whole-unit graphs). Windowing is forced off when RecordRegions is
+	// set — critical-path attribution walks the whole unit graph.
 	WindowNodes int
 }
 
 const (
-	// DefaultWindowNodes is the resident-node bound streaming evaluation
-	// uses when RunOpts.WindowNodes is 0: ~2 MiB of time stream, far
-	// beyond any architectural horizon (the pipeline can reference at
-	// most the trailing 256-uop history plus pinned anchors), and large
+	// DefaultWindowNodes is the resident-node bound lean evaluation uses
+	// when RunOpts.WindowNodes is 0: 2 MiB of time stream, and large
 	// enough that sub-50K-instruction traces never trigger compaction.
 	DefaultWindowNodes = 1 << 18
-	// compactStride is how many core-resident instructions stream
-	// between window-compaction checks.
-	compactStride = 4096
-	// maxGraphHint caps the pre-sized graph arena: traces beyond this
-	// evaluate through the streaming window, so pre-allocating the full
-	// ~5-nodes-per-instruction arena would defeat the O(window) bound.
+	// maxGraphHint caps the pre-sized graph arena: an attribution-mode
+	// unit holds ~5 nodes per instruction, but pre-allocating that for
+	// long traces would defeat the O(window) bound of lean evaluation.
 	maxGraphHint = 2 * DefaultWindowNodes
 )
 

@@ -132,6 +132,9 @@ const (
 	numOps
 )
 
+// NumOps is the number of opcodes; every Op below it is defined.
+const NumOps = int(numOps)
+
 // Class groups opcodes by the functional unit and dependence semantics the
 // microarchitectural models care about.
 type Class uint8

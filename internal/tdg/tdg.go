@@ -39,8 +39,8 @@ type TDG struct {
 	headOff  []int32 // len(Nest.Loops)+1 offsets into headIdx
 	headIdx  []int32 // dynamic indices of header-block entries, grouped by loop
 
-	uopsOnce sync.Once
-	uops     []cores.UOp
+	decOnce sync.Once
+	dec     *cores.Decoded
 }
 
 // LoopAtom is a maximal run of consecutive dynamic instructions sharing
@@ -124,22 +124,12 @@ func (t *TDG) HeaderEntries(loopID int) []int32 {
 	return t.headIdx[t.headOff[loopID]:t.headOff[loopID+1]]
 }
 
-// UOps returns the trace decoded into the core micro-op stream, computed
-// lazily once (concurrency-safe). Every baseline segment of every
-// evaluation replays the same decode, so a sweep re-derived each µop
-// hundreds of times; the decoded stream is ~24 B/inst and shared by all
-// evaluations of this TDG.
-func (t *TDG) UOps() []cores.UOp {
-	t.uopsOnce.Do(func() {
-		tr := t.Trace
-		us := make([]cores.UOp, len(tr.Insts))
-		for i := range tr.Insts {
-			d := &tr.Insts[i]
-			us[i] = cores.FromDyn(&tr.Prog.Insts[d.SI], d)
-		}
-		t.uops = us
-	})
-	return t.uops
+// Decoded returns the trace's program decoded for the general core's
+// drive loop (cores.GPP.ExecTrace), computed lazily once
+// (concurrency-safe) and shared by every evaluation of this TDG.
+func (t *TDG) Decoded() *cores.Decoded {
+	t.decOnce.Do(func() { t.dec = cores.Decode(t.Trace.Prog) })
+	return t.dec
 }
 
 // Build constructs the TDG (IR reconstruction + profiling) from an
@@ -231,6 +221,13 @@ type Ctx struct {
 	// annotations are side effects on the trace only and must not feed
 	// back into the transform result.
 	Span obs.Span
+}
+
+// ExecCore runs trace instructions [start, end) on the general core — the
+// iterations a model leaves to, or replays on, the host pipeline —
+// through the core's decoded drive loop.
+func (c *Ctx) ExecCore(start, end int) {
+	c.GPP.ExecTrace(c.TDG.Decoded(), c.TDG.Trace.Insts[start:end], start)
 }
 
 // RunState returns the BSA's per-run state, creating it with mk on first

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"exocore/internal/bsa"
 	"exocore/internal/cores"
 	"exocore/internal/exocore"
 	"exocore/internal/obs"
@@ -535,14 +536,22 @@ const (
 	// (2^18 nodes) plus compaction slack, nowhere near the O(trace) node
 	// count.
 	graphBudget = 64 << 20
+	// windowBudget bounds the µDG of the mem scenario's accelerated arm:
+	// the default window of 8-byte lean nodes plus as many again from the
+	// segment that overflowed it.
+	windowBudget = 2 * exocore.DefaultWindowNodes * 8
 )
 
-// memScenario is the streaming-evaluation memory gate: a materialized
-// 10M-instruction trace through the baseline engine must keep the µDG
-// at O(window) and the process inside sysBudget. A trace this size
-// would materialize ~50M graph nodes without windowing; with it the
-// trace itself (16 B/inst = 160 MB) dominates the footprint. It is the
-// only gate on exocore.Run's window.
+// memScenario is the lean-evaluation memory gate: a materialized
+// 10M-instruction trace (16 B/inst = 160 MB, the dominant footprint)
+// through exocore.Run must keep the process inside sysBudget and the µDG
+// at O(window). The baseline arm's general core keeps its state as times
+// and builds no µDG node at all. The accelerated arm assigns DP-CGRA to
+// the innermost loop: every occurrence's transform builds nodes between
+// the core stretches of one long evaluation unit, and only the window
+// retires them (~1.9M nodes, 14 MiB, unwindowed — under graphBudget, so
+// that arm is held to windowBudget too). It is the only gate on
+// exocore.Run's window.
 func memScenario(*env) (string, error) {
 	const wantDyn = 10_000_000
 	w, err := workloads.ByName("mm")
@@ -582,12 +591,44 @@ func memScenario(*env) (string, error) {
 	if err != nil {
 		return "", err
 	}
+
+	// The accelerated arm: its own registry, after the baseline (the
+	// gauge reports the pooled worker's lifetime high-water).
+	bsas, err := bsa.Default().Subset([]string{"DP-CGRA"})
+	if err != nil {
+		return "", err
+	}
+	models := bsas.New()
+	plan := models["DP-CGRA"].Analyze(td)
+	inner, depth := -1, 0
+	for l := range plan.Regions {
+		if d := td.Nest.Loops[l].Depth; d > depth || d == depth && l < inner {
+			inner, depth = l, d
+		}
+	}
+	if inner < 0 {
+		return "", fmt.Errorf("DP-CGRA plans no loop of %s", w.Name)
+	}
+	accReg := obs.NewRegistry()
+	acc, err := exocore.Run(td, cores.OOO4, models, map[string]*tdg.Plan{"DP-CGRA": plan},
+		exocore.Assignment{inner: "DP-CGRA"}, exocore.RunOpts{Reg: accReg})
+	if err != nil {
+		return "", err
+	}
+	if acc.Cycles <= 0 || acc.DynOf("DP-CGRA") == 0 || acc.DynOf("") == 0 {
+		return "", fmt.Errorf("accelerated arm: %d cycles, %d DP-CGRA and %d core insts",
+			acc.Cycles, acc.DynOf("DP-CGRA"), acc.DynOf(""))
+	}
+	accHigh, err := highWater(accReg, "dg.graph_high_water_bytes", windowBudget, "windowing is not retiring transform nodes")
+	if err != nil {
+		return "", err
+	}
 	sys, err := osMemory()
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%d insts, %d cycles, µDG high-water %.1f MiB, sys %.1f MiB (budget %d MiB)",
-		tr.Len(), res.Cycles, mib(graphHigh), mib(int64(sys)), sysBudget>>20), nil
+	return fmt.Sprintf("%d insts, %d cycles, µDG high-water %.1f MiB (DP-CGRA on L%d: %d cycles, %.1f MiB), sys %.1f MiB (budget %d MiB)",
+		tr.Len(), res.Cycles, mib(graphHigh), inner, acc.Cycles, mib(accHigh), mib(int64(sys)), sysBudget>>20), nil
 }
 
 // scaleScenario is the paper-scale streaming gate: 200M generator-driven
