@@ -120,20 +120,21 @@ func FromDyn(p *isa.Inst, d *trace.DynInst) UOp {
 const histSize = 256 // power of two ≥ max ROB
 
 // storeRec is one store-forwarding entry: the last store to a word — its
-// execute node on an attribution graph, its execute time on a lean one —
-// the retire index it was recorded at, and the GPP generation it belongs
-// to (entries from earlier generations are stale).
+// execute time and, on attribution runs, its critical-path position — the
+// retire index it was recorded at, and the GPP generation it belongs to
+// (entries from earlier generations are stale).
 type storeRec struct {
 	val int64
 	age int32
 	gen uint32
+	ref ref
 }
 
-// stageTimes is one lean-mode history entry: a uop's fetch, dispatch,
-// execute and commit times.
+// stageTimes is one history entry: a uop's fetch, dispatch, execute and
+// commit times.
 type stageTimes struct{ f, d, e, c int64 }
 
-// handoff is a node an accelerator transform handed a lean core — a
+// handoff is a node an accelerator transform handed the core — a
 // register producer, a performed store or a fetch barrier — waiting to be
 // read as a time when the core next executes.
 type handoff struct {
@@ -155,17 +156,18 @@ const (
 // addresses) across accelerated regions so that core↔accelerator
 // interaction edges are modeled, as the paper requires (§2.1 item 1).
 //
-// The state takes one of two forms, chosen by the mode of the graph it
-// appends to.
-// On an attribution graph it is µDG nodes: every uop builds its five
-// stage nodes and their edges, so critical paths can be walked. On a lean
-// graph it is times: a uop computes its stage times in registers, and no
-// node is allocated and no graph time written — a lean evaluation never
-// walks a path, so the graph would only be a detour. Nodes appear on a
-// lean graph only on demand, as anchors carrying a time, when a transform
-// asks for one (RegDef, LastCommit, LastStoreTo, LastComplete). Both forms
-// compute identical times; the differential tests in this package and in
-// internal/exocore pin them together.
+// The core is time-direct: its architectural state is times, and a uop
+// computes its fetch, dispatch, execute, complete and commit times in
+// registers as running maxima over the constraints the paper's µDG edges
+// express, allocating no graph node. Nodes appear only on demand, as
+// anchors carrying a time, when a transform asks for one (RegDef,
+// LastCommit, LastStoreTo, LastComplete).
+//
+// On an attribution graph the core also logs, per uop, which term won
+// each stage's maximum (see attrib.go), and WalkCriticalPath walks that
+// log and the transforms' nodes as one critical path. The node-building
+// form this replaces survives as the reference the package's differential
+// tests compare against.
 type GPP struct {
 	Cfg    Config
 	G      *dg.Graph
@@ -173,28 +175,8 @@ type GPP struct {
 
 	n int // uops retired so far
 
-	// Attribution-mode state: nodes.
-	fetch    [histSize]dg.NodeID
-	dispatch [histSize]dg.NodeID
-	execute  [histSize]dg.NodeID
-	commit   [histSize]dg.NodeID
-
-	regDef [isa.NumRegs]dg.NodeID // complete node of last writer
-
-	pendingRefill dg.NodeID // execute node of last mispredicted branch
-	redirectF     dg.NodeID // fetch node of last taken branch (group break)
-	barrier       dg.NodeID // node all subsequent fetches must follow
-	// barrierSeen records whether any fetch has been ordered after the
-	// current barrier yet. Only the first fetch needs the explicit edge:
-	// it acquires time ≥ barrier, and every later fetch follows it
-	// through the program edge (added first, so it also wins time ties
-	// exactly as the redundant barrier edge would have lost them).
-	barrierSeen bool
-	complete    dg.NodeID // complete node of the latest uop
-
-	// Lean-mode state: the same architecture as times. A history entry
-	// or register never written reads 0, which constrains nothing (every
-	// stage of every uop is at cycle 1 or later).
+	// A history entry or register never written reads 0, which constrains
+	// nothing (every stage of every uop is at cycle 1 or later).
 	ring [histSize]stageTimes
 	regT [isa.NumRegs + 1]int64 // ready time per register, plus sinkSlot
 	// barrierT is the fetch floor set by barriers. Fetch times never
@@ -205,6 +187,14 @@ type GPP struct {
 	refillT, redirectT int64
 	lastTP             int64 // complete time of the latest uop
 	handoffs           []handoff
+
+	// Attribution state (maintained only while logging): the critical-path
+	// positions behind the times above, and the per-uop log.
+	logging                            bool
+	regRef                             [isa.NumRegs + 1]ref
+	barrierRef, refillRef, redirectRef ref
+	log                                []logRec
+
 	// Counted energy (see Fold): ExecTrace executions since the last fold
 	// per (static instruction of dec, memory level), and the entries
 	// touched.
@@ -249,14 +239,13 @@ type GPP struct {
 // boundary rather than vanishing.
 func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 	m := &GPP{
-		Cfg: cfg, G: g, Counts: counts,
+		Cfg:     cfg,
 		gen:     1,
 		issueRT: dg.NewResourceTable(cfg.Width),
 		aluRT:   dg.NewResourceTable(cfg.IntAlu),
 		mulRT:   dg.NewResourceTable(cfg.IntMulDiv),
 		fpRT:    dg.NewResourceTable(cfg.FpUnits),
 		portRT:  dg.NewResourceTable(cfg.DCachePorts),
-		barrier: g.Origin(),
 	}
 	m.rts = [numRT]*dg.ResourceTable{rtALU: m.aluRT, rtMul: m.mulRT, rtFP: m.fpRT, rtPort: m.portRT}
 	switch {
@@ -269,22 +258,15 @@ func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 	if !cfg.InOrder && cfg.Window > 0 {
 		m.winBuf = make([]int64, cfg.Window)
 	}
-	for i := range m.regDef {
-		m.regDef[i] = g.Origin()
-	}
-	m.pendingRefill = dg.None
-	m.complete = dg.None
-	// Execution begins with a redirect to the entry PC: the first fetch
-	// group starts one cycle after the boundary.
-	m.redirectF = g.Origin()
-	m.redirectT = 1
+	m.Reset(g, counts)
 	return m
 }
 
 // Reset returns the GPP to its initial (drained-boundary) state on a new
-// graph and energy accumulator, reusing the resource-table rings and map
-// storage. The configuration is unchanged — pool GPPs per core config.
-// Energy counted since the last Fold is discarded.
+// graph and energy accumulator, reusing the resource-table rings, the
+// store table and the attribution log. The graph's mode selects whether
+// the core logs attribution. The configuration is unchanged — pool GPPs
+// per core config. Energy counted since the last Fold is discarded.
 func (m *GPP) Reset(g *dg.Graph, counts *energy.Counts) {
 	m.G = g
 	m.Counts = counts
@@ -299,17 +281,11 @@ func (m *GPP) Reset(g *dg.Graph, counts *energy.Counts) {
 	m.fpRT.Reset()
 	m.portRT.Reset()
 	m.winHead, m.winLen = 0, 0
-	m.barrier = g.Origin()
-	m.barrierSeen = false
-	for i := range m.regDef {
-		m.regDef[i] = g.Origin()
-	}
-	m.pendingRefill = dg.None
-	m.redirectF = g.Origin()
-	m.complete = dg.None
 
 	clear(m.ring[:min(m.n, histSize)]) // entries past the old n were never written
 	clear(m.regT[:])
+	// Execution begins with a redirect to the entry PC: the first fetch
+	// group starts one cycle after the boundary.
 	m.barrierT, m.refillT, m.redirectT, m.lastTP = 0, 0, 1, 0
 	m.handoffs = m.handoffs[:0]
 	for _, k := range m.touched {
@@ -317,41 +293,43 @@ func (m *GPP) Reset(g *dg.Graph, counts *energy.Counts) {
 	}
 	m.touched = m.touched[:0]
 	m.n = 0
+
+	m.logging = !g.Lean()
+	clear(m.regRef[:]) // the origin
+	m.barrierRef, m.refillRef, m.redirectRef = 0, 0, 0
+	m.log = m.log[:0]
 }
 
 // MemBytes reports the memory a pooled GPP lets its next user skip
 // allocating: the five resource-table rings (the ~288 KB arrays the
-// engine used to rebuild per evaluation).
+// engine used to rebuild per evaluation) and the attribution log.
 func (m *GPP) MemBytes() int64 {
 	return m.issueRT.MemBytes() + m.aluRT.MemBytes() + m.mulRT.MemBytes() +
-		m.fpRT.MemBytes() + m.portRT.MemBytes()
+		m.fpRT.MemBytes() + m.portRT.MemBytes() + int64(cap(m.log))*logRecBytes
 }
 
-func (m *GPP) hist(arr *[histSize]dg.NodeID, back int) dg.NodeID {
-	if back > m.n {
-		return dg.None
-	}
-	return arr[(m.n-back)&(histSize-1)]
-}
-
-// last returns the lean history entry of the latest uop.
+// last returns the history entry of the latest uop.
 func (m *GPP) last() *stageTimes { return &m.ring[(m.n-1)&(histSize-1)] }
 
 // Retired returns the number of UOps run through the core so far.
 func (m *GPP) Retired() int { return m.n }
 
-// anchor returns a fresh lean-graph node carrying time t (None for the
-// "no producer" time -1), for a transform to hang edges off.
-func (m *GPP) anchor(t int64) dg.NodeID {
-	if t < 0 {
+// anchor returns a node carrying time t for a transform to hang edges off
+// (None for the "no producer" time -1). p is the critical-path position
+// behind t on attribution runs: a transform node is handed back itself,
+// and a logged uop stage gets a fresh anchor through which a walk enters
+// the log.
+func (m *GPP) anchor(t int64, p ref) dg.NodeID {
+	switch {
+	case t < 0:
 		return dg.None
+	case m.logging && p >= 0:
+		return dg.NodeID(p)
 	}
-	a := m.G.NewNode(dg.KindAccel, -1)
-	m.G.SetTime(a, t)
-	return a
+	return m.G.NewAnchor(t, dg.NodeID(p))
 }
 
-// settle reads the nodes transforms handed a lean core as times.
+// settle reads the nodes transforms handed the core as times.
 func (m *GPP) settle() {
 	if len(m.handoffs) == 0 {
 		return
@@ -362,13 +340,18 @@ func (m *GPP) settle() {
 		if h.node != dg.None {
 			t = m.G.Time(h.node)
 		}
+		p := ref(h.node)
 		switch h.kind {
 		case handReg:
-			m.regT[h.reg] = t
+			m.regT[h.reg], m.regRef[h.reg] = t, p
 		case handStore:
-			m.stores.set(h.addr, storeRec{val: t, age: h.age, gen: m.gen})
+			m.stores.set(h.addr, storeRec{val: t, age: h.age, gen: m.gen, ref: p})
 		case handBarrier:
-			m.barrierT = max(m.barrierT, t)
+			// Ties go to the newer barrier, as the node form's barrier join
+			// (new barrier edge first) resolved them.
+			if t >= m.barrierT {
+				m.barrierT, m.barrierRef = t, p
+			}
 		}
 	}
 	m.handoffs = m.handoffs[:0]
@@ -379,59 +362,38 @@ func (m *GPP) settle() {
 // so edges hung off it — accelerator entry transfers, configuration
 // loads — anchor at the boundary instead of disappearing.
 func (m *GPP) LastCommit() dg.NodeID {
-	if m.G.Lean() {
-		return m.anchor(m.EndTime())
-	}
+	t := m.EndTime()
 	if m.n == 0 {
-		return m.barrier
+		return m.anchor(t, m.barrierRef)
 	}
-	return m.hist(&m.commit, 1)
+	return m.anchor(t, logRef(m.n-1, stageC))
 }
 
 // LastComplete returns the completion node of the latest uop (None before
 // any has run), so a transform can hang an edge off a uop it issued.
 func (m *GPP) LastComplete() dg.NodeID {
-	switch {
-	case m.n == 0:
+	if m.n == 0 {
 		return dg.None
-	case m.G.Lean():
-		return m.anchor(m.lastTP)
 	}
-	return m.complete
+	return m.anchor(m.lastTP, logRef(m.n-1, stageP))
 }
 
 // EndTime returns the completion time of the last committed uop, or the
 // barrier time if nothing has run yet.
 func (m *GPP) EndTime() int64 {
-	if m.G.Lean() {
-		m.settle()
-		if m.n == 0 {
-			return m.barrierT
-		}
-		return m.last().c
+	m.settle()
+	if m.n == 0 {
+		return m.barrierT
 	}
-	if c := m.LastCommit(); c != dg.None {
-		return m.G.Time(c)
-	}
-	return m.G.Time(m.barrier)
+	return m.last().c
 }
 
 // Barrier forces all subsequent fetches to wait for node (region handoff:
 // returning from an offload accelerator, or loading a configuration).
 func (m *GPP) Barrier(node dg.NodeID, class dg.EdgeClass) {
-	if node == dg.None {
-		return
-	}
-	if m.G.Lean() {
+	if node != dg.None {
 		m.handoffs = append(m.handoffs, handoff{node: node, kind: handBarrier})
-		return
 	}
-	// Model via a synthetic node so the edge class is preserved.
-	b := m.G.NewNode(dg.KindAccel, -1)
-	m.G.AddEdge(node, b, 0, class)
-	m.G.AddEdge(m.barrier, b, 0, dg.EdgeProgram)
-	m.barrier = b
-	m.barrierSeen = false
 }
 
 // RegDef returns the node producing register r's current value.
@@ -439,56 +401,38 @@ func (m *GPP) RegDef(r isa.Reg) dg.NodeID {
 	if !r.Valid() {
 		return dg.None
 	}
-	if m.G.Lean() {
-		m.settle()
-		return m.anchor(m.regT[r])
-	}
-	return m.regDef[r]
+	m.settle()
+	return m.anchor(m.regT[r], m.regRef[r])
 }
 
 // SetRegDef overrides r's producing node (accelerator live-outs).
 func (m *GPP) SetRegDef(r isa.Reg, node dg.NodeID) {
-	if !r.Valid() || r == isa.RZ {
-		return
-	}
-	if m.G.Lean() {
+	if r.Valid() && r != isa.RZ {
 		m.handoffs = append(m.handoffs, handoff{node: node, kind: handReg, reg: r})
-		return
 	}
-	m.regDef[r] = node
 }
 
 // NoteStore records an accelerator-performed store so later core loads
 // observe the memory dependence.
 func (m *GPP) NoteStore(addr uint64, node dg.NodeID) {
-	if m.G.Lean() {
-		m.handoffs = append(m.handoffs, handoff{node: node, kind: handStore, addr: addr &^ 7, age: int32(m.n)})
-		return
-	}
-	m.stores.set(addr&^7, storeRec{val: int64(node), age: int32(m.n), gen: m.gen})
+	m.handoffs = append(m.handoffs, handoff{node: node, kind: handStore, addr: addr &^ 7, age: int32(m.n)})
 }
 
 // LastStoreTo returns the node of the last store to addr, or None.
 func (m *GPP) LastStoreTo(addr uint64) dg.NodeID {
-	lean := m.G.Lean()
-	if lean {
-		m.settle()
-	}
+	m.settle()
 	rec, ok := m.stores.get(addr &^ 7)
-	switch {
-	case !ok || rec.gen != m.gen:
+	if !ok || rec.gen != m.gen {
 		return dg.None
-	case lean:
-		return m.anchor(rec.val)
 	}
-	return dg.NodeID(rec.val)
+	return m.anchor(rec.val, rec.ref)
 }
 
 const storeWindow = 4096 // uops a store-forwarding entry stays visible
 
 // CompactWindow bounds the resident µDG of a lean evaluation: when more
 // than window nodes are resident, every one of them is retired. Between
-// uops a lean core holds no node — its state is times, and the nodes
+// uops the core holds no node — its state is times, and the nodes
 // transforms handed it are read as times here at the latest — so once the
 // transforms that created the resident nodes have returned, nothing can
 // reference them again. Node times are final and unchanged, so windowed
@@ -508,200 +452,54 @@ func (m *GPP) CompactWindow(window int) {
 	g.Retire(dg.NodeID(g.Len()))
 }
 
-// Exec runs one UOp through the pipeline model, booking resources and
-// charging its energy events. On an attribution graph it creates the
-// uop's five stage nodes and their edges, tagged with dynIdx (-1 for
-// synthetic uops); on a lean graph it only advances the core's times.
+// Exec runs one UOp a transform synthesized through the pipeline model,
+// booking resources and charging its energy events. dynIdx tags it on an
+// attribution run's critical path (-1 for synthetic uops with no trace
+// instruction).
 func (m *GPP) Exec(u UOp, dynIdx int32) {
-	if m.G.Lean() {
-		m.settle()
-		di := decode(u.Op, u.Dst, u.Src1, u.Src2)
-		var flags uint8
-		if u.Mispred {
-			flags |= trace.FlagMispred
-		}
-		if u.Taken {
-			flags |= trace.FlagTaken
-		}
+	m.settle()
+	di := decode(u.Op, u.Dst, u.Src1, u.Src2)
+	var flags uint8
+	if u.Mispred {
+		flags |= trace.FlagMispred
+	}
+	if u.Taken {
+		flags |= trace.FlagTaken
+	}
+	if m.logging {
+		m.stepLog(&di, u.Addr, u.MemLat, flags, dynIdx)
+	} else {
 		m.step(&di, u.Addr, u.MemLat, flags)
-		m.charge(&u, u.Op.ClassOf())
-		return
 	}
-	g := m.G
-	cfg := &m.Cfg
-
-	// All five stage nodes are allocated up front in one batched append;
-	// the edge sequence below is unchanged, and since AddEdge finalizes
-	// times in edge order, every node's time is still final before it is
-	// first read as a predecessor.
-	f := g.NewPipelineNodes(dynIdx)
-	d, e, p, c := f+1, f+2, f+3, f+4
-
-	cls := u.Op.ClassOf()
-
-	// --- Fetch ---
-	g.AddEdge(m.hist(&m.fetch, 1), f, 0, dg.EdgeProgram)
-	g.AddEdge(m.hist(&m.fetch, cfg.Width), f, 1, dg.EdgeWidth)
-	if !m.barrierSeen {
-		g.AddEdge(m.barrier, f, 0, dg.EdgeProgram)
-		m.barrierSeen = true
-	}
-	if m.pendingRefill != dg.None {
-		g.AddEdge(m.pendingRefill, f, int64(cfg.FrontendDepth), dg.EdgeMispredict)
-		m.pendingRefill = dg.None
-	}
-	if m.redirectF != dg.None {
-		// Fetch groups cannot span a taken branch: the target comes from
-		// the next fetch cycle even when correctly predicted.
-		g.AddEdge(m.redirectF, f, 1, dg.EdgeWidth)
-		m.redirectF = dg.None
-	}
-
-	// --- Dispatch ---
-	g.AddEdge(f, d, 2, dg.EdgePipe) // decode (+rename) depth
-	g.AddEdge(m.hist(&m.dispatch, 1), d, 0, dg.EdgeProgram)
-	g.AddEdge(m.hist(&m.dispatch, cfg.Width), d, 1, dg.EdgeWidth)
-	if !cfg.InOrder && cfg.ROB > 0 {
-		g.AddEdge(m.hist(&m.commit, cfg.ROB), d, 1, dg.EdgeROB)
-	}
-	if cfg.InOrder && cfg.InFlight > 0 {
-		g.AddEdge(m.hist(&m.commit, cfg.InFlight), d, 1, dg.EdgeROB)
-	}
-	if !cfg.InOrder && cfg.Window > 0 && m.winLen >= cfg.Window {
-		// Issue-window occupancy: a slot frees when the oldest of the
-		// Window latest-issuing instructions issues.
-		g.PushTime(d, m.winBuf[m.winHead], dg.EdgeWindow)
-	}
-
-	// --- Execute ---
-	g.AddEdge(d, e, 1, dg.EdgePipe)
-	if cfg.InOrder {
-		g.AddEdge(m.hist(&m.execute, 1), e, 0, dg.EdgeInOrder)
-	}
-	// Register data dependences.
-	if u.Src1.Valid() && u.Src1 != isa.RZ {
-		g.AddEdge(m.regDef[u.Src1], e, 0, dg.EdgeData)
-	}
-	if u.Src2.Valid() && u.Src2 != isa.RZ {
-		g.AddEdge(m.regDef[u.Src2], e, 0, dg.EdgeData)
-	}
-	// FMA reads its accumulator (dst) too.
-	if u.Op == isa.FMA && u.Dst.Valid() {
-		g.AddEdge(m.regDef[u.Dst], e, 0, dg.EdgeData)
-	}
-	// Memory dependence: load after store to the same word.
-	if u.Op.IsLoad() {
-		if rec, ok := m.stores.get(u.Addr &^ 7); ok && rec.gen == m.gen && m.n-int(rec.age) < storeWindow {
-			g.AddEdge(dg.NodeID(rec.val), e, 2, dg.EdgeMemDep) // store-to-load forward
-		}
-	}
-
-	// Resource booking (in instruction order — paper §2.7).
-	ready := g.Time(e)
-	issued := m.issueRT.Book(ready)
-	g.PushTime(e, issued, dg.EdgeWidth)
-	var rt *dg.ResourceTable
-	switch cls {
-	case isa.ClassIntAlu:
-		rt = m.aluRT
-	case isa.ClassIntMul, isa.ClassIntDiv:
-		rt = m.mulRT
-	case isa.ClassFpAdd, isa.ClassFpMul, isa.ClassFpDiv:
-		rt = m.fpRT
-	case isa.ClassVecAlu, isa.ClassVecMul:
-		rt = m.fpRT // vector ops share the FP/SIMD datapath
-	case isa.ClassLoad, isa.ClassStore, isa.ClassVecMem:
-		rt = m.portRT
-	}
-	if rt != nil {
-		var when int64
-		switch {
-		case cls == isa.ClassIntDiv || cls == isa.ClassFpDiv:
-			when = rt.BookFor(g.Time(e), int64(u.Op.Latency())) // unpipelined divide
-		case u.Op.IsVec() && !u.Op.IsMem():
-			// A 256-bit vector op occupies the FP/SIMD datapath for two
-			// slots (issue-port pressure of wide operations).
-			when = rt.BookFor(g.Time(e), 2)
-		default:
-			when = rt.Book(g.Time(e))
-		}
-		cls := dg.EdgeFU
-		if u.Op.IsMem() {
-			cls = dg.EdgeCachePort
-		}
-		g.PushTime(e, when, cls)
-	}
-
-	// --- Complete ---
-	lat := int64(u.Op.Latency())
-	if u.Op.IsMem() {
-		lat = int64(u.MemLat)
-		if u.Op.IsStore() {
-			lat = 1 // stores complete into the store queue
-		}
-	}
-	if lat < 1 {
-		lat = 1
-	}
-	g.AddEdge(e, p, lat, dg.EdgeExec)
-
-	// --- Commit ---
-	g.AddEdge(p, c, 1, dg.EdgeCommit)
-	g.AddEdge(m.hist(&m.commit, 1), c, 0, dg.EdgeProgram)
-	g.AddEdge(m.hist(&m.commit, cfg.Width), c, 1, dg.EdgeWidth)
-
-	// Architectural state updates.
-	if u.Dst.Valid() && u.Dst != isa.RZ {
-		m.regDef[u.Dst] = p
-	}
-	if u.Op.IsStore() {
-		m.stores.set(u.Addr&^7, storeRec{val: int64(e), age: int32(m.n), gen: m.gen})
-		if m.stores.used > 2*storeWindow {
-			m.stores.prune(m.gen, m.n)
-		}
-	}
-	if u.Op.IsBranch() && u.Mispred {
-		m.pendingRefill = e
-	}
-	if u.Op.IsCtrl() && u.Taken {
-		m.redirectF = f
-	}
-	m.noteIssue(g.Time(e))
-
-	// Energy accounting.
-	m.charge(&u, cls)
-
-	// Advance history.
-	idx := m.n & (histSize - 1)
-	m.fetch[idx] = f
-	m.dispatch[idx] = d
-	m.execute[idx] = e
-	m.commit[idx] = c
-	m.complete = p
-	m.n++
+	charge(m.Counts, m.Cfg.InOrder, &u)
 }
 
 // ExecTrace runs trace instructions insts — dynamic indices base, base+1,
 // … of the program p decodes — through the pipeline model: the one drive
 // loop every trace instruction evaluated on the general core goes
 // through, whether streamed, in a unit's core-resident segments or
-// replayed by a transform. On a lean graph it is time-direct: no node, no
-// graph write, no per-instruction decode, and energy counted until Fold.
-// On an attribution graph each instruction goes through Exec.
+// replayed by a transform. No node, no graph write, no per-instruction
+// decode, and energy counted until Fold; an attribution run logs each
+// instruction as well.
 func (m *GPP) ExecTrace(p *Decoded, insts []trace.DynInst, base int) {
-	if !m.G.Lean() {
-		for i := range insts {
-			d := &insts[i]
-			m.Exec(FromDyn(&p.prog.Insts[d.SI], d), int32(base+i))
-		}
-		return
-	}
 	if p != m.dec {
 		m.Fold()
 		m.bind(p)
 	}
 	m.settle()
 	tab, cnt := p.insts, m.cnt
+	if m.logging {
+		for i := range insts {
+			d := &insts[i]
+			m.stepLog(&tab[d.SI], d.Addr, d.MemLat, d.Flags, int32(base+i))
+			k := int(d.SI)<<2 | int(d.Level&3)
+			if cnt[k] == 0 {
+				m.touched = append(m.touched, int32(k))
+			}
+			cnt[k]++
+		}
+		return
+	}
 	for i := range insts {
 		d := &insts[i]
 		m.step(&tab[d.SI], d.Addr, d.MemLat, d.Flags)
@@ -714,10 +512,11 @@ func (m *GPP) ExecTrace(p *Decoded, insts []trace.DynInst, base int) {
 	}
 }
 
-// step runs one uop through the lean pipeline model: the attribution
-// Exec's edges as a running maximum per stage, in the same booking order,
-// over the lean history ring and register times. dflags carries the
-// dynamic trace.FlagTaken and trace.FlagMispred bits.
+// step runs one uop through the pipeline model: the paper's µDG edges as
+// a running maximum per stage, in instruction order for resource booking,
+// over the history ring and register times. dflags carries the dynamic
+// trace.FlagTaken and trace.FlagMispred bits. stepLog is its attributed
+// twin; the two must compute the same times.
 func (m *GPP) step(di *decInst, addr uint64, memLat uint16, dflags uint8) {
 	cfg := &m.Cfg
 	n := m.n
@@ -940,14 +739,14 @@ func (t *storeTab) prune(gen uint32, n int) {
 	}
 }
 
-// charge adds one uop's energy events to Counts (the per-uop form of the
-// counted fold, for attribution graphs and transform-synthesized uops).
-func (m *GPP) charge(u *UOp, cls isa.Class) {
-	c := m.Counts
+// charge adds one uop's energy events to c on a core of the given
+// issue discipline (the per-uop form of the counted fold, for
+// transform-synthesized uops).
+func charge(c *energy.Counts, inOrder bool, u *UOp) {
 	c.Add(energy.EvFetch, 1)
 	c.Add(energy.EvDecode, 1)
 	c.Add(energy.EvCommit, 1)
-	if !m.Cfg.InOrder {
+	if !inOrder {
 		c.Add(energy.EvRename, 1)
 		c.Add(energy.EvIssueWakeup, 1)
 		c.Add(energy.EvROB, 1)
@@ -963,7 +762,7 @@ func (m *GPP) charge(u *UOp, cls isa.Class) {
 	if u.Dst.Valid() && !u.Elide {
 		c.Add(energy.EvRegWrite, 1)
 	}
-	switch cls {
+	switch u.Op.ClassOf() {
 	case isa.ClassIntAlu:
 		c.Add(energy.EvIntAluOp, 1)
 	case isa.ClassIntMul:

@@ -390,31 +390,62 @@ func fwdChain(t *testing.T, n int64, withFMA bool) *trace.Trace {
 	return tr
 }
 
-// nodeStages returns the stage times of the latest uop on an attribution
-// graph: its five pipeline nodes are the last five created.
-func nodeStages(g *dg.Graph) [5]int64 {
-	var out [5]int64
-	f := dg.NodeID(g.Len() - 5)
-	for k := range out {
-		out[k] = g.Time(f + dg.NodeID(k))
-	}
-	return out
-}
-
 // leanStages returns the stage times of the latest uop of a lean core.
 func leanStages(m *GPP) [5]int64 {
 	h := m.last()
 	return [5]int64{h.f, h.d, h.e, m.lastTP, h.c}
 }
 
-// TestLeanExecTimesIdentical pins the time-direct lean core to the
-// attribution (node) core: the same instruction stream through ExecTrace
-// on both graph modes must give bit-identical fetch, dispatch, execute,
-// complete and commit times for every instruction and identical energy
-// counts once folded, on every core config, while the lean core
-// allocates no node. Each stream runs twice on the same two GPPs with a
-// Reset between, so entries a first run leaves in the store-forwarding
-// table must stay invisible to the second.
+// loggedStages recomputes every logged uop's five stage times from the
+// attribution log alone: each stage's time is its critical predecessor's
+// plus the step's latency. Comparing them with the reference's node times
+// checks every logged winner and latency, not only the core's times.
+func loggedStages(m *GPP) [][5]int64 {
+	out := make([][5]int64, len(m.log))
+	for i := range m.log {
+		for s := range out[i] {
+			_, _, lat, from := m.back(logRef(i, s))
+			if from >= 0 {
+				out[i][s] = m.G.Time(dg.NodeID(from)) + lat
+				continue
+			}
+			j, fs := from.at()
+			out[i][s] = out[j][fs] + lat
+		}
+	}
+	return out
+}
+
+// step is one critical-path step.
+type step struct {
+	dyn   int32
+	class dg.EdgeClass
+	lat   int64
+}
+
+// pathOf returns the critical path walk reports from node from, without
+// the zero-latency steps into synthetic events: the node form joins
+// barriers through extra nodes and the time-direct core reaches its log
+// through anchors, and neither carries a cycle or an instruction.
+func pathOf(walk func(dg.NodeID, func(int32, dg.EdgeClass, int64)), from dg.NodeID) []step {
+	var out []step
+	walk(from, func(dyn int32, class dg.EdgeClass, lat int64) {
+		if dyn >= 0 || lat != 0 {
+			out = append(out, step{dyn, class, lat})
+		}
+	})
+	return out
+}
+
+// TestLeanExecTimesIdentical pins the time-direct core to the node-form
+// reference: the same instruction stream through the reference, a lean
+// GPP and an attribution GPP must give bit-identical fetch, dispatch,
+// execute, complete and commit times for every instruction — the
+// attribution GPP's recomputed from its log — the same critical path and
+// identical energy counts once folded, on every core config, while
+// neither GPP allocates a node. Each stream runs twice on the same two
+// GPPs with a Reset between, so entries a first run leaves in the
+// store-forwarding table must stay invisible to the second.
 func TestLeanExecTimesIdentical(t *testing.T) {
 	traces := []*trace.Trace{
 		buildTrace(t, serialChain(300), nil), buildTrace(t, parallelOps(300), nil),
@@ -423,9 +454,7 @@ func TestLeanExecTimesIdentical(t *testing.T) {
 	for _, tr := range traces {
 		dec := Decode(tr.Prog)
 		for _, cfg := range Configs {
-			ga := dg.NewGraph()
-			gl := dg.NewGraph()
-			gl.ResetMode(true)
+			ga, gl := dg.NewGraph(), dg.NewLeanGraph()
 			var ca, cl energy.Counts
 			ma := NewGPP(cfg, ga, &ca)
 			ml := NewGPP(cfg, gl, &cl)
@@ -437,40 +466,77 @@ func TestLeanExecTimesIdentical(t *testing.T) {
 					ma.Reset(ga, &ca)
 					ml.Reset(gl, &cl)
 				}
+				var cr energy.Counts
+				ref := newRefGPP(cfg, dg.NewGraph(), &cr)
+				ref.ExecTrace(dec, tr.Insts, 0)
+				ma.ExecTrace(dec, tr.Insts, 0)
 				for i := range tr.Insts {
-					ma.ExecTrace(dec, tr.Insts[i:i+1], i)
 					ml.ExecTrace(dec, tr.Insts[i:i+1], i)
-					if a, l := nodeStages(ga), leanStages(ml); a != l {
-						t.Fatalf("%s/%s run %d uop %d: attrib times %v != lean %v",
-							tr.Prog.Name, cfg.Name, run, i, a, l)
+					if r, l := ref.stages[i], leanStages(ml); r != l {
+						t.Fatalf("%s/%s run %d uop %d: reference times %v != lean %v",
+							tr.Prog.Name, cfg.Name, run, i, r, l)
 					}
 				}
+				if got := loggedStages(ma); !slices.Equal(got, ref.stages) {
+					t.Fatalf("%s/%s run %d: logged stage times differ from the reference", tr.Prog.Name, cfg.Name, run)
+				}
+				if r, a := pathOf(ref.WalkCriticalPath, ref.LastCommit()), pathOf(ma.WalkCriticalPath, ma.LastCommit()); !slices.Equal(r, a) {
+					t.Fatalf("%s/%s run %d: critical path differs from the reference's", tr.Prog.Name, cfg.Name, run)
+				}
+				ma.Fold()
 				ml.Fold()
-				if ma.EndTime() != ml.EndTime() {
-					t.Fatalf("%s/%s run %d: end time %d != %d", tr.Prog.Name, cfg.Name, run, ma.EndTime(), ml.EndTime())
+				if ref.EndTime() != ml.EndTime() || ma.EndTime() != ml.EndTime() {
+					t.Fatalf("%s/%s run %d: end times %d, %d, %d", tr.Prog.Name, cfg.Name, run, ref.EndTime(), ma.EndTime(), ml.EndTime())
 				}
-				if ca != cl {
-					t.Fatalf("%s/%s run %d: energy counts diverge:\n%v\n%v", tr.Prog.Name, cfg.Name, run, ca, cl)
+				if ca != cl || cr != cl {
+					t.Fatalf("%s/%s run %d: energy counts diverge:\n%v\n%v\n%v", tr.Prog.Name, cfg.Name, run, cr, ca, cl)
 				}
-				if gl.Len() != 1 {
-					t.Fatalf("%s/%s run %d: lean core allocated %d nodes", tr.Prog.Name, cfg.Name, run, gl.Len()-1)
+				if gl.Len() != 1 || ga.Len() != 2 { // the attribution walk's one anchor
+					t.Fatalf("%s/%s run %d: cores allocated %d and %d nodes", tr.Prog.Name, cfg.Name, run, ga.Len()-1, gl.Len()-1)
 				}
 			}
 		}
 	}
 }
 
+// handoffCore is the transform-facing surface both the GPP and the
+// reference implement.
+type handoffCore interface {
+	Exec(u UOp, dynIdx int32)
+	LastCommit() dg.NodeID
+	LastComplete() dg.NodeID
+	EndTime() int64
+	Retired() int
+	Barrier(node dg.NodeID, class dg.EdgeClass)
+	RegDef(r isa.Reg) dg.NodeID
+	SetRegDef(r isa.Reg, node dg.NodeID)
+	NoteStore(addr uint64, node dg.NodeID)
+	LastStoreTo(addr uint64) dg.NodeID
+	WalkCriticalPath(from dg.NodeID, fn func(dyn int32, class dg.EdgeClass, lat int64))
+}
+
 // TestLeanHandoffsMatchAttribution drives the transform-facing API — a
 // register producer, a performed store and a barrier handed to the core,
-// then the anchors a transform reads back — through both graph modes:
-// every time a transform can observe must agree, and a node the lean core
-// was handed is read when the core next executes.
+// then the anchors a transform reads back — through the node-form
+// reference, an attribution GPP and a lean GPP: every time a transform can
+// observe must agree, a node the core was handed is read when the core
+// next executes, and the attribution GPP's critical path through the
+// handed nodes is the reference's.
 func TestLeanHandoffsMatchAttribution(t *testing.T) {
-	var got [2][]int64
-	for mode, lean := range []bool{false, true} {
+	var got [3][]int64
+	var paths [2][]step
+	for mode := range got {
 		g := dg.NewGraph()
-		g.ResetMode(lean)
-		m := NewGPP(OOO2, g, &energy.Counts{})
+		var m handoffCore
+		switch mode {
+		case 0:
+			m = newRefGPP(OOO2, g, &energy.Counts{})
+		case 1:
+			m = NewGPP(OOO2, g, &energy.Counts{})
+		default:
+			g.ResetMode(true)
+			m = NewGPP(OOO2, g, &energy.Counts{})
+		}
 		obs := func(n dg.NodeID) {
 			if n == dg.None {
 				got[mode] = append(got[mode], -1)
@@ -500,15 +566,73 @@ func TestLeanHandoffsMatchAttribution(t *testing.T) {
 		obs(m.LastComplete())
 		m.Exec(UOp{Op: isa.Ld, Dst: isa.R(1), Src1: isa.RZ, Addr: 0x2000, MemLat: 4}, 1)
 		obs(m.LastComplete())
+		// A transform node hung off the core's state, handed back as a
+		// producer the next uop waits on.
+		join := g.NewNode(dg.KindAccel, 2)
+		g.AddEdge(m.LastComplete(), join, 3, dg.EdgeAccelComm)
+		g.AddEdge(m.RegDef(isa.R(7)), join, 40, dg.EdgeAccelCompute)
+		m.SetRegDef(isa.R(8), join)
+		m.Exec(UOp{Op: isa.Add, Dst: isa.R(9), Src1: isa.R(8), Src2: isa.R(1)}, 3)
 		obs(m.LastCommit())
 		obs(m.RegDef(isa.R(7)))
 		obs(m.RegDef(isa.NoReg))
 		got[mode] = append(got[mode], m.EndTime(), int64(m.Retired()))
+		if mode < 2 {
+			paths[mode] = pathOf(m.WalkCriticalPath, m.LastCommit())
+		}
 	}
-	if !slices.Equal(got[0], got[1]) {
-		t.Fatalf("attribution %v != lean %v", got[0], got[1])
+	if !slices.Equal(got[0], got[1]) || !slices.Equal(got[0], got[2]) {
+		t.Fatalf("reference %v, attribution %v, lean %v", got[0], got[1], got[2])
 	}
-	if got[1][3] != 550 {
-		t.Errorf("handed register read at %d, want its time when next read (550)", got[1][3])
+	if got[2][3] != 550 {
+		t.Errorf("handed register read at %d, want its time when next read (550)", got[2][3])
+	}
+	if !slices.Equal(paths[0], paths[1]) {
+		t.Errorf("critical path %v, reference %v", paths[1], paths[0])
+	}
+}
+
+// TestTiesResolveInEdgeOrder builds the ties between stage terms that
+// real traces rarely put on a critical path — a barrier against the
+// width-back fetch, two barriers at one time, a forwarded store against
+// the address producer — and requires the attribution GPP to pick the
+// node form's winner, the term whose edge it relaxed first.
+func TestTiesResolveInEdgeOrder(t *testing.T) {
+	scenarios := map[string]func(m handoffCore, at func(int64, dg.EdgeClass) dg.NodeID){
+		"barrier vs width-back fetch": func(m handoffCore, at func(int64, dg.EdgeClass) dg.NodeID) {
+			m.Exec(UOp{Op: isa.AddI, Dst: isa.R(2), Src1: isa.RZ}, 0)
+			m.Exec(UOp{Op: isa.AddI, Dst: isa.R(3), Src1: isa.RZ}, 1)
+			m.Barrier(at(2, dg.EdgeAccelComm), dg.EdgeAccelComm) // the width-back fetch + 1
+			m.Exec(UOp{Op: isa.AddI, Dst: isa.R(4), Src1: isa.RZ}, 2)
+		},
+		"barriers at one time": func(m handoffCore, at func(int64, dg.EdgeClass) dg.NodeID) {
+			m.Barrier(at(300, dg.EdgeAccelComm), dg.EdgeAccelComm)
+			m.Barrier(at(300, dg.EdgeAccelConfig), dg.EdgeAccelConfig)
+			m.Exec(UOp{Op: isa.AddI, Dst: isa.R(2), Src1: isa.RZ}, 0)
+		},
+		"store forward vs address producer": func(m handoffCore, at func(int64, dg.EdgeClass) dg.NodeID) {
+			m.SetRegDef(isa.R(2), at(500, dg.EdgeAccelComm))
+			m.NoteStore(0x2000, at(498, dg.EdgeAccelCompute))
+			m.Exec(UOp{Op: isa.Ld, Dst: isa.R(1), Src1: isa.R(2), Addr: 0x2000, MemLat: 4}, 0)
+		},
+	}
+	for name, run := range scenarios {
+		var paths [2][]step
+		for mode := range paths {
+			g := dg.NewGraph()
+			var m handoffCore = newRefGPP(OOO2, g, &energy.Counts{})
+			if mode == 1 {
+				m = NewGPP(OOO2, g, &energy.Counts{})
+			}
+			run(m, func(t int64, class dg.EdgeClass) dg.NodeID {
+				n := g.NewNode(dg.KindAccel, -1)
+				g.AddEdge(g.Origin(), n, t, class)
+				return n
+			})
+			paths[mode] = pathOf(m.WalkCriticalPath, m.LastCommit())
+		}
+		if !slices.Equal(paths[0], paths[1]) {
+			t.Errorf("%s: critical path %v, node form %v", name, paths[1], paths[0])
+		}
 	}
 }

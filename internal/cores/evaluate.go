@@ -6,38 +6,26 @@ import (
 	"exocore/internal/trace"
 )
 
-// graphHint pre-sizes a µDG for a trace: five pipeline-event nodes per
-// dynamic instruction plus origin and synthetic-node slack.
-func graphHint(insts int) int { return 5*insts + 64 }
-
-// Evaluate runs an entire trace through the GPP graph constructor with no
+// Evaluate runs an entire trace through the general core with no
 // accelerators (TDG_GPP,∅) and returns cycles and energy event counts.
 // This is the baseline evaluation every speedup in the paper is relative
 // to.
 func Evaluate(cfg Config, tr *trace.Trace) (int64, energy.Counts) {
-	g := dg.NewGraphN(graphHint(len(tr.Insts)))
 	var counts energy.Counts
-	m := NewGPP(cfg, g, &counts)
-	for i := range tr.Insts {
-		d := &tr.Insts[i]
-		m.Exec(FromDyn(&tr.Prog.Insts[d.SI], d), int32(i))
-	}
+	m := NewGPP(cfg, dg.NewLeanGraph(), &counts)
+	m.ExecTrace(Decode(tr.Prog), tr.Insts, 0)
+	m.Fold()
 	return m.EndTime(), counts
 }
 
 // EvaluateWithBreakdown additionally returns the critical-path stall
 // breakdown by edge class, the paper's recommended validation aid.
 func EvaluateWithBreakdown(cfg Config, tr *trace.Trace) (int64, energy.Counts, [dg.NumEdgeClasses]int64) {
-	g := dg.NewGraphN(graphHint(len(tr.Insts)))
 	var counts energy.Counts
-	m := NewGPP(cfg, g, &counts)
-	for i := range tr.Insts {
-		d := &tr.Insts[i]
-		m.Exec(FromDyn(&tr.Prog.Insts[d.SI], d), int32(i))
-	}
+	m := NewGPP(cfg, dg.NewGraph(), &counts)
+	m.ExecTrace(Decode(tr.Prog), tr.Insts, 0)
+	m.Fold()
 	var bd [dg.NumEdgeClasses]int64
-	if c := m.LastCommit(); c != dg.None {
-		bd = g.CriticalPathBreakdown(c)
-	}
+	m.WalkCriticalPath(m.LastCommit(), func(_ int32, class dg.EdgeClass, lat int64) { bd[class] += lat })
 	return m.EndTime(), counts, bd
 }

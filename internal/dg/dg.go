@@ -10,6 +10,12 @@
 //
 // Transforms (BSA models) build alternative node/edge structures for
 // accelerated regions; everything composes in one graph per execution.
+// The general core itself (cores.GPP) is time-direct: it computes its
+// pipeline events' times without nodes and, when asked for attribution,
+// records each event's critical predecessor in its own compact log.
+// Anchors (NewAnchor) join the two: a transform edge hangs off an anchor
+// carrying a core event's time, and a critical-path walk that reaches one
+// continues in the core's log.
 //
 // # Storage layout
 //
@@ -20,15 +26,17 @@
 // only the streams it needs, and the critical-path walk is a backward
 // sweep over the flat predecessor slice. Two modes share the layout:
 //
-//   - attribution mode (the default) maintains every stream, supporting
+//   - attribution mode (NewGraph) maintains every stream, supporting
 //     WalkCriticalPath/CriticalPathBreakdown and per-region attribution;
-//   - lean mode maintains only the time stream. Edge relaxation reduces
-//     to a pure max — final node times are bit-identical to attribution
-//     mode (attribution only changes which predecessor is *recorded* on
-//     ties, never the computed maximum) at a third of the write traffic.
-//     Scheduling sweeps, which never walk paths, run lean, and on a lean
-//     graph the general core adds no nodes at all: cores.GPP keeps its
-//     state as times, so only accelerator transforms populate the graph.
+//   - lean mode (NewLeanGraph) maintains only the time stream. Edge
+//     relaxation reduces to a pure max — final node times are
+//     bit-identical to attribution mode (attribution only changes which
+//     predecessor is *recorded* on ties, never the computed maximum) at a
+//     third of the write traffic. Scheduling sweeps, which never walk
+//     paths, run lean.
+//
+// In either mode only accelerator transforms and anchors populate the
+// graph: the general core adds no nodes.
 //
 // # Windowed (streaming) construction
 //
@@ -164,25 +172,19 @@ type Graph struct {
 	rtFree []*ResourceTable
 }
 
-// NewGraph returns a graph containing only the origin node at time 0.
-func NewGraph() *Graph { return NewGraphN(0) }
+// NewGraph returns an attribution-mode graph containing only the origin
+// node at time 0. Streams grow with the nodes transforms create; a general
+// core adds none (see cores.GPP), so there is nothing to pre-size for.
+func NewGraph() *Graph {
+	g := &Graph{}
+	g.origin()
+	return g
+}
 
-// NewGraphN returns a graph pre-sized for about hint nodes, so callers
-// that know the trace length (~5 µDG nodes per dynamic instruction) avoid
-// the append-doubling copies of incremental growth. hint <= 0 falls back
-// to the default capacity. The graph starts in attribution mode; see
-// ResetMode.
-func NewGraphN(hint int) *Graph {
-	if hint < 4096 {
-		hint = 4096
-	}
-	g := &Graph{
-		time: make([]int64, 0, hint),
-		pred: make([]int32, 0, hint),
-		lat:  make([]int32, 0, hint),
-		ck:   make([]uint8, 0, hint),
-		dyn:  make([]int32, 0, hint),
-	}
+// NewLeanGraph returns a lean (time-only) graph containing only the
+// origin; see ResetMode.
+func NewLeanGraph() *Graph {
+	g := &Graph{lean: true}
 	g.origin()
 	return g
 }
@@ -240,23 +242,18 @@ func (g *Graph) NewNode(k Kind, dynIdx int32) NodeID {
 	return id
 }
 
-// NewPipelineNodes appends the five pipeline-stage nodes of one dynamic
-// instruction — fetch, dispatch, execute, complete, commit, in that
-// order — in a single grow per stream and returns the fetch node's ID;
-// the others follow at consecutive IDs. One batched append per stream
-// replaces five NewNode calls on the hottest allocation path in the
-// system (every GPP uop).
-func (g *Graph) NewPipelineNodes(dynIdx int32) NodeID {
-	id := NodeID(g.n)
-	g.n += 5
-	g.time = append(g.time, 0, 0, 0, 0, 0)
+// NewAnchor creates a node at time t that stands for an event recorded
+// outside the graph, such as a µop stage in a general core's attribution
+// log, so a transform can hang edges off it. In attribution mode its
+// critical predecessor is ext, a value below None that the recording
+// constructor defines: WalkCriticalPath stops there and returns ext, and
+// the constructor continues the walk in its own record. The step into the
+// anchor itself carries no latency.
+func (g *Graph) NewAnchor(t int64, ext NodeID) NodeID {
+	id := g.NewNode(KindAccel, -1)
+	g.time[id-g.base] = t
 	if !g.lean {
-		np := int32(None)
-		g.pred = append(g.pred, np, np, np, np, np)
-		g.lat = append(g.lat, 0, 0, 0, 0, 0)
-		g.ck = append(g.ck, uint8(KindFetch), uint8(KindDispatch),
-			uint8(KindExecute), uint8(KindComplete), uint8(KindCommit))
-		g.dyn = append(g.dyn, dynIdx, dynIdx, dynIdx, dynIdx, dynIdx)
+		g.pred[id-g.base] = int32(ext)
 	}
 	return id
 }
@@ -446,26 +443,28 @@ func (g *Graph) CriticalPathBreakdown(from NodeID) [NumEdgeClasses]int64 {
 // finer granularity than the aggregate CriticalPathBreakdown — eg. per
 // region via DynIdx.
 //
-// Incremental construction guarantees pred[id] < id, so path IDs
-// strictly decrease: the walk is a single monotone backward sweep over
-// the flat pred/lat/ck streams (no node structs, no pointer chasing),
-// visiting exactly the path's entries of each stream in storage order.
-// Requires attribution mode.
-func (g *Graph) WalkCriticalPath(from NodeID, fn func(id NodeID, class EdgeClass, lat int64)) {
+// The walk is a backward sweep over the flat pred/lat/ck streams (no node
+// structs, no pointer chasing). It returns where the path left the graph:
+// the origin (0), a node without predecessor (None), or the external
+// reference of an anchor (see NewAnchor), from which the anchor's
+// constructor continues the walk. Requires attribution mode.
+func (g *Graph) WalkCriticalPath(from NodeID, fn func(id NodeID, class EdgeClass, lat int64)) NodeID {
 	pred, lat, ck := g.pred, g.lat, g.ck
 	base := g.base
-	for id := from; id > 0; {
+	id := from
+	for id > 0 {
 		i := id - base
 		fn(id, EdgeClass(ck[i]>>3), int64(lat[i]))
 		id = NodeID(pred[i])
 	}
+	return id
 }
 
 // CriticalPathNodes returns the node IDs on the critical path ending at
 // from, in reverse (from → origin) order. Used by tests and debugging.
 func (g *Graph) CriticalPathNodes(from NodeID) []NodeID {
 	var out []NodeID
-	for id := from; id != None; id = NodeID(g.pred[id-g.base]) {
+	for id := from; id >= 0; id = NodeID(g.pred[id-g.base]) {
 		out = append(out, id)
 		if id == 0 {
 			break

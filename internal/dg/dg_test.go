@@ -224,7 +224,7 @@ func legacyPush(nodes []legacyNode, id NodeID, t int64, class EdgeClass) {
 func TestWalkCriticalPathMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		g := NewGraphN(64)
+		g := NewGraph()
 		ref := []legacyNode{{critPred: None}}
 		nNodes := 2 + rng.Intn(120)
 		for i := 0; i < nNodes; i++ {
@@ -305,7 +305,7 @@ func TestLeanModeTimesIdentical(t *testing.T) {
 			}
 		}
 		run := func(lean bool) []int64 {
-			g := NewGraphN(64)
+			g := NewGraph()
 			g.ResetMode(lean)
 			for i := 0; i < nNodes; i++ {
 				g.NewNode(KindExecute, int32(i))

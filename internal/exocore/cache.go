@@ -143,7 +143,6 @@ type outcomeShard struct {
 // cached.
 type Cache struct {
 	core cores.Config
-	hint int // graph pre-size, in nodes
 
 	shards [cacheShards]outcomeShard
 
@@ -190,12 +189,10 @@ type sigEdge struct {
 	desc   uint64
 }
 
-// NewCache creates a unit-outcome cache for one core config and a
-// benchmark of traceLen dynamic instructions (pre-sizes pooled graphs at
-// ~5 µDG nodes per instruction).
-func NewCache(core cores.Config, traceLen int) *Cache {
+// NewCache creates a unit-outcome cache for one core config.
+func NewCache(core cores.Config) *Cache {
 	c := &Cache{
-		core: core, hint: graphHintFor(traceLen),
+		core:    core,
 		nameIdx: make(map[string]uint64, 4),
 		sigs:    make(map[sigEdge]uint32),
 		hits:    obs.NewCounter(), misses: obs.NewCounter(),
@@ -440,9 +437,9 @@ func sharedPoolFor(t *tdg.TDG) *sharedPool {
 
 // workerPool is a process-wide free list of evaluation workers, one per
 // core config. Unlike a sync.Pool — whose contents are evicted on every
-// GC cycle, which re-allocated the ~3 MB graph arena and resource-table
-// rings dozens of times per sweep — the free list keeps arenas alive for
-// the process lifetime, bounded by maxPooledWorkers per config.
+// GC cycle, which re-allocated the resource-table rings dozens of times
+// per sweep — the free list keeps arenas alive for the process lifetime,
+// bounded by maxPooledWorkers per config.
 type workerPool struct {
 	mu   sync.Mutex
 	free []*segWorker
@@ -468,8 +465,8 @@ func poolFor(core cores.Config) *workerPool {
 
 // acquireWorker returns a pooled worker for the core config (reporting
 // the arena bytes reuse saved via reused, which may be nil), or builds a
-// fresh one with at least hint graph capacity.
-func acquireWorker(core cores.Config, hint int, reused *obs.Counter) *segWorker {
+// fresh one.
+func acquireWorker(core cores.Config, reused *obs.Counter) *segWorker {
 	p := poolFor(core)
 	p.mu.Lock()
 	var w *segWorker
@@ -485,7 +482,7 @@ func acquireWorker(core cores.Config, hint int, reused *obs.Counter) *segWorker 
 		}
 		return w
 	}
-	return newSegWorker(core, hint)
+	return newSegWorker(core)
 }
 
 // releaseWorker returns a worker to its config's free list (dropping it
@@ -502,16 +499,17 @@ func releaseWorker(core cores.Config, w *segWorker) {
 // getWorker returns a pooled evaluation worker, accounting reused arena
 // bytes, or builds a fresh one.
 func (c *Cache) getWorker() *segWorker {
-	return acquireWorker(c.core, c.hint, c.reused)
+	return acquireWorker(c.core, c.reused)
 }
 
 // putWorker returns a worker to the pool.
 func (c *Cache) putWorker(w *segWorker) { releaseWorker(c.core, w) }
 
 // segWorker bundles the reusable arenas one unit evaluation needs: a µDG
-// node arena and a GPP constructor (whose five resource-table rings
-// dominated the old per-Run allocation cost), plus the per-unit scratch
-// state map. Reset between units, pooled between runs.
+// for the transforms' nodes and a GPP constructor (whose five
+// resource-table rings dominated the old per-Run allocation cost, and
+// whose attribution log serves class-attributed units), plus the per-unit
+// scratch state map. Reset between units, pooled between runs.
 type segWorker struct {
 	g      *dg.Graph
 	gpp    *cores.GPP
@@ -520,18 +518,19 @@ type segWorker struct {
 	ctx    tdg.Ctx // reused per transformed segment; models keep no reference
 }
 
-func newSegWorker(core cores.Config, hint int) *segWorker {
-	g := dg.NewGraphN(hint)
+func newSegWorker(core cores.Config) *segWorker {
+	g := dg.NewLeanGraph()
 	w := &segWorker{g: g, state: make(map[string]any)}
 	w.gpp = cores.NewGPP(core, g, &w.counts)
 	return w
 }
 
 // reset prepares the worker for one unit evaluation from a drained
-// boundary, keeping all allocations. classes selects the graph mode:
-// attribution when the evaluation will walk critical paths, lean
-// (time-only, windowing-capable) otherwise — sweeps never walk, so they
-// skip two thirds of the per-node write traffic.
+// boundary, keeping all allocations. classes selects the graph mode, and
+// with it whether the core logs attribution: attribution when the
+// evaluation will walk critical paths, lean (time-only,
+// windowing-capable) otherwise — sweeps never walk, so they skip the log
+// and two thirds of the transforms' per-node write traffic.
 func (w *segWorker) reset(classes bool) {
 	w.g.ResetMode(!classes)
 	w.counts = energy.Counts{}
@@ -732,24 +731,25 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 		if c := w.gpp.LastCommit(); c != dg.None && w.g.Time(c) >= walkTime {
 			walkFrom = c
 		}
-		out.attributePath(w.g, u.segs, walkFrom)
+		out.attributePath(w.gpp, u.segs, walkFrom)
 	}
 	return out
 }
 
-// attributePath walks the unit's critical path once and buckets each
-// step's latency by (segment of the step's target node, edge class) —
-// the µDG-grounded "where did this unit's cycles go" attribution behind
-// the per-region table. Synthetic nodes (dynIdx -1, eg. accelerator
-// boundary events) attribute to the segment of the nearest following
-// node on the path.
-func (o *unitOutcome) attributePath(g *dg.Graph, segs []Segment, from dg.NodeID) {
+// attributePath walks the unit's critical path once — through the
+// transforms' nodes and the general core's attribution log alike — and
+// buckets each step's latency by (segment of the step's instruction, edge
+// class): the µDG-grounded "where did this unit's cycles go" attribution
+// behind the per-region table. Synthetic events (dynIdx -1, eg.
+// accelerator boundary events) attribute to the segment of the nearest
+// following instruction on the path.
+func (o *unitOutcome) attributePath(gpp *cores.GPP, segs []Segment, from dg.NodeID) {
 	if from == dg.None || len(segs) == 0 {
 		return
 	}
 	cur := len(segs) - 1
-	g.WalkCriticalPath(from, func(id dg.NodeID, class dg.EdgeClass, lat int64) {
-		if dyn := g.DynIdx(id); dyn >= 0 {
+	gpp.WalkCriticalPath(from, func(dyn int32, class dg.EdgeClass, lat int64) {
+		if dyn >= 0 {
 			cur = segOfDyn(segs, int(dyn), cur)
 		}
 		o.segClasses[cur][class] += lat

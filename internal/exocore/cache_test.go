@@ -22,7 +22,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 		td := buildTDG(t, bench, 15000)
 		bsas := allBSAs()
 		plans := analyzeAll(td, bsas)
-		cache := NewCache(cores.OOO2, td.Trace.Len())
+		cache := NewCache(cores.OOO2)
 
 		assigns := []Assignment{nil, {}}
 		var names []string
@@ -107,7 +107,7 @@ func TestCacheConcurrentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := NewCache(cores.OOO2, td.Trace.Len())
+	cache := NewCache(cores.OOO2)
 	const goroutines = 8
 	results := make([]*RunResult, goroutines)
 	errs := make([]error, goroutines)
@@ -137,7 +137,7 @@ func TestCacheConcurrentRuns(t *testing.T) {
 // from store, a class-less outcome never displaces a class-attributed
 // one, and the key counts as one entry.
 func TestStoreReplacesClasslessEntry(t *testing.T) {
-	c := NewCache(cores.OOO2, 100)
+	c := NewCache(cores.OOO2)
 	k := unitKey{start: 0, end: 100}
 	plain := &unitOutcome{segDurs: []int64{7}, segCounts: make([]energy.Counts, 1)}
 	classed := &unitOutcome{segDurs: []int64{7}, segCounts: make([]energy.Counts, 1),
@@ -185,7 +185,7 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 	const rounds, goroutines = 40, 4
 	for r := 0; r < rounds; r++ {
 		assign, ref := assigns[r%len(assigns)], refs[r%len(assigns)]
-		cache := NewCache(cores.OOO2, td.Trace.Len())
+		cache := NewCache(cores.OOO2)
 		results := make([]*RunResult, goroutines)
 		errs := make([]error, goroutines)
 		start := make(chan struct{})

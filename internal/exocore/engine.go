@@ -113,26 +113,10 @@ type RunOpts struct {
 	WindowNodes int
 }
 
-const (
-	// DefaultWindowNodes is the resident-node bound lean evaluation uses
-	// when RunOpts.WindowNodes is 0: 2 MiB of time stream, and large
-	// enough that sub-50K-instruction traces never trigger compaction.
-	DefaultWindowNodes = 1 << 18
-	// maxGraphHint caps the pre-sized graph arena: an attribution-mode
-	// unit holds ~5 nodes per instruction, but pre-allocating that for
-	// long traces would defeat the O(window) bound of lean evaluation.
-	maxGraphHint = 2 * DefaultWindowNodes
-)
-
-// graphHintFor sizes a pooled evaluation graph for a trace: ~5 µDG nodes
-// per dynamic instruction, capped at the streaming-window scale.
-func graphHintFor(traceLen int) int {
-	h := 5*traceLen + 64
-	if h > maxGraphHint {
-		h = maxGraphHint
-	}
-	return h
-}
+// DefaultWindowNodes is the resident-node bound lean evaluation uses when
+// RunOpts.WindowNodes is 0: 2 MiB of time stream, and large enough that
+// sub-50K-instruction traces never trigger compaction.
+const DefaultWindowNodes = 1 << 18
 
 // ModelStat attributes one model's share of a run ("" = general core).
 type ModelStat struct {
@@ -325,7 +309,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 		defer opts.Cache.putWorker(w)
 	} else {
 		segs = Segmentize(t, assign)
-		w = acquireWorker(core, graphHintFor(len(t.Trace.Insts)), nil)
+		w = acquireWorker(core, nil)
 		defer releaseWorker(core, w)
 	}
 	units := unitize(t, segs, assign, bsas)

@@ -61,7 +61,7 @@ func TestLeanRunMatchesAttribution(t *testing.T) {
 		}
 		sort.Ints(loops)
 		for _, core := range cores.Configs {
-			cache := NewCache(core, td.Trace.Len())
+			cache := NewCache(core)
 			assigns := []Assignment{nil}
 			for trial := 0; trial < 4; trial++ {
 				a := Assignment{}

@@ -137,7 +137,7 @@ func TestRandomizedAssignmentsDeltaEqualsFull(t *testing.T) {
 		}
 
 		for _, core := range []cores.Config{cores.IO2, cores.OOO4} {
-			cache := NewCache(core, td.Trace.Len())
+			cache := NewCache(core)
 			for i := 0; i < assignments; i++ {
 				assign := Assignment{}
 				for _, l := range loops {

@@ -23,7 +23,7 @@ import (
 // and "trace.chunk_high_water_bytes" gauges, and the
 // "eval.segment_len" histogram).
 func RunStream(src trace.Source, core cores.Config, opts RunOpts) (*RunResult, error) {
-	w := acquireWorker(core, 0, nil)
+	w := acquireWorker(core, nil)
 	defer releaseWorker(core, w)
 
 	if opts.Reg != nil {

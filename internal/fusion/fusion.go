@@ -203,9 +203,8 @@ func singleUse(insts []isa.Inst, b *ir.Block, prodSI, consSI int, r isa.Reg, lv 
 // Evaluate runs the whole trace through a core with the fusion plan
 // applied, returning cycles and energy counts (TDG_GPP,rules).
 func Evaluate(t *tdg.TDG, core cores.Config, plan *Plan) (int64, energy.Counts) {
-	g := dg.NewGraphN(5*t.Trace.Len() + 64)
 	var counts energy.Counts
-	m := cores.NewGPP(core, g, &counts)
+	m := cores.NewGPP(core, dg.NewLeanGraph(), &counts)
 	p := t.Trace.Prog
 	for i := range t.Trace.Insts {
 		d := &t.Trace.Insts[i]

@@ -82,7 +82,7 @@ func NewContext(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA) (*Contex
 // NewContextWith is NewContext with explicit options.
 func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts ContextOpts) (*Context, error) {
 	ctx := &Context{TDG: t, Core: core, BSAs: bsas, Plans: make(map[string]*tdg.Plan),
-		Cache: exocore.NewCache(core, t.Trace.Len()), reg: opts.Reg}
+		Cache: exocore.NewCache(core), reg: opts.Reg}
 	if opts.Persist != nil {
 		ctx.Cache.AttachPersist(opts.Persist, opts.PersistNS)
 	}

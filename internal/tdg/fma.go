@@ -118,9 +118,8 @@ func singleUseWithin(insts []isa.Inst, bStart, bEnd, mulSI, addSI int, r isa.Reg
 // the accumulator dependence attached.
 func EvaluateFMA(t *TDG, core cores.Config) (int64, energy.Counts) {
 	plan := AnalyzeFMA(t)
-	g := dg.NewGraphN(5*t.Trace.Len() + 64)
 	var counts energy.Counts
-	m := cores.NewGPP(core, g, &counts)
+	m := cores.NewGPP(core, dg.NewLeanGraph(), &counts)
 	p := t.Trace.Prog
 	for i := range t.Trace.Insts {
 		d := &t.Trace.Insts[i]

@@ -15,6 +15,7 @@ import (
 	"exocore/internal/dg"
 	"exocore/internal/energy"
 	"exocore/internal/ir"
+	"exocore/internal/isa"
 	"exocore/internal/obs"
 	"exocore/internal/trace"
 )
@@ -194,6 +195,23 @@ func (p *Plan) Region(loopID int) *Region {
 	return p.Regions[loopID]
 }
 
+// Core is the general-core constructor a transform drives (cores.GPP):
+// it runs the µops a model leaves on the host pipeline, and exchanges
+// dependence state with the model's nodes — the core's latest commit and
+// completion, register producers, performed stores and fetch barriers.
+// Nodes the core hands out are anchors carrying its event times; nodes
+// handed to it are read when it next executes.
+type Core interface {
+	Exec(u cores.UOp, dynIdx int32)
+	ExecTrace(p *cores.Decoded, insts []trace.DynInst, base int)
+	LastCommit() dg.NodeID
+	LastComplete() dg.NodeID
+	RegDef(r isa.Reg) dg.NodeID
+	SetRegDef(r isa.Reg, node dg.NodeID)
+	NoteStore(addr uint64, node dg.NodeID)
+	Barrier(node dg.NodeID, class dg.EdgeClass)
+}
+
 // Ctx is the transformation context handed to a BSA when it models one
 // region occurrence: the TDG, the µDG being constructed, the general-core
 // constructor (for interaction edges and for instructions that stay on
@@ -201,7 +219,7 @@ func (p *Plan) Region(loopID int) *Region {
 type Ctx struct {
 	TDG    *TDG
 	G      *dg.Graph
-	GPP    *cores.GPP
+	GPP    Core
 	Counts *energy.Counts
 	// ConfigResident reports whether the accelerator's configuration for
 	// the region being transformed is already loaded. The engine simulates
