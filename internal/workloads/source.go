@@ -86,7 +86,6 @@ type GenSource struct {
 	restarted bool // last restart has produced no instructions yet
 	done      bool
 	err       error
-	stats     trace.Stats
 }
 
 func (s *GenSource) restart() {
@@ -152,16 +151,10 @@ func (s *GenSource) Next() (*trace.Chunk, bool) {
 	c.Base = s.base
 	s.h.AnnotateInsts(s.p, c.Insts)
 	s.bp.AnnotateInsts(s.p, c.Insts)
-	s.stats.Accumulate(s.p, c.Insts)
 	s.base += n
 	s.budget -= n
 	return c, true
 }
-
-// Stats returns the merged per-chunk statistics of everything yielded so
-// far — after the source is drained, exactly the whole-trace
-// ComputeStats of the materialized equivalent.
-func (s *GenSource) Stats() trace.Stats { return s.stats }
 
 // ChunkHighWaterBytes implements trace.ChunkAccounting: the peak bytes
 // of chunk buffers simultaneously checked out of the source's pool.

@@ -31,8 +31,8 @@ func TestStreamExemplarsCoverFamilies(t *testing.T) {
 // family's exemplar kernel, draining the generator-driven source at
 // several chunk sizes must reproduce the materialized TraceWith bytes
 // exactly — same instructions, same cache annotations, same
-// branch-predictor flags — and the source's merged per-chunk statistics
-// must equal the whole-trace scan.
+// branch-predictor flags — and statistics merged chunk by chunk must
+// equal the whole-trace scan.
 func TestSourceMatchesTrace(t *testing.T) {
 	const maxDyn = 30_000
 	for _, name := range StreamExemplars() {
@@ -46,15 +46,18 @@ func TestSourceMatchesTrace(t *testing.T) {
 		}
 		for _, chunk := range []int{1, 257, 4096, 1 << 20} {
 			src := w.Source(SourceConfig{MaxDyn: maxDyn, ChunkInsts: chunk})
-			got, err := trace.Materialize(src, maxDyn)
+			var st trace.Stats
+			got, err := trace.Materialize(trace.Tee(src, func(c *trace.Chunk) {
+				st.Accumulate(src.Prog(), c.Insts)
+			}), maxDyn)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got.Insts, want.Insts) {
 				t.Fatalf("%s chunk %d: streamed trace differs from materialized", name, chunk)
 			}
-			if st := src.Stats(); st != want.ComputeStats() {
-				t.Fatalf("%s chunk %d: source stats %+v != trace stats %+v",
+			if st != want.ComputeStats() {
+				t.Fatalf("%s chunk %d: chunk-merged stats %+v != trace stats %+v",
 					name, chunk, st, want.ComputeStats())
 			}
 		}
