@@ -33,12 +33,18 @@ tier1:
 test:
 	$(GO) test ./...
 
-# Fuzz streaming evaluation's chunk boundaries past the seed corpus
-# (which tier-1 runs): RunStream over any chunking of a trace must equal
-# the attribution-mode Run. A failing input lands in
-# internal/exocore/testdata/fuzz as a regression case.
+# Fuzz past the seed corpora (which tier-1 runs): streaming
+# evaluation's chunk boundaries — RunStream over any chunking of a trace
+# must equal the attribution-mode Run — and the daemon's untrusted
+# inputs: /v1/evaluate and /v1/sweep bodies, design codes and BSA
+# letters must never panic, and accepted ones must round-trip. A failing
+# input lands in the package's testdata/fuzz as a regression case.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunStreamChunks$$' -fuzztime 10s ./internal/exocore
+	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 3s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 3s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDesignCode$$' -fuzztime 3s ./internal/dse
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLetters$$' -fuzztime 3s ./internal/bsa
 
 # Run the tracked benchmarks and record them in BENCH_9.json.
 # BENCH_7.json remains as the record of the previous optimization round;
