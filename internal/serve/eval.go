@@ -217,9 +217,10 @@ func EvaluateDocument(ctx context.Context, eng *runner.Engine, tool string,
 			return nil, err
 		}
 
-		// Reuse the context's models and unit cache: the reporting run is
-		// then served almost entirely from the outcomes the scheduler
-		// already computed.
+		// Reuse the context's models and unit cache. The scheduler's
+		// outcomes carry no critical-path classes, so the reporting run
+		// re-evaluates every unit that has none yet, with attribution, and
+		// stores it back; repeated requests are then served from the cache.
 		sp := tracer.BeginCtx(ctx, "stage", "report "+wl.Name)
 		res, err := exocore.Run(td, core, sc.BSAs, sc.Plans, assign, exocore.RunOpts{
 			Cache: sc.Cache, RecordRegions: true, Span: sp, Reg: eng.Registry(),
