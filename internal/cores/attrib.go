@@ -61,17 +61,9 @@ type term struct {
 	lat   int64
 }
 
-// The candidates of each stage, in the node form's edge order. The
-// refill latency is the core's FrontendDepth.
-const (
-	fetchPrev = iota
-	fetchWide
-	fetchBarrier
-	fetchRefill
-	fetchRedirect
-)
-
+// The candidates of each stage, numbered in the node form's edge order.
 var (
+	// previous, width-back, barrier, refill (FrontendDepth), redirect
 	fetchTerms = [...]term{{dg.EdgeProgram, 0}, {dg.EdgeWidth, 1}, {dg.EdgeProgram, 0}, {dg.EdgeMispredict, 0}, {dg.EdgeWidth, 1}}
 	// from fetch, previous, width-back, ROB-back commit
 	dispatchTerms = [...]term{{dg.EdgePipe, 2}, {dg.EdgeProgram, 0}, {dg.EdgeWidth, 1}, {dg.EdgeROB, 1}}
@@ -110,14 +102,14 @@ func (m *GPP) stepLog(di *decInst, addr uint64, memLat uint16, dflags uint8, dyn
 	// already waited for it, so trying it on every fetch is exact)
 	f := race{t: -1}
 	if n >= 1 {
-		f.try(prev.f, logRef(n-1, stageF), fetchPrev)
+		f.try(prev.f, logRef(n-1, stageF), 0)
 	}
 	if n >= w {
-		f.try(wide.f+1, logRef(n-w, stageF), fetchWide)
+		f.try(wide.f+1, logRef(n-w, stageF), 1)
 	}
-	f.try(m.barrierT, m.barrierRef, fetchBarrier)
-	f.try(m.refillT, m.refillRef, fetchRefill)
-	f.try(m.redirectT, m.redirectRef, fetchRedirect)
+	f.try(m.barrierT, m.barrierRef, 2)
+	f.try(m.refillT, m.refillRef, 3)
+	f.try(m.redirectT, m.redirectRef, 4)
 	m.refillT, m.redirectT = 0, 0
 	tf := f.t
 
@@ -223,7 +215,7 @@ func (m *GPP) back(p ref) (dyn int32, class dg.EdgeClass, lat int64, from ref) {
 	switch stage {
 	case stageF:
 		t := fetchTerms[r.win&7]
-		if r.win&7 == fetchRefill {
+		if r.win&7 == 3 { // refill
 			t.lat = int64(m.Cfg.FrontendDepth)
 		}
 		return r.dyn, t.class, t.lat, r.fRef

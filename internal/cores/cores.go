@@ -479,7 +479,10 @@ func (m *GPP) Exec(u UOp, dynIdx int32) {
 	} else {
 		m.step(&di, u.Addr, u.MemLat, flags)
 	}
-	charge(m.Counts, m.Cfg.InOrder, &u)
+	if u.Elide && u.Dst.Valid() {
+		di.nev-- // the register write, decoded last, stays in the accelerator
+	}
+	m.charge(&di, u.Level, 1)
 }
 
 // ExecTrace runs trace instructions insts — dynamic indices base, base+1,
@@ -705,103 +708,29 @@ func (t *storeTab) set(addr uint64, rec storeRec) {
 
 // grow doubles the table, rehashing every entry.
 func (t *storeTab) grow() {
-	ok, or := t.keys, t.recs
-	n := 2 * len(ok)
-	t.keys = make([]uint64, n)
-	t.recs = make([]storeRec, n)
-	t.mask = uint64(n - 1)
-	for i, k := range ok {
-		if k != 0 {
-			for j := t.slotOf(k &^ 1); ; j = (j + 1) & t.mask {
-				if t.keys[j] == 0 {
-					t.keys[j], t.recs[j] = k, or[i]
-					break
-				}
-			}
-		}
-	}
+	t.rebuild(2*len(t.keys), func(storeRec) bool { return true })
 }
 
 // prune rebuilds the table keeping only live entries: current
 // generation and within the store-forwarding age window.
 func (t *storeTab) prune(gen uint32, n int) {
-	ok, or := t.keys, t.recs
-	t.keys = make([]uint64, len(ok))
-	t.recs = make([]storeRec, len(or))
-	t.used = 0
-	for i, k := range ok {
-		if k == 0 {
-			continue
-		}
-		rec := or[i]
-		if rec.gen != gen || n-int(rec.age) >= storeWindow {
-			continue
-		}
-		for j := t.slotOf(k &^ 1); ; j = (j + 1) & t.mask {
-			if t.keys[j] == 0 {
-				t.keys[j], t.recs[j] = k, rec
-				t.used++
-				break
-			}
-		}
-	}
+	t.rebuild(len(t.keys), func(r storeRec) bool { return r.gen == gen && n-int(r.age) < storeWindow })
 }
 
-// charge adds one uop's energy events to c on a core of the given
-// issue discipline (the per-uop form of the counted fold, for
-// transform-synthesized uops).
-func charge(c *energy.Counts, inOrder bool, u *UOp) {
-	c.Add(energy.EvFetch, 1)
-	c.Add(energy.EvDecode, 1)
-	c.Add(energy.EvCommit, 1)
-	if !inOrder {
-		c.Add(energy.EvRename, 1)
-		c.Add(energy.EvIssueWakeup, 1)
-		c.Add(energy.EvROB, 1)
-	} else {
-		c.Add(energy.EvIssueWakeup, 1)
-	}
-	if u.Src1.Valid() {
-		c.Add(energy.EvRegRead, 1)
-	}
-	if u.Src2.Valid() {
-		c.Add(energy.EvRegRead, 1)
-	}
-	if u.Dst.Valid() && !u.Elide {
-		c.Add(energy.EvRegWrite, 1)
-	}
-	switch u.Op.ClassOf() {
-	case isa.ClassIntAlu:
-		c.Add(energy.EvIntAluOp, 1)
-	case isa.ClassIntMul:
-		c.Add(energy.EvIntMulOp, 1)
-	case isa.ClassIntDiv:
-		c.Add(energy.EvIntDivOp, 1)
-	case isa.ClassFpAdd:
-		c.Add(energy.EvFpAddOp, 1)
-	case isa.ClassFpMul:
-		c.Add(energy.EvFpMulOp, 1)
-	case isa.ClassFpDiv:
-		c.Add(energy.EvFpDivOp, 1)
-	case isa.ClassBranch, isa.ClassJump:
-		c.Add(energy.EvIntAluOp, 1)
-		c.Add(energy.EvBpred, 1)
-	case isa.ClassVecAlu, isa.ClassVecMul:
-		c.Add(energy.EvVecOp, 1)
-	}
-	if u.Op.IsMem() {
-		c.Add(energy.EvLSQ, 1)
-		if u.Op.IsVec() {
-			c.Add(energy.EvVecMemOp, 1)
-		} else {
-			c.Add(energy.EvL1Access, 1)
+// rebuild rehashes the entries keep accepts into a table of size slots.
+func (t *storeTab) rebuild(size int, keep func(storeRec) bool) {
+	ok, or := t.keys, t.recs
+	t.keys, t.recs = make([]uint64, size), make([]storeRec, size)
+	t.mask, t.used = uint64(size-1), 0
+	for i, k := range ok {
+		if k == 0 || !keep(or[i]) {
+			continue
 		}
-		switch u.Level {
-		case trace.LevelL2:
-			c.Add(energy.EvL2Access, 1)
-		case trace.LevelMem:
-			c.Add(energy.EvL2Access, 1)
-			c.Add(energy.EvMemAccess, 1)
+		j := t.slotOf(k &^ 1)
+		for t.keys[j] != 0 {
+			j = (j + 1) & t.mask
 		}
+		t.keys[j], t.recs[j] = k, or[i]
+		t.used++
 	}
 }

@@ -199,37 +199,34 @@ func (m *GPP) bind(p *Decoded) {
 // integer multiply-add over the entries touched since the last fold —
 // never the whole program. Lean evaluations fold before reading Counts.
 func (m *GPP) Fold() {
-	if len(m.touched) == 0 {
-		return
-	}
-	c := m.Counts
-	var total int64
 	for _, k := range m.touched {
-		n := m.cnt[k]
+		m.charge(&m.dec.insts[k>>2], trace.MemLevel(k&3), m.cnt[k])
 		m.cnt[k] = 0
-		total += n
-		di := &m.dec.insts[k>>2]
-		c[energy.EvRegRead] += n * int64(di.reads)
-		for _, e := range di.ev[:di.nev] {
-			c[e] += n
-		}
-		if di.flags&fMem != 0 {
-			switch trace.MemLevel(k & 3) {
-			case trace.LevelL2:
-				c[energy.EvL2Access] += n
-			case trace.LevelMem:
-				c[energy.EvL2Access] += n
-				c[energy.EvMemAccess] += n
-			}
-		}
 	}
 	m.touched = m.touched[:0]
-	c[energy.EvFetch] += total
-	c[energy.EvDecode] += total
-	c[energy.EvCommit] += total
-	c[energy.EvIssueWakeup] += total
+}
+
+// charge adds n executions of uop di, its memory accesses served at level
+// lvl, to Counts: every uop's frontend, issue and commit events, then its
+// own register reads, operation, memory and register-write events.
+func (m *GPP) charge(di *decInst, lvl trace.MemLevel, n int64) {
+	c := m.Counts
+	c[energy.EvFetch] += n
+	c[energy.EvDecode] += n
+	c[energy.EvCommit] += n
+	c[energy.EvIssueWakeup] += n
 	if !m.Cfg.InOrder {
-		c[energy.EvRename] += total
-		c[energy.EvROB] += total
+		c[energy.EvRename] += n
+		c[energy.EvROB] += n
+	}
+	c[energy.EvRegRead] += n * int64(di.reads)
+	for _, e := range di.ev[:di.nev] {
+		c[e] += n
+	}
+	if di.flags&fMem != 0 && lvl >= trace.LevelL2 {
+		c[energy.EvL2Access] += n
+		if lvl == trace.LevelMem {
+			c[energy.EvMemAccess] += n
+		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 // edges on an attribution µDG, the paper's TDG_GPP,∅ constructor (Figure
 // 4b), and critical paths are walked on the graph itself. It is the
 // oracle the time-direct GPP is held to: same times, same critical path.
-// It keeps its own plain state (a map of stores, a sorted window) so the
-// two share no data structure beyond the resource tables and the energy
-// charge.
+// It keeps its own plain state (a map of stores, a sorted window) and
+// charges energy uop by uop, so the two share no data structure beyond
+// the resource tables.
 type refGPP struct {
 	cfg    Config
 	g      *dg.Graph
@@ -272,7 +272,7 @@ func (m *refGPP) Exec(u UOp, dynIdx int32) {
 	if !cfg.InOrder && cfg.Window > 0 {
 		m.noteIssue(g.Time(e))
 	}
-	charge(m.counts, cfg.InOrder, &u)
+	refCharge(m.counts, cfg.InOrder, &u)
 
 	idx := m.n & (histSize - 1)
 	m.fetch[idx], m.dispatch[idx], m.execute[idx], m.commit[idx] = f, d, e, c
@@ -291,4 +291,60 @@ func (m *refGPP) noteIssue(et int64) {
 	}
 	i, _ := slices.BinarySearch(m.win, et)
 	m.win = slices.Insert(m.win, i, et)
+}
+
+// refCharge adds one uop's energy events to c, event by event — the
+// per-uop form the GPP's counted fold must equal.
+func refCharge(c *energy.Counts, inOrder bool, u *UOp) {
+	c.Add(energy.EvFetch, 1)
+	c.Add(energy.EvDecode, 1)
+	c.Add(energy.EvCommit, 1)
+	c.Add(energy.EvIssueWakeup, 1)
+	if !inOrder {
+		c.Add(energy.EvRename, 1)
+		c.Add(energy.EvROB, 1)
+	}
+	if u.Src1.Valid() {
+		c.Add(energy.EvRegRead, 1)
+	}
+	if u.Src2.Valid() {
+		c.Add(energy.EvRegRead, 1)
+	}
+	if u.Dst.Valid() && !u.Elide {
+		c.Add(energy.EvRegWrite, 1)
+	}
+	switch u.Op.ClassOf() {
+	case isa.ClassIntAlu:
+		c.Add(energy.EvIntAluOp, 1)
+	case isa.ClassIntMul:
+		c.Add(energy.EvIntMulOp, 1)
+	case isa.ClassIntDiv:
+		c.Add(energy.EvIntDivOp, 1)
+	case isa.ClassFpAdd:
+		c.Add(energy.EvFpAddOp, 1)
+	case isa.ClassFpMul:
+		c.Add(energy.EvFpMulOp, 1)
+	case isa.ClassFpDiv:
+		c.Add(energy.EvFpDivOp, 1)
+	case isa.ClassBranch, isa.ClassJump:
+		c.Add(energy.EvIntAluOp, 1)
+		c.Add(energy.EvBpred, 1)
+	case isa.ClassVecAlu, isa.ClassVecMul:
+		c.Add(energy.EvVecOp, 1)
+	}
+	if u.Op.IsMem() {
+		c.Add(energy.EvLSQ, 1)
+		if u.Op.IsVec() {
+			c.Add(energy.EvVecMemOp, 1)
+		} else {
+			c.Add(energy.EvL1Access, 1)
+		}
+		switch u.Level {
+		case trace.LevelL2:
+			c.Add(energy.EvL2Access, 1)
+		case trace.LevelMem:
+			c.Add(energy.EvL2Access, 1)
+			c.Add(energy.EvMemAccess, 1)
+		}
+	}
 }
