@@ -9,11 +9,13 @@ import (
 
 // Critical-path attribution without nodes. The paper explains a run's
 // cycles by walking its µDG critical path and binning each step by edge
-// class (§2, Figure 13). An attribution run does not build the general
-// core's five nodes per uop for that: stepLog computes the same times as
-// step and logs, per uop, which term won each stage's running maximum,
-// and WalkCriticalPath follows those winners backwards, crossing into
-// and out of transform nodes through anchors and handed-over nodes.
+// class (§2, Figure 13). The general core builds no nodes for that:
+// stepLog computes the same times as step and logs, per uop, which term
+// won each stage's running maximum, and WalkCriticalPath follows those
+// winners backwards, crossing into and out of transform nodes through
+// anchors and handed-over nodes. Ties resolve as in the node form of the
+// model — five nodes per uop, edges relaxed in a fixed order — which the
+// package tests keep as the reference.
 
 // ref is a critical-path position: a graph node (≥ 0), none (dg.None), or,
 // below that, stage s of logged uop i encoded as -2-(i<<3|s) — the value

@@ -166,8 +166,8 @@ const (
 // On an attribution graph the core also logs, per uop, which term won
 // each stage's maximum (see attrib.go), and WalkCriticalPath walks that
 // log and the transforms' nodes as one critical path. The node-building
-// form this replaces survives as the reference the package's differential
-// tests compare against.
+// form of the same model lives in the package tests, as the reference the
+// differential tests compare against.
 type GPP struct {
 	Cfg    Config
 	G      *dg.Graph

@@ -20,8 +20,8 @@ var updateAttribution = flag.Bool("update", false, "rewrite the attribution gold
 // behind /v1/evaluate: the per-region cp_<class> latencies EvaluateDocument
 // renders for mm, cjpeg, gzip and bfs on IO2 and OOO6, with every
 // registered BSA, under both schedulers. The golden was generated by the
-// node-building general core; the time-direct core that replaced it must
-// reproduce it byte for byte. Regenerating it (-update) is only legitimate
+// node-building form of the general core, which the time-direct core must
+// reproduce byte for byte. Regenerating it (-update) is only legitimate
 // when the evaluation model itself changes.
 func TestEvaluateAttributionMatchesGolden(t *testing.T) {
 	var wls []*workloads.Workload
