@@ -308,14 +308,6 @@ func (m *GPP) MemBytes() int64 {
 		m.fpRT.MemBytes() + m.portRT.MemBytes() + int64(cap(m.log))*logRecBytes
 }
 
-// TrimLog drops the attribution log's storage when it exceeds max bytes,
-// so a pooled core does not keep its largest attributed unit's log.
-func (m *GPP) TrimLog(max int64) {
-	if int64(cap(m.log))*logRecBytes > max {
-		m.log = nil
-	}
-}
-
 // last returns the history entry of the latest uop.
 func (m *GPP) last() *stageTimes { return &m.ring[(m.n-1)&(histSize-1)] }
 

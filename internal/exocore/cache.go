@@ -485,22 +485,9 @@ func acquireWorker(core cores.Config, reused *obs.Counter) *segWorker {
 	return newSegWorker(core)
 }
 
-// maxPooledArena bounds each growable arena a pooled worker keeps: the
-// transforms' µDG streams and the core's attribution log. A worker that
-// evaluated an unusually large unit — a class-attributed unit over a long
-// trace, or a long offload region — gives the excess back on release
-// rather than holding it for the process lifetime; the next such unit
-// regrows it. Lean sweeps, whose windowed graphs stay near
-// DefaultWindowNodes, keep theirs.
-const maxPooledArena = 4 << 20
-
 // releaseWorker returns a worker to its config's free list (dropping it
-// if the list is full), trimmed to maxPooledArena per arena.
+// if the list is full).
 func releaseWorker(core cores.Config, w *segWorker) {
-	if w.g.MemBytes() > maxPooledArena {
-		w.g = dg.NewLeanGraph()
-	}
-	w.gpp.TrimLog(maxPooledArena)
 	p := poolFor(core)
 	p.mu.Lock()
 	if len(p.free) < maxPooledWorkers {
