@@ -33,14 +33,15 @@ func sameRun(a, b *RunResult) string {
 	return ""
 }
 
-// TestLeanRunMatchesAttribution is the run-level oracle of the lean
-// core: a lean Run — time-direct general core, counted energy, window
-// compaction, and through a Cache also prefix publication and delta
-// composition — must equal a RecordRegions Run, whose every uop builds
-// its µDG nodes and charges its energy on the spot. The corpus is one
-// benchmark per family × every core × random assignments drawn over
-// every registered BSA; each cache first runs the baseline, so the
-// assigned runs compose from published prefixes.
+// TestLeanRunMatchesAttribution holds lean runs to attributed ones: a
+// lean Run — the lean step, window compaction, and through a Cache also
+// prefix publication and delta composition — must equal an uncached,
+// unwindowed RecordRegions Run, whose core takes the attributed step and
+// whose transforms build attribution graphs. (The attributed step itself
+// is held to the node-form core by the cores package's differential
+// tests.) The corpus is one benchmark per family × every core × random
+// assignments drawn over every registered BSA; each cache first runs the
+// baseline, so the assigned runs compose from published prefixes.
 func TestLeanRunMatchesAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	bsas := bsa.Default().New()
