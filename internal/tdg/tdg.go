@@ -200,7 +200,8 @@ func (p *Plan) Region(loopID int) *Region {
 // dependence state with the model's nodes — the core's latest commit and
 // completion, register producers, performed stores and fetch barriers.
 // Nodes the core hands out are anchors carrying its event times; nodes
-// handed to it are read when it next executes.
+// handed to it are read when it next executes. The cores package tests
+// drive transforms through it with the node-form reference core.
 type Core interface {
 	Exec(u cores.UOp, dynIdx int32)
 	ExecTrace(p *cores.Decoded, insts []trace.DynInst, base int)
