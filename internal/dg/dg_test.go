@@ -378,3 +378,25 @@ func TestRetireRebasesIndexing(t *testing.T) {
 		t.Fatalf("HighWaterBytes = %d, want %d", hw, 101*8)
 	}
 }
+
+// TestAnchorHandsWalkToItsRecorder: a walk that reaches an anchor steps
+// into it at no latency and returns the anchor's external predecessor,
+// so the recorder of the anchored event can continue the path; in lean
+// mode an anchor is a plain node carrying its time.
+func TestAnchorHandsWalkToItsRecorder(t *testing.T) {
+	g := NewGraph()
+	a := g.NewAnchor(40, -7)
+	n := g.NewNode(KindAccel, 3)
+	g.AddEdge(a, n, 5, EdgeAccelComm)
+	var lat int64
+	if ext := g.WalkCriticalPath(n, func(_ NodeID, _ EdgeClass, l int64) { lat += l }); ext != -7 || lat != 5 || g.Time(n) != 45 {
+		t.Fatalf("walk left at %d after %d cycles (node at %d), want -7 after 5 (45)", ext, lat, g.Time(n))
+	}
+	if ext := g.WalkCriticalPath(g.NewNode(KindAccel, -1), func(NodeID, EdgeClass, int64) {}); ext != None {
+		t.Fatalf("walk from a node without predecessor left at %d, want None", ext)
+	}
+	l := NewLeanGraph()
+	if b := l.NewAnchor(40, -7); l.Time(b) != 40 || l.Len() != 2 {
+		t.Fatalf("lean anchor at %d in a graph of %d nodes", l.Time(b), l.Len())
+	}
+}
