@@ -15,7 +15,7 @@ import (
 	"exocore/internal/testutil"
 )
 
-// attributedCore is what the differential driver needs of a core beyond
+// attributedCore is what the differential test needs of a core beyond
 // the transforms' view of it.
 type attributedCore interface {
 	tdg.Core
