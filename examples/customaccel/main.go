@@ -17,6 +17,7 @@ import (
 	"exocore/internal/dg"
 	"exocore/internal/energy"
 	"exocore/internal/exocore"
+	"exocore/internal/isa"
 	"exocore/internal/runner"
 	"exocore/internal/tdg"
 	"exocore/internal/workloads"
@@ -73,23 +74,22 @@ func (m *ReduceEngine) Analyze(t *tdg.TDG) *tdg.Plan {
 
 // TransformRegion implements tdg.BSA — the "transformation" step: rewrite
 // the region's µDG into a pipelined stream: one node per iteration,
-// II = 1, memory latency from the trace, plus entry/exit transfers.
+// II = 1, memory latency from the trace, plus the offload handshake with
+// the core at entry and exit (bsautil.Enter, bsautil.HandBack).
 func (m *ReduceEngine) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.NodeID {
 	g := ctx.G
-	gpp := ctx.GPP
 	ld := ctx.TDG.Dataflow(r.LoopID)
 
-	entry := g.NewNode(dg.KindAccel, int32(start))
-	g.AddEdge(gpp.LastCommit(), entry, bsautil.TransferLatency(len(ld.LiveIns)), dg.EdgeAccelComm)
-	for _, reg := range ld.LiveIns {
-		g.AddEdge(gpp.RegDef(reg), entry, 2, dg.EdgeAccelComm)
-	}
+	// Entry: live-ins transfer once the core's in-flight work commits; the
+	// adder tree is fixed-function, so there is no configuration to load.
+	entry := bsautil.Enter(ctx, ld.LiveIns, start, 0)
 
 	iters := bsautil.SplitIterations(ctx.TDG, r.LoopID, start, end)
 	prevStart, lastDone := entry, entry
 	tr := ctx.TDG.Trace
+	var written [isa.NumRegs]bool
 	for _, it := range iters {
-		node := g.NewNode(dg.KindAccel, int32(it.Start))
+		node := g.NewNode(int32(it.Start))
 		// Pipelined: each iteration *starts* one cycle after the previous
 		// one started (II = 1); completions overlap.
 		g.AddEdge(prevStart, node, 1, dg.EdgeAccelPipe)
@@ -98,38 +98,25 @@ func (m *ReduceEngine) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end i
 		var maxLat int64 = 1
 		for i := it.Start; i < it.End; i++ {
 			d := &tr.Insts[i]
-			if tr.Prog.Insts[d.SI].Op.IsMem() && int64(d.MemLat) > maxLat {
+			in := &tr.Prog.Insts[d.SI]
+			if in.Op.IsMem() && int64(d.MemLat) > maxLat {
 				maxLat = int64(d.MemLat)
+			}
+			if in.HasDst() {
+				written[in.Dst] = true
 			}
 			ctx.Counts.Add(energy.EvCFUOp, 1) // adder-tree op energy
 		}
-		done := g.NewNode(dg.KindAccel, int32(it.Start))
+		done := g.NewNode(int32(it.Start))
 		g.AddEdge(node, done, maxLat, dg.EdgeAccelCompute)
 		lastDone = done
 	}
 
-	// Exit: the reduction value and induction registers return to the core.
-	exit := g.NewNode(dg.KindAccel, int32(end-1))
+	// Exit: the reduction value and induction registers return to the
+	// core; the engine performs no stores.
+	exit := g.NewNode(int32(end - 1))
 	g.AddEdge(lastDone, exit, bsautil.TransferLatency(len(ld.LiveOuts)), dg.EdgeAccelComm)
-	writtenRegs(ctx, r, start, end, exit)
-	gpp.Barrier(exit, dg.EdgeAccelComm)
-	return exit
-}
-
-func writtenRegs(ctx *tdg.Ctx, r *tdg.Region, start, end int, node dg.NodeID) {
-	seen := map[int32]bool{}
-	tr := ctx.TDG.Trace
-	for i := start; i < end; i++ {
-		si := tr.Insts[i].SI
-		if seen[si] {
-			continue
-		}
-		seen[si] = true
-		in := &tr.Prog.Insts[si]
-		if in.HasDst() {
-			ctx.GPP.SetRegDef(in.Dst, node)
-		}
-	}
+	return bsautil.HandBack(ctx.GPP, exit, &written, nil)
 }
 
 func main() {

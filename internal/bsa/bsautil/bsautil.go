@@ -1,7 +1,8 @@
 // Package bsautil holds machinery shared by the BSA transform models:
-// splitting a region occurrence into loop iterations, and a configurable
-// dataflow executor used by both the non-speculative dataflow (NS-DF) and
-// trace-speculative (Trace-P) models, which differ mainly in control
+// splitting a region occurrence into loop iterations, the offload
+// handshake with the general core (Enter at region entry, HandBack at
+// exit), and a configurable dataflow executor used by the offload models
+// (NS-DF, Trace-P/BERET, XLoops, C-Cores), which differ mainly in control
 // handling and structure sizes (paper §3.1, Table 2).
 package bsautil
 
@@ -49,28 +50,45 @@ func SplitIterations(t *tdg.TDG, loopID, start, end int) []Iteration {
 	return append(iters, Iteration{Start: cur, End: end})
 }
 
-// BlocksOf returns the distinct basic-block entry sequence of a dynamic
-// range (the iteration's path).
-func BlocksOf(t *tdg.TDG, start, end int) []int {
-	return BlocksOfInto(nil, t, start, end)
+// Enter builds an offload region's entry: the accelerator starts once the
+// core's in-flight work has committed and the live-ins have transferred
+// (TransferLatency), then, on a configuration miss (!ctx.ConfigResident),
+// loads its configuration for cfgLat cycles, charged as one EvCGRAConfig.
+// A model with nothing to load (cfgLat 0) gets no configuration node. It
+// returns the node at which the region's inputs are available.
+func Enter(ctx *tdg.Ctx, liveIns []isa.Reg, start int, cfgLat int64) dg.NodeID {
+	g, gpp := ctx.G, ctx.GPP
+	entry := g.NewNode(int32(start))
+	inLat := TransferLatency(len(liveIns))
+	g.AddEdge(gpp.LastCommit(), entry, inLat, dg.EdgeAccelComm)
+	for _, reg := range liveIns {
+		g.AddEdge(gpp.RegDef(reg), entry, inLat, dg.EdgeAccelComm)
+	}
+	if cfgLat == 0 || ctx.ConfigResident {
+		return entry
+	}
+	cfg := g.NewNode(int32(start))
+	g.AddEdge(entry, cfg, cfgLat, dg.EdgeAccelConfig)
+	ctx.Counts.Add(energy.EvCGRAConfig, 1)
+	return cfg
 }
 
-// BlocksOfInto is BlocksOf building into buf (overwritten), so per-
-// iteration callers can reuse one allocation.
-func BlocksOfInto(buf []int, t *tdg.TDG, start, end int) []int {
-	blocks := buf[:0]
-	prev := -1
-	prevSI := -1
-	for i := start; i < end; i++ {
-		si := int(t.Trace.Insts[i].SI)
-		b := t.CFG.BlockOf[si]
-		if b != prev || si <= prevSI {
-			blocks = append(blocks, b)
-			prev = b
+// HandBack returns an offload region's architectural state to the core at
+// the region's exit node: exit becomes the producer of every written
+// register, in ascending register order, the region's stores (nil for a
+// region that performs none) are noted for forwarding into later core
+// loads, and the core's fetch waits for exit. It returns exit.
+func HandBack(gpp tdg.Core, exit dg.NodeID, written *[isa.NumRegs]bool, stores *StoreTab) dg.NodeID {
+	for r, w := range written {
+		if w {
+			gpp.SetRegDef(isa.Reg(r), exit)
 		}
-		prevSI = si
 	}
-	return blocks
+	if stores != nil {
+		stores.ForEach(gpp.NoteStore)
+	}
+	gpp.Barrier(exit)
+	return exit
 }
 
 // DataflowConfig parameterizes the dataflow executor.
@@ -114,7 +132,7 @@ type Dataflow struct {
 
 	regNode  [isa.NumRegs]dg.NodeID
 	ctrlNode dg.NodeID
-	stores   dfStoreTab
+	stores   StoreTab
 
 	issueRT *dg.ResourceTable
 	busRT   *dg.ResourceTable
@@ -126,7 +144,7 @@ type Dataflow struct {
 	values   int64
 	// written flags registers written during execution; a fixed array
 	// instead of a map keeps the per-op write branchless, and iteration
-	// (WrittenRegs, ExitNode) deterministic in ascending register order —
+	// (WrittenRegs, Exit) deterministic in ascending register order —
 	// map iteration could pick either predecessor on exit-edge time ties.
 	written [isa.NumRegs]bool
 	wrList  [isa.NumRegs]isa.Reg // WrittenRegs scratch
@@ -138,25 +156,29 @@ var dfPool = sync.Pool{New: func() any {
 	return &Dataflow{}
 }}
 
-// dfStoreTab is an open-addressed address → completion-node table for
-// store-to-load forwarding, replacing a Go map on the per-op hot path.
-// Keys are word-aligned addresses tagged with bit 0 (addresses have the
-// low three bits clear) so the zero key can mean "empty slot". slots
-// lists the occupied slots in insertion order, so clearing and visiting
-// the table cost O(stores performed), not O(capacity) — a pooled table
-// keeps the capacity its largest region ever grew it to.
-type dfStoreTab struct {
+// StoreTab maps the word address of each store an offload region
+// performed to the store's completion node, for store-to-load forwarding
+// inside the region and for handing the stores to the core at exit. It
+// is an open-addressed table instead of a Go map on the per-op hot path,
+// and it holds every store until Clear. Keys are word-aligned addresses
+// tagged with bit 0 (addresses have the low three bits clear) so the zero
+// key can mean "empty slot". slots lists the occupied slots in insertion
+// order, so clearing and visiting the table cost O(stores performed), not
+// O(capacity) — a pooled table keeps the capacity its largest region ever
+// grew it to. Call Clear before first use.
+type StoreTab struct {
 	keys  []uint64
 	nodes []dg.NodeID
 	slots []int32
 }
 
-const dfStoreTabInitSize = 1024
+const storeTabInitSize = 1024
 
-func (t *dfStoreTab) clear() {
+// Clear empties the table.
+func (t *StoreTab) Clear() {
 	if t.keys == nil {
-		t.keys = make([]uint64, dfStoreTabInitSize)
-		t.nodes = make([]dg.NodeID, dfStoreTabInitSize)
+		t.keys = make([]uint64, storeTabInitSize)
+		t.nodes = make([]dg.NodeID, storeTabInitSize)
 	}
 	for _, i := range t.slots {
 		t.keys[i] = 0
@@ -164,8 +186,12 @@ func (t *dfStoreTab) clear() {
 	t.slots = t.slots[:0]
 }
 
-func (t *dfStoreTab) get(addr uint64) (dg.NodeID, bool) {
-	k := addr | 1
+// Len returns the number of stored words.
+func (t *StoreTab) Len() int { return len(t.slots) }
+
+// Get returns the completion node of the last store to addr's word.
+func (t *StoreTab) Get(addr uint64) (dg.NodeID, bool) {
+	k := addr&^7 | 1
 	mask := uint64(len(t.keys) - 1)
 	for i := (k * 0x9E3779B97F4A7C15) >> 17 & mask; ; i = (i + 1) & mask {
 		switch t.keys[i] {
@@ -177,14 +203,15 @@ func (t *dfStoreTab) get(addr uint64) (dg.NodeID, bool) {
 	}
 }
 
-func (t *dfStoreTab) set(addr uint64, n dg.NodeID) {
+// Set records n as the last store to addr's word.
+func (t *StoreTab) Set(addr uint64, n dg.NodeID) {
 	if 2*(len(t.slots)+1) > len(t.keys) {
 		t.grow()
 	}
-	t.insert(addr|1, n)
+	t.insert(addr&^7|1, n)
 }
 
-func (t *dfStoreTab) insert(k uint64, n dg.NodeID) {
+func (t *StoreTab) insert(k uint64, n dg.NodeID) {
 	mask := uint64(len(t.keys) - 1)
 	for i := (k * 0x9E3779B97F4A7C15) >> 17 & mask; ; i = (i + 1) & mask {
 		switch t.keys[i] {
@@ -199,7 +226,7 @@ func (t *dfStoreTab) insert(k uint64, n dg.NodeID) {
 	}
 }
 
-func (t *dfStoreTab) grow() {
+func (t *StoreTab) grow() {
 	oldKeys, oldNodes, oldSlots := t.keys, t.nodes, t.slots
 	t.keys = make([]uint64, 2*len(oldKeys))
 	t.nodes = make([]dg.NodeID, 2*len(oldNodes))
@@ -209,7 +236,10 @@ func (t *dfStoreTab) grow() {
 	}
 }
 
-func (t *dfStoreTab) forEach(f func(addr uint64, n dg.NodeID)) {
+// ForEach visits every (word address, completion node) pair in
+// first-store order. Addresses are unique, so visit order does not
+// matter to consumers.
+func (t *StoreTab) ForEach(f func(addr uint64, n dg.NodeID)) {
 	for _, i := range t.slots {
 		f(t.keys[i]&^1, t.nodes[i])
 	}
@@ -221,7 +251,7 @@ func (t *dfStoreTab) forEach(f func(addr uint64, n dg.NodeID)) {
 func NewDataflow(cfg DataflowConfig, g *dg.Graph, counts *energy.Counts, entry dg.NodeID) *Dataflow {
 	d := dfPool.Get().(*Dataflow)
 	d.Cfg, d.G, d.Counts = cfg, g, counts
-	d.stores.clear()
+	d.stores.Clear()
 	clear(d.written[:])
 	d.issueRT = g.BorrowRT(cfg.IssueBandwidth)
 	d.busRT = g.BorrowRT(cfg.BusBandwidth)
@@ -250,77 +280,30 @@ func (d *Dataflow) Release() {
 // completion node.
 func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeID {
 	g := d.G
-	e := g.NewNode(dg.KindAccel, dynIdx)
+	e := g.NewNode(dynIdx)
 
-	if g.Lean() {
-		// Lean fast path: accumulate the dependence join in a register
-		// and store it once — identical times, no per-edge relax calls
-		// (a None source contributes nothing, mirroring AddEdge).
-		var te int64
-		if in.Src1.Valid() && in.Src1 != isa.RZ {
-			if n := d.regNode[in.Src1]; n != dg.None {
-				if t := g.Time(n); t > te {
-					te = t
-				}
-			}
-		}
-		if in.Src2.Valid() && in.Src2 != isa.RZ {
-			if n := d.regNode[in.Src2]; n != dg.None {
-				if t := g.Time(n); t > te {
-					te = t
-				}
-			}
-		}
-		if in.Op == isa.FMA && in.Dst.Valid() {
-			if n := d.regNode[in.Dst]; n != dg.None {
-				if t := g.Time(n); t > te {
-					te = t
-				}
-			}
-		}
-		if d.Cfg.SerializeControl && d.ctrlNode != dg.None {
-			if t := g.Time(d.ctrlNode) + 1; t > te {
-				te = t
-			}
-		}
-		if d.Cfg.ChainOps && d.lastExec != dg.None {
-			if t := g.Time(d.lastExec); t > te {
-				te = t
-			}
-		}
-		if in.Op.IsLoad() {
-			if dep, ok := d.stores.get(dyn.Addr &^ 7); ok {
-				if t := g.Time(dep) + 1; t > te {
-					te = t
-				}
-			}
-		}
-		g.SetTime(e, te)
-	} else {
-		// Data dependences.
-		if in.Src1.Valid() && in.Src1 != isa.RZ {
-			g.AddEdge(d.regNode[in.Src1], e, 0, dg.EdgeData)
-		}
-		if in.Src2.Valid() && in.Src2 != isa.RZ {
-			g.AddEdge(d.regNode[in.Src2], e, 0, dg.EdgeData)
-		}
-		if in.Op == isa.FMA && in.Dst.Valid() {
-			g.AddEdge(d.regNode[in.Dst], e, 0, dg.EdgeData)
-		}
-		// Non-speculative control: wait for the branch that admitted
-		// this op.
-		if d.Cfg.SerializeControl {
-			g.AddEdge(d.ctrlNode, e, 1, dg.EdgeAccelCompute)
-		}
-		// Serialized compound execution: in-order issue.
-		if d.Cfg.ChainOps && d.lastExec != dg.None {
-			g.AddEdge(d.lastExec, e, 0, dg.EdgeInOrder)
-		}
-		// Memory dependence through the (store buffer / cache) interface.
-		if in.Op.IsLoad() {
-			if dep, ok := d.stores.get(dyn.Addr &^ 7); ok {
-				g.AddEdge(dep, e, 1, dg.EdgeMemDep)
-			}
+	// Data dependences.
+	if in.Src1.Valid() && in.Src1 != isa.RZ {
+		g.AddEdge(d.regNode[in.Src1], e, 0, dg.EdgeData)
+	}
+	if in.Src2.Valid() && in.Src2 != isa.RZ {
+		g.AddEdge(d.regNode[in.Src2], e, 0, dg.EdgeData)
+	}
+	if in.Op == isa.FMA && in.Dst.Valid() {
+		g.AddEdge(d.regNode[in.Dst], e, 0, dg.EdgeData)
+	}
+	// Non-speculative control: wait for the branch that admitted this op.
+	if d.Cfg.SerializeControl {
+		g.AddEdge(d.ctrlNode, e, 1, dg.EdgeAccelCompute)
+	}
+	// Serialized compound execution: in-order issue.
+	if d.Cfg.ChainOps {
+		g.AddEdge(d.lastExec, e, 0, dg.EdgeInOrder)
+	}
+	// Memory dependence through the (store buffer / cache) interface.
+	if in.Op.IsLoad() {
+		if dep, ok := d.stores.Get(dyn.Addr); ok {
+			g.AddEdge(dep, e, 1, dg.EdgeMemDep)
 		}
 	}
 
@@ -331,22 +314,8 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 	}
 
 	// Completion.
-	p := g.NewNode(dg.KindAccel, dynIdx)
-	lat := int64(in.Op.Latency())
-	if in.Op.IsMem() {
-		lat = int64(dyn.MemLat)
-		if in.Op.IsStore() {
-			lat = 1
-		}
-	}
-	if lat < 1 {
-		lat = 1
-	}
-	if g.Lean() {
-		g.SetTime(p, g.Time(e)+lat) // e's only outgoing edge; times ≥ 0
-	} else {
-		g.AddEdge(e, p, lat, dg.EdgeExec)
-	}
+	p := g.NewNode(dynIdx)
+	g.AddEdge(e, p, OpLatency(in, dyn), dg.EdgeExec)
 	if in.HasDst() {
 		d.values++
 		// Cross-CFU results traverse the writeback bus (a fixed fraction
@@ -360,10 +329,10 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 		d.Counts.Add(d.Cfg.StorageEvent, 1)
 	}
 	if in.Op.IsStore() {
-		d.stores.set(dyn.Addr&^7, p)
-		if len(d.stores.slots) > 8192 {
-			d.stores.clear()
-			d.stores.set(dyn.Addr&^7, p)
+		d.stores.Set(dyn.Addr, p)
+		if d.stores.Len() > 8192 {
+			d.stores.Clear()
+			d.stores.Set(dyn.Addr, p)
 		}
 	}
 	if in.Op.IsCtrl() {
@@ -378,14 +347,7 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 	d.Counts.Add(d.Cfg.OpEvent, 1)
 	if in.Op.IsMem() {
 		d.Counts.Add(d.Cfg.MemEvent, 1)
-		d.Counts.Add(energy.EvL1Access, 1)
-		switch dyn.Level {
-		case trace.LevelL2:
-			d.Counts.Add(energy.EvL2Access, 1)
-		case trace.LevelMem:
-			d.Counts.Add(energy.EvL2Access, 1)
-			d.Counts.Add(energy.EvMemAccess, 1)
-		}
+		ChargeMemAccess(d.Counts, dyn.Level)
 	}
 
 	d.lastNode = p
@@ -393,17 +355,46 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 	return p
 }
 
-// RegNode returns the node currently producing register r.
-func (d *Dataflow) RegNode(r isa.Reg) dg.NodeID { return d.regNode[r] }
+// ExecRange runs trace instructions [start, end) on the accelerator.
+func (d *Dataflow) ExecRange(tr *trace.Trace, start, end int) {
+	for i := start; i < end; i++ {
+		di := &tr.Insts[i]
+		d.Exec(&tr.Prog.Insts[di.SI], di, int32(i))
+	}
+}
+
+// OpLatency is an op's execute-to-complete latency on an offload engine:
+// the op's own latency, a load's memory latency, one cycle for a store,
+// and never less than one.
+func OpLatency(in *isa.Inst, dyn *trace.DynInst) int64 {
+	lat := int64(in.Op.Latency())
+	if in.Op.IsMem() {
+		lat = int64(dyn.MemLat)
+		if in.Op.IsStore() {
+			lat = 1
+		}
+	}
+	return max(lat, 1)
+}
+
+// ChargeMemAccess charges the cache-hierarchy events of one memory access
+// served at the given level.
+func ChargeMemAccess(c *energy.Counts, level trace.MemLevel) {
+	c.Add(energy.EvL1Access, 1)
+	switch level {
+	case trace.LevelL2:
+		c.Add(energy.EvL2Access, 1)
+	case trace.LevelMem:
+		c.Add(energy.EvL2Access, 1)
+		c.Add(energy.EvMemAccess, 1)
+	}
+}
 
 // CtrlNode returns the last resolved-control node.
 func (d *Dataflow) CtrlNode() dg.NodeID { return d.ctrlNode }
 
 // LastNode returns the most recent completion node.
 func (d *Dataflow) LastNode() dg.NodeID { return d.lastNode }
-
-// Ops returns the number of executed operations.
-func (d *Dataflow) Ops() int64 { return d.ops }
 
 // WrittenRegs returns the registers written during execution, in
 // ascending order. The slice is scratch owned by the executor — iterate
@@ -416,20 +407,6 @@ func (d *Dataflow) WrittenRegs() []isa.Reg {
 		}
 	}
 	return out
-}
-
-// ForEachStore visits every (address, completion node) pair of performed
-// stores, in first-store order, for forwarding into the core's dependence
-// state at region exit. Addresses are unique, so visit order does not
-// matter to consumers.
-func (d *Dataflow) ForEachStore(f func(addr uint64, node dg.NodeID)) {
-	d.stores.forEach(f)
-}
-
-// StoreNode returns the completion node of the last store to addr's word,
-// if any.
-func (d *Dataflow) StoreNode(addr uint64) (dg.NodeID, bool) {
-	return d.stores.get(addr &^ 7)
 }
 
 // ResetControl re-anchors the control chain (lane-local control: each
@@ -462,15 +439,23 @@ func (d *Dataflow) Resume(resume dg.NodeID, regs RegSource) {
 	d.lastExec = resume
 }
 
-// ExitNode builds a join node at which all written registers and the last
+// Exit ends the region: an exit node joins the last control decision,
+// the last op and every written register's producer, each after the
+// live-outs' transfer latency, and the region hands back to the core
+// there (HandBack). It returns the exit node.
+func (d *Dataflow) Exit(gpp tdg.Core, liveOuts int) dg.NodeID {
+	return HandBack(gpp, d.exitNode(TransferLatency(liveOuts)), &d.written, &d.stores)
+}
+
+// exitNode builds a join node at which all written registers and the last
 // control decision are available (region completion).
-func (d *Dataflow) ExitNode(extraLat int64) dg.NodeID {
+func (d *Dataflow) exitNode(extraLat int64) dg.NodeID {
 	g := d.G
-	exit := g.NewNode(dg.KindAccel, -1)
+	exit := g.NewNode(-1)
 	g.AddEdge(d.ctrlNode, exit, extraLat, dg.EdgeAccelComm)
 	g.AddEdge(d.lastNode, exit, extraLat, dg.EdgeAccelComm)
-	for r := 0; r < isa.NumRegs; r++ {
-		if d.written[r] {
+	for r, w := range d.written {
+		if w {
 			g.AddEdge(d.regNode[r], exit, extraLat, dg.EdgeAccelComm)
 		}
 	}

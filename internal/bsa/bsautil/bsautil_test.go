@@ -74,19 +74,6 @@ func TestSplitIterationsWithPrefix(t *testing.T) {
 	}
 }
 
-func TestBlocksOf(t *testing.T) {
-	td := buildTDG(t, countLoop(3), nil)
-	blocks := BlocksOf(td, 1, 4) // one iteration: single block
-	if len(blocks) != 1 {
-		t.Errorf("blocks = %v, want single block", blocks)
-	}
-	// Two iterations of the same single-block loop: re-entry counts.
-	blocks = BlocksOf(td, 1, 7)
-	if len(blocks) != 2 {
-		t.Errorf("blocks over 2 iterations = %v, want re-entry", blocks)
-	}
-}
-
 func TestConfigCacheLRU(t *testing.T) {
 	c := NewConfigCache(2)
 	if c.Lookup(1) {
@@ -124,7 +111,7 @@ var testCfg = DataflowConfig{
 func TestDataflowDataDependence(t *testing.T) {
 	g := dg.NewGraph()
 	var counts energy.Counts
-	entry := g.NewNode(dg.KindAccel, -1)
+	entry := g.NewNode(-1)
 	df := NewDataflow(testCfg, g, &counts, entry)
 
 	add := isa.Inst{Op: isa.Add, Dst: isa.R(1), Src1: isa.R(2), Src2: isa.R(3)}
@@ -135,8 +122,8 @@ func TestDataflowDataDependence(t *testing.T) {
 	if g.Time(p2) < g.Time(p1)+int64(isa.Mul.Latency()) {
 		t.Errorf("dependent mul at %d, producer at %d", g.Time(p2), g.Time(p1))
 	}
-	if df.Ops() != 2 {
-		t.Errorf("ops = %d", df.Ops())
+	if df.ops != 2 {
+		t.Errorf("ops = %d", df.ops)
 	}
 	if got := df.WrittenRegs(); len(got) != 2 || got[0] != isa.R(1) || got[1] != isa.R(4) {
 		t.Errorf("WrittenRegs = %v, want [R1 R4] in ascending order", got)
@@ -201,7 +188,7 @@ func TestDataflowMemoryDependence(t *testing.T) {
 	if g.Time(pLd) <= g.Time(pSt) {
 		t.Error("load did not wait for the store to the same address")
 	}
-	if n, ok := df.StoreNode(0x1000); !ok || n != pSt {
+	if n, ok := df.stores.Get(0x1000); !ok || n != pSt {
 		t.Error("store table wrong")
 	}
 }
@@ -213,7 +200,7 @@ func TestDataflowExitNode(t *testing.T) {
 	in := isa.Inst{Op: isa.Mul, Dst: isa.R(1), Src1: isa.R(2), Src2: isa.R(2)}
 	d := trace.DynInst{}
 	p := df.Exec(&in, &d, 0)
-	exit := df.ExitNode(3)
+	exit := df.exitNode(3)
 	if g.Time(exit) < g.Time(p)+3 {
 		t.Errorf("exit at %d, want >= producer+3 (%d)", g.Time(exit), g.Time(p)+3)
 	}
@@ -227,7 +214,7 @@ func TestDataflowResume(t *testing.T) {
 	d := trace.DynInst{}
 	df.Exec(&in, &d, 0)
 
-	resume := g.NewNode(dg.KindAccel, -1)
+	resume := g.NewNode(-1)
 	g.AddEdge(g.Origin(), resume, 500, dg.EdgeAccelReplay)
 	df.Resume(resume, nilRegs{})
 	// Post-resume ops cannot start before the resume point.
@@ -241,11 +228,11 @@ type nilRegs struct{}
 
 func (nilRegs) RegDef(isa.Reg) dg.NodeID { return dg.None }
 
-// TestDataflowLeanTimesIdentical pins the lean fast path in
-// Dataflow.Exec to the attribution path: the same op stream through
-// both graph modes must yield bit-identical completion times, for both
-// the NS-DF (serialized control) and Trace-P (speculative, chained)
-// configurations.
+// TestDataflowLeanTimesIdentical pins Dataflow.Exec's one node form to
+// the graph's mode: the same op stream through a lean graph, where every
+// edge relaxes to a plain max, and through an attribution graph must
+// yield bit-identical completion times, exit time and energy, with and
+// without serialized control (NS-DF) and chained issue (BERET, C-Cores).
 func TestDataflowLeanTimesIdentical(t *testing.T) {
 	ops := []struct {
 		in  isa.Inst
@@ -282,8 +269,8 @@ func TestDataflowLeanTimesIdentical(t *testing.T) {
 					}
 				}
 			}
-			ea := da.ExitNode(3)
-			el := dl.ExitNode(3)
+			ea := da.exitNode(3)
+			el := dl.exitNode(3)
 			if ga.Time(ea) != gl.Time(el) {
 				t.Fatalf("chain=%v serialize=%v: exit %d != %d", chain, serialize, ga.Time(ea), gl.Time(el))
 			}
@@ -300,30 +287,30 @@ func TestDataflowLeanTimesIdentical(t *testing.T) {
 // capacity its largest region grew it to, but clearing and visiting it
 // must cost (and see) only the stores of the current region.
 func TestStoreTabReuseVisitsOnlyNewStores(t *testing.T) {
-	var tab dfStoreTab
-	tab.clear()
+	var tab StoreTab
+	tab.Clear()
 	const big = 70_000 // past 64Ki stores: the table grows to 256Ki slots
 	for i := 0; i < big; i++ {
-		tab.set(uint64(i)*8, dg.NodeID(i))
+		tab.Set(uint64(i)*8, dg.NodeID(i))
 	}
 	if len(tab.keys) < 2*big {
 		t.Fatalf("table did not grow: %d slots for %d stores", len(tab.keys), big)
 	}
-	tab.clear()
+	tab.Clear()
 	want := map[uint64]dg.NodeID{0x1000: 7, 0x88: 9, 0xdead0: 11}
 	for addr, n := range want {
-		tab.set(addr, n)
+		tab.Set(addr, n)
 	}
 	got := map[uint64]dg.NodeID{}
 	visits := 0
-	tab.forEach(func(addr uint64, n dg.NodeID) {
+	tab.ForEach(func(addr uint64, n dg.NodeID) {
 		got[addr] = n
 		visits++
 	})
 	if visits != len(want) || !maps.Equal(got, want) {
 		t.Fatalf("visited %d pairs %v, want exactly %v", visits, got, want)
 	}
-	if n, ok := tab.get(8); ok {
+	if n, ok := tab.Get(8); ok {
 		t.Fatalf("cleared entry still found (node %d)", n)
 	}
 }

@@ -65,30 +65,9 @@ func (m *Model) Analyze(t *tdg.TDG) *tdg.Plan {
 // synthesized datapath — no fetch/decode/rename events, no configuration
 // load (the hardware is fixed-function).
 func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.NodeID {
-	g := ctx.G
-	gpp := ctx.GPP
 	ld := ctx.TDG.Dataflow(r.LoopID)
-
-	entry := g.NewNode(dg.KindAccel, int32(start))
-	inLat := bsautil.TransferLatency(len(ld.LiveIns))
-	g.AddEdge(gpp.LastCommit(), entry, inLat, dg.EdgeAccelComm)
-	for _, reg := range ld.LiveIns {
-		g.AddEdge(gpp.RegDef(reg), entry, inLat, dg.EdgeAccelComm)
-	}
-
-	df := bsautil.NewDataflow(dfConfig, g, ctx.Counts, entry)
+	df := bsautil.NewDataflow(dfConfig, ctx.G, ctx.Counts, bsautil.Enter(ctx, ld.LiveIns, start, 0))
 	defer df.Release()
-	tr := ctx.TDG.Trace
-	for i := start; i < end; i++ {
-		d := &tr.Insts[i]
-		df.Exec(&tr.Prog.Insts[d.SI], d, int32(i))
-	}
-
-	exit := df.ExitNode(bsautil.TransferLatency(len(ld.LiveOuts)))
-	for _, reg := range df.WrittenRegs() {
-		gpp.SetRegDef(reg, exit)
-	}
-	df.ForEachStore(gpp.NoteStore)
-	gpp.Barrier(exit, dg.EdgeAccelComm)
-	return exit
+	df.ExecRange(ctx.TDG.Trace, start, end)
+	return df.Exit(ctx.GPP, len(ld.LiveOuts))
 }

@@ -312,9 +312,9 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 	gpp := ctx.GPP
 
 	if !ctx.ConfigResident {
-		cfgNode := g.NewNode(dg.KindAccel, int32(start))
+		cfgNode := g.NewNode(int32(start))
 		g.AddEdge(gpp.LastCommit(), cfgNode, ConfigLatency, dg.EdgeAccelConfig)
-		gpp.Barrier(cfgNode, dg.EdgeAccelConfig)
+		gpp.Barrier(cfgNode)
 		ctx.Counts.Add(energy.EvCGRAConfig, 1)
 	}
 
@@ -446,7 +446,7 @@ func (m *Model) instance(ctx *tdg.Ctx, p *loopPlan, group []bsautil.Iteration, p
 	}
 
 	// Pass 3: sends core → CGRA.
-	instance := g.NewNode(dg.KindAccel, firstDyn)
+	instance := g.NewNode(firstDyn)
 	for _, reg := range p.inputs {
 		gpp.Exec(cores.UOp{Op: sendOpFor(reg), Src1: reg, Dst: isa.NoReg}, firstDyn)
 		g.AddEdge(gpp.LastComplete(), instance, 1, dg.EdgeAccelComm)
@@ -457,7 +457,7 @@ func (m *Model) instance(ctx *tdg.Ctx, p *loopPlan, group []bsautil.Iteration, p
 	// when the subgraph holds an unpipelined long-latency unit.
 	g.AddEdge(prev, instance, p.ii, dg.EdgeAccelPipe)
 
-	done := g.NewNode(dg.KindAccel, firstDyn)
+	done := g.NewNode(firstDyn)
 	g.AddEdge(instance, done, p.depth, dg.EdgeAccelCompute)
 	ctx.Counts.Add(energy.EvCGRAOp, offloadedOps)
 	ctx.Counts.Add(energy.EvCGRARoute, offloadedOps*int64(m.RouteLatency+1))
@@ -465,7 +465,7 @@ func (m *Model) instance(ctx *tdg.Ctx, p *loopPlan, group []bsautil.Iteration, p
 	// Pass 4: receives CGRA → core.
 	for _, reg := range p.outputs {
 		gpp.Exec(cores.UOp{Op: sendOpFor(reg), Dst: reg, Src1: isa.NoReg, Elide: true}, firstDyn)
-		join := g.NewNode(dg.KindAccel, firstDyn)
+		join := g.NewNode(firstDyn)
 		g.AddEdge(gpp.LastComplete(), join, 0, dg.EdgeAccelComm)
 		g.AddEdge(done, join, 1, dg.EdgeAccelComm)
 		gpp.SetRegDef(reg, join)

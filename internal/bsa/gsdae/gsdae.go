@@ -22,6 +22,8 @@
 package gsdae
 
 import (
+	"sync"
+
 	"exocore/internal/bsa/bsautil"
 	"exocore/internal/dg"
 	"exocore/internal/energy"
@@ -236,8 +238,6 @@ func (m *Model) estimate(t *tdg.TDG, l int, rp *regionPlan) float64 {
 // decoupling FIFO. Both streams share one register scoreboard, so a
 // compute-produced address honestly blocks run-ahead.
 func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.NodeID {
-	g := ctx.G
-	gpp := ctx.GPP
 	rp := r.Config.(*regionPlan)
 	ld := ctx.TDG.Dataflow(r.LoopID)
 	if ctx.Span.Active() {
@@ -246,45 +246,21 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 			ArgInt("insts", int64(end-start))
 	}
 
-	// Region entry: wait for in-flight core work, transfer live-ins, and
-	// load the stream descriptors on a configuration miss.
-	entry := g.NewNode(dg.KindAccel, int32(start))
-	inLat := bsautil.TransferLatency(len(ld.LiveIns))
-	g.AddEdge(gpp.LastCommit(), entry, inLat, dg.EdgeAccelComm)
-	for _, reg := range ld.LiveIns {
-		g.AddEdge(gpp.RegDef(reg), entry, inLat, dg.EdgeAccelComm)
-	}
-	if !ctx.ConfigResident {
-		cfgNode := g.NewNode(dg.KindAccel, int32(start))
-		g.AddEdge(entry, cfgNode, ConfigLatency, dg.EdgeAccelConfig)
-		entry = cfgNode
-		ctx.Counts.Add(energy.EvCGRAConfig, 1)
-	}
-
-	st := newStreams(m, g, entry)
-	defer st.release(g)
+	// Region entry loads the stream descriptors on a configuration miss.
+	st := newStreams(m, ctx.G, bsautil.Enter(ctx, ld.LiveIns, start, ConfigLatency))
+	defer st.release()
 	tr := ctx.TDG.Trace
 	for i := start; i < end; i++ {
 		d := &tr.Insts[i]
 		st.exec(ctx.Counts, &tr.Prog.Insts[d.SI], d, int32(i), rp.access[d.SI])
 	}
-
-	// Region exit: live-outs and store state hand back to the core.
 	exit := st.exitNode(bsautil.TransferLatency(len(ld.LiveOuts)))
-	for reg := range st.written {
-		gpp.SetRegDef(reg, exit)
-	}
-	for addr, n := range st.stores {
-		gpp.NoteStore(addr, n)
-	}
-	gpp.Barrier(exit, dg.EdgeAccelComm)
-	return exit
+	return bsautil.HandBack(ctx.GPP, exit, &st.written, &st.stores)
 }
 
 // streams is the two-stream executor state for one region occurrence.
 type streams struct {
-	model *Model
-	g     *dg.Graph
+	g *dg.Graph
 
 	regNode  [isa.NumRegs]dg.NodeID
 	ctrlNode dg.NodeID // compute-stream control chain
@@ -300,42 +276,53 @@ type streams struct {
 	cmpMemRT   *dg.ResourceTable
 
 	ops     int64
-	written map[isa.Reg]bool
-	stores  map[uint64]dg.NodeID
+	written [isa.NumRegs]bool
+	stores  bsautil.StoreTab
 }
 
+// streamsPool recycles executors, and with them their store tables,
+// across region occurrences.
+var streamsPool = sync.Pool{New: func() any { return new(streams) }}
+
+// newStreams returns a pooled executor whose inputs become available at
+// entry; pair with release.
 func newStreams(m *Model, g *dg.Graph, entry dg.NodeID) *streams {
-	s := &streams{
-		model:      m,
-		g:          g,
-		ctrlNode:   entry,
-		lastAcc:    dg.None,
-		lastNode:   entry,
-		queue:      make([]dg.NodeID, m.QueueDepth),
-		accIssueRT: g.BorrowRT(accessIssueBW),
-		accMemRT:   g.BorrowRT(accessMemPorts),
-		cmpIssueRT: g.BorrowRT(computeIssueBW),
-		cmpMemRT:   g.BorrowRT(computeMemPort),
-		written:    make(map[isa.Reg]bool),
-		stores:     make(map[uint64]dg.NodeID),
-	}
+	s := streamsPool.Get().(*streams)
+	s.g = g
+	s.ctrlNode, s.lastAcc, s.lastNode = entry, dg.None, entry
 	for i := range s.regNode {
 		s.regNode[i] = entry
 	}
+	if cap(s.queue) < m.QueueDepth {
+		s.queue = make([]dg.NodeID, m.QueueDepth)
+	}
+	s.queue = s.queue[:m.QueueDepth]
 	for i := range s.queue {
 		s.queue[i] = dg.None
 	}
+	s.qi, s.ops = 0, 0
+	s.accIssueRT = g.BorrowRT(accessIssueBW)
+	s.accMemRT = g.BorrowRT(accessMemPorts)
+	s.cmpIssueRT = g.BorrowRT(computeIssueBW)
+	s.cmpMemRT = g.BorrowRT(computeMemPort)
+	clear(s.written[:])
+	s.stores.Clear()
 	return s
 }
 
-func (s *streams) release(g *dg.Graph) {
-	g.ReturnRT(s.accIssueRT, s.accMemRT, s.cmpIssueRT, s.cmpMemRT)
+// release returns the resource tables to the graph and the executor to
+// its pool.
+func (s *streams) release() {
+	s.g.ReturnRT(s.accIssueRT, s.accMemRT, s.cmpIssueRT, s.cmpMemRT)
+	s.accIssueRT, s.accMemRT, s.cmpIssueRT, s.cmpMemRT = nil, nil, nil, nil
+	s.g = nil
+	streamsPool.Put(s)
 }
 
 // exec models one dynamic instruction on its stream.
 func (s *streams) exec(counts *energy.Counts, in *isa.Inst, dyn *trace.DynInst, dynIdx int32, access bool) dg.NodeID {
 	g := s.g
-	e := g.NewNode(dg.KindAccel, dynIdx)
+	e := g.NewNode(dynIdx)
 
 	// Data dependences through the shared scoreboard.
 	if in.Src1.Valid() && in.Src1 != isa.RZ {
@@ -353,9 +340,7 @@ func (s *streams) exec(counts *energy.Counts, in *isa.Inst, dyn *trace.DynInst, 
 		// by the prefetch FIFO — a load waits for the load QueueDepth
 		// positions earlier to complete before its slot frees.
 		if in.Op.IsLoad() {
-			if slot := s.queue[s.qi%len(s.queue)]; slot != dg.None {
-				g.AddEdge(slot, e, 0, dg.EdgeAccelPipe)
-			}
+			g.AddEdge(s.queue[s.qi%len(s.queue)], e, 0, dg.EdgeAccelPipe)
 		}
 		g.PushTime(e, s.accIssueRT.Book(g.Time(e)), dg.EdgeFU)
 		if in.Op.IsMem() {
@@ -370,26 +355,17 @@ func (s *streams) exec(counts *energy.Counts, in *isa.Inst, dyn *trace.DynInst, 
 		}
 	}
 
-	// Store-to-load forwarding through the decoupling buffer.
+	// Store-to-load forwarding through the decoupling buffer, after the
+	// stream's resource booking.
 	if in.Op.IsLoad() {
-		if dep, ok := s.stores[dyn.Addr&^7]; ok {
+		if dep, ok := s.stores.Get(dyn.Addr); ok {
 			g.AddEdge(dep, e, 1, dg.EdgeMemDep)
 		}
 	}
 
 	// Completion.
-	p := g.NewNode(dg.KindAccel, dynIdx)
-	lat := int64(in.Op.Latency())
-	if in.Op.IsMem() {
-		lat = int64(dyn.MemLat)
-		if in.Op.IsStore() {
-			lat = 1
-		}
-	}
-	if lat < 1 {
-		lat = 1
-	}
-	g.AddEdge(e, p, lat, dg.EdgeExec)
+	p := g.NewNode(dynIdx)
+	g.AddEdge(e, p, bsautil.OpLatency(in, dyn), dg.EdgeExec)
 
 	if access {
 		s.lastAcc = p
@@ -404,7 +380,7 @@ func (s *streams) exec(counts *energy.Counts, in *isa.Inst, dyn *trace.DynInst, 
 		counts.Add(energy.EvDFOpStorage, 1)
 	}
 	if in.Op.IsStore() {
-		s.stores[dyn.Addr&^7] = p
+		s.stores.Set(dyn.Addr, p)
 	}
 	if in.Op.IsCtrl() && !access {
 		s.ctrlNode = p
@@ -418,32 +394,26 @@ func (s *streams) exec(counts *energy.Counts, in *isa.Inst, dyn *trace.DynInst, 
 	counts.Add(energy.EvCFUOp, 1)
 	if in.Op.IsMem() {
 		counts.Add(energy.EvLSQ, 1)
-		counts.Add(energy.EvL1Access, 1)
-		switch dyn.Level {
-		case trace.LevelL2:
-			counts.Add(energy.EvL2Access, 1)
-		case trace.LevelMem:
-			counts.Add(energy.EvL2Access, 1)
-			counts.Add(energy.EvMemAccess, 1)
-		}
+		bsautil.ChargeMemAccess(counts, dyn.Level)
 	}
 
 	s.lastNode = p
 	return p
 }
 
-// exitNode joins both streams: all written registers, the last control
-// decision and the last access-stream op are available.
+// exitNode joins both streams: all written registers (in ascending
+// register order), the last control decision and the last access-stream
+// op are available.
 func (s *streams) exitNode(extraLat int64) dg.NodeID {
 	g := s.g
-	exit := g.NewNode(dg.KindAccel, -1)
+	exit := g.NewNode(-1)
 	g.AddEdge(s.ctrlNode, exit, extraLat, dg.EdgeAccelComm)
 	g.AddEdge(s.lastNode, exit, extraLat, dg.EdgeAccelComm)
-	if s.lastAcc != dg.None {
-		g.AddEdge(s.lastAcc, exit, extraLat, dg.EdgeAccelComm)
-	}
-	for r := range s.written {
-		g.AddEdge(s.regNode[r], exit, extraLat, dg.EdgeAccelComm)
+	g.AddEdge(s.lastAcc, exit, extraLat, dg.EdgeAccelComm)
+	for r, w := range s.written {
+		if w {
+			g.AddEdge(s.regNode[r], exit, extraLat, dg.EdgeAccelComm)
+		}
 	}
 	return exit
 }

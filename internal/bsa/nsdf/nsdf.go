@@ -109,44 +109,14 @@ func (m *Model) estimate(t *tdg.TDG, l int) float64 {
 // and writeback-bus bandwidth is enforced, and live values transfer at
 // region boundaries (paper §3.2 NS-DF transform).
 func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.NodeID {
-	g := ctx.G
-	gpp := ctx.GPP
 	ld := ctx.TDG.Dataflow(r.LoopID)
 	if ctx.Span.Active() {
 		ctx.Span.ArgInt("live_ins", int64(len(ld.LiveIns))).
 			ArgInt("live_outs", int64(len(ld.LiveOuts))).
 			ArgInt("insts", int64(end-start))
 	}
-
-	// Region entry: wait for in-flight core work, transfer live-ins, and
-	// load the configuration on a miss.
-	entry := g.NewNode(dg.KindAccel, int32(start))
-	inLat := bsautil.TransferLatency(len(ld.LiveIns))
-	g.AddEdge(gpp.LastCommit(), entry, inLat, dg.EdgeAccelComm)
-	for _, reg := range ld.LiveIns {
-		g.AddEdge(gpp.RegDef(reg), entry, inLat, dg.EdgeAccelComm)
-	}
-	if !ctx.ConfigResident {
-		cfgNode := g.NewNode(dg.KindAccel, int32(start))
-		g.AddEdge(entry, cfgNode, ConfigLatency, dg.EdgeAccelConfig)
-		entry = cfgNode
-		ctx.Counts.Add(energy.EvCGRAConfig, 1)
-	}
-
-	df := bsautil.NewDataflow(dfConfig, g, ctx.Counts, entry)
+	df := bsautil.NewDataflow(dfConfig, ctx.G, ctx.Counts, bsautil.Enter(ctx, ld.LiveIns, start, ConfigLatency))
 	defer df.Release()
-	tr := ctx.TDG.Trace
-	for i := start; i < end; i++ {
-		d := &tr.Insts[i]
-		df.Exec(&tr.Prog.Insts[d.SI], d, int32(i))
-	}
-
-	// Region exit: live-outs and store state hand back to the core.
-	exit := df.ExitNode(bsautil.TransferLatency(len(ld.LiveOuts)))
-	for _, reg := range df.WrittenRegs() {
-		gpp.SetRegDef(reg, exit)
-	}
-	df.ForEachStore(gpp.NoteStore)
-	gpp.Barrier(exit, dg.EdgeAccelComm)
-	return exit
+	df.ExecRange(ctx.TDG.Trace, start, end)
+	return df.Exit(ctx.GPP, len(ld.LiveOuts))
 }

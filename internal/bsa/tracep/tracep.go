@@ -138,32 +138,14 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 	plan := r.Config.(*tracePlan)
 	g := ctx.G
 	gpp := ctx.GPP
-	tr := ctx.TDG.Trace
 	ld := ctx.TDG.Dataflow(r.LoopID)
-
-	entry := g.NewNode(dg.KindAccel, int32(start))
-	inLat := bsautil.TransferLatency(len(ld.LiveIns))
-	g.AddEdge(gpp.LastCommit(), entry, inLat, dg.EdgeAccelComm)
-	for _, reg := range ld.LiveIns {
-		g.AddEdge(gpp.RegDef(reg), entry, inLat, dg.EdgeAccelComm)
-	}
-	if !ctx.ConfigResident {
-		cfgNode := g.NewNode(dg.KindAccel, int32(start))
-		g.AddEdge(entry, cfgNode, ConfigLatency, dg.EdgeAccelConfig)
-		entry = cfgNode
-		ctx.Counts.Add(energy.EvCGRAConfig, 1)
-	}
-
-	df := bsautil.NewDataflow(m.df, g, ctx.Counts, entry)
+	df := bsautil.NewDataflow(m.df, g, ctx.Counts, bsautil.Enter(ctx, ld.LiveIns, start, ConfigLatency))
 	defer df.Release()
 	iters := bsautil.SplitIterations(ctx.TDG, r.LoopID, start, end)
 	for _, it := range iters {
 		matched, shared := matchHotPath(ctx.TDG, it.Start, it.End, plan.hotPath)
 		if matched {
-			for i := it.Start; i < it.End; i++ {
-				d := &tr.Insts[i]
-				df.Exec(&tr.Prog.Insts[d.SI], d, int32(i))
-			}
+			df.ExecRange(ctx.TDG.Trace, it.Start, it.End)
 			continue
 		}
 		// Misspeculation: the trace engine ran the iteration up to the
@@ -171,27 +153,20 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 		// work is wasted (charged), then the whole iteration replays on
 		// the host core.
 		m.chargeWastedWork(ctx, plan, shared)
-		squash := g.NewNode(dg.KindAccel, int32(it.Start))
+		squash := g.NewNode(int32(it.Start))
 		g.AddEdge(df.LastNode(), squash, ReplayPenalty, dg.EdgeAccelReplay)
 		// Hand current speculative state to the core for the replay.
 		for _, reg := range df.WrittenRegs() {
 			gpp.SetRegDef(reg, squash)
 		}
-		gpp.Barrier(squash, dg.EdgeAccelReplay)
+		gpp.Barrier(squash)
 		ctx.ExecCore(it.Start, it.End)
 		// Resume the trace engine with the core's architectural state.
-		resume := g.NewNode(dg.KindAccel, int32(it.End-1))
+		resume := g.NewNode(int32(it.End - 1))
 		g.AddEdge(gpp.LastComplete(), resume, 2, dg.EdgeAccelComm)
 		df.Resume(resume, gpp)
 	}
-
-	exit := df.ExitNode(bsautil.TransferLatency(len(ld.LiveOuts)))
-	for _, reg := range df.WrittenRegs() {
-		gpp.SetRegDef(reg, exit)
-	}
-	df.ForEachStore(gpp.NoteStore)
-	gpp.Barrier(exit, dg.EdgeAccelComm)
-	return exit
+	return df.Exit(gpp, len(ld.LiveOuts))
 }
 
 // chargeWastedWork accounts the energy of trace operations executed

@@ -5,8 +5,56 @@ import (
 
 	"exocore/internal/bsa/bsautil"
 	"exocore/internal/cores"
+	"exocore/internal/isa"
+	"exocore/internal/prog"
+	"exocore/internal/sim"
+	"exocore/internal/tdg"
 	"exocore/internal/testutil"
 )
+
+// blocksOf returns the basic-block entry sequence of trace[start:end) —
+// the iteration's path — materialized: the reference matchHotPath's fused
+// walk is held to.
+func blocksOf(t *tdg.TDG, start, end int) []int {
+	var blocks []int
+	prev, prevSI := -1, -1
+	for i := start; i < end; i++ {
+		si := int(t.Trace.Insts[i].SI)
+		b := t.CFG.BlockOf[si]
+		if b != prev || si <= prevSI {
+			blocks = append(blocks, b)
+			prev = b
+		}
+		prevSI = si
+	}
+	return blocks
+}
+
+// TestBlocksOf checks the reference itself on a single-block loop: an
+// iteration enters its block once, and the next iteration's re-entry
+// into the same block is a new entry.
+func TestBlocksOf(t *testing.T) {
+	b := prog.NewBuilder("count")
+	b.MovI(isa.R(1), 3)
+	b.Label("loop")
+	b.AddI(isa.R(2), isa.R(2), 1)
+	b.SubI(isa.R(1), isa.R(1), 1)
+	b.Bne(isa.R(1), isa.RZ, "loop")
+	tr, err := sim.Run(b.MustBuild(), sim.NewState(), sim.Config{MaxDyn: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, err := tdg.Build(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks := blocksOf(td, 1, 4); len(blocks) != 1 { // one iteration
+		t.Errorf("blocks = %v, want single block", blocks)
+	}
+	if blocks := blocksOf(td, 1, 7); len(blocks) != 2 {
+		t.Errorf("blocks over 2 iterations = %v, want re-entry", blocks)
+	}
+}
 
 func TestAnalyzerRequiresHotTraces(t *testing.T) {
 	// vr: biased early-exit — eligible. merge: 50/50 path split — not.
@@ -99,7 +147,7 @@ func TestMatchHotPathAgainstBlocksOf(t *testing.T) {
 		tp := r.Config.(*tracePlan)
 		iters := bsautil.SplitIterations(td, r.LoopID, 0, td.Trace.Len())
 		for _, it := range iters {
-			path := bsautil.BlocksOf(td, it.Start, it.End)
+			path := blocksOf(td, it.Start, it.End)
 			wantShared := 0
 			for wantShared < len(path) && wantShared < len(tp.hotPath) &&
 				path[wantShared] == tp.hotPath[wantShared] {

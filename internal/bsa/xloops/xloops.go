@@ -145,23 +145,8 @@ func (m *Model) carriedChain(t *tdg.TDG, l int) int64 {
 // control independence.
 func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.NodeID {
 	g := ctx.G
-	gpp := ctx.GPP
-	tr := ctx.TDG.Trace
 	ld := ctx.TDG.Dataflow(r.LoopID)
-
-	entry := g.NewNode(dg.KindAccel, int32(start))
-	inLat := bsautil.TransferLatency(len(ld.LiveIns))
-	g.AddEdge(gpp.LastCommit(), entry, inLat, dg.EdgeAccelComm)
-	for _, reg := range ld.LiveIns {
-		g.AddEdge(gpp.RegDef(reg), entry, inLat, dg.EdgeAccelComm)
-	}
-	if !ctx.ConfigResident {
-		cfgNode := g.NewNode(dg.KindAccel, int32(start))
-		g.AddEdge(entry, cfgNode, ConfigLatency, dg.EdgeAccelConfig)
-		entry = cfgNode
-		ctx.Counts.Add(energy.EvCGRAConfig, 1)
-	}
-
+	entry := bsautil.Enter(ctx, ld.LiveIns, start, ConfigLatency)
 	df := bsautil.NewDataflow(dfConfig, g, ctx.Counts, entry)
 	defer df.Release()
 	iters := bsautil.SplitIterations(ctx.TDG, r.LoopID, start, end)
@@ -171,22 +156,12 @@ func (m *Model) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end int) dg.
 	}
 	for k, it := range iters {
 		lane := k % m.Lanes
-		dispatch := g.NewNode(dg.KindAccel, int32(it.Start))
+		dispatch := g.NewNode(int32(it.Start))
 		g.AddEdge(laneEnd[lane], dispatch, 1, dg.EdgeAccelPipe) // lane reuse
 		g.AddEdge(entry, dispatch, 0, dg.EdgeProgram)
 		df.ResetControl(dispatch) // lane-local control
-		for i := it.Start; i < it.End; i++ {
-			d := &tr.Insts[i]
-			df.Exec(&tr.Prog.Insts[d.SI], d, int32(i))
-		}
+		df.ExecRange(ctx.TDG.Trace, it.Start, it.End)
 		laneEnd[lane] = df.CtrlNode() // the iteration's final branch
 	}
-
-	exit := df.ExitNode(bsautil.TransferLatency(len(ld.LiveOuts)))
-	for _, reg := range df.WrittenRegs() {
-		gpp.SetRegDef(reg, exit)
-	}
-	df.ForEachStore(gpp.NoteStore)
-	gpp.Barrier(exit, dg.EdgeAccelComm)
-	return exit
+	return df.Exit(ctx.GPP, len(ld.LiveOuts))
 }

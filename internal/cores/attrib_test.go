@@ -63,8 +63,7 @@ func attribute(td *tdg.TDG, g *dg.Graph, core attributedCore, counts *energy.Cou
 			continue
 		}
 		name := assign[seg.LoopID]
-		ctx := tdg.Ctx{TDG: td, G: g, GPP: core, Counts: counts,
-			State: map[string]any{}, ConfigResident: resident[seg.LoopID]}
+		ctx := tdg.Ctx{TDG: td, G: g, GPP: core, Counts: counts, ConfigResident: resident[seg.LoopID]}
 		resident[seg.LoopID] = true
 		if end := bsas[name].TransformRegion(&ctx, plans[name].Region(seg.LoopID), seg.Start, seg.End); end != dg.None &&
 			(from == dg.None || g.Time(end) > g.Time(from)) {

@@ -390,7 +390,7 @@ func (m *GPP) EndTime() int64 {
 
 // Barrier forces all subsequent fetches to wait for node (region handoff:
 // returning from an offload accelerator, or loading a configuration).
-func (m *GPP) Barrier(node dg.NodeID, class dg.EdgeClass) {
+func (m *GPP) Barrier(node dg.NodeID) {
 	if node != dg.None {
 		m.handoffs = append(m.handoffs, handoff{node: node, kind: handBarrier})
 	}
@@ -430,22 +430,21 @@ func (m *GPP) LastStoreTo(addr uint64) dg.NodeID {
 
 const storeWindow = 4096 // uops a store-forwarding entry stays visible
 
-// CompactWindow bounds the resident µDG of a lean evaluation: when more
-// than window nodes are resident, every one of them is retired. Between
+// CompactWindow retires every resident node of a lean evaluation. Between
 // uops the core holds no node — its state is times, and the nodes
 // transforms handed it are read as times here at the latest — so once the
 // transforms that created the resident nodes have returned, nothing can
-// reference them again. Node times are final and unchanged, so windowed
-// evaluation is byte-identical to whole-trace evaluation; only peak memory
-// changes, from O(trace) to O(window).
+// reference them again. Node times are final and unchanged, so a
+// compacted evaluation is byte-identical to a whole-trace one; only peak
+// memory changes, from O(trace) to one segment's nodes.
 //
 // Call it only between transforms, never while one holding node
-// references is in flight (the exocore engine calls it between segments).
-// Attribution graphs are never compacted: critical-path walks need them
-// whole.
-func (m *GPP) CompactWindow(window int) {
+// references is in flight (the exocore engine calls it at every segment
+// end). Attribution graphs are never compacted: critical-path walks need
+// them whole.
+func (m *GPP) CompactWindow() {
 	g := m.G
-	if !g.Lean() || g.Resident() <= window {
+	if !g.Lean() {
 		return
 	}
 	m.settle()

@@ -212,9 +212,9 @@ func TestBarrierDelaysFetch(t *testing.T) {
 	_ = gBase
 	g := newEvalGraph()
 	m := NewGPP(OOO2, g.g, g.counts)
-	far := g.g.NewNode(0, -1)
+	far := g.g.NewNode(-1)
 	g.g.AddEdge(g.g.Origin(), far, 10000, 0)
-	m.Barrier(far, 0)
+	m.Barrier(far)
 	for i := range tr.Insts {
 		d := &tr.Insts[i]
 		m.Exec(FromDyn(&tr.Prog.Insts[d.SI], d), int32(i))
@@ -228,7 +228,7 @@ func TestRegDefHandoff(t *testing.T) {
 	g := newEvalGraph()
 	m := NewGPP(OOO2, g.g, g.counts)
 	// Accelerator produced r5 at t=500.
-	prod := g.g.NewNode(0, -1)
+	prod := g.g.NewNode(-1)
 	g.g.AddEdge(g.g.Origin(), prod, 500, 0)
 	m.SetRegDef(isa.R(5), prod)
 	if m.RegDef(isa.R(5)) != prod {
@@ -244,7 +244,7 @@ func TestRegDefHandoff(t *testing.T) {
 func TestNoteStoreCreatesDependence(t *testing.T) {
 	g := newEvalGraph()
 	m := NewGPP(OOO2, g.g, g.counts)
-	st := g.g.NewNode(0, -1)
+	st := g.g.NewNode(-1)
 	g.g.AddEdge(g.g.Origin(), st, 700, 0)
 	m.NoteStore(0x2000, st)
 	if m.LastStoreTo(0x2000) != st {
@@ -507,7 +507,7 @@ type handoffCore interface {
 	LastComplete() dg.NodeID
 	EndTime() int64
 	Retired() int
-	Barrier(node dg.NodeID, class dg.EdgeClass)
+	Barrier(node dg.NodeID)
 	RegDef(r isa.Reg) dg.NodeID
 	SetRegDef(r isa.Reg, node dg.NodeID)
 	NoteStore(addr uint64, node dg.NodeID)
@@ -545,13 +545,13 @@ func TestLeanHandoffsMatchAttribution(t *testing.T) {
 			got[mode] = append(got[mode], g.Time(n))
 		}
 		at := func(t int64) dg.NodeID {
-			n := g.NewNode(dg.KindAccel, -1)
+			n := g.NewNode(-1)
 			g.AddEdge(g.Origin(), n, t, dg.EdgeAccelComm)
 			return n
 		}
 		obs(m.LastCommit())
 		obs(m.LastComplete())
-		m.Barrier(at(300), dg.EdgeAccelComm)
+		m.Barrier(at(300))
 		obs(m.LastCommit())
 		prod := at(500)
 		m.SetRegDef(isa.R(5), prod)
@@ -568,7 +568,7 @@ func TestLeanHandoffsMatchAttribution(t *testing.T) {
 		obs(m.LastComplete())
 		// A transform node hung off the core's state, handed back as a
 		// producer the next uop waits on.
-		join := g.NewNode(dg.KindAccel, 2)
+		join := g.NewNode(2)
 		g.AddEdge(m.LastComplete(), join, 3, dg.EdgeAccelComm)
 		g.AddEdge(m.RegDef(isa.R(7)), join, 40, dg.EdgeAccelCompute)
 		m.SetRegDef(isa.R(8), join)
@@ -602,12 +602,12 @@ func TestTiesResolveInEdgeOrder(t *testing.T) {
 		"barrier vs width-back fetch": func(m handoffCore, at func(int64, dg.EdgeClass) dg.NodeID) {
 			m.Exec(UOp{Op: isa.AddI, Dst: isa.R(2), Src1: isa.RZ}, 0)
 			m.Exec(UOp{Op: isa.AddI, Dst: isa.R(3), Src1: isa.RZ}, 1)
-			m.Barrier(at(2, dg.EdgeAccelComm), dg.EdgeAccelComm) // the width-back fetch + 1
+			m.Barrier(at(2, dg.EdgeAccelComm)) // the width-back fetch + 1
 			m.Exec(UOp{Op: isa.AddI, Dst: isa.R(4), Src1: isa.RZ}, 2)
 		},
 		"barriers at one time": func(m handoffCore, at func(int64, dg.EdgeClass) dg.NodeID) {
-			m.Barrier(at(300, dg.EdgeAccelComm), dg.EdgeAccelComm)
-			m.Barrier(at(300, dg.EdgeAccelConfig), dg.EdgeAccelConfig)
+			m.Barrier(at(300, dg.EdgeAccelComm))
+			m.Barrier(at(300, dg.EdgeAccelConfig))
 			m.Exec(UOp{Op: isa.AddI, Dst: isa.R(2), Src1: isa.RZ}, 0)
 		},
 		"store forward vs address producer": func(m handoffCore, at func(int64, dg.EdgeClass) dg.NodeID) {
@@ -625,7 +625,7 @@ func TestTiesResolveInEdgeOrder(t *testing.T) {
 				m = NewGPP(OOO2, g, &energy.Counts{})
 			}
 			run(m, func(t int64, class dg.EdgeClass) dg.NodeID {
-				n := g.NewNode(dg.KindAccel, -1)
+				n := g.NewNode(-1)
 				g.AddEdge(g.Origin(), n, t, class)
 				return n
 			})

@@ -91,14 +91,14 @@ func (m *refGPP) EndTime() int64 { return m.g.Time(m.LastCommit()) }
 
 func (m *refGPP) Retired() int { return m.n }
 
-// Barrier joins node into a synthetic barrier node, so the edge class is
-// preserved on the path.
-func (m *refGPP) Barrier(node dg.NodeID, class dg.EdgeClass) {
+// Barrier joins node and the previous barrier into a synthetic barrier
+// node; the zero-latency join adds no cycle to any path through it.
+func (m *refGPP) Barrier(node dg.NodeID) {
 	if node == dg.None {
 		return
 	}
-	b := m.g.NewNode(dg.KindAccel, -1)
-	m.g.AddEdge(node, b, 0, class)
+	b := m.g.NewNode(-1)
+	m.g.AddEdge(node, b, 0, dg.EdgeProgram)
 	m.g.AddEdge(m.barrier, b, 0, dg.EdgeProgram)
 	m.barrier = b
 	m.barrierSeen = false
@@ -148,11 +148,11 @@ func (m *refGPP) Exec(u UOp, dynIdx int32) {
 	g := m.g
 	cfg := &m.cfg
 
-	f := g.NewNode(dg.KindFetch, dynIdx)
-	d := g.NewNode(dg.KindDispatch, dynIdx)
-	e := g.NewNode(dg.KindExecute, dynIdx)
-	p := g.NewNode(dg.KindComplete, dynIdx)
-	c := g.NewNode(dg.KindCommit, dynIdx)
+	f := g.NewNode(dynIdx)
+	d := g.NewNode(dynIdx)
+	e := g.NewNode(dynIdx)
+	p := g.NewNode(dynIdx)
+	c := g.NewNode(dynIdx)
 
 	cls := u.Op.ClassOf()
 

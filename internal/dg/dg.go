@@ -21,10 +21,10 @@
 //
 // The graph is a struct of arrays over flat slices, not an array of node
 // structs: times in one int64 stream, attribution (critical predecessor,
-// step latency, packed edge-class|kind, dynamic index) in parallel
-// int32/uint8 streams. The relaxation hot path (AddEdge/PushTime) touches
-// only the streams it needs, and the critical-path walk is a backward
-// sweep over the flat predecessor slice. Two modes share the layout:
+// step latency, edge class, dynamic index) in parallel int32/uint8
+// streams. The relaxation hot path (AddEdge/PushTime) touches only the
+// streams it needs, and the critical-path walk is a backward sweep over
+// the flat predecessor slice. Two modes share the layout:
 //
 //   - attribution mode (NewGraph) maintains every stream, supporting
 //     WalkCriticalPath/CriticalPathBreakdown and per-region attribution;
@@ -38,54 +38,21 @@
 // In either mode only accelerator transforms and anchors populate the
 // graph: the general core adds no nodes.
 //
-// # Windowed (streaming) construction
+// # Retirement
 //
 // Node times are final once all in-edges are added, so a constructor that
 // no longer references old nodes does not need them resident. Retire
 // drops every node below a caller-proven live floor by compacting the
-// flat slices; node IDs keep their meaning (indices are rebased), and
-// peak memory becomes O(window) instead of O(trace). See
+// flat slices; node IDs keep their meaning (indices are rebased). See
 // cores.GPP.CompactWindow: a lean core references no node between
-// transforms, so everything resident can be retired there.
+// transforms, so a lean evaluation retires each segment's nodes when the
+// segment ends, and the resident graph never outgrows one segment.
 package dg
 
 import (
 	"fmt"
 	"unsafe"
 )
-
-// Kind classifies a node by pipeline event.
-type Kind uint8
-
-// Node kinds. Accelerator transforms reuse Execute/Complete and add
-// synthetic boundary nodes.
-const (
-	KindFetch Kind = iota
-	KindDispatch
-	KindExecute
-	KindComplete
-	KindCommit
-	KindAccel // accelerator-internal event
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindFetch:
-		return "F"
-	case KindDispatch:
-		return "D"
-	case KindExecute:
-		return "E"
-	case KindComplete:
-		return "P"
-	case KindCommit:
-		return "C"
-	case KindAccel:
-		return "A"
-	}
-	return "?"
-}
 
 // EdgeClass labels the architectural constraint an edge models, enabling
 // critical-path (stall) breakdowns — the paper's recommended way to sanity
@@ -138,7 +105,7 @@ const None NodeID = -1
 
 // Per-node stream widths, for memory accounting: the time stream alone
 // (lean mode) and the four attribution streams (critPred int32 + critLat
-// int32 + class|kind uint8 + dynIdx int32).
+// int32 + class uint8 + dynIdx int32).
 const (
 	leanNodeBytes   = 8
 	attribNodeBytes = 13
@@ -149,21 +116,20 @@ const (
 // immediately, so Time(id) of any already-constructed node is final.
 //
 // Storage is struct-of-arrays (see the package comment): time is always
-// maintained; pred/lat/ck/dyn only in attribution mode. All streams are
+// maintained; pred/lat/class/dyn only in attribution mode. All streams are
 // indexed by id − base, where base is the first resident node after any
 // Retire calls (0 for whole-trace graphs).
 type Graph struct {
-	time []int64 // node times; always maintained
-	pred []int32 // critical predecessor (attribution mode)
-	lat  []int32 // latency attributed to the step into the node
-	ck   []uint8 // EdgeClass<<3 | Kind
-	dyn  []int32 // dynamic-instruction index (-1 synthetic)
+	time  []int64 // node times; always maintained
+	pred  []int32 // critical predecessor (attribution mode)
+	lat   []int32 // latency attributed to the step into the node
+	class []uint8 // EdgeClass of the step into the node
+	dyn   []int32 // dynamic-instruction index (-1 synthetic)
 
 	base NodeID // first resident node id; lower ids are retired
 	n    int    // total nodes created (next id); resident count is len(time)
 	lean bool
 
-	hwNodes int   // high-water resident node count
 	hwBytes int64 // high-water resident stream bytes
 
 	// rtFree recycles ResourceTables for transient users (accelerator
@@ -195,7 +161,7 @@ func (g *Graph) origin() {
 	if !g.lean {
 		g.pred = append(g.pred, int32(None))
 		g.lat = append(g.lat, 0)
-		g.ck = append(g.ck, uint8(KindFetch))
+		g.class = append(g.class, 0)
 		g.dyn = append(g.dyn, -1)
 	}
 	g.n = 1
@@ -207,16 +173,16 @@ func (g *Graph) Reset() { g.ResetMode(g.lean) }
 
 // ResetMode clears the graph for reuse in the given mode: lean graphs
 // maintain only node times (byte-identical to attribution mode, see the
-// package comment) and support Retire-based windowing; attribution
+// package comment) and support retirement; attribution
 // graphs additionally record the critical-path structure that
-// WalkCriticalPath and DynIdx/KindOf read.
+// WalkCriticalPath and DynIdx read.
 func (g *Graph) ResetMode(lean bool) {
 	g.noteHighWater()
 	g.lean = lean
 	g.time = g.time[:0]
 	g.pred = g.pred[:0]
 	g.lat = g.lat[:0]
-	g.ck = g.ck[:0]
+	g.class = g.class[:0]
 	g.dyn = g.dyn[:0]
 	g.origin()
 }
@@ -229,14 +195,14 @@ func (g *Graph) Origin() NodeID { return 0 }
 
 // NewNode creates a node for dynamic-instruction index dynIdx (or -1 for
 // synthetic nodes) with no predecessors yet (time 0).
-func (g *Graph) NewNode(k Kind, dynIdx int32) NodeID {
+func (g *Graph) NewNode(dynIdx int32) NodeID {
 	id := NodeID(g.n)
 	g.n++
 	g.time = append(g.time, 0)
 	if !g.lean {
 		g.pred = append(g.pred, int32(None))
 		g.lat = append(g.lat, 0)
-		g.ck = append(g.ck, uint8(k))
+		g.class = append(g.class, 0)
 		g.dyn = append(g.dyn, dynIdx)
 	}
 	return id
@@ -250,7 +216,7 @@ func (g *Graph) NewNode(k Kind, dynIdx int32) NodeID {
 // the constructor continues the walk in its own record. The step into the
 // anchor itself carries no latency.
 func (g *Graph) NewAnchor(t int64, ext NodeID) NodeID {
-	id := g.NewNode(KindAccel, -1)
+	id := g.NewNode(-1)
 	g.time[id-g.base] = t
 	if !g.lean {
 		g.pred[id-g.base] = int32(ext)
@@ -286,7 +252,7 @@ func (g *Graph) relaxAttrib(i NodeID, t int64, from NodeID, lat int64, class Edg
 		g.time[i] = t
 		g.pred[i] = int32(from)
 		g.lat[i] = int32(lat)
-		g.ck[i] = uint8(class)<<3 | g.ck[i]&7
+		g.class[i] = uint8(class)
 	}
 }
 
@@ -303,18 +269,9 @@ func (g *Graph) PushTime(id NodeID, t int64, class EdgeClass) {
 			g.pred[i] = 0
 		}
 		g.lat[i] += int32(t - g.time[i])
-		g.ck[i] = uint8(class)<<3 | g.ck[i]&7
+		g.class[i] = uint8(class)
 	}
 	g.time[i] = t
-}
-
-// SetTime writes a node's final time directly. Lean-mode fast paths
-// compute a node's incoming maximum in a register and store it once,
-// instead of one relax call per edge; the caller must be on a lean graph
-// (there is no attribution state to update) and must not have relaxed
-// any edge into the node already.
-func (g *Graph) SetTime(id NodeID, t int64) {
-	g.time[id-g.base] = t
 }
 
 // Time returns a node's (final, once constructed) time.
@@ -325,9 +282,6 @@ func (g *Graph) Time(id NodeID) int64 {
 	return g.time[id-g.base]
 }
 
-// KindOf returns a node's kind (attribution mode only).
-func (g *Graph) KindOf(id NodeID) Kind { return Kind(g.ck[id-g.base] & 7) }
-
 // DynIdx returns the dynamic-instruction index a node belongs to (-1 for
 // synthetic nodes; attribution mode only).
 func (g *Graph) DynIdx(id NodeID) int32 { return g.dyn[id-g.base] }
@@ -335,12 +289,6 @@ func (g *Graph) DynIdx(id NodeID) int32 { return g.dyn[id-g.base] }
 // Len returns the number of nodes ever created, including the origin and
 // any retired by Retire.
 func (g *Graph) Len() int { return g.n }
-
-// Resident returns the number of nodes currently held in memory.
-func (g *Graph) Resident() int { return len(g.time) }
-
-// Base returns the first resident node ID (0 unless Retire has run).
-func (g *Graph) Base() NodeID { return g.base }
 
 // Retire drops every node below minLive from the resident streams,
 // compacting the live suffix to the front. The caller must guarantee no
@@ -357,14 +305,14 @@ func (g *Graph) Retire(minLive NodeID) {
 	if !g.lean {
 		g.pred = g.pred[:copy(g.pred, g.pred[off:])]
 		g.lat = g.lat[:copy(g.lat, g.lat[off:])]
-		g.ck = g.ck[:copy(g.ck, g.ck[off:])]
+		g.class = g.class[:copy(g.class, g.class[off:])]
 		g.dyn = g.dyn[:copy(g.dyn, g.dyn[off:])]
 	}
 	g.base = minLive
 }
 
 // noteHighWater records the current resident footprint into the
-// high-water marks. Resident size only shrinks at Reset/Retire, so
+// high-water mark. Resident size only shrinks at Reset/Retire, so
 // sampling there (plus at read time) observes every peak exactly.
 func (g *Graph) noteHighWater() {
 	r := len(g.time)
@@ -372,24 +320,15 @@ func (g *Graph) noteHighWater() {
 	if !g.lean {
 		b += int64(r) * attribNodeBytes
 	}
-	if r > g.hwNodes {
-		g.hwNodes = r
-	}
 	if b > g.hwBytes {
 		g.hwBytes = b
 	}
 }
 
-// HighWaterNodes returns the maximum resident node count the graph has
-// reached over its lifetime (across Resets — pooled graphs report their
-// worst unit).
-func (g *Graph) HighWaterNodes() int {
-	g.noteHighWater()
-	return g.hwNodes
-}
-
-// HighWaterBytes returns the maximum resident stream footprint in bytes —
-// the observable form of the O(window) streaming-evaluation claim.
+// HighWaterBytes returns the maximum resident stream footprint in bytes
+// the graph has reached over its lifetime (across Resets — pooled graphs
+// report their worst unit): the observable form of per-segment
+// retirement.
 func (g *Graph) HighWaterBytes() int64 {
 	g.noteHighWater()
 	return g.hwBytes
@@ -400,7 +339,7 @@ func (g *Graph) HighWaterBytes() int64 {
 // allocating.
 func (g *Graph) MemBytes() int64 {
 	b := int64(cap(g.time))*8 + int64(cap(g.pred))*4 + int64(cap(g.lat))*4 +
-		int64(cap(g.ck)) + int64(cap(g.dyn))*4
+		int64(cap(g.class)) + int64(cap(g.dyn))*4
 	for _, rt := range g.rtFree {
 		b += rt.MemBytes()
 	}
@@ -443,34 +382,21 @@ func (g *Graph) CriticalPathBreakdown(from NodeID) [NumEdgeClasses]int64 {
 // finer granularity than the aggregate CriticalPathBreakdown — eg. per
 // region via DynIdx.
 //
-// The walk is a backward sweep over the flat pred/lat/ck streams (no node
+// The walk is a backward sweep over the flat pred/lat/class streams (no node
 // structs, no pointer chasing). It returns where the path left the graph:
 // the origin (0), a node without predecessor (None), or the external
 // reference of an anchor (see NewAnchor), from which the anchor's
 // constructor continues the walk. Requires attribution mode.
 func (g *Graph) WalkCriticalPath(from NodeID, fn func(id NodeID, class EdgeClass, lat int64)) NodeID {
-	pred, lat, ck := g.pred, g.lat, g.ck
+	pred, lat, class := g.pred, g.lat, g.class
 	base := g.base
 	id := from
 	for id > 0 {
 		i := id - base
-		fn(id, EdgeClass(ck[i]>>3), int64(lat[i]))
+		fn(id, EdgeClass(class[i]), int64(lat[i]))
 		id = NodeID(pred[i])
 	}
 	return id
-}
-
-// CriticalPathNodes returns the node IDs on the critical path ending at
-// from, in reverse (from → origin) order. Used by tests and debugging.
-func (g *Graph) CriticalPathNodes(from NodeID) []NodeID {
-	var out []NodeID
-	for id := from; id >= 0; id = NodeID(g.pred[id-g.base]) {
-		out = append(out, id)
-		if id == 0 {
-			break
-		}
-	}
-	return out
 }
 
 // resourceWindow is the cycle span the table remembers. In-flight

@@ -6,13 +6,26 @@ import (
 	"testing/quick"
 )
 
+// criticalPathNodes returns the node IDs on the critical path ending at
+// from, in reverse (from → origin) order.
+func criticalPathNodes(g *Graph, from NodeID) []NodeID {
+	var out []NodeID
+	for id := from; id >= 0; id = NodeID(g.pred[id-g.base]) {
+		out = append(out, id)
+		if id == 0 {
+			break
+		}
+	}
+	return out
+}
+
 func TestLongestPathRelaxation(t *testing.T) {
 	g := NewGraph()
-	a := g.NewNode(KindExecute, 0)
+	a := g.NewNode(0)
 	g.AddEdge(g.Origin(), a, 3, EdgeExec)
-	b := g.NewNode(KindExecute, 1)
+	b := g.NewNode(1)
 	g.AddEdge(g.Origin(), b, 1, EdgeExec)
-	c := g.NewNode(KindComplete, 2)
+	c := g.NewNode(2)
 	g.AddEdge(a, c, 2, EdgeData)
 	g.AddEdge(b, c, 10, EdgeMemDep)
 	if got := g.Time(c); got != 11 {
@@ -22,15 +35,15 @@ func TestLongestPathRelaxation(t *testing.T) {
 
 func TestCriticalPathBreakdown(t *testing.T) {
 	g := NewGraph()
-	a := g.NewNode(KindExecute, 0)
+	a := g.NewNode(0)
 	g.AddEdge(g.Origin(), a, 5, EdgeExec)
-	b := g.NewNode(KindComplete, 0)
+	b := g.NewNode(0)
 	g.AddEdge(a, b, 7, EdgeMemDep)
 	bd := g.CriticalPathBreakdown(b)
 	if bd[EdgeExec] != 5 || bd[EdgeMemDep] != 7 {
 		t.Errorf("breakdown = %v", bd)
 	}
-	nodes := g.CriticalPathNodes(b)
+	nodes := criticalPathNodes(g, b)
 	if len(nodes) != 3 { // b, a, origin
 		t.Errorf("critical path nodes = %v", nodes)
 	}
@@ -38,7 +51,7 @@ func TestCriticalPathBreakdown(t *testing.T) {
 
 func TestPushTime(t *testing.T) {
 	g := NewGraph()
-	a := g.NewNode(KindExecute, 0)
+	a := g.NewNode(0)
 	g.AddEdge(g.Origin(), a, 2, EdgeExec)
 	g.PushTime(a, 9, EdgeFU)
 	if g.Time(a) != 9 {
@@ -54,14 +67,14 @@ func TestPushTime(t *testing.T) {
 	if bd[EdgeFU] != 9 {
 		t.Errorf("resource wait not attributed to FU: %v", bd)
 	}
-	if nodes := g.CriticalPathNodes(a); len(nodes) != 2 {
+	if nodes := criticalPathNodes(g, a); len(nodes) != 2 {
 		t.Errorf("path disconnected: %v", nodes)
 	}
 }
 
 func TestEdgeToNoneIgnored(t *testing.T) {
 	g := NewGraph()
-	a := g.NewNode(KindExecute, 0)
+	a := g.NewNode(0)
 	g.AddEdge(None, a, 100, EdgeData)
 	if g.Time(a) != 0 {
 		t.Errorf("edge from None changed time to %d", g.Time(a))
@@ -71,7 +84,7 @@ func TestEdgeToNoneIgnored(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	g := NewGraph()
-	g.NewNode(KindFetch, 0)
+	g.NewNode(0)
 	g.Reset()
 	if g.Len() != 1 {
 		t.Errorf("Len after reset = %d, want 1", g.Len())
@@ -150,7 +163,7 @@ func TestTimesMonotoneAlongEdges(t *testing.T) {
 		prev := g.Origin()
 		total := int64(0)
 		for _, l := range lats {
-			n := g.NewNode(KindExecute, -1)
+			n := g.NewNode(-1)
 			g.AddEdge(prev, n, int64(l), EdgeExec)
 			total += int64(l)
 			if g.Time(n) != total {
@@ -169,11 +182,6 @@ func TestEdgeClassStrings(t *testing.T) {
 	for c := EdgeClass(0); c < NumEdgeClasses; c++ {
 		if c.String() == "" {
 			t.Errorf("edge class %d has no name", c)
-		}
-	}
-	for _, k := range []Kind{KindFetch, KindDispatch, KindExecute, KindComplete, KindCommit, KindAccel} {
-		if k.String() == "?" {
-			t.Errorf("kind %d has no name", k)
 		}
 	}
 }
@@ -228,7 +236,7 @@ func TestWalkCriticalPathMatchesLegacy(t *testing.T) {
 		ref := []legacyNode{{critPred: None}}
 		nNodes := 2 + rng.Intn(120)
 		for i := 0; i < nNodes; i++ {
-			id := g.NewNode(Kind(rng.Intn(6)), int32(i))
+			id := g.NewNode(int32(i))
 			ref = append(ref, legacyNode{critPred: None})
 			// Edges only from already-constructed nodes (incremental
 			// construction invariant), with occasional ties (lat 0 from
@@ -308,7 +316,7 @@ func TestLeanModeTimesIdentical(t *testing.T) {
 			g := NewGraph()
 			g.ResetMode(lean)
 			for i := 0; i < nNodes; i++ {
-				g.NewNode(KindExecute, int32(i))
+				g.NewNode(int32(i))
 			}
 			for _, o := range ops {
 				if o.push {
@@ -342,19 +350,19 @@ func TestRetireRebasesIndexing(t *testing.T) {
 	prev := g.Origin()
 	ids := []NodeID{prev}
 	for i := 0; i < 100; i++ {
-		id := g.NewNode(KindExecute, int32(i))
+		id := g.NewNode(int32(i))
 		g.AddEdge(prev, id, 3, EdgeExec)
 		prev = id
 		ids = append(ids, id)
 	}
-	if got := g.Resident(); got != 101 {
+	if got := len(g.time); got != 101 {
 		t.Fatalf("Resident = %d, want 101", got)
 	}
 	g.Retire(ids[60])
-	if got := g.Resident(); got != 41 {
+	if got := len(g.time); got != 41 {
 		t.Fatalf("Resident after Retire = %d, want 41", got)
 	}
-	if got := g.Base(); got != ids[60] {
+	if got := g.base; got != ids[60] {
 		t.Fatalf("Base = %d, want %d", got, ids[60])
 	}
 	if got := g.Time(ids[60]); got != 180 {
@@ -363,7 +371,7 @@ func TestRetireRebasesIndexing(t *testing.T) {
 	if got := g.Time(prev); got != 300 {
 		t.Fatalf("Time(last) = %d, want 300", got)
 	}
-	id := g.NewNode(KindExecute, -1)
+	id := g.NewNode(-1)
 	g.AddEdge(prev, id, 5, EdgeExec)
 	if got := g.Time(id); got != 305 {
 		t.Fatalf("Time(post-retire node) = %d, want 305", got)
@@ -371,11 +379,8 @@ func TestRetireRebasesIndexing(t *testing.T) {
 	if got := g.Len(); got != 102 {
 		t.Fatalf("Len = %d, want 102 (retired nodes still counted)", got)
 	}
-	if hw := g.HighWaterNodes(); hw != 101 {
-		t.Fatalf("HighWaterNodes = %d, want 101", hw)
-	}
 	if hw := g.HighWaterBytes(); hw != 101*8 {
-		t.Fatalf("HighWaterBytes = %d, want %d", hw, 101*8)
+		t.Fatalf("HighWaterBytes = %d, want %d (101 nodes)", hw, 101*8)
 	}
 }
 
@@ -386,13 +391,13 @@ func TestRetireRebasesIndexing(t *testing.T) {
 func TestAnchorHandsWalkToItsRecorder(t *testing.T) {
 	g := NewGraph()
 	a := g.NewAnchor(40, -7)
-	n := g.NewNode(KindAccel, 3)
+	n := g.NewNode(3)
 	g.AddEdge(a, n, 5, EdgeAccelComm)
 	var lat int64
 	if ext := g.WalkCriticalPath(n, func(_ NodeID, _ EdgeClass, l int64) { lat += l }); ext != -7 || lat != 5 || g.Time(n) != 45 {
 		t.Fatalf("walk left at %d after %d cycles (node at %d), want -7 after 5 (45)", ext, lat, g.Time(n))
 	}
-	if ext := g.WalkCriticalPath(g.NewNode(KindAccel, -1), func(NodeID, EdgeClass, int64) {}); ext != None {
+	if ext := g.WalkCriticalPath(g.NewNode(-1), func(NodeID, EdgeClass, int64) {}); ext != None {
 		t.Fatalf("walk from a node without predecessor left at %d, want None", ext)
 	}
 	l := NewLeanGraph()

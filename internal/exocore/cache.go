@@ -138,8 +138,8 @@ type outcomeShard struct {
 // Correctness rests on the drained-boundary model (see the package
 // comment): a unit's outcome depends only on its unitKey, never on its
 // position in the composition. BSA models must therefore be pure
-// functions of (core config, region plan, span, Ctx.ConfigResident);
-// models carrying other cross-unit state through Ctx.State must not be
+// functions of (core config, region plan, span, Ctx.ConfigResident): a
+// model that carried other state from one unit to the next could not be
 // cached.
 type Cache struct {
 	core cores.Config
@@ -508,19 +508,18 @@ func (c *Cache) putWorker(w *segWorker) { releaseWorker(c.core, w) }
 // segWorker bundles the reusable arenas one unit evaluation needs: a µDG
 // for the transforms' nodes and a GPP constructor (whose five
 // resource-table rings dominated the old per-Run allocation cost, and
-// whose attribution log serves class-attributed units), plus the per-unit
-// scratch state map. Reset between units, pooled between runs.
+// whose attribution log serves class-attributed units). Reset between
+// units, pooled between runs.
 type segWorker struct {
 	g      *dg.Graph
 	gpp    *cores.GPP
 	counts energy.Counts
-	state  map[string]any
 	ctx    tdg.Ctx // reused per transformed segment; models keep no reference
 }
 
 func newSegWorker(core cores.Config) *segWorker {
 	g := dg.NewLeanGraph()
-	w := &segWorker{g: g, state: make(map[string]any)}
+	w := &segWorker{g: g}
 	w.gpp = cores.NewGPP(core, g, &w.counts)
 	return w
 }
@@ -528,13 +527,12 @@ func newSegWorker(core cores.Config) *segWorker {
 // reset prepares the worker for one unit evaluation from a drained
 // boundary, keeping all allocations. classes selects the graph mode, and
 // with it whether the core logs attribution: attribution when the
-// evaluation will walk critical paths, lean (time-only,
-// windowing-capable) otherwise — sweeps never walk, so they skip the log
-// and two thirds of the transforms' per-node write traffic.
+// evaluation will walk critical paths, lean (time-only, retired segment
+// by segment) otherwise — sweeps never walk, so they skip the log and two
+// thirds of the transforms' per-node write traffic.
 func (w *segWorker) reset(classes bool) {
 	w.g.ResetMode(!classes)
 	w.counts = energy.Counts{}
-	clear(w.state)
 	w.gpp.Reset(w.g, &w.counts)
 }
 
@@ -621,10 +619,10 @@ func (p *publisher) publish(out *unitOutcome, nsegs int, end int32, lastDur int6
 // pub, when non-nil, publishes prefix outcomes at cut boundaries as the
 // evaluation passes them (prefix entries never carry classes; a later
 // class-attributed run re-evaluates and replaces them).
-// window, when positive, bounds the resident µDG between segments (see
-// RunOpts.WindowNodes); it must be 0 when classes is set.
+// Without classes the graph is lean, and each segment's nodes are retired
+// when the segment ends, so the resident µDG never outgrows one segment.
 func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
-	plans map[string]*tdg.Plan, u unit, sp obs.Span, classes bool, window int, pub *publisher) unitOutcome {
+	plans map[string]*tdg.Plan, u unit, sp obs.Span, classes bool, pub *publisher) unitOutcome {
 
 	w.reset(classes)
 	out := unitOutcome{
@@ -653,7 +651,7 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 			}
 			w.ctx = tdg.Ctx{
 				TDG: t, G: w.g, GPP: w.gpp, Counts: &w.counts,
-				State: w.state, ConfigResident: u.cfgRes[i], Span: tsp,
+				ConfigResident: u.cfgRes[i], Span: tsp,
 			}
 			endNode = bsas[name].TransformRegion(&w.ctx, plans[name].Region(seg.LoopID), seg.Start, seg.End)
 			tsp.End()
@@ -709,9 +707,7 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 		}
 		// The segment's nodes are dead once its end is read (a lean core
 		// holds none between segments).
-		if window > 0 {
-			w.gpp.CompactWindow(window)
-		}
+		w.gpp.CompactWindow()
 		dur := end - lastEnd
 		out.segDurs[i] = dur
 		out.segCounts[i] = diffCounts(&w.counts, &snapshot)

@@ -101,22 +101,7 @@ type RunOpts struct {
 	// "eval.offload_segments.<name>" counters, and the
 	// "dg.graph_high_water_bytes" gauge (peak resident µDG footprint).
 	Reg *obs.Registry
-	// WindowNodes bounds the resident µDG of lean (time-only) unit
-	// evaluations. A lean general core allocates no node; only accelerator
-	// transforms do, and once a segment ends nothing references its nodes
-	// again, so when more than WindowNodes are resident between segments
-	// all of them are retired (see cores.GPP.CompactWindow). Peak memory
-	// becomes O(window) instead of O(trace), with byte-identical results.
-	// 0 selects DefaultWindowNodes; negative disables windowing
-	// (whole-unit graphs). Windowing is forced off when RecordRegions is
-	// set — critical-path attribution walks the whole unit graph.
-	WindowNodes int
 }
-
-// DefaultWindowNodes is the resident-node bound lean evaluation uses when
-// RunOpts.WindowNodes is 0: 2 MiB of time stream, and large enough that
-// sub-50K-instruction traces never trigger compaction.
-const DefaultWindowNodes = 1 << 18
 
 // ModelStat attributes one model's share of a run ("" = general core).
 type ModelStat struct {
@@ -315,14 +300,6 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 	units := unitize(t, segs, assign, bsas)
 	res := &RunResult{Models: make([]ModelStat, 0, len(assign)+1)}
 
-	// Resolve the streaming window (0 = off from here on).
-	window := opts.WindowNodes
-	if window == 0 {
-		window = DefaultWindowNodes
-	}
-	if window < 0 || opts.RecordRegions {
-		window = 0
-	}
 	if opts.Reg != nil {
 		// Peak resident µDG footprint across this run's units (the
 		// worker samples its own peaks at reset/retire), folded into the
@@ -417,7 +394,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 						cuts:  cuts,
 					}
 				}
-				o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, window, pub)
+				o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, pub)
 				out = opts.Cache.store(key, &o)
 				if persist != nil {
 					pvalScratch = encodeOutcome(out, pvalScratch)
@@ -432,11 +409,11 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 			case opts.RecordRegions && out.segClasses == nil:
 				// Cached by a sweep without class attribution; re-evaluate
 				// once with it and replace the entry.
-				o := evalUnit(w, t, bsas, plans, u, usp, true, 0, nil)
+				o := evalUnit(w, t, bsas, plans, u, usp, true, nil)
 				out = opts.Cache.store(key, &o)
 			}
 		} else {
-			o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, window, nil)
+			o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, nil)
 			out = &o
 		}
 

@@ -34,10 +34,10 @@ func sameRun(a, b *RunResult) string {
 }
 
 // TestLeanRunMatchesAttribution holds lean runs to attributed ones: a
-// lean Run — the lean step, window compaction, and through a Cache also
-// prefix publication and delta composition — must equal an uncached,
-// unwindowed RecordRegions Run, whose core takes the attributed step and
-// whose transforms build attribution graphs. (The attributed step itself
+// lean Run — the lean step, per-segment retirement, and through a Cache
+// also prefix publication and delta composition — must equal an
+// uncached RecordRegions Run, whose core takes the attributed step and
+// whose transforms build attribution graphs that are never retired. (The attributed step itself
 // is held to the node-form core by the cores package's differential
 // tests.) The corpus is one benchmark per family × every core × random
 // assignments drawn over every registered BSA; each cache first runs the
@@ -78,14 +78,14 @@ func TestLeanRunMatchesAttribution(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, opts := range []RunOpts{{}, {Cache: cache}, {WindowNodes: 1 << 10}} {
+				for _, opts := range []RunOpts{{}, {Cache: cache}} {
 					got, err := Run(td, core, bsas, plans, a, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if d := sameRun(got, ref); d != "" {
-						t.Errorf("%s/%s %v (cached %v, window %d): lean %s differ from attribution",
-							bench, core.Name, a, opts.Cache != nil, opts.WindowNodes, d)
+						t.Errorf("%s/%s %v (cached %v): lean %s differ from attribution",
+							bench, core.Name, a, opts.Cache != nil, d)
 					}
 				}
 			}
@@ -106,11 +106,11 @@ var streamRefs struct {
 // corpus runs with the ordinary tests; `make fuzz` explores further.
 func FuzzRunStreamChunks(f *testing.F) {
 	for i := range leanBenches {
-		f.Add(uint8(i), uint8(i), uint32(i*4093), int16(i-2))
+		f.Add(uint8(i), uint8(i), uint32(i*4093))
 	}
-	f.Add(uint8(0), uint8(1), uint32(0), int16(0))      // one-instruction chunks
-	f.Add(uint8(3), uint8(2), uint32(65535), int16(-1)) // one chunk
-	f.Fuzz(func(t *testing.T, bench, core uint8, chunk uint32, window int16) {
+	f.Add(uint8(0), uint8(1), uint32(0))     // one-instruction chunks
+	f.Add(uint8(3), uint8(2), uint32(65535)) // one chunk
+	f.Fuzz(func(t *testing.T, bench, core uint8, chunk uint32) {
 		name := leanBenches[int(bench)%len(leanBenches)]
 		cfg := cores.Configs[int(core)%len(cores.Configs)]
 		streamRefs.Lock()
@@ -134,12 +134,12 @@ func FuzzRunStreamChunks(f *testing.F) {
 		streamRefs.Unlock()
 
 		size := 1 + int(chunk%65536)
-		got, err := RunStream(trace.NewSliceSource(td.Trace, size), cfg, RunOpts{WindowNodes: int(window)})
+		got, err := RunStream(trace.NewSliceSource(td.Trace, size), cfg, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := sameRun(got, ref); d != "" {
-			t.Fatalf("%s/%s chunk %d window %d: streamed %s differ from attribution run", name, cfg.Name, size, window, d)
+			t.Fatalf("%s/%s chunk %d: streamed %s differ from attribution run", name, cfg.Name, size, d)
 		}
 	})
 }

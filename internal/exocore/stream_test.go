@@ -12,9 +12,8 @@ import (
 // TestRunStreamMatchesRun is the end-to-end identity gate for streaming
 // evaluation: RunStream over a chunked source must agree exactly —
 // cycles, energy counts, model attribution — with the materialized
-// baseline Run, for every (bench, core, chunk size, window) combination,
-// including chunk sizes far from the compaction stride so CompactWindow
-// fires at different global offsets than the materialized path.
+// baseline Run, for every (bench, core, chunk size) combination,
+// including chunk sizes far from the drive loop's natural boundaries.
 func TestRunStreamMatchesRun(t *testing.T) {
 	for _, bench := range []string{"cjpeg", "mm", "gzip"} {
 		td := buildTDG(t, bench, 20_000)
@@ -24,24 +23,21 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, chunk := range []int{257, 4096, 65_536} {
-				for _, window := range []int{0, 1 << 12} {
-					got, err := RunStream(trace.NewSliceSource(td.Trace, chunk), core,
-						RunOpts{WindowNodes: window})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Cycles != whole.Cycles {
-						t.Errorf("%s/%s chunk %d window %d: cycles %d != %d",
-							bench, core.Name, chunk, window, got.Cycles, whole.Cycles)
-					}
-					if got.Counts != whole.Counts {
-						t.Errorf("%s/%s chunk %d window %d: energy counts diverge",
-							bench, core.Name, chunk, window)
-					}
-					if !reflect.DeepEqual(got.Models, whole.Models) {
-						t.Errorf("%s/%s chunk %d window %d: model attribution diverges",
-							bench, core.Name, chunk, window)
-					}
+				got, err := RunStream(trace.NewSliceSource(td.Trace, chunk), core, RunOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Cycles != whole.Cycles {
+					t.Errorf("%s/%s chunk %d: cycles %d != %d",
+						bench, core.Name, chunk, got.Cycles, whole.Cycles)
+				}
+				if got.Counts != whole.Counts {
+					t.Errorf("%s/%s chunk %d: energy counts diverge",
+						bench, core.Name, chunk)
+				}
+				if !reflect.DeepEqual(got.Models, whole.Models) {
+					t.Errorf("%s/%s chunk %d: model attribution diverges",
+						bench, core.Name, chunk)
 				}
 			}
 		}

@@ -9,14 +9,13 @@ import (
 	"exocore/internal/cores"
 )
 
-// TestWindowedRunMatchesWholeTrace is the property-level gate for the
-// O(window) streaming evaluation path: over a randomized corpus of
-// (benchmark, core, assignment) triples, a Run that compacts the µDG
-// down to a small bounded window between chunks must agree exactly —
-// cycles, energy counts, model attribution, offload cycles — with a Run
-// holding the whole trace's graph in memory. Window sizes are chosen
-// well below the traces' node counts so CompactWindow actually fires
-// many times per segment.
+// TestWindowedRunMatchesWholeTrace is the property-level gate for
+// per-segment retirement: over a randomized corpus of (benchmark, core,
+// assignment) triples, a lean Run, which retires every segment's µDG
+// nodes when the segment ends, must agree exactly — cycles, energy
+// counts, model attribution, offload cycles — with an attributed
+// (RecordRegions) Run, which never retires and holds every unit's whole
+// graph in memory.
 func TestWindowedRunMatchesWholeTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bsas := allBSAs()
@@ -54,34 +53,33 @@ func TestWindowedRunMatchesWholeTrace(t *testing.T) {
 					cs := cands[l]
 					assign[l] = cs[rng.Intn(len(cs))]
 				}
-				window := []int{1 << 10, 1 << 12, 1 << 14}[rng.Intn(3)]
+				rng.Intn(3) // the retired window-size draw, kept so the assignments stay the same
 
 				whole, err := Run(td, core, bsas, plans, assign,
-					RunOpts{WindowNodes: -1})
+					RunOpts{RecordRegions: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				windowed, err := Run(td, core, bsas, plans, assign,
-					RunOpts{WindowNodes: window})
+				windowed, err := Run(td, core, bsas, plans, assign, RunOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				if windowed.Cycles != whole.Cycles {
-					t.Errorf("%s/%s trial %d window %d %v: cycles %d != %d",
-						bench, core.Name, trial, window, assign, windowed.Cycles, whole.Cycles)
+					t.Errorf("%s/%s trial %d %v: cycles %d != %d",
+						bench, core.Name, trial, assign, windowed.Cycles, whole.Cycles)
 				}
 				if windowed.Counts != whole.Counts {
-					t.Errorf("%s/%s trial %d window %d %v: energy counts diverge",
-						bench, core.Name, trial, window, assign)
+					t.Errorf("%s/%s trial %d %v: energy counts diverge",
+						bench, core.Name, trial, assign)
 				}
 				if windowed.OffloadCycles != whole.OffloadCycles {
-					t.Errorf("%s/%s trial %d window %d %v: offload cycles %d != %d",
-						bench, core.Name, trial, window, assign, windowed.OffloadCycles, whole.OffloadCycles)
+					t.Errorf("%s/%s trial %d %v: offload cycles %d != %d",
+						bench, core.Name, trial, assign, windowed.OffloadCycles, whole.OffloadCycles)
 				}
 				if !reflect.DeepEqual(windowed.Models, whole.Models) {
-					t.Errorf("%s/%s trial %d window %d %v: model attribution diverges",
-						bench, core.Name, trial, window, assign)
+					t.Errorf("%s/%s trial %d %v: model attribution diverges",
+						bench, core.Name, trial, assign)
 				}
 			}
 		}

@@ -210,7 +210,7 @@ type Core interface {
 	RegDef(r isa.Reg) dg.NodeID
 	SetRegDef(r isa.Reg, node dg.NodeID)
 	NoteStore(addr uint64, node dg.NodeID)
-	Barrier(node dg.NodeID, class dg.EdgeClass)
+	Barrier(node dg.NodeID)
 }
 
 // Ctx is the transformation context handed to a BSA when it models one
@@ -228,13 +228,6 @@ type Ctx struct {
 	// exocore.ConfigCacheWays); on false the model should charge its
 	// configuration-load latency and energy.
 	ConfigResident bool
-	// State holds per-segment accelerator scratch state, keyed by BSA
-	// name. It does NOT persist across segments: anything that must cross
-	// a segment boundary (configuration residency) is tracked by the
-	// engine itself, so segment outcomes stay cacheable. Transform results
-	// must be a pure function of (core config, region plan, span,
-	// ConfigResident).
-	State map[string]any
 	// Span is the observability span covering this transform (inert when
 	// tracing is off). Models may annotate it with model-specific args —
 	// annotations are side effects on the trace only and must not feed
@@ -247,17 +240,6 @@ type Ctx struct {
 // through the core's decoded drive loop.
 func (c *Ctx) ExecCore(start, end int) {
 	c.GPP.ExecTrace(c.TDG.Decoded(), c.TDG.Trace.Insts[start:end], start)
-}
-
-// RunState returns the BSA's per-run state, creating it with mk on first
-// use.
-func RunState[T any](ctx *Ctx, name string, mk func() T) T {
-	if v, ok := ctx.State[name]; ok {
-		return v.(T)
-	}
-	v := mk()
-	ctx.State[name] = v
-	return v
 }
 
 // BSA is a behavior-specialized accelerator model: the pair of analyzer
@@ -274,6 +256,8 @@ type BSA interface {
 	// architectural dependence state (register producers, store map)
 	// consistent at exit, and return the node representing region
 	// completion (or dg.None if it emitted everything through the GPP).
+	// The result must be a pure function of (core config, region plan,
+	// span, ctx.ConfigResident): the engine caches it per span.
 	TransformRegion(ctx *Ctx, r *Region, start, end int) dg.NodeID
 	// AreaMM2 is the accelerator's area cost.
 	AreaMM2() float64

@@ -147,21 +147,6 @@ func TestEvaluateFMASpeedsUpAndShrinks(t *testing.T) {
 	}
 }
 
-func TestRunState(t *testing.T) {
-	ctx := &Ctx{State: map[string]any{}}
-	calls := 0
-	mk := func() *int { calls++; v := 42; return &v }
-	a := RunState(ctx, "x", mk)
-	b := RunState(ctx, "x", mk)
-	if a != b || calls != 1 {
-		t.Errorf("RunState not memoized: calls=%d", calls)
-	}
-	c := RunState(ctx, "y", mk)
-	if c == a || calls != 2 {
-		t.Error("RunState keys not independent")
-	}
-}
-
 func TestPlanRegionNilSafety(t *testing.T) {
 	var p *Plan
 	if p.Region(0) != nil {

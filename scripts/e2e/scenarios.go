@@ -532,26 +532,27 @@ const (
 	// sysBudget bounds total memory obtained from the OS in the mem and
 	// scale scenarios.
 	sysBudget = 512 << 20
-	// graphBudget bounds the µDG high-water mark: the streaming window
-	// (2^18 nodes) plus compaction slack, nowhere near the O(trace) node
-	// count.
+	// graphBudget bounds the µDG high-water mark, nowhere near the
+	// O(trace) node count: a lean general core builds no node, and
+	// transform nodes are retired at every segment end.
 	graphBudget = 64 << 20
 	// windowBudget bounds the µDG of the mem scenario's accelerated arm:
-	// the default window of 8-byte lean nodes plus as many again from the
-	// segment that overflowed it.
-	windowBudget = 2 * exocore.DefaultWindowNodes * 8
+	// one segment's 8-byte lean nodes, far below the 14 MiB its
+	// transforms build over the whole trace.
+	windowBudget = 1 << 20
 )
 
 // memScenario is the lean-evaluation memory gate: a materialized
 // 10M-instruction trace (16 B/inst = 160 MB, the dominant footprint)
 // through exocore.Run must keep the process inside sysBudget and the µDG
-// at O(window). The baseline arm's general core keeps its state as times
-// and builds no µDG node at all. The accelerated arm assigns DP-CGRA to
-// the innermost loop: every occurrence's transform builds nodes between
-// the core stretches of one long evaluation unit, and only the window
-// retires them (~1.9M nodes, 14 MiB, unwindowed — under graphBudget, so
-// that arm is held to windowBudget too). It is the only gate on
-// exocore.Run's window.
+// at one segment's nodes. The baseline arm's general core keeps its state
+// as times and builds no µDG node at all. The accelerated arm assigns
+// DP-CGRA to the innermost loop: every occurrence's transform builds
+// nodes between the core stretches of one long evaluation unit, and
+// retirement at each segment end frees them (~1.9M nodes, 14 MiB, if
+// none were retired — under graphBudget, so that arm is held to
+// windowBudget too). It is the only gate on exocore.Run's per-segment
+// retirement.
 func memScenario(*env) (string, error) {
 	const wantDyn = 10_000_000
 	w, err := workloads.ByName("mm")
