@@ -186,9 +186,6 @@ func (t *StoreTab) Clear() {
 	t.slots = t.slots[:0]
 }
 
-// Len returns the number of stored words.
-func (t *StoreTab) Len() int { return len(t.slots) }
-
 // Get returns the completion node of the last store to addr's word.
 func (t *StoreTab) Get(addr uint64) (dg.NodeID, bool) {
 	k := addr&^7 | 1
@@ -330,7 +327,7 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 	}
 	if in.Op.IsStore() {
 		d.stores.Set(dyn.Addr, p)
-		if d.stores.Len() > 8192 {
+		if len(d.stores.slots) > 8192 {
 			d.stores.Clear()
 			d.stores.Set(dyn.Addr, p)
 		}

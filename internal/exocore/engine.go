@@ -22,9 +22,10 @@
 // approximation, applied only where it is accurate: offload entry/exit
 // already serializes on live-value transfer (the model joins its inputs
 // at an entry handshake anchored at the core's last commit and hands back
-// through an exit barrier), so essentially no ILP crosses an offload
-// boundary. Core-resident joints, where a shared window keeps substantial
-// ILP in flight, never see a drained boundary — they stay inside a unit.
+// through an exit barrier: bsautil.Enter and HandBack), so essentially no
+// ILP crosses an offload boundary. Core-resident joints, where a shared
+// window keeps substantial ILP in flight, never see a drained boundary —
+// they stay inside a unit.
 // What the approximation buys is compositionality: a unit's outcome is a
 // pure function of (core, span, model sequence, config residency), which
 // makes outcomes cacheable across the 2^n-assignment design sweeps of §5

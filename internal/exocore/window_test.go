@@ -53,7 +53,7 @@ func TestWindowedRunMatchesWholeTrace(t *testing.T) {
 					cs := cands[l]
 					assign[l] = cs[rng.Intn(len(cs))]
 				}
-				rng.Intn(3) // the retired window-size draw, kept so the assignments stay the same
+				rng.Intn(3) // unused draw: keeps the seeded assignment corpus fixed
 
 				whole, err := Run(td, core, bsas, plans, assign,
 					RunOpts{RecordRegions: true})
