@@ -173,9 +173,9 @@ func (g *Graph) Reset() { g.ResetMode(g.lean) }
 
 // ResetMode clears the graph for reuse in the given mode: lean graphs
 // maintain only node times (byte-identical to attribution mode, see the
-// package comment) and support retirement; attribution
-// graphs additionally record the critical-path structure that
-// WalkCriticalPath and DynIdx read.
+// package comment) and support retirement; attribution graphs
+// additionally record the critical-path structure that WalkCriticalPath
+// and DynIdx read.
 func (g *Graph) ResetMode(lean bool) {
 	g.noteHighWater()
 	g.lean = lean
@@ -382,8 +382,8 @@ func (g *Graph) CriticalPathBreakdown(from NodeID) [NumEdgeClasses]int64 {
 // finer granularity than the aggregate CriticalPathBreakdown — eg. per
 // region via DynIdx.
 //
-// The walk is a backward sweep over the flat pred/lat/class streams (no node
-// structs, no pointer chasing). It returns where the path left the graph:
+// The walk is a backward sweep over the flat pred/lat/class streams (no
+// node structs, no pointer chasing). It returns where the path left the graph:
 // the origin (0), a node without predecessor (None), or the external
 // reference of an anchor (see NewAnchor), from which the anchor's
 // constructor continues the walk. Requires attribution mode.
