@@ -113,10 +113,10 @@ func (m *ReduceEngine) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end i
 	}
 
 	// Exit: the reduction value and induction registers return to the
-	// core; the engine performs no stores.
+	// core; the engine performs no stores, so its store table stays empty.
 	exit := g.NewNode(int32(end - 1))
 	g.AddEdge(lastDone, exit, bsautil.TransferLatency(len(ld.LiveOuts)), dg.EdgeAccelComm)
-	return bsautil.HandBack(ctx.GPP, exit, &written, nil)
+	return bsautil.HandBack(ctx.GPP, exit, &written, new(bsautil.StoreTab))
 }
 
 func main() {

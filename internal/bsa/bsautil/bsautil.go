@@ -75,18 +75,16 @@ func Enter(ctx *tdg.Ctx, liveIns []isa.Reg, start int, cfgLat int64) dg.NodeID {
 
 // HandBack returns an offload region's architectural state to the core at
 // the region's exit node: exit becomes the producer of every written
-// register, in ascending register order, the region's stores (nil for a
-// region that performs none) are noted for forwarding into later core
-// loads, and the core's fetch waits for exit. It returns exit.
+// register, in ascending register order, the region's stores are noted
+// for forwarding into later core loads, and the core's fetch waits for
+// exit. It returns exit.
 func HandBack(gpp tdg.Core, exit dg.NodeID, written *[isa.NumRegs]bool, stores *StoreTab) dg.NodeID {
 	for r, w := range written {
 		if w {
 			gpp.SetRegDef(isa.Reg(r), exit)
 		}
 	}
-	if stores != nil {
-		stores.ForEach(gpp.NoteStore)
-	}
+	stores.ForEach(gpp.NoteStore)
 	gpp.Barrier(exit)
 	return exit
 }
@@ -160,12 +158,13 @@ var dfPool = sync.Pool{New: func() any {
 // performed to the store's completion node, for store-to-load forwarding
 // inside the region and for handing the stores to the core at exit. It
 // is an open-addressed table instead of a Go map on the per-op hot path,
-// and it holds every store until Clear. Keys are word-aligned addresses
-// tagged with bit 0 (addresses have the low three bits clear) so the zero
-// key can mean "empty slot". slots lists the occupied slots in insertion
+// and it holds every store until Clear. Keys are word addresses (the low
+// three bits cleared) tagged with bit 0, so the zero key can mean "empty
+// slot". slots lists the occupied slots in insertion
 // order, so clearing and visiting the table cost O(stores performed), not
 // O(capacity) — a pooled table keeps the capacity its largest region ever
-// grew it to. Call Clear before first use.
+// grew it to. The zero table is empty; call Clear before its first Get or
+// Set.
 type StoreTab struct {
 	keys  []uint64
 	nodes []dg.NodeID
