@@ -1,16 +1,21 @@
 GO ?= go
 
-.PHONY: check build vet test race tier1 fuzz bench benchdiff benchsmoke perfbenchtest e2e tools clean
+.PHONY: check build fmt vet test race tier1 fuzz bench benchdiff benchsmoke perfbenchtest e2e tools clean
 
-# The full pre-merge gate: vet + build + race-enabled tests + tier-1 +
-# ten seconds of fuzzing + a single-iteration pass over every benchmark
-# so they can't rot + the repo benchmark's self-test (its own module, so
-# tier-1 never compiles it against the internal API) + the end-to-end
-# scenarios.
-check: vet build race tier1 fuzz benchsmoke perfbenchtest e2e
+# The full pre-merge gate: gofmt + vet + build + race-enabled tests +
+# tier-1 + ten seconds of fuzzing + a single-iteration pass over every
+# benchmark so they can't rot + the repo benchmark's self-test (its own
+# module, so tier-1 never compiles it against the internal API) + the
+# end-to-end scenarios.
+check: fmt vet build race tier1 fuzz benchsmoke perfbenchtest e2e
 
 build:
 	$(GO) build ./...
+
+# Fails when any tracked Go file is not gofmt-formatted, listing them.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')) && \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -84,8 +89,9 @@ perfbenchtest:
 # and the telemetry plane's byte identity with the CLI, the graph-family
 # grid and the sharded fabric (identity, failover from a replica killed
 # mid-shard, warm restart from the store, flag validation). mem (a
-# materialized 10M-instruction trace through the windowed µDG) and
-# scale (200M streamed instructions) bound the memory the whole process
+# materialized 10M-instruction trace through the µDG, whose transform
+# nodes retire at every segment end) and scale (200M streamed
+# instructions) bound the memory the whole process
 # obtains from the OS, so each runs in a process of its own, under
 # GOMEMLIMIT to hold the heap target for the whole run, not just at the
 # final measurement.

@@ -69,7 +69,7 @@ func BenchmarkExocoreRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	bsas := bsa.Standard().New()
-	ctx, err := sched.NewContext(td, cores.OOO2, bsas)
+	ctx, err := sched.NewContext(td, cores.OOO2, bsas, sched.ContextOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func BenchmarkGraphExocoreRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	bsas := bsa.Default().New()
-	ctx, err := sched.NewContext(td, cores.OOO2, bsas)
+	ctx, err := sched.NewContext(td, cores.OOO2, bsas, sched.ContextOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func BenchmarkContextConstruction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.NewContext(td, cores.OOO2, bsas); err != nil {
+		if _, err := sched.NewContext(td, cores.OOO2, bsas, sched.ContextOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,7 +209,7 @@ func BenchmarkContextConstruction(b *testing.B) {
 func BenchmarkTable1Validation(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		reports, err := validate.Table1(benchDyn)
+		reports, err := validate.Table1(runner.New(runner.Options{MaxDyn: benchDyn}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func BenchmarkFig13Breakdown(b *testing.B) {
 				b.Fatal(err)
 			}
 			bsas := bsa.Standard().New()
-			ctx, err := sched.NewContext(td, cores.OOO2, bsas)
+			ctx, err := sched.NewContext(td, cores.OOO2, bsas, sched.ContextOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -335,7 +335,7 @@ func BenchmarkFig14Switching(b *testing.B) {
 			b.Fatal(err)
 		}
 		bsas := bsa.Standard().New()
-		ctx, err := sched.NewContext(td, cores.OOO2, bsas)
+		ctx, err := sched.NewContext(td, cores.OOO2, bsas, sched.ContextOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func BenchmarkFig15Schedulers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ctx, err := sched.NewContext(td, cores.OOO2, bsa.Standard().New())
+			ctx, err := sched.NewContext(td, cores.OOO2, bsa.Standard().New(), sched.ContextOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -399,7 +399,7 @@ func BenchmarkFig15Schedulers(b *testing.B) {
 }
 
 // BenchmarkAblationWindow sweeps the issue-window size of the OOO2 model
-// (DESIGN.md §5: windowed graph solving sensitivity).
+// (DESIGN.md §5: issue-window sensitivity).
 func BenchmarkAblationWindow(b *testing.B) {
 	w, err := workloads.ByName("mm")
 	if err != nil {
@@ -440,7 +440,7 @@ func BenchmarkAblationSchedulerMetric(b *testing.B) {
 	}
 	var edp, perfOnly float64
 	for i := 0; i < b.N; i++ {
-		ctx, err := sched.NewContext(td, cores.OOO2, bsa.Standard().New())
+		ctx, err := sched.NewContext(td, cores.OOO2, bsa.Standard().New(), sched.ContextOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

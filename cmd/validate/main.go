@@ -23,7 +23,7 @@ func main() {
 	app.MustParse()
 	defer app.Close()
 
-	reports, err := validate.Table1With(app.Engine())
+	reports, err := validate.Table1(app.Engine())
 	if err != nil {
 		app.Fail(err)
 	}

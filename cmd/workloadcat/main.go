@@ -46,32 +46,26 @@ func main() {
 		series = append(series, serie{name, 1 << i})
 	}
 	series = append(series, serie{"ExoCore", 1<<reg.Len() - 1})
-	coresOrder := []string{"IO2", "OOO2", "OOO4", "OOO6"}
-	cats := workloads.Categories
 
 	doc := report.New("workloadcat")
 	if !app.JSON {
 		fmt.Println("# Figure 11: category,series,core,relperf,releneff (relative to IO2 overall)")
 	}
-	for _, cat := range cats {
+	for _, cat := range workloads.Categories {
 		for _, s := range series {
-			for _, coreName := range coresOrder {
-				core, ok := cores.ConfigByName(coreName)
-				if !ok {
-					app.Fail(fmt.Errorf("unknown core %q", coreName))
-				}
+			for _, core := range cores.Configs {
 				code := dse.DesignCodeIn(reg, core, s.mask)
 				perf, eff := exp.CategoryAggregate(code, cat)
 				if app.JSON {
 					doc.Add(report.Result{
-						Design: code, Core: coreName, BSAs: reg.SubsetNames(s.mask),
+						Design: code, Core: core.Name, BSAs: reg.SubsetNames(s.mask),
 						Category: string(cat),
 						RelPerf:  perf, RelEnergyEff: eff,
 						Params: map[string]string{"series": s.label},
 					})
 					continue
 				}
-				fmt.Printf("%s,%s,%s,%.3f,%.3f\n", cat, s.label, coreName, perf, eff)
+				fmt.Printf("%s,%s,%s,%.3f,%.3f\n", cat, s.label, core.Name, perf, eff)
 			}
 		}
 	}

@@ -164,16 +164,6 @@ func (r *Registry) Subset(names []string) (*Registry, error) {
 	return sub, nil
 }
 
-// Canonical reorders names into canonical registry order, validating
-// each (duplicates collapse).
-func (r *Registry) Canonical(names []string) ([]string, error) {
-	sub, err := r.Subset(names)
-	if err != nil {
-		return nil, err
-	}
-	return sub.Names(), nil
-}
-
 // unknown builds the did-you-mean error for an unregistered name.
 func (r *Registry) unknown(name string) error {
 	msg := fmt.Sprintf("bsa: unknown BSA %q (have %s)", name, strings.Join(r.Names(), ", "))

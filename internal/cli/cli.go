@@ -21,8 +21,8 @@ import (
 	"exocore/internal/obs"
 	"exocore/internal/report"
 	"exocore/internal/runner"
+	"exocore/internal/sim"
 	"exocore/internal/store"
-	"exocore/internal/trace"
 	"exocore/internal/workloads"
 )
 
@@ -46,10 +46,6 @@ type App struct {
 	VV      bool   // debug-level logging (implies -v)
 	MaxDyn  int    // dynamic-instruction budget per benchmark
 	Workers int    // worker-pool bound (0 = GOMAXPROCS)
-
-	// ChunkInsts is the -chunk-insts value: dynamic instructions per
-	// streaming chunk for trace synthesis.
-	ChunkInsts int
 
 	// StoreDir is the -store value: a directory for the persistent
 	// content-addressed evaluation-unit store ("" = no durable tier).
@@ -94,16 +90,14 @@ func New(tool, benchDefault string) *App {
 		fs:     flag.NewFlagSet(tool, flag.ExitOnError),
 	}
 	a.fs.StringVar(&a.Bench, "bench", benchDefault, "benchmarks: all | quick | comma-separated names")
-	a.fs.StringVar(&a.Core, "core", "OOO2", "general core: IO2, OOO2, OOO4, OOO6")
+	a.fs.StringVar(&a.Core, "core", cores.Default.Name, "general core: IO2, OOO2, OOO4, OOO6")
 	a.fs.StringVar(&a.BSAs, "bsas", "all", "BSAs available: all | none | comma-separated of "+strings.Join(bsa.Default().Names(), ","))
 	a.fs.StringVar(&a.Sched, "sched", "oracle", "scheduler: oracle | amdahl")
 	a.fs.BoolVar(&a.JSON, "json", false, "emit the versioned JSON result schema ("+report.Schema+")")
 	a.fs.BoolVar(&a.Verbose, "v", false, "progress and engine metrics on stderr")
 	a.fs.BoolVar(&a.VV, "vv", false, "debug-level logging on stderr (implies -v)")
-	a.fs.IntVar(&a.MaxDyn, "maxdyn", runner.DefaultMaxDyn, "dynamic instruction budget per benchmark")
+	a.fs.IntVar(&a.MaxDyn, "maxdyn", sim.DefaultMaxDyn, "dynamic instruction budget per benchmark")
 	a.fs.IntVar(&a.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	a.fs.IntVar(&a.ChunkInsts, "chunk-insts", trace.DefaultChunkInsts,
-		"dynamic instructions per streaming trace chunk")
 	a.fs.StringVar(&a.StoreDir, "store", "",
 		"persistent evaluation-unit store directory (created if missing; a restarted process comes up warm)")
 	a.fs.StringVar(&a.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -184,10 +178,7 @@ func (a *App) Parse(args []string) error {
 		return fmt.Errorf("unknown scheduler %q (have oracle, amdahl)", a.Sched)
 	}
 	if a.MaxDyn <= 0 {
-		a.MaxDyn = runner.DefaultMaxDyn
-	}
-	if err := checkChunkInsts(a.ChunkInsts); err != nil {
-		return err
+		a.MaxDyn = sim.DefaultMaxDyn
 	}
 	if a.VV {
 		a.Verbose = true
@@ -348,20 +339,6 @@ func ResolveBSASpecWith(reg *bsa.Registry, spec string) ([]string, error) {
 	return out, nil
 }
 
-// checkChunkInsts validates a -chunk-insts value with did-you-mean
-// guidance: it must land in [trace.MinChunkInsts, trace.MaxChunkInsts].
-func checkChunkInsts(n int) error {
-	switch {
-	case n < trace.MinChunkInsts:
-		return fmt.Errorf("-chunk-insts %d is below the minimum %d; did you mean %d?",
-			n, trace.MinChunkInsts, trace.MinChunkInsts)
-	case n > trace.MaxChunkInsts:
-		return fmt.Errorf("-chunk-insts %d exceeds the maximum %d; did you mean the default %d?",
-			n, trace.MaxChunkInsts, trace.DefaultChunkInsts)
-	}
-	return nil
-}
-
 // CoreConfig returns the validated -core config.
 func (a *App) CoreConfig() cores.Config { return a.core }
 
@@ -384,8 +361,7 @@ func (a *App) UseAmdahl() bool { return a.Sched == "amdahl" }
 func (a *App) Engine() *runner.Engine {
 	if a.engine == nil {
 		opts := runner.Options{MaxDyn: a.MaxDyn, Workers: a.Workers,
-			BSAs: a.Registry(), ChunkInsts: a.ChunkInsts,
-			Tracer: a.tracer, Log: a.Log(),
+			BSAs: a.Registry(), Tracer: a.tracer, Log: a.Log(),
 			Persist: a.persist(), Reg: a.obsReg}
 		if a.Verbose {
 			log := a.Log()

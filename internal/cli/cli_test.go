@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"exocore/internal/bsa"
-	"exocore/internal/runner"
-	"exocore/internal/trace"
+	"exocore/internal/cores"
+	"exocore/internal/sim"
 	"exocore/internal/workloads"
 )
 
@@ -15,7 +15,7 @@ func TestParseDefaults(t *testing.T) {
 	if err := a.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if a.CoreConfig().Name != "OOO2" {
+	if a.CoreConfig().Name != cores.Default.Name {
 		t.Errorf("default core = %s", a.CoreConfig().Name)
 	}
 	if got, want := len(a.Workloads()), len(workloads.All()); got != want {
@@ -27,7 +27,7 @@ func TestParseDefaults(t *testing.T) {
 	if a.UseAmdahl() {
 		t.Error("default scheduler should be oracle")
 	}
-	if a.MaxDyn != runner.DefaultMaxDyn {
+	if a.MaxDyn != sim.DefaultMaxDyn {
 		t.Errorf("default maxdyn = %d", a.MaxDyn)
 	}
 }
@@ -77,10 +77,6 @@ func TestParseRejectsInvalid(t *testing.T) {
 		{[]string{"-bench", "nosuchbench"}, "unknown workload"},
 		{[]string{"-bsas", "GPU"}, "unknown BSA"},
 		{[]string{"-sched", "magic"}, "unknown scheduler"},
-		{[]string{"-chunk-insts", "-5"}, "below the minimum 4096"},
-		{[]string{"-chunk-insts", "0"}, "below the minimum 4096"},
-		{[]string{"-chunk-insts", "100"}, "below the minimum 4096"},
-		{[]string{"-chunk-insts", "536870913"}, "exceeds the maximum"},
 	}
 	for _, c := range cases {
 		a := New("tool", "all")
@@ -116,26 +112,6 @@ func TestSetMaxDynDefault(t *testing.T) {
 	}
 	if b.MaxDyn != 123 {
 		t.Errorf("maxdyn = %d, explicit flag must win", b.MaxDyn)
-	}
-}
-
-func TestChunkInstsFlag(t *testing.T) {
-	// Default: chunked streaming at trace.DefaultChunkInsts.
-	a := New("tool", "all")
-	if err := a.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if a.ChunkInsts != trace.DefaultChunkInsts {
-		t.Errorf("default chunk-insts = %d, want %d", a.ChunkInsts, trace.DefaultChunkInsts)
-	}
-
-	// Explicit in-range values pass through.
-	b := New("tool", "all")
-	if err := b.Parse([]string{"-chunk-insts", "8192"}); err != nil {
-		t.Fatal(err)
-	}
-	if b.ChunkInsts != 8192 {
-		t.Errorf("chunk-insts = %d, want 8192", b.ChunkInsts)
 	}
 }
 

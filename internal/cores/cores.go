@@ -62,6 +62,11 @@ var (
 // Configs lists the four general cores in the order used by the paper.
 var Configs = []Config{IO2, OOO2, OOO4, OOO6}
 
+// Default is the general core a run uses when it names none: the -core
+// flag's default, and the core of a /v1/evaluate request without one,
+// which the fabric also routes by.
+var Default = OOO2
+
 // ConfigByName returns the named predefined configuration.
 func ConfigByName(name string) (Config, bool) {
 	for _, c := range Configs {
@@ -78,12 +83,6 @@ func (c Config) EnergyParams() energy.CoreParams {
 		Width: c.Width, ROB: c.ROB, Window: c.Window,
 		InOrder: c.InOrder, AreaMM2: c.AreaMM2,
 	}
-}
-
-// Custom returns a copy of cfg with a new name, for DSE variants.
-func (c Config) Custom(name string) Config {
-	c.Name = name
-	return c
 }
 
 // UOp is the micro-operation unit the GPP graph constructor consumes.

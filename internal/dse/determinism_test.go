@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"exocore/internal/bsa"
 	"exocore/internal/cli"
 	"exocore/internal/cores"
 	"exocore/internal/exocore"
@@ -83,7 +84,7 @@ func reportDoc(t *testing.T, exp *Exploration) []byte {
 	doc := report.New("dse")
 	for _, d := range exp.Designs {
 		doc.Add(report.Result{
-			Design: d.Code, Core: d.Core.Name, BSAs: SubsetBSAs(d.Mask),
+			Design: d.Code, Core: d.Core.Name, BSAs: bsa.Default().SubsetNames(d.Mask),
 			AreaMM2: d.AreaMM2,
 			RelPerf: d.RelPerf, RelEnergyEff: d.RelEnergyEff, RelArea: d.RelArea,
 		})
@@ -146,11 +147,12 @@ func schedContext(t *testing.T, eng *runner.Engine, w *workloads.Workload, core 
 }
 
 // TestCachedSweepByteIdentical is the end-to-end correctness gate for the
-// evaluation-unit cache: over the quick-set workloads and all 16 BSA
-// subsets, every design × bench row of a sweep must equal a cache-less
-// exocore.Run of the same assignment (sc.Oracle of the design's
-// subset). The design aggregates are rebuilt from the reference rows, so
-// the rendered exocore-result/v1 documents must be byte-identical.
+// evaluation-unit cache: over the quick-set workloads and every subset
+// of the default registry, every design × bench row of a sweep must
+// equal a cache-less exocore.Run of the same assignment (sc.Oracle of
+// the design's subset). The design aggregates are rebuilt from the
+// reference rows, so the rendered exocore-result/v1 documents must be
+// byte-identical.
 func TestCachedSweepByteIdentical(t *testing.T) {
 	eng, ws, cs, exp := quickSweep(t)
 
@@ -161,7 +163,7 @@ func TestCachedSweepByteIdentical(t *testing.T) {
 	for _, d := range exp.Designs {
 		for _, w := range ws {
 			sc := schedContext(t, eng, w, d.Core)
-			c, e := uncachedRun(t, sc, sc.Oracle(SubsetBSAs(d.Mask)))
+			c, e := uncachedRun(t, sc, sc.Oracle(bsa.Default().SubsetNames(d.Mask)))
 			if err := ref.AddBench(d.Code, BenchResult{
 				Bench: w.Name, Category: w.Category, Cycles: c, EnergyNJ: e,
 			}); err != nil {

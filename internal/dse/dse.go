@@ -13,6 +13,7 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -27,20 +28,9 @@ import (
 	"exocore/internal/workloads"
 )
 
-// SubsetName renders a BSA bitmask (bit i = registry entry i) as the
-// paper's letter code against the default registry, eg. "SDN"; the empty
-// subset renders as "".
-func SubsetName(mask int) string { return bsa.Default().SubsetName(mask) }
-
-// SubsetBSAs returns the BSA names in a bitmask (default registry).
-func SubsetBSAs(mask int) []string { return bsa.Default().SubsetNames(mask) }
-
-// DesignCode names a design point: "OOO2-SDN", or just "IO2" for no BSAs.
-func DesignCode(core cores.Config, mask int) string {
-	return designCode(bsa.Default(), core, mask)
-}
-
-func designCode(reg *bsa.Registry, core cores.Config, mask int) string {
+// DesignCodeIn names a design point: the core and the BSAs mask selects
+// from reg (bit i = entry i), eg. "OOO2-SDN", or just "IO2" for no BSAs.
+func DesignCodeIn(reg *bsa.Registry, core cores.Config, mask int) string {
 	s := reg.SubsetName(mask)
 	if s == "" {
 		return core.Name
@@ -48,27 +38,12 @@ func designCode(reg *bsa.Registry, core cores.Config, mask int) string {
 	return core.Name + "-" + s
 }
 
-// ParseDesignCode inverts DesignCode against the default registry:
-// "OOO2-SDN" → (OOO2 config, mask for SIMD+DP-CGRA+NS-DF). A bare core
-// name parses as the empty subset.
-func ParseDesignCode(code string) (cores.Config, int, error) {
-	return parseDesignCode(bsa.Default(), code)
-}
-
-// ParseDesignCodeIn is ParseDesignCode against an explicit registry —
-// the daemon validates request design codes against its engine's
-// (possibly restricted) registry, so a letter outside that registry is
-// a client error, not a silent full-registry fallback.
+// ParseDesignCodeIn inverts DesignCodeIn: "OOO2-SDN" → (OOO2 config,
+// mask for SIMD+DP-CGRA+NS-DF). A bare core name parses as the empty
+// subset. The daemon validates request design codes against its
+// engine's (possibly restricted) registry, so a letter outside that
+// registry is a client error, not a silent full-registry fallback.
 func ParseDesignCodeIn(reg *bsa.Registry, code string) (cores.Config, int, error) {
-	return parseDesignCode(reg, code)
-}
-
-// DesignCodeIn is DesignCode against an explicit registry.
-func DesignCodeIn(reg *bsa.Registry, core cores.Config, mask int) string {
-	return designCode(reg, core, mask)
-}
-
-func parseDesignCode(reg *bsa.Registry, code string) (cores.Config, int, error) {
 	name, letters, _ := strings.Cut(code, "-")
 	core, ok := cores.ConfigByName(name)
 	if !ok {
@@ -109,32 +84,23 @@ type DesignResult struct {
 
 // Options configures an exploration.
 type Options struct {
-	// MaxDyn is the per-benchmark dynamic-instruction budget (0 =
-	// DefaultMaxDyn). Ignored when Engine is supplied.
-	MaxDyn int
 	// Workloads restricts the benchmark set (nil = all).
 	Workloads []*workloads.Workload
 	// Cores restricts the core set (nil = all four).
 	Cores []cores.Config
 	// UseAmdahl selects the Amdahl-tree scheduler instead of the Oracle.
 	UseAmdahl bool
-	// Parallelism bounds worker goroutines (0 = GOMAXPROCS). Ignored
-	// when Engine is supplied.
-	Parallelism int
-	// Engine, if non-nil, is the shared evaluation engine to use —
-	// repeated explorations (or other tools in the same process) then
-	// reuse its artifact caches.
+	// Engine is the evaluation engine (required). It fixes the budget,
+	// the worker bound and the BSA registry, and repeated explorations
+	// (or other tools in the same process) reuse its artifact caches.
 	Engine *runner.Engine
 	// Designs, if non-empty, restricts the sweep to these design codes
 	// (eg. "OOO2-SDN"), evaluated in the given order with duplicates
-	// collapsed, instead of the full cores × 16-subset grid. Rel*
+	// collapsed, instead of the full cores × 2^N-subset grid. Rel*
 	// aggregates are normalized against the reference design only when
 	// the list contains it; otherwise they stay zero.
 	Designs []string
 }
-
-// DefaultMaxDyn is the exploration trace budget per benchmark.
-const DefaultMaxDyn = runner.DefaultMaxDyn
 
 // Exploration is the full design-space result.
 type Exploration struct {
@@ -155,13 +121,13 @@ func Explore(opts Options) (*Exploration, error) {
 // request's ctx through here so disconnected sweep clients stop burning
 // workers.
 func ExploreCtx(ctx context.Context, opts Options) (*Exploration, error) {
+	eng := opts.Engine
+	if eng == nil {
+		return nil, errors.New("dse: Options.Engine is required")
+	}
 	ws := opts.Workloads
 	if ws == nil {
 		ws = workloads.All()
-	}
-	eng := opts.Engine
-	if eng == nil {
-		eng = runner.New(runner.Options{MaxDyn: opts.MaxDyn, Workers: opts.Parallelism})
 	}
 	reg := eng.BSAs()
 
@@ -252,11 +218,11 @@ func designGrid(reg *bsa.Registry, designs []string, cs []cores.Config) ([]Desig
 		csSeen := make(map[string]bool)
 		cs = nil
 		for _, code := range designs {
-			core, mask, err := parseDesignCode(reg, code)
+			core, mask, err := ParseDesignCodeIn(reg, code)
 			if err != nil {
 				return nil, nil, err
 			}
-			if canon := designCode(reg, core, mask); seen[canon] {
+			if canon := DesignCodeIn(reg, core, mask); seen[canon] {
 				continue
 			} else {
 				seen[canon] = true
@@ -289,7 +255,7 @@ func designGrid(reg *bsa.Registry, designs []string, cs []cores.Config) ([]Desig
 		protos = append(protos, DesignResult{
 			Core: p.core, Mask: p.mask,
 			BSAs:    reg.SubsetNames(p.mask),
-			Code:    designCode(reg, p.core, p.mask),
+			Code:    DesignCodeIn(reg, p.core, p.mask),
 			AreaMM2: area.Total(p.core, maskModels[p.mask]),
 		})
 	}

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"strings"
 	"testing"
 
 	"exocore/internal/bsa"
@@ -63,14 +64,15 @@ func TestExploreGridFollowsRegistry(t *testing.T) {
 }
 
 func TestSubsetNaming(t *testing.T) {
+	reg := bsa.Default()
 	cases := map[int]string{0: "", 1: "S", 2: "D", 3: "SD", 15: "SDNT", 5: "SN"}
 	for mask, want := range cases {
-		if got := SubsetName(mask); got != want {
+		if got := reg.SubsetName(mask); got != want {
 			t.Errorf("SubsetName(%d) = %q, want %q", mask, got, want)
 		}
 	}
-	if DesignCode(cores.OOO2, 0) != "OOO2" || DesignCode(cores.IO2, 7) != "IO2-SDN" {
-		t.Error("DesignCode wrong")
+	if DesignCodeIn(reg, cores.OOO2, 0) != "OOO2" || DesignCodeIn(reg, cores.IO2, 7) != "IO2-SDN" {
+		t.Error("DesignCodeIn wrong")
 	}
 }
 
@@ -234,7 +236,16 @@ func TestExploreDesignsRestriction(t *testing.T) {
 		t.Errorf("Rel* computed without the reference design: %+v", d)
 	}
 
-	if _, err := Explore(Options{Workloads: ws, Designs: []string{"OOO9-S"}}); err == nil {
-		t.Error("unknown design code accepted")
+	if _, err := Explore(Options{Workloads: ws, Engine: stdEngine(25000), Designs: []string{"OOO9-S"}}); err == nil ||
+		!strings.Contains(err.Error(), `unknown core "OOO9"`) {
+		t.Errorf("unknown design code: err = %v, want the unknown core named", err)
+	}
+}
+
+// TestExploreRequiresEngine: the engine fixes the budget, the workers and
+// the registry, so an exploration without one is an error.
+func TestExploreRequiresEngine(t *testing.T) {
+	if _, err := Explore(Options{Workloads: pick(t, "mm")}); err == nil {
+		t.Error("Explore without an Engine accepted")
 	}
 }

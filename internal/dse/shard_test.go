@@ -88,7 +88,7 @@ func TestGridCodesMatchesExplore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := pick(t, "mm")
-	exp, err := Explore(Options{Workloads: ws, MaxDyn: 10000})
+	exp, err := Explore(Options{Workloads: ws, Engine: runner.New(runner.Options{MaxDyn: 10000})})
 	if err != nil {
 		t.Fatal(err)
 	}

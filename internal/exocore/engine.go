@@ -586,15 +586,3 @@ func (r *RunResult) UnacceleratedFraction() float64 {
 	}
 	return float64(r.DynOf("")) / float64(total)
 }
-
-// BSAsUsed lists the models that actually covered instructions, sorted.
-func (r *RunResult) BSAsUsed() []string {
-	var out []string
-	for i := range r.Models {
-		if m := &r.Models[i]; m.Name != "" && m.Dyn > 0 {
-			out = append(out, m.Name)
-		}
-	}
-	slices.Sort(out)
-	return out
-}

@@ -29,13 +29,8 @@ type Config struct {
 	// Replicas is the replica daemon base-URL set (required; validate
 	// flag input with ParseReplicas first).
 	Replicas []string
-	// Vnodes is the ring's virtual-node count per replica (0 = DefaultVnodes).
-	Vnodes int
 	// Client issues the replica HTTP requests (nil = http.DefaultClient).
 	Client *http.Client
-	// Tool is the merged document's tool name (empty = "exocored",
-	// matching what replicas stamp on their shards).
-	Tool string
 	// RequestTimeout bounds one coordinated sweep (0 = 10min); requests
 	// may lower it via deadline_ms, never raise it.
 	RequestTimeout time.Duration
@@ -43,9 +38,6 @@ type Config struct {
 	// when its first dispatch has not answered after this long, taking
 	// whichever finishes first (0 disables hedging).
 	HedgeAfter time.Duration
-	// Attempts bounds dispatch attempts per shard across the replica
-	// set before the sweep fails (0 = 3 × replicas).
-	Attempts int
 	// Reg receives the fabric.* instruments (nil = a private registry).
 	Reg *obs.Registry
 	// Log, if non-nil, receives shard-level dispatch records.
@@ -57,10 +49,8 @@ type Config struct {
 type Coordinator struct {
 	ring       *Ring
 	client     *http.Client
-	tool       string
 	reqTimeout time.Duration
 	hedgeAfter time.Duration
-	attempts   int
 	reg        *obs.Registry
 	log        *obs.Logger
 	start      time.Time
@@ -71,7 +61,7 @@ type Coordinator struct {
 
 // New creates a Coordinator over a replica set.
 func New(cfg Config) (*Coordinator, error) {
-	ring, err := NewRing(cfg.Replicas, cfg.Vnodes)
+	ring, err := NewRing(cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -79,17 +69,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	tool := cfg.Tool
-	if tool == "" {
-		tool = "exocored"
-	}
 	timeout := cfg.RequestTimeout
 	if timeout <= 0 {
 		timeout = 10 * time.Minute
-	}
-	attempts := cfg.Attempts
-	if attempts <= 0 {
-		attempts = 3 * len(cfg.Replicas)
 	}
 	reg := cfg.Reg
 	if reg == nil {
@@ -98,10 +80,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		ring:       ring,
 		client:     client,
-		tool:       tool,
 		reqTimeout: timeout,
 		hedgeAfter: cfg.HedgeAfter,
-		attempts:   attempts,
 		reg:        reg,
 		log:        cfg.Log,
 		start:      time.Now(),
@@ -289,7 +269,7 @@ func (c *Coordinator) run(ctx context.Context, p *plan) ([]byte, error) {
 	// bit for bit; the merge is a strict ordered union of the shards'
 	// per-bench rows and the recomputed aggregates.
 	p.shell.Normalize()
-	agg := report.New(c.tool)
+	agg := report.New("exocored") // the tool name replicas stamp on their shards
 	p.shell.AppendAggregates(agg)
 	var buf bytes.Buffer
 	if err := agg.Write(&buf); err != nil {
@@ -414,12 +394,14 @@ func (c *Coordinator) runShardHedged(ctx context.Context, sh *shard, first strin
 // runShard posts a shard to replicas in failover order — the ring order
 // from its key, rotated so the executing worker's replica goes first —
 // retrying transport errors, 5xx and 429 (honoring Retry-After) until
-// the attempt budget runs out. 4xx responses are permanent: the request
-// itself is wrong and no replica will answer differently.
+// the attempt budget, three per replica, runs out. 4xx responses are
+// permanent: the request itself is wrong and no replica will answer
+// differently.
 func (c *Coordinator) runShard(ctx context.Context, sh *shard, first string, offset int) ([]byte, error) {
 	seq := rotateTo(c.ring.Ordered(sh.key), first)
+	attempts := 3 * len(seq)
 	var lastErr error
-	for attempt := 0; attempt < c.attempts; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
@@ -444,7 +426,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh *shard, first string, off
 		c.mRetries.Add(1)
 		c.log.Info("shard retry", "shard", sh.key, "replica", rep, "err", lastErr)
 	}
-	return nil, fmt.Errorf("gave up after %d attempts: %w", c.attempts, lastErr)
+	return nil, fmt.Errorf("gave up after %d attempts: %w", attempts, lastErr)
 }
 
 // post issues one replica request; the Retry-After hint (capped at 2s

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"exocore/internal/cli"
+	"exocore/internal/cores"
 	"exocore/internal/obs"
 	"exocore/internal/runner"
 	"exocore/internal/serve"
@@ -192,6 +193,53 @@ func TestSweepHedgesStragglers(t *testing.T) {
 	}
 	if reg.Counter("fabric.hedges").Value() == 0 {
 		t.Error("fabric.hedges = 0; the straggler was never hedged")
+	}
+}
+
+// TestEvaluateWithoutCoreGoesToDefaultOwner: a /v1/evaluate that names
+// no core is routed by cores.Default, the core the replica evaluates it
+// on, so it lands on that cell's owner and on no other replica.
+func TestEvaluateWithoutCoreGoesToDefaultOwner(t *testing.T) {
+	var urls []string
+	evals := make(map[string]*atomic.Int32)
+	for range 3 {
+		n := new(atomic.Int32)
+		rep := newReplica(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/evaluate" {
+					n.Add(1)
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+		urls = append(urls, rep.URL)
+		evals[rep.URL] = n
+	}
+	c, err := New(Config{Replicas: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(c.Handler())
+	defer cs.Close()
+
+	resp, err := http.Post(cs.URL+"/v1/evaluate", "application/json", strings.NewReader(`{"bench":"mm","bsas":"none"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate: status %d, body %s (%v)", resp.StatusCode, body, err)
+	}
+	owner := c.Ring().Owner("mm|" + cores.Default.Name)
+	for url, n := range evals {
+		want := int32(0)
+		if url == owner {
+			want = 1
+		}
+		if got := n.Load(); got != want {
+			t.Errorf("replica %s served %d evaluations, want %d (owner %s)", url, got, want, owner)
+		}
 	}
 }
 

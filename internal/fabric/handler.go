@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"exocore/internal/cores"
 	"exocore/internal/obs"
 	"exocore/internal/serve"
 )
@@ -34,13 +35,13 @@ func (c *Coordinator) Handler() http.Handler {
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req serve.SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+	if err := serve.DecodeJSON(r, &req); err != nil {
+		serve.JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	p, err := c.planSweep(req)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+		serve.JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	timeout := c.reqTimeout
@@ -55,11 +56,11 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 	case errors.Is(err, context.DeadlineExceeded):
-		jsonError(w, http.StatusGatewayTimeout, "sweep deadline exceeded")
+		serve.JSONError(w, http.StatusGatewayTimeout, "sweep deadline exceeded")
 	default:
 		// A shard the whole replica set could not serve: the fabric is the
 		// failing gateway, not the request.
-		jsonError(w, http.StatusBadGateway, err.Error())
+		serve.JSONError(w, http.StatusBadGateway, err.Error())
 	}
 }
 
@@ -69,17 +70,17 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 // specialized to that cell by the sweep sharding.
 func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req serve.EvalRequest
-	if err := decodeJSON(r, &req); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+	if err := serve.DecodeJSON(r, &req); err != nil {
+		serve.JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	core := req.Core
 	if core == "" {
-		core = "OOO2"
+		core = cores.Default.Name
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		jsonError(w, http.StatusInternalServerError, err.Error())
+		serve.JSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	var lastErr error = errNoReplica
@@ -101,7 +102,7 @@ func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		w.Write(out)
 		return
 	}
-	jsonError(w, http.StatusBadGateway, lastErr.Error())
+	serve.JSONError(w, http.StatusBadGateway, lastErr.Error())
 }
 
 // replicaHealth is one replica's probed liveness.
@@ -202,7 +203,7 @@ func (c *Coordinator) handleCapabilities(w http.ResponseWriter, r *http.Request)
 		}
 	}
 	if caps == nil {
-		jsonError(w, http.StatusBadGateway, lastErr.Error())
+		serve.JSONError(w, http.StatusBadGateway, lastErr.Error())
 		return
 	}
 	caps["fabric"] = map[string]any{
@@ -252,23 +253,4 @@ func (c *Coordinator) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(map[string]any{"points": points})
-}
-
-// decodeJSON mirrors the replica daemons' strict request decoding.
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	if dec.More() {
-		return errors.New("bad request body: trailing data")
-	}
-	return nil
-}
-
-func jsonError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

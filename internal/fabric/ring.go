@@ -21,10 +21,10 @@ import (
 	"strings"
 )
 
-// DefaultVnodes is the virtual-node count per replica: enough points
-// that load spreads near-uniformly over a handful of replicas without
-// making ring construction or lookup measurable.
-const DefaultVnodes = 64
+// vnodes is the virtual-node count per replica: enough points that load
+// spreads near-uniformly over a handful of replicas without making ring
+// construction or lookup measurable.
+const vnodes = 64
 
 // Ring is an immutable consistent-hash ring over replica base URLs.
 // Safe for concurrent use.
@@ -38,14 +38,11 @@ type ringPoint struct {
 	replica int // index into replicas
 }
 
-// NewRing builds a ring with vnodes virtual points per replica
-// (0 = DefaultVnodes). Replicas must be non-empty and unique.
-func NewRing(replicas []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring with vnodes virtual points per replica.
+// Replicas must be non-empty and unique.
+func NewRing(replicas []string) (*Ring, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("fabric: ring needs at least one replica")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
 	}
 	seen := make(map[string]bool, len(replicas))
 	r := &Ring{

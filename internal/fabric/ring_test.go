@@ -36,12 +36,12 @@ func replicaSet(n int) []string {
 // warm replica across sweeps and restarts.
 func TestRingDeterministic(t *testing.T) {
 	reps := replicaSet(4)
-	r1, err := NewRing(reps, 0)
+	r1, err := NewRing(reps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reversed := []string{reps[3], reps[1], reps[0], reps[2]}
-	r2, err := NewRing(reversed, 0)
+	r2, err := NewRing(reversed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingMinimalReshuffle(t *testing.T) {
 	reps := replicaSet(4)
 	newcomer := "http://replica-new:9090"
-	small, err := NewRing(reps, 0)
+	small, err := NewRing(reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := NewRing(append(append([]string(nil), reps...), newcomer), 0)
+	big, err := NewRing(append(append([]string(nil), reps...), newcomer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRingMinimalReshuffle(t *testing.T) {
 			survivors = append(survivors, r)
 		}
 	}
-	shrunk, err := NewRing(survivors, 0)
+	shrunk, err := NewRing(survivors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRingMinimalReshuffle(t *testing.T) {
 // TestRingOrdered: the failover order starts at the owner and visits
 // every replica exactly once.
 func TestRingOrdered(t *testing.T) {
-	r, err := NewRing(replicaSet(4), 0)
+	r, err := NewRing(replicaSet(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +134,13 @@ func TestRingOrdered(t *testing.T) {
 }
 
 func TestRingRejectsBadSets(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty replica set accepted")
 	}
-	if _, err := NewRing([]string{"http://a", "http://a"}, 0); err == nil {
+	if _, err := NewRing([]string{"http://a", "http://a"}); err == nil {
 		t.Error("duplicate replica accepted")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty replica address accepted")
 	}
 }

@@ -172,19 +172,6 @@ func (n *LoopNest) InnermostOfInst(si int) int {
 	return n.InnermostOf[n.CFG.BlockOf[si]]
 }
 
-// LoopOfInstAtDepth walks from the innermost loop of si up to the loop at
-// the given depth; returns -1 if si is not in a loop that deep.
-func (n *LoopNest) LoopOfInstAtDepth(si, depth int) int {
-	l := n.InnermostOfInst(si)
-	for l >= 0 && n.Loops[l].Depth > depth {
-		l = n.Loops[l].Parent
-	}
-	if l >= 0 && n.Loops[l].Depth == depth {
-		return l
-	}
-	return -1
-}
-
 // InstsOf returns the static-instruction count of a loop (all blocks).
 func (n *LoopNest) InstsOf(loopID int) int {
 	total := 0

@@ -29,11 +29,6 @@ func (s StrideInfo) Scalar() bool {
 	return s.Samples > 0 && s.Dominant == 0 && s.Consistent >= 0.95
 }
 
-// Strided reports a constant non-unit stride (vectorizable with packing).
-func (s StrideInfo) Strided() bool {
-	return s.Samples > 0 && s.Consistent >= 0.95 && !s.Contiguous() && !s.Scalar()
-}
-
 // LoopProfile aggregates dynamic behavior of one loop.
 type LoopProfile struct {
 	LoopID     int

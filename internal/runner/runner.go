@@ -22,13 +22,11 @@ import (
 	"exocore/internal/exocore"
 	"exocore/internal/obs"
 	"exocore/internal/sched"
+	"exocore/internal/sim"
 	"exocore/internal/tdg"
 	"exocore/internal/trace"
 	"exocore/internal/workloads"
 )
-
-// DefaultMaxDyn is the default per-benchmark dynamic-instruction budget.
-const DefaultMaxDyn = 100_000
 
 // Pipeline stage names, in execution order.
 const (
@@ -55,8 +53,8 @@ type ProgressFunc func(Event)
 // Options configures an Engine.
 type Options struct {
 	// MaxDyn is the per-benchmark dynamic-instruction budget (0 =
-	// DefaultMaxDyn). It is part of every cache key's identity, so one
-	// Engine serves exactly one budget.
+	// sim.DefaultMaxDyn). It is part of every cache key's identity, so
+	// one Engine serves exactly one budget.
 	MaxDyn int
 	// ChunkInsts is the chunk size, in dynamic instructions, at which
 	// trace misses drain workload generators (<= 0 selects
@@ -187,7 +185,7 @@ type Engine struct {
 func New(opts Options) *Engine {
 	maxDyn := opts.MaxDyn
 	if maxDyn <= 0 {
-		maxDyn = DefaultMaxDyn
+		maxDyn = sim.DefaultMaxDyn
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -402,7 +400,7 @@ func (e *Engine) ContextCtx(ctx context.Context, w *workloads.Workload, core cor
 		}
 		sp := e.tracer.BeginCtx(ctx, "stage", StageSched+" "+key)
 		defer sp.End()
-		sc, err := sched.NewContextWith(td, core, e.bsaReg.New(),
+		sc, err := sched.NewContext(td, core, e.bsaReg.New(),
 			sched.ContextOpts{Workers: e.workers, Reg: e.reg, Span: sp,
 				Persist: e.persist, PersistNS: e.persistNS(key)})
 		if err != nil {
@@ -452,8 +450,8 @@ func AssignmentKey(a exocore.Assignment) string {
 
 // Evaluate runs the benchmark on the core under an assignment and returns
 // (cycles, total energy in nJ). Identical assignments — which recur
-// constantly across the 16 BSA subsets of a sweep — are evaluated once
-// and served from cache afterwards.
+// constantly across the BSA subsets of a sweep — are evaluated once and
+// served from cache afterwards.
 func (e *Engine) Evaluate(w *workloads.Workload, core cores.Config, assign exocore.Assignment) (int64, float64, error) {
 	return e.EvaluateCtx(context.Background(), w, core, assign)
 }
@@ -501,9 +499,9 @@ func (r *StreamBaselineResult) Dyn() int { return r.Stream.Dyn }
 // chunked generator-driven source: functional simulation and annotation
 // run on a producer goroutine, pipelined behind a bounded channel with
 // the µDG evaluation, while the streaming TDG builder observes every
-// chunk in passing — peak memory is O(chunk + window) end to end, so
-// paper-scale budgets (-maxdyn 200000000) fit in a fixed process
-// footprint. loop selects the steady-state repeated-kernel mode (see
+// chunk in passing — peak memory is O(chunk) end to end, so paper-scale
+// budgets (-maxdyn 200000000) fit in a fixed process footprint. loop
+// selects the steady-state repeated-kernel mode (see
 // workloads.SourceConfig.Loop) for budgets beyond the kernel's natural
 // execution.
 //

@@ -25,7 +25,7 @@ func fullContextFor(t *testing.T, bench string, core cores.Config) *Context {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, err := NewContext(td, core, bsa.Default().New())
+	ctx, err := NewContext(td, core, bsa.Default().New(), ContextOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,12 +75,7 @@ type ContextOpts struct {
 
 // NewContext analyzes the TDG with every BSA and measures the baseline
 // plus each (loop, BSA) candidate in isolation.
-func NewContext(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA) (*Context, error) {
-	return NewContextWith(t, core, bsas, ContextOpts{})
-}
-
-// NewContextWith is NewContext with explicit options.
-func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts ContextOpts) (*Context, error) {
+func NewContext(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts ContextOpts) (*Context, error) {
 	ctx := &Context{TDG: t, Core: core, BSAs: bsas, Plans: make(map[string]*tdg.Plan),
 		Cache: exocore.NewCache(core), reg: opts.Reg}
 	if opts.Persist != nil {

@@ -23,7 +23,7 @@ func contextFor(t *testing.T, bench string, core cores.Config) *Context {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, err := NewContext(td, core, bsa.Standard().New())
+	ctx, err := NewContext(td, core, bsa.Standard().New(), ContextOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"strings"
 
-	"exocore/internal/bsa"
 	"exocore/internal/cli"
 	"exocore/internal/cores"
 	"exocore/internal/dse"
@@ -28,7 +27,7 @@ import (
 // same specs as the unified CLI flags (-bench / -bsas).
 type EvalRequest struct {
 	Bench string `json:"bench"`           // "all" | "quick" | comma-separated names
-	Core  string `json:"core,omitempty"`  // general core; default OOO2
+	Core  string `json:"core,omitempty"`  // general core; default cores.Default
 	BSAs  string `json:"bsas,omitempty"`  // "all" | "none" | comma list; default all
 	Sched string `json:"sched,omitempty"` // "oracle" (default) | "amdahl"
 	// MaxDyn, when non-zero, must match the daemon's per-benchmark
@@ -45,7 +44,8 @@ type SweepRequest struct {
 	Bench string `json:"bench,omitempty"` // benchmark spec; default "all"
 	Sched string `json:"sched,omitempty"` // "oracle" (default) | "amdahl"
 	// Designs restricts the sweep to a design-code list (eg.
-	// ["IO2","OOO2-SDN"]); empty sweeps the full 64-design grid.
+	// ["IO2","OOO2-SDN"]); empty sweeps the full grid of every core and
+	// every subset of the engine's registry.
 	Designs []string `json:"designs,omitempty"`
 	// Async makes the POST return 202 with a result id immediately; the
 	// document is fetched from /resultz/{id} when the sweep finishes.
@@ -100,7 +100,7 @@ func resolveEval(req EvalRequest, eng *runner.Engine) (evalQuery, error) {
 	}
 	coreName := req.Core
 	if coreName == "" {
-		coreName = "OOO2"
+		coreName = cores.Default.Name
 	}
 	core, ok := cores.ConfigByName(coreName)
 	if !ok {
@@ -287,11 +287,4 @@ func SweepDocument(ctx context.Context, eng *runner.Engine, tool string,
 		exp.AppendTo(doc)
 	}
 	return doc, nil
-}
-
-// DesignCode renders (core, explicit BSA list) as the canonical design
-// code, eg. "OOO2-SDN" — dse.DesignCode for a name list instead of a
-// bitmask, resolved against the default registry.
-func DesignCode(core string, bsas []string) string {
-	return bsa.Default().DesignCode(core, bsas)
 }

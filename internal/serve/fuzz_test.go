@@ -36,7 +36,7 @@ func FuzzEvalRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req EvalRequest
-		if err := decodeJSON(httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(string(body))), &req); err != nil {
+		if err := DecodeJSON(httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(string(body))), &req); err != nil {
 			return
 		}
 		q, err := resolveEval(req, fuzzEngine)
@@ -79,7 +79,7 @@ func FuzzSweepRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SweepRequest
-		if err := decodeJSON(httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(string(body))), &req); err != nil {
+		if err := DecodeJSON(httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(string(body))), &req); err != nil {
 			return
 		}
 		q, err := resolveSweep(req, fuzzEngine)

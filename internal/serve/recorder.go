@@ -43,12 +43,6 @@ type recorder struct {
 }
 
 func newRecorder(recent, slow int) *recorder {
-	if recent <= 0 {
-		recent = 64
-	}
-	if slow <= 0 {
-		slow = 16
-	}
 	return &recorder{ring: make([]RequestRecord, recent), slowCap: slow}
 }
 

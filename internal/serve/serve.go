@@ -80,8 +80,6 @@ type Config struct {
 	// RequestTimeout is the per-request evaluation deadline (0 = 60s).
 	// Requests may lower it per call via deadline_ms, never raise it.
 	RequestTimeout time.Duration
-	// RetryAfter is the hint sent with 429 responses (0 = 1s).
-	RetryAfter time.Duration
 	// Tracer, if non-nil, records one span per request plus the engine's
 	// stage/segment spans underneath, each tagged with the request ID.
 	// Pass an obs.NewRingTracer for always-on flight-recorder tracing.
@@ -89,9 +87,6 @@ type Config struct {
 	// Log, if non-nil, receives the per-request access-log line (info
 	// level) and request-level debug records.
 	Log *obs.Logger
-	// DebugRequests bounds the flight recorder's recent-request ring
-	// (0 = 64).
-	DebugRequests int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Role is this daemon's place in a sweep fabric ("single" when it
@@ -103,6 +98,9 @@ type Config struct {
 	// the engine; /healthz reports its occupancy.
 	Store *store.Store
 }
+
+// retryAfter is the Retry-After hint, in seconds, sent with every 429.
+const retryAfter = "1"
 
 // Server is the evaluation service. Create with New, mount via Handler,
 // stop with Shutdown. Safe for concurrent use.
@@ -119,7 +117,6 @@ type Server struct {
 	slots      chan struct{}
 	queueDepth int
 	reqTimeout time.Duration
-	retryAfter time.Duration
 	waiting    atomic.Int64
 	draining   atomic.Bool
 
@@ -165,10 +162,6 @@ func New(cfg Config) (*Server, error) {
 	if timeout <= 0 {
 		timeout = 60 * time.Second
 	}
-	retry := cfg.RetryAfter
-	if retry <= 0 {
-		retry = time.Second
-	}
 	role := cfg.Role
 	if role == "" {
 		role = "single"
@@ -185,10 +178,9 @@ func New(cfg Config) (*Server, error) {
 		slots:      make(chan struct{}, conc),
 		queueDepth: depth,
 		reqTimeout: timeout,
-		retryAfter: retry,
 		jobs:       make(map[string]*sweepJob),
 		start:      time.Now(),
-		rec:        newRecorder(cfg.DebugRequests, 16),
+		rec:        newRecorder(64, 16), // 64 recent requests, the 16 slowest
 
 		mRequests:      reg.Counter("serve.requests"),
 		mEvaluations:   reg.Counter("serve.evaluations"),
@@ -409,32 +401,32 @@ func (s *Server) writeOutcome(w http.ResponseWriter, body []byte, err error) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 	case errors.Is(err, errBusy):
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.retryAfter+time.Second-1)/time.Second)))
-		jsonError(w, http.StatusTooManyRequests, "admission queue full; retry later")
+		w.Header().Set("Retry-After", retryAfter)
+		JSONError(w, http.StatusTooManyRequests, "admission queue full; retry later")
 	case errors.Is(err, context.DeadlineExceeded):
-		jsonError(w, http.StatusGatewayTimeout, "evaluation deadline exceeded")
+		JSONError(w, http.StatusGatewayTimeout, "evaluation deadline exceeded")
 	case errors.Is(err, context.Canceled):
 		// The client is gone; the status is for the access log only.
-		jsonError(w, http.StatusServiceUnavailable, "request canceled")
+		JSONError(w, http.StatusServiceUnavailable, "request canceled")
 	default:
 		s.log.Warn("evaluation failed", "err", err)
-		jsonError(w, http.StatusInternalServerError, err.Error())
+		JSONError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		jsonError(w, http.StatusServiceUnavailable, "shutting down")
+		JSONError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
 	var req EvalRequest
-	if err := decodeJSON(r, &req); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+	if err := DecodeJSON(r, &req); err != nil {
+		JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	q, err := resolveEval(req, s.eng)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+		JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	statsFrom(r.Context()).setKey(q.key())
@@ -449,17 +441,17 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		jsonError(w, http.StatusServiceUnavailable, "shutting down")
+		JSONError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+	if err := DecodeJSON(r, &req); err != nil {
+		JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	q, err := resolveSweep(req, s.eng)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+		JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	statsFrom(r.Context()).setKey(q.key())
@@ -517,7 +509,7 @@ func (s *Server) handleResultz(w http.ResponseWriter, r *http.Request) {
 	job := s.jobs[id]
 	s.jobsMu.Unlock()
 	if job == nil {
-		jsonError(w, http.StatusNotFound, "unknown result id "+strconv.Quote(id))
+		JSONError(w, http.StatusNotFound, "unknown result id "+strconv.Quote(id))
 		return
 	}
 	select {
@@ -641,7 +633,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.rec.lookup(id); !ok {
-		jsonError(w, http.StatusNotFound, "unknown request id "+strconv.Quote(id))
+		JSONError(w, http.StatusNotFound, "unknown request id "+strconv.Quote(id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -658,10 +650,11 @@ func renderDoc(doc *report.Document) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeJSON strictly decodes a request body: unknown fields and
-// trailing data are errors, so client typos fail loudly instead of
-// silently evaluating defaults.
-func decodeJSON(r *http.Request, dst any) error {
+// DecodeJSON strictly decodes a request body of at most 1 MiB: unknown
+// fields and trailing data are errors, so client typos fail loudly
+// instead of silently evaluating defaults. The fabric coordinator
+// decodes with it too, so both tiers accept exactly the same bodies.
+func DecodeJSON(r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -673,7 +666,8 @@ func decodeJSON(r *http.Request, dst any) error {
 	return nil
 }
 
-func jsonError(w http.ResponseWriter, code int, msg string) {
+// JSONError writes an {"error": msg} document with the given status.
+func JSONError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})

@@ -164,7 +164,7 @@ func TestConcurrentClientsShareOneAnswer(t *testing.T) {
 // one-deep queue by hand, then shows the next request is shed with 429
 // and a Retry-After hint rather than queued without bound.
 func TestQueueOverflowRejectsWith429(t *testing.T) {
-	s, hs := newTestServer(t, Config{Concurrency: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	s, hs := newTestServer(t, Config{Concurrency: 1, QueueDepth: 1})
 
 	release, _, err := s.admit(context.Background())
 	if err != nil {
@@ -188,8 +188,8 @@ func TestQueueOverflowRejectsWith429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != retryAfter {
+		t.Fatalf("Retry-After = %q, want %q", ra, retryAfter)
 	}
 	var msg map[string]string
 	if err := json.Unmarshal(body, &msg); err != nil || msg["error"] == "" {

@@ -15,11 +15,12 @@ type Config struct {
 	MaxDyn int
 }
 
-// DefaultMaxDyn is the default dynamic-instruction budget per run. The
-// paper records 200M-instruction windows after fast-forward; our synthetic
-// kernels are stationary so a much shorter trace captures the same region
-// structure (see DESIGN.md).
-const DefaultMaxDyn = 200_000
+// DefaultMaxDyn is the default dynamic-instruction budget per benchmark,
+// the one every tool's -maxdyn and every engine without a budget use.
+// The paper records 200M-instruction windows after fast-forward; our
+// synthetic kernels are stationary so a much shorter trace captures the
+// same region structure (see DESIGN.md).
+const DefaultMaxDyn = 100_000
 
 // State is the architectural state of a functional execution.
 type State struct {
@@ -127,9 +128,6 @@ func NewStepper(p *prog.Program, st *State) *Stepper {
 
 // Err returns the execution error that stopped the stepper, if any.
 func (s *Stepper) Err() error { return s.err }
-
-// Running reports whether the program can still make progress.
-func (s *Stepper) Running() bool { return !s.stopped }
 
 // Fill executes instructions into buf until it is full, the program
 // exits, or execution faults, returning the count written and whether

@@ -13,24 +13,12 @@ import (
 	"exocore/internal/prog"
 )
 
-const (
-	// DefaultChunkInsts is the default dynamic instructions per chunk:
-	// 64Ki instructions = 1 MiB of DynInst per buffer, small enough that
-	// a chunk stays resident in L2 through every pass the producer and
-	// consumer make over it, large enough that producer/consumer
-	// hand-offs stay a negligible share of the work.
-	DefaultChunkInsts = 1 << 16
-	// MinChunkInsts is the smallest chunk size the CLI accepts: below
-	// the evaluation engine's compaction stride, per-chunk overhead
-	// (annotator calls, channel handoffs) starts to show in profiles.
-	// Library callers (tests) may still construct smaller chunks to
-	// exercise boundary handling.
-	MinChunkInsts = 4096
-	// MaxChunkInsts bounds the CLI flag at 256Mi instructions (4 GiB of
-	// buffer): past this a "chunked" run is just the materialized path
-	// with extra steps.
-	MaxChunkInsts = 1 << 28
-)
+// DefaultChunkInsts is the default dynamic instructions per chunk: 64Ki
+// instructions = 1 MiB of DynInst per buffer, small enough that a chunk
+// stays resident in L2 through every pass the producer and consumer make
+// over it, large enough that producer/consumer hand-offs stay a
+// negligible share of the work.
+const DefaultChunkInsts = 1 << 16
 
 // Chunk is a bounded run of consecutive dynamic instructions from one
 // trace. Base is the dynamic index of Insts[0] in the whole trace, so

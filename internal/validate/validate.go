@@ -161,14 +161,10 @@ func refEnergyNJ(cfg cores.Config, tr *trace.Trace, cycles int64) float64 {
 // CrossValidate runs the OOO1/OOO8 cross-validation and returns two
 // reports ("OOO8→1" and "OOO1→8" in Table 1's terms: the graph model
 // projecting each extreme, judged against the independent reference).
-func CrossValidate(maxDyn int) ([]Report, error) {
-	return CrossValidateWith(runner.New(runner.Options{MaxDyn: maxDyn}))
-}
-
-// CrossValidateWith is CrossValidate on a shared evaluation engine, so
-// each benchmark's trace is built once and reused across both extreme
-// design points (and by ValidateBSAWith on the same engine).
-func CrossValidateWith(eng *runner.Engine) ([]Report, error) {
+// Each benchmark's trace comes from the engine, so it is built once and
+// reused across both extreme design points (and by ValidateBSA on the
+// same engine).
+func CrossValidate(eng *runner.Engine) ([]Report, error) {
 	var reports []Report
 	for _, cfg := range []cores.Config{OOO1, OOO8} {
 		rep := Report{Accel: "OOO-" + cfg.Name, Base: "-"}
@@ -265,15 +261,10 @@ func registryModel(name string) func() tdg.BSA {
 
 // ValidateBSA measures projected speedup and energy reduction for one
 // accelerator over its validation benchmarks and pairs them with the
-// published references.
-func ValidateBSA(accel string, maxDyn int) (Report, error) {
-	return ValidateBSAWith(runner.New(runner.Options{MaxDyn: maxDyn}), accel)
-}
-
-// ValidateBSAWith is ValidateBSA on a shared evaluation engine: the
-// trace and TDG of benchmarks shared between accelerator lines (vpr,
-// mcf429, cjpeg2, ...) are reconstructed once instead of per line.
-func ValidateBSAWith(eng *runner.Engine, accel string) (Report, error) {
+// published references. The engine's trace and TDG of benchmarks shared
+// between accelerator lines (vpr, mcf429, cjpeg2, ...) are reconstructed
+// once instead of per line.
+func ValidateBSA(eng *runner.Engine, accel string) (Report, error) {
 	setup, ok := bsaSetup[accel]
 	if !ok {
 		return Report{}, fmt.Errorf("validate: unknown accelerator %q", accel)
@@ -329,22 +320,18 @@ func ValidateBSAWith(eng *runner.Engine, accel string) (Report, error) {
 	return rep, nil
 }
 
-// Table1 runs the full validation suite (the paper's Table 1).
-func Table1(maxDyn int) ([]Report, error) {
-	return Table1With(runner.New(runner.Options{MaxDyn: maxDyn}))
-}
-
-// Table1With runs the full validation suite on a shared evaluation
-// engine; the six experiment lines reuse each other's cached traces and
-// TDGs, and the accelerator lines run over the engine's worker pool.
-func Table1With(eng *runner.Engine) ([]Report, error) {
-	reports, err := CrossValidateWith(eng)
+// Table1 runs the full validation suite (the paper's Table 1) on a
+// shared evaluation engine; the six experiment lines reuse each other's
+// cached traces and TDGs, and the accelerator lines run over the
+// engine's worker pool.
+func Table1(eng *runner.Engine) ([]Report, error) {
+	reports, err := CrossValidate(eng)
 	if err != nil {
 		return nil, err
 	}
 	accels := []string{"C-Cores", "BERET", "SIMD", "DySER"}
 	accelReps, err := runner.Map(eng, len(accels), func(i int) (Report, error) {
-		return ValidateBSAWith(eng, accels[i])
+		return ValidateBSA(eng, accels[i])
 	})
 	if err != nil {
 		return nil, err

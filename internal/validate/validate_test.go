@@ -2,10 +2,17 @@ package validate
 
 import (
 	"testing"
+
+	"exocore/internal/runner"
 )
 
+// engine returns a fresh evaluation engine at a per-benchmark budget.
+func engine(maxDyn int) *runner.Engine {
+	return runner.New(runner.Options{MaxDyn: maxDyn})
+}
+
 func TestCrossValidationWithinBand(t *testing.T) {
-	reps, err := CrossValidate(20000)
+	reps, err := CrossValidate(engine(20000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +36,9 @@ func TestCrossValidationWithinBand(t *testing.T) {
 func TestBSAValidationWithinBand(t *testing.T) {
 	// The paper's Table 1 reports ≤15% mean error per accelerator; allow
 	// modest headroom for trace-length sensitivity.
+	eng := engine(20000)
 	for _, accel := range []string{"C-Cores", "BERET", "SIMD", "DySER"} {
-		rep, err := ValidateBSA(accel, 20000)
+		rep, err := ValidateBSA(eng, accel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +52,7 @@ func TestBSAValidationWithinBand(t *testing.T) {
 }
 
 func TestValidationRangesMatchPublications(t *testing.T) {
-	rep, err := ValidateBSA("DySER", 15000)
+	rep, err := ValidateBSA(engine(15000), "DySER")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +69,9 @@ func TestProjectionsStayInPlausibleBands(t *testing.T) {
 	// No projected speedup should exceed the most optimistic published
 	// result for its accelerator class.
 	limits := map[string]float64{"C-Cores": 1.6, "BERET": 1.5, "SIMD": 4.4, "DySER": 6.5}
+	eng := engine(15000)
 	for accel, lim := range limits {
-		rep, err := ValidateBSA(accel, 15000)
+		rep, err := ValidateBSA(eng, accel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +88,7 @@ func TestProjectionsStayInPlausibleBands(t *testing.T) {
 }
 
 func TestUnknownAccelerator(t *testing.T) {
-	if _, err := ValidateBSA("NPU", 1000); err == nil {
+	if _, err := ValidateBSA(engine(1000), "NPU"); err == nil {
 		t.Error("unknown accelerator accepted")
 	}
 }

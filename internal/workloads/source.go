@@ -16,9 +16,6 @@ type SourceConfig struct {
 	MaxDyn int
 	// ChunkInsts bounds each chunk (<= 0 = trace.DefaultChunkInsts).
 	ChunkInsts int
-	// Hierarchy is the cache model annotating the stream; it must be
-	// fresh (annotation mutates it). nil selects the default hierarchy.
-	Hierarchy *cache.Hierarchy
 	// Loop re-runs the kernel (fresh memory image, same seed data) each
 	// time it exits until MaxDyn instructions have been synthesized —
 	// the steady-state-repeated-kernel mode paper-scale runs use, since
@@ -33,7 +30,7 @@ type SourceConfig struct {
 // Next synthesizes one chunk of dynamic instructions on demand (resumable
 // functional simulation) and annotates it with cache latencies and branch
 // predictions, with all model state carried across chunk boundaries.
-// Drained non-loop sources yield byte-for-byte the instructions TraceWith
+// Drained non-loop sources yield byte-for-byte the instructions Trace
 // materializes, at every chunk size. Buffers recycle through a pool, so
 // resident trace memory is O(chunks in flight) regardless of MaxDyn.
 //
@@ -51,15 +48,12 @@ func (w *Workload) Source(cfg SourceConfig) *GenSource {
 	if cfg.ChunkInsts > cfg.MaxDyn {
 		cfg.ChunkInsts = cfg.MaxDyn
 	}
-	if cfg.Hierarchy == nil {
-		cfg.Hierarchy = cache.DefaultHierarchy()
-	}
 	p, prep := w.Build()
 	s := &GenSource{
 		w:      w,
 		p:      p,
 		prep:   prep,
-		h:      cfg.Hierarchy,
+		h:      cache.DefaultHierarchy(),
 		bp:     bpred.New(bpred.DefaultConfig()),
 		pool:   trace.NewChunkPool(cfg.ChunkInsts),
 		budget: cfg.MaxDyn,

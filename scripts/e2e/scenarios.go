@@ -588,7 +588,7 @@ func memScenario(*env) (string, error) {
 	if res.Cycles <= 0 {
 		return "", fmt.Errorf("implausible cycles %d", res.Cycles)
 	}
-	graphHigh, err := highWater(reg, "dg.graph_high_water_bytes", graphBudget, "windowing is not bounding the graph")
+	graphHigh, err := highWater(reg, "dg.graph_high_water_bytes", graphBudget, "the µDG is not bounded: nodes outlive their segment")
 	if err != nil {
 		return "", err
 	}
@@ -620,7 +620,7 @@ func memScenario(*env) (string, error) {
 		return "", fmt.Errorf("accelerated arm: %d cycles, %d DP-CGRA and %d core insts",
 			acc.Cycles, acc.DynOf("DP-CGRA"), acc.DynOf(""))
 	}
-	accHigh, err := highWater(accReg, "dg.graph_high_water_bytes", windowBudget, "windowing is not retiring transform nodes")
+	accHigh, err := highWater(accReg, "dg.graph_high_water_bytes", windowBudget, "segment ends are not retiring transform nodes")
 	if err != nil {
 		return "", err
 	}
@@ -634,9 +634,9 @@ func memScenario(*env) (string, error) {
 
 // scaleScenario is the paper-scale streaming gate: 200M generator-driven
 // instructions (3.2 GB of DynInst if materialized) through the chunked
-// source → pipelined annotation → streaming-TDG → windowed-µDG path,
-// never materialized, inside sysBudget, with the µDG window and the
-// resident trace chunks bounded on their own high-water gauges. An
+// source → pipelined annotation → streaming-TDG → time-direct core path,
+// never materialized, inside sysBudget, with the µDG and the resident
+// trace chunks bounded on their own high-water gauges. An
 // overlap check first replays a smaller budget down both arms —
 // materialized Build+Run versus streamed Tee+BuildStream+RunStream —
 // and requires identical cycles, energy counts, statistics and block
@@ -699,7 +699,7 @@ func scaleScenario(*env) (string, error) {
 	if res.Cycles <= 0 {
 		return "", fmt.Errorf("implausible cycles %d", res.Cycles)
 	}
-	graphHigh, err := highWater(reg, "dg.graph_high_water_bytes", graphBudget, "windowing is not bounding the graph")
+	graphHigh, err := highWater(reg, "dg.graph_high_water_bytes", graphBudget, "the µDG is not bounded: nodes outlive their segment")
 	if err != nil {
 		return "", err
 	}
