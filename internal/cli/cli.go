@@ -177,9 +177,6 @@ func (a *App) Parse(args []string) error {
 	default:
 		return fmt.Errorf("unknown scheduler %q (have oracle, amdahl)", a.Sched)
 	}
-	if a.MaxDyn <= 0 {
-		a.MaxDyn = sim.DefaultMaxDyn
-	}
 	if a.VV {
 		a.Verbose = true
 	}

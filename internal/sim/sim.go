@@ -15,9 +15,9 @@ type Config struct {
 	MaxDyn int
 }
 
-// DefaultMaxDyn is the default dynamic-instruction budget per benchmark,
-// the one every tool's -maxdyn and every engine without a budget use.
-// The paper records 200M-instruction windows after fast-forward; our
+// DefaultMaxDyn is the default dynamic-instruction budget per benchmark:
+// the -maxdyn flag's, and that of every engine and run given none. The
+// paper records 200M-instruction windows after fast-forward; our
 // synthetic kernels are stationary so a much shorter trace captures the
 // same region structure (see DESIGN.md).
 const DefaultMaxDyn = 100_000

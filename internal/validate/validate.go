@@ -261,9 +261,9 @@ func registryModel(name string) func() tdg.BSA {
 
 // ValidateBSA measures projected speedup and energy reduction for one
 // accelerator over its validation benchmarks and pairs them with the
-// published references. The engine's trace and TDG of benchmarks shared
-// between accelerator lines (vpr, mcf429, cjpeg2, ...) are reconstructed
-// once instead of per line.
+// published references. Benchmarks shared between accelerator lines
+// (vpr, mcf429, cjpeg2, ...) reuse the engine's cached trace and TDG
+// instead of rebuilding them per line.
 func ValidateBSA(eng *runner.Engine, accel string) (Report, error) {
 	setup, ok := bsaSetup[accel]
 	if !ok {
