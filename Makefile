@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race tier1 fuzz bench benchdiff benchsmoke perfbenchtest e2e tools clean
+.PHONY: check build fmt vet test race tier1 fuzz bench benchdiff benchsmoke perfbenchtest e2e examples tools clean
 
 # The full pre-merge gate: gofmt + vet + build + race-enabled tests +
 # tier-1 + ten seconds of fuzzing + a single-iteration pass over every
 # benchmark so they can't rot + the repo benchmark's self-test (its own
 # module, so tier-1 never compiles it against the internal API) + the
-# end-to-end scenarios.
-check: fmt vet build race tier1 fuzz benchsmoke perfbenchtest e2e
+# end-to-end scenarios + the runnable examples.
+check: fmt vet build race tier1 fuzz benchsmoke perfbenchtest e2e examples
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,12 @@ e2e:
 	"$$bin/e2e" "$$bin" trace serve obs graph fabric && \
 	GOMEMLIMIT=512MiB "$$bin/e2e" "$$bin" mem && \
 	GOMEMLIMIT=512MiB "$$bin/e2e" "$$bin" scale
+
+# Run each example program; any non-zero exit fails the target.
+examples:
+	for e in quickstart customaccel designspace scheduling; do \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
+	done
 
 # Build the drivers into ./bin.
 tools:

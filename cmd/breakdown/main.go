@@ -1,8 +1,9 @@
 // Command breakdown reproduces Figure 13: for every benchmark on a full
 // ExoCore (every registered BSA on the -core general core), the fraction
 // of execution time and energy attributable to the general core and to
-// each BSA, relative to the plain core. -json emits the shared result
-// schema with per-model coverage.
+// each BSA, relative to the plain core. -sched picks the scheduler that
+// assigns the regions. -json emits the shared result schema with
+// per-model coverage.
 package main
 
 import (
@@ -28,6 +29,7 @@ func main() {
 	avail := app.Registry().Names()
 	bsaOrder := append([]string{""}, avail...)
 	design := app.Registry().DesignCode(core.Name, avail)
+	coreTable := energy.CoreTable(core.EnergyParams())
 
 	doc := report.New("breakdown")
 	var w *tabwriter.Writer
@@ -53,7 +55,12 @@ func main() {
 		if err != nil {
 			app.Fail(err)
 		}
-		assign := ctx.Oracle(avail)
+		var assign exocore.Assignment
+		if app.UseAmdahl() {
+			assign = ctx.AmdahlTree(avail)
+		} else {
+			assign = ctx.Oracle(avail)
+		}
 		// Reuse the context's models and unit cache; the scheduler already
 		// evaluated most of these units.
 		sp := app.Tracer().Begin("stage", "report "+wl.Name)
@@ -79,7 +86,7 @@ func main() {
 					label = "GPP"
 				}
 				coverage[label] = float64(res.CyclesOf(name)) / float64(res.Cycles)
-				energyCov["energy_frac_"+label] = energyFrac(res, name)
+				energyCov["energy_frac_"+label] = energyFrac(res, &coreTable, name)
 			}
 			r := report.Result{
 				Design: design, Core: core.Name, BSAs: avail,
@@ -125,14 +132,15 @@ func main() {
 	app.Finish()
 }
 
-func energyFrac(res *exocore.RunResult, name string) float64 {
+// energyFrac is the share of the run's dynamic energy spent in model
+// name, every model's events priced on the general core's table.
+func energyFrac(res *exocore.RunResult, tbl *energy.Table, name string) float64 {
 	var total, part float64
-	tmp := energy.CoreTable(energy.CoreParams{Width: 2, ROB: 64, Window: 32, AreaMM2: 3.2})
 	// res.Models is name-sorted, keeping the float sum bit-identical
 	// across runs.
 	for i := range res.Models {
 		m := &res.Models[i]
-		e := tmp.Evaluate(&m.Counts, 0).DynamicNJ
+		e := tbl.Evaluate(&m.Counts, 0).DynamicNJ
 		total += e
 		if m.Name == name {
 			part = e

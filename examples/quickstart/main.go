@@ -17,6 +17,7 @@ import (
 	"exocore/internal/cores"
 	"exocore/internal/energy"
 	"exocore/internal/exocore"
+	"exocore/internal/fusion"
 	"exocore/internal/isa"
 	"exocore/internal/prog"
 	"exocore/internal/runner"
@@ -83,11 +84,12 @@ func main() {
 		baseCycles, baseE.TotalNJ(), float64(tr.Len())/float64(baseCycles))
 
 	// 5. The Figure 4 example: transparently fuse fmul+fadd (TDG_OOO2,fma).
-	plan := tdg.AnalyzeFMA(td)
-	fmaCycles, fmaCounts := tdg.EvaluateFMA(td, cores.OOO2)
+	//    The fusion DSL's "fma" rule is that transform.
+	plan := fusion.Analyze(td, fusion.StandardRules[:1])
+	fmaCycles, fmaCounts := fusion.Evaluate(td, cores.OOO2, plan)
 	fmaE := tbl.Evaluate(&fmaCounts, fmaCycles)
 	fmt.Printf("OOO2 + fma:     %6d cycles  %8.1f nJ  (%d pairs fused, %.2fx speedup)\n",
-		fmaCycles, fmaE.TotalNJ(), len(plan.MulToAdd),
+		fmaCycles, fmaE.TotalNJ(), len(plan.Survivor),
 		float64(baseCycles)/float64(fmaCycles))
 
 	// 6. A real BSA: auto-vectorizing SIMD (TDG_OOO2,SIMD), instantiated

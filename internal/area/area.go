@@ -17,8 +17,3 @@ func Total(core cores.Config, bsas []tdg.BSA) float64 {
 	}
 	return a
 }
-
-// Relative returns the design's area relative to a reference design.
-func Relative(core cores.Config, bsas []tdg.BSA, refCore cores.Config, refBSAs []tdg.BSA) float64 {
-	return Total(core, bsas) / Total(refCore, refBSAs)
-}

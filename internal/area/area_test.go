@@ -34,16 +34,6 @@ func TestTotalSumsComponents(t *testing.T) {
 	}
 }
 
-func TestRelative(t *testing.T) {
-	r := Relative(cores.OOO6, nil, cores.OOO6, nil)
-	if r != 1 {
-		t.Errorf("self-relative = %v", r)
-	}
-	if Relative(cores.OOO6, nil, cores.IO2, nil) <= 1 {
-		t.Error("OOO6 must be bigger than IO2")
-	}
-}
-
 func TestCoreAreaOrdering(t *testing.T) {
 	// The paper's area story requires strictly increasing core areas.
 	prev := 0.0

@@ -114,14 +114,6 @@ func b2u(b bool) uint64 {
 // Stats returns (lookups, mispredictions).
 func (p *Predictor) Stats() (uint64, uint64) { return p.lookups, p.misses }
 
-// MissRate returns the fraction of mispredicted conditional branches.
-func (p *Predictor) MissRate() float64 {
-	if p.lookups == 0 {
-		return 0
-	}
-	return float64(p.misses) / float64(p.lookups)
-}
-
 // Annotate replays all conditional branches in t through the predictor,
 // setting the misprediction flag on each dynamic branch.
 func (p *Predictor) Annotate(t *trace.Trace) {

@@ -62,9 +62,6 @@ func TestStatsAccumulate(t *testing.T) {
 	if lookups != 100 {
 		t.Errorf("lookups = %d, want 100", lookups)
 	}
-	if p.MissRate() < 0 || p.MissRate() > 1 {
-		t.Errorf("miss rate out of range: %v", p.MissRate())
-	}
 }
 
 func TestAnnotateMarksMispredictions(t *testing.T) {

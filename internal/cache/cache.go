@@ -141,9 +141,6 @@ func (h *Hierarchy) Access(addr uint64) (int, trace.MemLevel) {
 	return h.MemLat, trace.LevelMem
 }
 
-// Prefetches returns the number of prefetch fills issued.
-func (h *Hierarchy) Prefetches() uint64 { return h.prefetches }
-
 // Annotate replays every memory operation in t through a fresh copy of the
 // hierarchy configuration, setting MemLat and Level on each. Non-memory
 // instructions are untouched.

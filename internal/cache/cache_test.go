@@ -115,7 +115,7 @@ func TestNextLinePrefetchHelpsStreams(t *testing.T) {
 	h := DefaultHierarchy()
 	h.NextLinePrefetch = true
 	h.Access(0)
-	if h.Prefetches() == 0 {
+	if h.prefetches == 0 {
 		t.Error("prefetch counter not incremented")
 	}
 }

@@ -27,7 +27,7 @@
 // the flat predecessor slice. Two modes share the layout:
 //
 //   - attribution mode (NewGraph) maintains every stream, supporting
-//     WalkCriticalPath/CriticalPathBreakdown and per-region attribution;
+//     WalkCriticalPath and per-region attribution;
 //   - lean mode (NewLeanGraph) maintains only the time stream. Edge
 //     relaxation reduces to a pure max — final node times are
 //     bit-identical to attribution mode (attribution only changes which
@@ -364,22 +364,10 @@ func (g *Graph) ReturnRT(rts ...*ResourceTable) {
 	g.rtFree = append(g.rtFree, rts...)
 }
 
-// CriticalPathBreakdown walks the critical path backwards from the given
-// node and accumulates the latency attributed to each edge class. The
-// result explains where cycles went (compute vs memory vs width vs ...).
-func (g *Graph) CriticalPathBreakdown(from NodeID) [NumEdgeClasses]int64 {
-	var out [NumEdgeClasses]int64
-	g.WalkCriticalPath(from, func(_ NodeID, class EdgeClass, lat int64) {
-		out[class] += lat
-	})
-	return out
-}
-
 // WalkCriticalPath walks the critical path backwards from the given node
 // towards the origin, calling fn for every step with the step's target
 // node, the edge class that set its time, and the latency attributed to
-// that step. Visiting every step lets callers attribute path latency at
-// finer granularity than the aggregate CriticalPathBreakdown — eg. per
+// that step, so callers can attribute path latency per edge class or per
 // region via DynIdx.
 //
 // The walk is a backward sweep over the flat pred/lat/class streams (no

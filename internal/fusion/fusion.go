@@ -4,12 +4,14 @@
 // TDG framework even more productive"). A Rule describes a producer→
 // consumer instruction pair that specialized hardware executes as one
 // fused operation; the engine derives the analysis pass and the µDG
-// transform from the rule, generalizing the hand-written fma example of
-// Figure 4 (see internal/tdg/fma.go for the long-hand version).
+// transform from the rule. The paper's running example (Figure 4), which
+// fuses an fmul into the single-use fadd accumulating it, is the "fma"
+// rule of StandardRules; it is the only fma transform in the framework.
 package fusion
 
 import (
 	"fmt"
+	"sort"
 
 	"exocore/internal/cores"
 	"exocore/internal/dg"
@@ -17,6 +19,7 @@ import (
 	"exocore/internal/ir"
 	"exocore/internal/isa"
 	"exocore/internal/tdg"
+	"exocore/internal/trace"
 )
 
 // Style selects which side of the pair survives as the fused operation.
@@ -118,14 +121,8 @@ func Analyze(t *tdg.TDG, rules []Rule) *Plan {
 				if consumer.Op != rule.Consumer {
 					continue
 				}
-				prodSI, prodReg := findProducer(p.Insts, b.Start, ci, rule.Producer)
-				if prodSI < 0 || taken[prodSI] {
-					continue
-				}
-				if rule.RequireAccumulator && !isAccumulator(consumer, prodReg) {
-					continue
-				}
-				if !singleUse(p.Insts, b, prodSI, ci, prodReg, liveness) {
+				prodSI := findProducer(p.Insts, b, ci, rule, taken, liveness)
+				if prodSI < 0 {
 					continue
 				}
 				pair := &Pair{Rule: rule, ProducerSI: prodSI, ConsumerSI: ci}
@@ -146,25 +143,29 @@ func Analyze(t *tdg.TDG, rules []Rule) *Plan {
 	return plan
 }
 
-// findProducer locates the nearest earlier in-block definition of one of
-// the consumer's sources with the required opcode; returns (si, reg) or
-// (-1, NoReg).
-func findProducer(insts []isa.Inst, bStart, ci int, op isa.Op) (int, isa.Reg) {
+// findProducer tries the consumer's sources in turn: a candidate is the
+// nearest earlier in-block definition of the source, with the rule's
+// producer opcode, not yet in a pair, in accumulator form when the rule
+// requires it and single-use. It returns the first candidate's SI, or -1.
+func findProducer(insts []isa.Inst, b *ir.Block, ci int, rule *Rule, taken map[int]bool, lv *ir.Liveness) int {
 	consumer := &insts[ci]
-	var srcs []isa.Reg
-	for _, r := range consumer.Srcs(srcs) {
-		for si := ci - 1; si >= bStart; si-- {
-			in := &insts[si]
-			if !in.HasDst() || in.Dst != r {
-				continue
-			}
-			if in.Op == op {
-				return si, r
-			}
-			break // defined by a non-matching op: stop for this source
+	var buf [2]isa.Reg
+	for _, r := range consumer.Srcs(buf[:0]) {
+		si := ci - 1
+		for si >= b.Start && (!insts[si].HasDst() || insts[si].Dst != r) {
+			si--
+		}
+		if si < b.Start || insts[si].Op != rule.Producer || taken[si] {
+			continue
+		}
+		if rule.RequireAccumulator && !isAccumulator(consumer, r) {
+			continue
+		}
+		if singleUse(insts, b, si, ci, r, lv) {
+			return si
 		}
 	}
-	return -1, isa.NoReg
+	return -1
 }
 
 func isAccumulator(consumer *isa.Inst, prodReg isa.Reg) bool {
@@ -218,15 +219,14 @@ func Evaluate(t *tdg.TDG, core cores.Config, plan *Plan) (int64, energy.Counts) 
 			m.Exec(cores.FromDyn(in, d), int32(i))
 			continue
 		}
-		u := fusedUOp(p.Insts, pair, d)
-		m.Exec(u, int32(i))
+		m.Exec(fusedUOp(p.Insts, pair, d), int32(i))
 	}
 	return m.EndTime(), counts
 }
 
 // fusedUOp builds the surviving micro-op of a pair for one dynamic
 // instance.
-func fusedUOp(insts []isa.Inst, pair *Pair, d dynLike) cores.UOp {
+func fusedUOp(insts []isa.Inst, pair *Pair, d *trace.DynInst) cores.UOp {
 	prod := &insts[pair.ProducerSI]
 	cons := &insts[pair.ConsumerSI]
 	switch pair.Rule.Style {
@@ -242,29 +242,27 @@ func fusedUOp(insts []isa.Inst, pair *Pair, d dynLike) cores.UOp {
 		if op == isa.Nop {
 			op = cons.Op
 		}
-		u := cores.UOp{
+		return cores.UOp{
 			Op: op, Dst: cons.Dst,
 			Src1: prod.Src1, Src2: prod.Src2,
 			Mispred: d.Mispredicted(), Taken: d.Taken(),
 		}
-		return u
 	}
 }
 
-// dynLike is the minimal dynamic-instruction view fusedUOp needs.
-type dynLike interface {
-	Mispredicted() bool
-	Taken() bool
-}
-
-// Summary renders the plan for reports.
+// Summary renders the plan for reports, rules in name order.
 func (p *Plan) Summary() string {
 	if len(p.Survivor) == 0 {
 		return "no fusable pairs"
 	}
+	names := make([]string, 0, len(p.PerRule))
+	for name := range p.PerRule {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	s := fmt.Sprintf("%d fused pairs:", len(p.Survivor))
-	for name, n := range p.PerRule {
-		s += fmt.Sprintf(" %s=%d", name, n)
+	for _, name := range names {
+		s += fmt.Sprintf(" %s=%d", name, p.PerRule[name])
 	}
 	return s
 }

@@ -5,7 +5,6 @@ import (
 
 	"exocore/internal/cores"
 	"exocore/internal/isa"
-	"exocore/internal/tdg"
 	"exocore/internal/testutil"
 )
 
@@ -66,18 +65,6 @@ func TestEvaluateSpeedsUp(t *testing.T) {
 	}
 }
 
-func TestEvaluateMatchesFMAExample(t *testing.T) {
-	// The DSL restricted to the fma rule must agree in structure with the
-	// hand-written Figure 4 transform: same number of fused pairs.
-	td := testutil.TDGFor(t, "nnw", 20000)
-	dslPlan := Analyze(td, []Rule{StandardRules[0]})
-	handPlan := tdg.AnalyzeFMA(td)
-	if len(dslPlan.Survivor) != len(handPlan.MulToAdd) {
-		t.Errorf("DSL found %d fma pairs, hand-written transform found %d",
-			len(dslPlan.Survivor), len(handPlan.MulToAdd))
-	}
-}
-
 func TestCustomRule(t *testing.T) {
 	// A user-defined rule: fold shli into a following load's address —
 	// verify the DSL accepts rules beyond the standard set.
@@ -94,5 +81,18 @@ func TestCustomRule(t *testing.T) {
 	fused, _ := Evaluate(td, cores.OOO2, plan)
 	if fused > base {
 		t.Errorf("custom rule slowed execution: %d vs %d", fused, base)
+	}
+}
+
+func TestSummaryListsRulesInNameOrder(t *testing.T) {
+	plan := &Plan{
+		Survivor: map[int]*Pair{1: {}, 2: {}, 3: {}},
+		PerRule:  map[string]int{"mac": 1, "cmpi-bne": 1, "fma": 1},
+	}
+	// Map iteration order varies between calls; repeat to catch it.
+	for i := 0; i < 10; i++ {
+		if got, want := plan.Summary(), "3 fused pairs: cmpi-bne=1 fma=1 mac=1"; got != want {
+			t.Fatalf("Summary = %q, want %q", got, want)
+		}
 	}
 }

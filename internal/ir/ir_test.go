@@ -152,9 +152,6 @@ func TestLoopNestNested(t *testing.T) {
 	if !nest.IsAncestor(outerID, innerID) || nest.IsAncestor(innerID, outerID) {
 		t.Error("ancestry wrong")
 	}
-	if nest.OutermostAncestor(innerID) != outerID {
-		t.Error("outermost ancestor wrong")
-	}
 }
 
 func TestLoopDataflowInductionsAndLiveness(t *testing.T) {
@@ -356,24 +353,6 @@ func TestProfileCarriedMemDep(t *testing.T) {
 	prof2 := BuildProfile(cfg2, nest2, tr2)
 	if prof2.Loops[0].CarriedMemDep {
 		t.Error("independent loads must not report carried dep")
-	}
-}
-
-func TestMarkSpills(t *testing.T) {
-	b := prog.NewBuilder("spill")
-	b.MovI(isa.R(31), 0x8000)
-	b.St(isa.R(1), isa.R(31), 0) // spill store
-	b.Ld(isa.R(1), isa.R(31), 0) // spill load
-	b.MovI(isa.R(2), 0x1000)
-	b.Ld(isa.R(3), isa.R(2), 0) // normal load
-	p := b.MustBuild()
-	tr := traceOf(t, p, nil)
-	n := MarkSpills(tr)
-	if n != 2 {
-		t.Errorf("spills = %d, want 2", n)
-	}
-	if !tr.Insts[1].IsSpill() || !tr.Insts[2].IsSpill() || tr.Insts[4].IsSpill() {
-		t.Error("spill flags wrong")
 	}
 }
 

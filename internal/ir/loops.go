@@ -192,14 +192,6 @@ func (n *LoopNest) IsAncestor(a, b int) bool {
 	return false
 }
 
-// OutermostAncestor returns the root loop enclosing l.
-func (n *LoopNest) OutermostAncestor(l int) int {
-	for n.Loops[l].Parent != -1 {
-		l = n.Loops[l].Parent
-	}
-	return l
-}
-
 // String renders the loop forest.
 func (n *LoopNest) String() string {
 	s := fmt.Sprintf("%d loops\n", len(n.Loops))

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"exocore/internal/isa"
 	"exocore/internal/trace"
 )
 
@@ -569,23 +568,6 @@ func decodePath(s string) []int {
 		b = b[n:]
 	}
 	return out
-}
-
-// MarkSpills flags loads/stores whose base register is the conventional
-// stack pointer (R31) as register spills (paper §2.7's best-effort spill
-// identification). Kernels that use a stack designate R31 by convention.
-func MarkSpills(t *trace.Trace) int {
-	sp := isa.R(31)
-	count := 0
-	for i := range t.Insts {
-		d := &t.Insts[i]
-		in := &t.Prog.Insts[d.SI]
-		if in.Op.IsMem() && in.Src1 == sp {
-			d.Flags |= trace.FlagSpill
-			count++
-		}
-	}
-	return count
 }
 
 // SortedLoopsByShare returns loop IDs ordered by descending dynamic share.

@@ -42,14 +42,6 @@ func (l *Logger) Verbosity() int {
 	return l.verbosity
 }
 
-// Slog exposes the underlying slog.Logger (nil for a nil Logger).
-func (l *Logger) Slog() *slog.Logger {
-	if l == nil {
-		return nil
-	}
-	return l.s
-}
-
 // Debug logs at -vv level. kvs are alternating key/value pairs as in
 // slog.
 func (l *Logger) Debug(msg string, kvs ...any) {

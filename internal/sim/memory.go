@@ -59,6 +59,3 @@ func (m *Memory) LoadFloat(addr uint64) float64 {
 func (m *Memory) StoreFloat(addr uint64, v float64) {
 	m.StoreInt(addr, int64(math.Float64bits(v)))
 }
-
-// Footprint returns the number of resident pages (for tests).
-func (m *Memory) Footprint() int { return len(m.pages) }

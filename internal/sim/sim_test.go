@@ -189,8 +189,8 @@ func TestMemorySparse(t *testing.T) {
 	if m.LoadInt(12345<<20) != 0 {
 		t.Error("untouched memory should read zero")
 	}
-	if m.Footprint() != 2 {
-		t.Errorf("footprint = %d, want 2", m.Footprint())
+	if len(m.pages) != 2 {
+		t.Errorf("resident pages = %d, want 2", len(m.pages))
 	}
 }
 

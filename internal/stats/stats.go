@@ -23,18 +23,6 @@ func Geomean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // MeanAbsErr returns mean |a-b|/b over paired slices — the validation
 // error metric of Table 1.
 func MeanAbsErr(got, want []float64) float64 {

@@ -40,15 +40,6 @@ func TestGeomeanScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Errorf("Mean = %v", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("Mean(nil) = %v", m)
-	}
-}
-
 func TestMeanAbsErr(t *testing.T) {
 	got := []float64{1.1, 0.9}
 	want := []float64{1.0, 1.0}

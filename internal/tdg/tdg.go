@@ -162,12 +162,6 @@ func (t *TDG) Dataflow(loopID int) *ir.LoopDataflow {
 	return ld
 }
 
-// LoopOfDyn returns the innermost loop containing dynamic instruction i,
-// or -1.
-func (t *TDG) LoopOfDyn(i int) int {
-	return t.Nest.InnermostOfInst(int(t.Trace.Insts[i].SI))
-}
-
 // Region is one acceleratable program region in a plan: a loop (SIMD,
 // DP-CGRA, Trace-P) or a loop nest root (NS-DF).
 type Region struct {

@@ -17,9 +17,6 @@ const (
 	FlagTaken uint8 = 1 << iota
 	// FlagMispred marks a branch the predictor got wrong.
 	FlagMispred
-	// FlagSpill marks a load/store identified as a register spill by the
-	// best-effort spill analysis (paper §2.7); transforms may bypass it.
-	FlagSpill
 )
 
 // MemLevel identifies which level of the hierarchy served an access.
@@ -68,9 +65,6 @@ func (d *DynInst) Taken() bool { return d.Flags&FlagTaken != 0 }
 // Mispredicted reports whether the branch predictor missed.
 func (d *DynInst) Mispredicted() bool { return d.Flags&FlagMispred != 0 }
 
-// IsSpill reports whether the access was classified as a register spill.
-func (d *DynInst) IsSpill() bool { return d.Flags&FlagSpill != 0 }
-
 // Trace is a dynamic execution of one program.
 type Trace struct {
 	Prog  *prog.Program
@@ -85,9 +79,6 @@ func (t *Trace) Len() int { return len(t.Insts) }
 
 // Static returns the static instruction for the i'th dynamic instruction.
 func (t *Trace) Static(i int) *isa.Inst { return &t.Prog.Insts[t.Insts[i].SI] }
-
-// StaticOf returns the static instruction for a dynamic instruction.
-func (t *Trace) StaticOf(d *DynInst) *isa.Inst { return &t.Prog.Insts[d.SI] }
 
 // Stats summarizes a trace for reports and sanity tests. Every field is
 // an additive tally over instructions, so per-chunk Stats merge with a

@@ -28,7 +28,7 @@ func sampleTrace() *Trace {
 func TestFlags(t *testing.T) {
 	tr := sampleTrace()
 	br := &tr.Insts[3]
-	if !br.Taken() || !br.Mispredicted() || br.IsSpill() {
+	if !br.Taken() || !br.Mispredicted() {
 		t.Error("flag accessors wrong")
 	}
 	ld := &tr.Insts[0]
@@ -42,7 +42,7 @@ func TestStaticAccessors(t *testing.T) {
 	if tr.Len() != 5 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if tr.Static(0).Op != isa.Ld || tr.StaticOf(&tr.Insts[2]).Op != isa.St {
+	if tr.Static(0).Op != isa.Ld || tr.Static(2).Op != isa.St {
 		t.Error("static lookup wrong")
 	}
 }
