@@ -178,8 +178,8 @@ func BenchmarkDSESweep(b *testing.B) {
 // BenchmarkContextConstruction measures building one scheduling context —
 // the baseline run plus every per-candidate solo measurement — which is
 // where a fresh sweep spends most of its time. Exercises the delta
-// composer, prefix publication and the cross-core shared pool on a cold
-// cache each iteration. Tracked in BENCH_7.json.
+// composer, the unit-outcome cache and the cross-core shared pool on a
+// cold cache each iteration. Tracked in BENCH_7.json.
 func BenchmarkContextConstruction(b *testing.B) {
 	w, err := workloads.ByName("cjpeg")
 	if err != nil {

@@ -2,7 +2,12 @@ package dse
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"exocore/internal/bsa"
@@ -186,10 +191,92 @@ func TestCachedSweepByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFullSuiteSweepIdentity extends the quick-set gates to the whole
+// grid: every workload (the graph family included) × the four cores ×
+// every subset of the default registry (GS-DAE included), at a small
+// budget. Two explorations on fresh engines must render byte-identical
+// documents, so map-order or scheduling nondeterminism shows up as a
+// diff; every design × bench row must equal a cache-less exocore.Run of
+// the design's Oracle assignment, which exercises four-core shared-pool
+// reuse on every offload unit; and the document's SHA-256 is pinned in
+// testdata (rewrite it with -update only when the evaluation model
+// itself changes).
+func TestFullSuiteSweepIdentity(t *testing.T) {
+	const maxDyn = 4000
+	sweep := func() (*runner.Engine, *Exploration) {
+		eng := runner.New(runner.Options{MaxDyn: maxDyn})
+		exp, err := Explore(Options{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, exp
+	}
+	eng, exp := sweep()
+	got := reportDoc(t, exp)
+	if _, again := sweep(); !bytes.Equal(got, reportDoc(t, again)) {
+		t.Fatal("two full-suite sweeps on fresh engines render different documents")
+	}
+
+	// The reference evaluates each distinct (bench, core, assignment)
+	// once: most subsets share their Oracle assignment with another.
+	ref, err := NewShell(eng.BSAs(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type refKey struct{ bench, core, assign string }
+	memo := map[refKey]BenchResult{}
+	ws := workloads.All()
+	for _, d := range ref.Designs {
+		for _, w := range ws {
+			sc := schedContext(t, eng, w, d.Core)
+			assign := sc.Oracle(d.BSAs)
+			k := refKey{w.Name, d.Core.Name, runner.AssignmentKey(assign)}
+			b, ok := memo[k]
+			if !ok {
+				b = BenchResult{Bench: w.Name, Category: w.Category}
+				b.Cycles, b.EnergyNJ = uncachedRun(t, sc, assign)
+				memo[k] = b
+			}
+			if err := ref.AddBench(d.Code, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ref.Normalize()
+	if want := reportDoc(t, ref); !bytes.Equal(got, want) {
+		for i := range got {
+			if i >= len(want) || got[i] != want[i] {
+				lo := max(i-80, 0)
+				t.Fatalf("full-suite sweep and uncached runs diverge at byte %d:\nsweep:    ...%s\nuncached: ...%s",
+					i, got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+			}
+		}
+		t.Fatalf("sweep doc (%d bytes) is a prefix of uncached doc (%d bytes)", len(got), len(want))
+	}
+
+	sum := sha256.Sum256(got)
+	digest := hex.EncodeToString(sum[:]) + "\n"
+	path := filepath.Join("testdata", "sweep_all_4000.sha256")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(digest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest != string(want) {
+		t.Fatalf("full-suite sweep document SHA-256 %s, pinned %s", strings.TrimSpace(digest), strings.TrimSpace(string(want)))
+	}
+}
+
 // TestDeltaMatchesFullRun is the end-to-end correctness gate for the
 // incremental delta-evaluation path (baseline-relative composer
-// segmentation, prefix publication, interned keys, the cross-core shared
-// pool): after a sweep over the quick-set workloads, every number the
+// segmentation, the unit-outcome cache, the cross-core shared pool):
+// after a sweep over the quick-set workloads, every number the
 // scheduler's choices rest on — each context's baseline and every
 // candidate solo — must equal a cache-less exocore.Run of the same
 // assignment.

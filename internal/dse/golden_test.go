@@ -15,7 +15,7 @@ import (
 	"exocore/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the pre-registry sweep golden")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens")
 
 // TestStandardRegistrySweepMatchesGolden is the compatibility contract
 // of the registry redesign: an engine restricted to the paper's four

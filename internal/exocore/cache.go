@@ -1,6 +1,8 @@
 package exocore
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"strconv"
 	"sync"
 
@@ -18,30 +20,42 @@ import (
 // key.
 const ConfigCacheWays = 8
 
-// unitKey identifies one evaluation-unit outcome under the
-// drained-boundary model: the dynamic span plus an interned structural
-// signature covering the unit's internal segmentation — each segment's
-// start offset, model and configuration residency (see Cache.sigOf). The
-// core and BSA set are fixed per Cache, so they are not part of the key.
-type unitKey struct {
-	start, end int32
-	sig        uint64
+// appendKey appends a unit's identity to b: the dynamic span and, per
+// segment, the start offset, assigned loop, model name and configuration
+// residency. The core and BSA set are fixed per Cache, so they are not
+// part of the key. This one encoding keys the in-memory outcome shards,
+// the cross-core shared pool and (after the cache's namespace) the
+// durable store, so its bytes are a persisted contract:
+//
+//	uvarint(start) uvarint(end) uvarint(nsegs)
+//	| per segment: uvarint(offset) uvarint(loop+1)
+//	               uvarint(len(name)) name cfgRes
+//
+// General-core segments write loop 0 / empty name / residency 0 (their
+// loop ID does not affect the outcome).
+func appendKey(b []byte, u *unit) []byte {
+	start := u.segs[0].Start
+	b = binary.AppendUvarint(b, uint64(start))
+	b = binary.AppendUvarint(b, uint64(u.segs[len(u.segs)-1].End))
+	b = binary.AppendUvarint(b, uint64(len(u.segs)))
+	for i, seg := range u.segs {
+		b = binary.AppendUvarint(b, uint64(seg.Start-start))
+		name := u.names[i]
+		if name == "" {
+			b = append(b, 0, 0, 0)
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(seg.LoopID+1))
+		b = binary.AppendUvarint(b, uint64(len(name)))
+		b = append(b, name...)
+		if u.cfgRes[i] {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	return b
 }
-
-// Segment descriptors pack one segment's identity into a uint64 for key
-// interning: offset<<20 | (loop+1)<<6 | nameIdx<<1 | cfgResident. A
-// general-core segment at offset 0 is descriptor 0, so the single-segment
-// pure-GPP unit — the overwhelmingly common case — gets sig 0 without
-// touching the intern table.
-const (
-	descOffsetShift = 20
-	descLoopShift   = 6
-	descNameShift   = 1
-	// sigMulti tags signatures produced by the intern trie, keeping them
-	// disjoint from raw single-segment descriptors (whose offset is 0 and
-	// which therefore fit in the low 20 bits).
-	sigMulti = uint64(1) << 63
-)
 
 // unitOutcome is the memoized result of evaluating one unit from a
 // drained boundary, entirely at per-segment granularity: durations,
@@ -60,41 +74,6 @@ type unitOutcome struct {
 	segDurs    []int64
 	segCounts  []energy.Counts
 	segClasses [][dg.NumEdgeClasses]int64
-
-	// Published prefix outcomes avoid copying: segDurs/segCounts alias
-	// the publishing evaluation's arrays for all but the final (possibly
-	// truncated) segment, whose values sit inline below. Those parent
-	// elements are final when the prefix is published (evaluation writes
-	// each segment's slot exactly once, in order), so the alias is
-	// immutable. nsegs is len(segDurs)+1 for a prefix, 0 otherwise;
-	// consumers go through n/dur/counts instead of the raw slices.
-	nsegs      int
-	lastDur    int64
-	lastCounts energy.Counts
-}
-
-// n returns the outcome's segment count.
-func (o *unitOutcome) n() int {
-	if o.nsegs != 0 {
-		return o.nsegs
-	}
-	return len(o.segDurs)
-}
-
-// dur returns segment i's duration.
-func (o *unitOutcome) dur(i int) int64 {
-	if o.nsegs != 0 && i == o.nsegs-1 {
-		return o.lastDur
-	}
-	return o.segDurs[i]
-}
-
-// counts returns segment i's energy-event deltas.
-func (o *unitOutcome) counts(i int) *energy.Counts {
-	if o.nsegs != 0 && i == o.nsegs-1 {
-		return &o.lastCounts
-	}
-	return &o.segCounts[i]
 }
 
 // CacheStats is a point-in-time snapshot of a Cache's counters.
@@ -105,30 +84,24 @@ type CacheStats struct {
 	// BytesReused accumulates the arena bytes (graph nodes + resource-table
 	// rings) served from the worker pool instead of freshly allocated.
 	BytesReused int64 `json:"bytes_reused"`
-	// Entries counts distinct unit outcomes memoized on demand (misses
-	// evaluated and stored).
+	// Entries counts distinct unit outcomes memoized.
 	Entries int64 `json:"entries"`
-	// PrefixEntries counts outcomes published speculatively at cut
-	// boundaries while evaluating a longer unit — the delta-evaluation
-	// mechanism that lets later assignments reuse baseline work.
-	PrefixEntries int64 `json:"prefix_entries"`
-	// InternedSigs counts distinct multi-segment signatures in the
-	// intern table (single-segment units encode inline and never intern).
-	InternedSigs int64 `json:"interned_sigs"`
 	// SharedHits counts unit outcomes served from the cross-core shared
 	// pool: offload solo units whose evaluation retired no core µops are
 	// core-independent, so one core's evaluation serves all four.
 	SharedHits int64 `json:"shared_hits"`
 }
 
-// cacheShards bounds lock contention on the outcome map; a typed sharded
-// map also avoids sync.Map's per-Load key boxing on struct keys.
+// cacheShards bounds lock contention on the outcome map.
 const cacheShards = 16
 
 type outcomeShard struct {
 	mu sync.RWMutex
-	m  map[unitKey]*unitOutcome
+	m  map[string]*unitOutcome
 }
+
+// shardSeed hashes unit keys onto the outcome shards.
+var shardSeed = maphash.MakeSeed()
 
 // Cache memoizes evaluation-unit outcomes for one evaluation context — a
 // fixed (benchmark TDG, core config, BSA set, plans) tuple, the
@@ -136,8 +109,8 @@ type outcomeShard struct {
 // arenas unit evaluation consumes. Safe for concurrent Run calls.
 //
 // Correctness rests on the drained-boundary model (see the package
-// comment): a unit's outcome depends only on its unitKey, never on its
-// position in the composition. BSA models must therefore be pure
+// comment): a unit's outcome depends only on its key (appendKey), never
+// on its position in the composition. BSA models must therefore be pure
 // functions of (core config, region plan, span, Ctx.ConfigResident): a
 // model that carried other state from one unit to the next could not be
 // cached.
@@ -146,22 +119,8 @@ type Cache struct {
 
 	shards [cacheShards]outcomeShard
 
-	// Name interning: BSA name → small index for descriptor packing.
-	// Lazily grown; only consistency within this Cache matters.
-	nameMu  sync.RWMutex
-	nameIdx map[string]uint64
-
-	// Signature interning: a trie over segment descriptors. A unit's
-	// multi-segment signature is the trie node reached by walking its
-	// descriptors from the root — exact (no hashing), and prefix
-	// signatures are the walk's intermediate nodes, which the publisher
-	// gets for free.
-	sigMu  sync.RWMutex
-	sigs   map[sigEdge]uint32
-	sigSeq uint32
-
 	// compOnce guards lazy construction of the delta composer for this
-	// cache's (TDG, bsas, plans) tuple.
+	// cache's (TDG, plans) tuple.
 	compOnce sync.Once
 	comp     *composer
 
@@ -172,155 +131,62 @@ type Cache struct {
 	// persist is the optional durable tier under this cache (see
 	// AttachPersist): misses consult it before evaluating and fresh
 	// outcomes are written through, so a restarted process re-reads
-	// instead of re-deriving. persistNS scopes its keys to this cache's
-	// (trace, core, BSA set) tuple.
+	// instead of re-deriving. persistNS prefixes its keys, scoping them
+	// to this cache's (trace, core, BSA set) tuple.
 	persist   Persist
 	persistNS string
 
 	// Counters are obs instruments so a cache slots into the shared
 	// metrics registry; standalone (unregistered) instances keep the
 	// cache usable without one.
-	hits, misses, reused, entries, prefixes, sharedHits *obs.Counter
-}
-
-// sigEdge is one trie edge: (parent node, segment descriptor).
-type sigEdge struct {
-	parent uint32
-	desc   uint64
+	hits, misses, reused, entries, sharedHits *obs.Counter
 }
 
 // NewCache creates a unit-outcome cache for one core config.
 func NewCache(core cores.Config) *Cache {
 	c := &Cache{
-		core:    core,
-		nameIdx: make(map[string]uint64, 4),
-		sigs:    make(map[sigEdge]uint32),
-		hits:    obs.NewCounter(), misses: obs.NewCounter(),
+		core: core,
+		hits: obs.NewCounter(), misses: obs.NewCounter(),
 		reused: obs.NewCounter(), entries: obs.NewCounter(),
-		prefixes: obs.NewCounter(), sharedHits: obs.NewCounter(),
+		sharedHits: obs.NewCounter(),
 	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[unitKey]*unitOutcome)
+		c.shards[i].m = make(map[string]*unitOutcome)
 	}
 	return c
 }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.sigMu.RLock()
-	interned := int64(c.sigSeq)
-	c.sigMu.RUnlock()
 	return CacheStats{
-		Hits:          c.hits.Value(),
-		Misses:        c.misses.Value(),
-		BytesReused:   c.reused.Value(),
-		Entries:       c.entries.Value(),
-		PrefixEntries: c.prefixes.Value(),
-		InternedSigs:  interned,
-		SharedHits:    c.sharedHits.Value(),
+		Hits:        c.hits.Value(),
+		Misses:      c.misses.Value(),
+		BytesReused: c.reused.Value(),
+		Entries:     c.entries.Value(),
+		SharedHits:  c.sharedHits.Value(),
 	}
 }
 
 // composerFor returns the cache's delta composer, building it on first
-// use. The cache is documented to serve exactly one (TDG, bsas, plans)
-// tuple, so the first caller's arguments define it.
-func (c *Cache) composerFor(t *tdg.TDG, bsas map[string]tdg.BSA, plans map[string]*tdg.Plan) *composer {
+// use. The cache is documented to serve exactly one (TDG, plans) tuple,
+// so the first caller's arguments define it.
+func (c *Cache) composerFor(t *tdg.TDG, plans map[string]*tdg.Plan) *composer {
 	c.compOnce.Do(func() {
-		c.comp = newComposer(t, bsas, plans)
+		c.comp = newComposer(t, plans)
 		c.shared = sharedPoolFor(t)
 	})
 	return c.comp
 }
 
-// nameIndexOf interns a BSA name to a small descriptor index (1-based;
-// 0 is the general core).
-func (c *Cache) nameIndexOf(name string) uint64 {
-	c.nameMu.RLock()
-	id, ok := c.nameIdx[name]
-	c.nameMu.RUnlock()
-	if ok {
-		return id
-	}
-	c.nameMu.Lock()
-	defer c.nameMu.Unlock()
-	if id, ok = c.nameIdx[name]; ok {
-		return id
-	}
-	id = uint64(len(c.nameIdx)) + 1
-	c.nameIdx[name] = id
-	return id
-}
-
-// descOf packs one segment of a unit into its interning descriptor.
-func (c *Cache) descOf(u *unit, i int, unitStart int) uint64 {
-	var d uint64
-	if name := u.names[i]; name != "" {
-		d = uint64(u.segs[i].LoopID+1)<<descLoopShift | c.nameIndexOf(name)<<descNameShift
-		if u.cfgRes[i] {
-			d |= 1
-		}
-	}
-	return d | uint64(u.segs[i].Start-unitStart)<<descOffsetShift
-}
-
-// sigNode returns (interning if new) the trie node for edge (parent,
-// desc).
-func (c *Cache) sigNode(parent uint32, desc uint64) uint32 {
-	e := sigEdge{parent, desc}
-	c.sigMu.RLock()
-	id, ok := c.sigs[e]
-	c.sigMu.RUnlock()
-	if ok {
-		return id
-	}
-	c.sigMu.Lock()
-	defer c.sigMu.Unlock()
-	if id, ok = c.sigs[e]; ok {
-		return id
-	}
-	c.sigSeq++
-	id = c.sigSeq
-	c.sigs[e] = id
-	return id
-}
-
-// sigOfDescs folds a descriptor sequence into a signature: the raw
-// descriptor for single-segment units (no interning, no locks — the
-// common case), a tagged trie node otherwise.
-func (c *Cache) sigOfDescs(descs []uint64) uint64 {
-	if len(descs) == 1 {
-		return descs[0]
-	}
-	node := uint32(0)
-	for _, d := range descs {
-		node = c.sigNode(node, d)
-	}
-	return sigMulti | uint64(node)
-}
-
-// keyOf computes the interned cache key of a unit, appending the unit's
-// segment descriptors to descScratch (returned for reuse).
-func (c *Cache) keyOf(u *unit, descScratch []uint64) (unitKey, []uint64) {
-	start := u.segs[0].Start
-	end := u.segs[len(u.segs)-1].End
-	descs := descScratch[:0]
-	for i := range u.segs {
-		descs = append(descs, c.descOf(u, i, start))
-	}
-	return unitKey{int32(start), int32(end), c.sigOfDescs(descs)}, descs
-}
-
-func (c *Cache) shardOf(k unitKey) *outcomeShard {
-	h := uint64(uint32(k.start))*0x9E3779B1 ^ uint64(uint32(k.end))*0x85EBCA77 ^ k.sig*0xC2B2AE3D
-	h ^= h >> 29
-	return &c.shards[h&(cacheShards-1)]
+func (c *Cache) shardOf(key []byte) *outcomeShard {
+	return &c.shards[maphash.Bytes(shardSeed, key)%cacheShards]
 }
 
 // lookup returns the memoized outcome for a key, or nil on miss.
-func (c *Cache) lookup(k unitKey) *unitOutcome {
-	s := c.shardOf(k)
+func (c *Cache) lookup(key []byte) *unitOutcome {
+	s := c.shardOf(key)
 	s.mu.RLock()
-	o := s.m[k]
+	o := s.m[string(key)]
 	s.mu.RUnlock()
 	if o != nil {
 		c.hits.Add(1)
@@ -335,17 +201,16 @@ func (c *Cache) lookup(k unitKey) *unitOutcome {
 // (outcomes are deterministic, so either copy is correct) unless it
 // lacks the class attribution o carries: then o replaces it, so a
 // class-attributed Run always gets classes back however its store
-// raced with a sweep, a candidate solo or a prefix publication.
-// Entries counts new keys only.
-func (c *Cache) store(k unitKey, o *unitOutcome) *unitOutcome {
-	s := c.shardOf(k)
+// raced with a sweep or a candidate solo. Entries counts new keys only.
+func (c *Cache) store(key []byte, o *unitOutcome) *unitOutcome {
+	s := c.shardOf(key)
 	s.mu.Lock()
-	prev := s.m[k]
+	prev := s.m[string(key)]
 	if prev != nil && (prev.segClasses != nil || o.segClasses == nil) {
 		s.mu.Unlock()
 		return prev
 	}
-	s.m[k] = o
+	s.m[string(key)] = o
 	s.mu.Unlock()
 	if prev == nil {
 		c.entries.Add(1)
@@ -353,59 +218,35 @@ func (c *Cache) store(k unitKey, o *unitOutcome) *unitOutcome {
 	return o
 }
 
-// storePrefix memoizes a published prefix outcome; existing entries win
-// (they are identical by construction).
-func (c *Cache) storePrefix(k unitKey, o *unitOutcome) {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	if s.m[k] != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.m[k] = o
-	s.mu.Unlock()
-	c.prefixes.Add(1)
-}
-
-// sharedKey identifies one offload solo unit across per-core caches: the
-// dynamic span, assigned loop, model and configuration residency. The
-// core config is deliberately absent — entries are published only when
-// the evaluation proved itself core-independent (see Run's purity gate).
-type sharedKey struct {
-	start, end int32
-	loop       int32
-	cfgRes     bool
-	name       string
-}
-
 // sharedPool is a cross-core pool of core-independent unit outcomes for
-// one TDG. Offload models (NS-DF, Trace-P) evaluate solo units, and
-// usually never touch the host pipeline — NS-DF builds a pure dataflow
-// schedule; Trace-P replays on the core only after a misspeculation.
-// When an evaluation retires zero core µops, its outcome is a pure
-// function of (span, loop, model, residency): the GPP starts every unit
-// from the same drained state on every core config, so the result is
+// one TDG, keyed like the per-core caches (appendKey names no core).
+// Offload models (NS-DF, Trace-P) evaluate solo units, and usually never
+// touch the host pipeline — NS-DF builds a pure dataflow schedule;
+// Trace-P replays on the core only after a misspeculation. When an
+// evaluation retires zero core µops, its outcome is a pure function of
+// (span, loop, model, residency): the GPP starts every unit from the
+// same drained state on every core config, so the result is
 // byte-identical across the four cores and one evaluation can serve all
 // of them. Units that DID execute core µops are never published, so a
 // hit is always exact.
 type sharedPool struct {
 	mu sync.RWMutex
-	m  map[sharedKey]*unitOutcome
+	m  map[string]*unitOutcome
 }
 
-func (p *sharedPool) lookup(k sharedKey) *unitOutcome {
+func (p *sharedPool) lookup(key []byte) *unitOutcome {
 	p.mu.RLock()
-	o := p.m[k]
+	o := p.m[string(key)]
 	p.mu.RUnlock()
 	return o
 }
 
 // store publishes an outcome; existing entries win (they are identical
 // by the purity argument above).
-func (p *sharedPool) store(k sharedKey, o *unitOutcome) {
+func (p *sharedPool) store(key []byte, o *unitOutcome) {
 	p.mu.Lock()
-	if p.m[k] == nil {
-		p.m[k] = o
+	if p.m[string(key)] == nil {
+		p.m[string(key)] = o
 	}
 	p.mu.Unlock()
 }
@@ -429,7 +270,7 @@ func sharedPoolFor(t *tdg.TDG) *sharedPool {
 		if len(sharedPools) >= maxSharedPools {
 			clear(sharedPools)
 		}
-		p = &sharedPool{m: make(map[sharedKey]*unitOutcome)}
+		p = &sharedPool{m: make(map[string]*unitOutcome)}
 		sharedPools[t] = p
 	}
 	return p
@@ -539,73 +380,6 @@ func (w *segWorker) reset(classes bool) {
 // memBytes is the arena memory reusing this worker saves.
 func (w *segWorker) memBytes() int64 { return w.g.MemBytes() + w.gpp.MemBytes() }
 
-// publisher makes one unit evaluation publish outcomes for every
-// boundary-aligned prefix of itself — the heart of delta evaluation.
-//
-// Correctness rests on prefix stability: unit evaluation is
-// instruction-ordered with no retroactive effects, so the (EndTime,
-// energy counts) snapshot after executing [start, b) inside a longer
-// evaluation is byte-identical to a fresh evaluation of the unit
-// [start, b) with the same segment structure. Cut boundaries — precomputed
-// by the composer — are the only indices where a core-resident unit can
-// end under any assignment, so publishing exactly there makes the
-// baseline lane (one unit spanning the whole trace) serve every
-// candidate's leading span, and solo-candidate lanes serve the
-// between-occurrence spans of multi-region designs.
-type publisher struct {
-	cache *Cache
-	descs []uint64 // the unit's per-segment descriptors
-	start int32    // unit start (dynamic index)
-	cuts  []int32  // cut boundaries strictly inside the unit, ascending
-	next  int      // cursor into cuts
-
-	// nodes[i] is the intern-trie node after descriptors 0..i, built
-	// lazily as prefixes are published.
-	nodes []uint32
-
-	// slab backs every published prefix outcome in one allocation. Each
-	// publish advances the cut cursor, so the remaining cut count bounds
-	// the number of publishes and the slab never reallocates (stored
-	// pointers stay stable).
-	slab []unitOutcome
-}
-
-// sigOfPrefix returns the signature of the unit's first nsegs segments.
-// The truncated final segment shares the full segment's descriptor
-// (descriptors encode only start offsets), so prefix signatures are
-// exactly the signatures fresh evaluation would compute.
-func (p *publisher) sigOfPrefix(nsegs int) uint64 {
-	if nsegs == 1 {
-		return p.descs[0]
-	}
-	for len(p.nodes) < nsegs {
-		parent := uint32(0)
-		if n := len(p.nodes); n > 0 {
-			parent = p.nodes[n-1]
-		}
-		p.nodes = append(p.nodes, p.cache.sigNode(parent, p.descs[len(p.nodes)]))
-	}
-	return sigMulti | uint64(p.nodes[nsegs-1])
-}
-
-// publish stores the outcome of the unit's prefix covering segments
-// 0..nsegs-1 and ending at dynamic index end, with the final segment's
-// (possibly truncated) duration and counts supplied by the caller.
-func (p *publisher) publish(out *unitOutcome, nsegs int, end int32, lastDur int64, lastCounts energy.Counts) {
-	if p.slab == nil {
-		p.slab = make([]unitOutcome, 0, len(p.cuts)-p.next)
-	}
-	p.slab = append(p.slab, unitOutcome{
-		segDurs:    out.segDurs[: nsegs-1 : nsegs-1],
-		segCounts:  out.segCounts[: nsegs-1 : nsegs-1],
-		nsegs:      nsegs,
-		lastDur:    lastDur,
-		lastCounts: lastCounts,
-	})
-	o := &p.slab[len(p.slab)-1]
-	p.cache.storePrefix(unitKey{p.start, end, p.sigOfPrefix(nsegs)}, o)
-}
-
 // evalUnit evaluates one unit in isolation, starting from a drained
 // pipeline at relative cycle 0, and returns its per-segment durations,
 // energy deltas and critical-path class attribution. Inside the unit,
@@ -616,13 +390,10 @@ func (p *publisher) publish(out *unitOutcome, nsegs int, end int32, lastDur int6
 // sp, when active, receives one child span per model transform.
 // classes enables the critical-path class attribution (segClasses);
 // durations and energy deltas are identical either way.
-// pub, when non-nil, publishes prefix outcomes at cut boundaries as the
-// evaluation passes them (prefix entries never carry classes; a later
-// class-attributed run re-evaluates and replaces them).
 // Without classes the graph is lean, and each segment's nodes are retired
 // when the segment ends, so the resident µDG never outgrows one segment.
 func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
-	plans map[string]*tdg.Plan, u unit, sp obs.Span, classes bool, pub *publisher) unitOutcome {
+	plans map[string]*tdg.Plan, u unit, sp obs.Span, classes bool) unitOutcome {
 
 	w.reset(classes)
 	out := unitOutcome{
@@ -655,44 +426,8 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 			}
 			endNode = bsas[name].TransformRegion(&w.ctx, plans[name].Region(seg.LoopID), seg.Start, seg.End)
 			tsp.End()
-			// Cuts cannot fall strictly inside a model segment for any
-			// signature-matching unit (an offload occurrence starting
-			// inside would be nested under the segment's loop and thus
-			// shadowed); skip any defensively rather than publish a
-			// malformed prefix.
-			if pub != nil {
-				for pub.next < len(pub.cuts) && int(pub.cuts[pub.next]) < seg.End {
-					pub.next++
-				}
-			}
 		} else {
-			dec, insts := t.Decoded(), t.Trace.Insts
-			for j := seg.Start; ; {
-				// Run up to the next publish cut, if one falls inside
-				// the segment.
-				stop := seg.End
-				if pub != nil && pub.next < len(pub.cuts) {
-					if c := int(pub.cuts[pub.next]); c > j && c < stop {
-						stop = c
-					}
-				}
-				w.gpp.ExecTrace(dec, insts[j:stop], j)
-				if stop == seg.End {
-					break
-				}
-				// j is the next cut, strictly inside the segment: publish
-				// the prefix ending here. The truncated general-core
-				// segment's duration and counts come from the current
-				// pipeline state (prefix stability).
-				j = stop
-				w.gpp.Fold()
-				end := w.gpp.EndTime()
-				if end < lastEnd {
-					end = lastEnd
-				}
-				pub.publish(&out, i+1, int32(j), end-lastEnd, diffCounts(&w.counts, &snapshot))
-				pub.next++
-			}
+			w.gpp.ExecTrace(t.Decoded(), t.Trace.Insts[seg.Start:seg.End], seg.Start)
 		}
 		w.gpp.Fold()
 		end := w.gpp.EndTime()
@@ -708,20 +443,10 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 		// The segment's nodes are dead once its end is read (a lean core
 		// holds none between segments).
 		w.gpp.CompactWindow()
-		dur := end - lastEnd
-		out.segDurs[i] = dur
+		out.segDurs[i] = end - lastEnd
 		out.segCounts[i] = diffCounts(&w.counts, &snapshot)
 		snapshot = w.counts
-
 		lastEnd = end
-
-		// Prefix ending exactly at this segment's boundary (not the
-		// unit's own end — that entry is stored by the caller).
-		if pub != nil && i < len(u.segs)-1 &&
-			pub.next < len(pub.cuts) && int(pub.cuts[pub.next]) == seg.End {
-			pub.publish(&out, i+1, int32(seg.End), dur, out.segCounts[i])
-			pub.next++
-		}
 	}
 	if classes {
 		if c := w.gpp.LastCommit(); c != dg.None && w.g.Time(c) >= walkTime {

@@ -138,7 +138,10 @@ func TestCacheConcurrentRuns(t *testing.T) {
 // one, and the key counts as one entry.
 func TestStoreReplacesClasslessEntry(t *testing.T) {
 	c := NewCache(cores.OOO2)
-	k := unitKey{start: 0, end: 100}
+	k := appendKey(nil, &unit{
+		segs:  []Segment{{LoopID: -1, Start: 0, End: 100}},
+		names: []string{""}, cfgRes: []bool{false},
+	})
 	plain := &unitOutcome{segDurs: []int64{7}, segCounts: make([]energy.Counts, 1)}
 	classed := &unitOutcome{segDurs: []int64{7}, segCounts: make([]energy.Counts, 1),
 		segClasses: make([][dg.NumEdgeClasses]int64, 1)}

@@ -1,9 +1,9 @@
 // Delta composer: the assignment-independent trace structure behind
 // incremental evaluation. Built once per Cache (ie. once per
 // (benchmark, core) scheduling context), it lets every subsequent Run
-// segmentize in O(atoms) instead of O(trace × nest depth), and tells the
-// evaluator where future assignments may legally cut the trace so unit
-// evaluations can publish prefix outcomes (see publisher in cache.go).
+// segmentize in O(atoms) instead of O(trace × nest depth); the Cache's
+// unit outcomes then make a Run under a new assignment evaluate only the
+// units no earlier assignment produced.
 //
 // An *atom* is a maximal run of dynamic instructions whose static
 // instructions share the same assignable-loop chain — the finest
@@ -19,11 +19,7 @@
 // TestRandomizedAssignmentsDeltaEqualsFull).
 package exocore
 
-import (
-	"sort"
-
-	"exocore/internal/tdg"
-)
+import "exocore/internal/tdg"
 
 // atom is a maximal dynamic-instruction run with one assignable-loop
 // chain. chain indexes composer.chains; -1 means no assignable loop
@@ -41,32 +37,20 @@ type composer struct {
 	// (so the first assigned loop found is the outermost — the same
 	// winner Segmentize's innermost-to-root walk keeps).
 	chains [][]int32
-	// cuts are the dynamic indices where a core-resident unit may end
-	// under some assignment: the start boundaries of occurrences of
-	// offload-plannable loops. Sorted ascending. Unit evaluations publish
-	// prefix outcomes exactly at these boundaries.
-	cuts []int32
 }
 
-// newComposer builds the composer for one (TDG, BSA set, plans) tuple.
-func newComposer(t *tdg.TDG, bsas map[string]tdg.BSA, plans map[string]*tdg.Plan) *composer {
+// newComposer builds the composer for one (TDG, plans) tuple.
+func newComposer(t *tdg.TDG, plans map[string]*tdg.Plan) *composer {
 	c := &composer{}
 
-	// Assignable loops: union of all plan regions. Offloadable loops:
-	// those plannable by an offload BSA (unit boundaries can only form
-	// at their occurrence starts).
+	// Assignable loops: union of all plan regions.
 	assignable := map[int]bool{}
-	offloadable := map[int]bool{}
-	for name, plan := range plans {
+	for _, plan := range plans {
 		if plan == nil {
 			continue
 		}
-		off := bsas[name].OffloadsCore()
 		for l := range plan.Regions {
 			assignable[l] = true
-			if off {
-				offloadable[l] = true
-			}
 		}
 	}
 
@@ -124,39 +108,7 @@ func newComposer(t *tdg.TDG, bsas map[string]tdg.BSA, plans map[string]*tdg.Plan
 	if cur.chain != -2 {
 		c.atoms = append(c.atoms, cur)
 	}
-
-	// Cut set: for each offloadable loop, the start of every maximal
-	// atom run whose chain contains it. Under any assignment, an offload
-	// segment for loop L starts exactly where L first enters the
-	// outermost-assigned role — an atom boundary where L's chain
-	// membership begins — so these are the only indices where a
-	// core-resident unit can end (besides the trace end).
-	cutSet := map[int32]bool{}
-	for l := range offloadable {
-		l32 := int32(l)
-		in := false
-		for _, a := range c.atoms {
-			has := a.chain >= 0 && chainContains(c.chains[a.chain], l32)
-			if has && !in {
-				cutSet[a.start] = true
-			}
-			in = has
-		}
-	}
-	for cut := range cutSet {
-		c.cuts = append(c.cuts, cut)
-	}
-	sort.Slice(c.cuts, func(i, j int) bool { return c.cuts[i] < c.cuts[j] })
 	return c
-}
-
-func chainContains(chain []int32, l int32) bool {
-	for _, x := range chain {
-		if x == l {
-			return true
-		}
-	}
-	return false
 }
 
 // segmentize splits the trace under an assignment by resolving each
@@ -194,16 +146,4 @@ func (c *composer) segmentize(assign Assignment) []Segment {
 		segs = append(segs, cur)
 	}
 	return segs
-}
-
-// cutsIn returns the cut boundaries strictly inside (start, end) — the
-// indices at which a unit spanning [start, end) should publish prefix
-// outcomes.
-func (c *composer) cutsIn(start, end int) []int32 {
-	lo := sort.Search(len(c.cuts), func(i int) bool { return int(c.cuts[i]) > start })
-	hi := sort.Search(len(c.cuts), func(i int) bool { return int(c.cuts[i]) >= end })
-	if lo >= hi {
-		return nil
-	}
-	return c.cuts[lo:hi]
 }

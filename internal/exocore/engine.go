@@ -87,7 +87,7 @@ type RunOpts struct {
 	RecordRegions bool
 	// Cache, when non-nil, memoizes segment outcomes and pools evaluation
 	// arenas across Runs, and evaluates incrementally: composer
-	// segmentation, prefix-outcome publication and the cross-core shared
+	// segmentation, unit reuse across assignments and the cross-core shared
 	// pool. It must have been created for the same core config and be
 	// used with a fixed (TDG, bsas, plans) tuple. Without a cache, Run
 	// segmentizes and evaluates every unit from scratch — the reference
@@ -282,15 +282,12 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 	}
 
 	// With a cache, the composer's precomputed atoms segmentize in
-	// O(atoms) and its cut set drives prefix-outcome publication. One
-	// worker (graph + GPP arenas) serves every unit of this run, drawn
-	// from — and returned to — the per-config arena pool.
-	var comp *composer
+	// O(atoms). One worker (graph + GPP arenas) serves every unit of this
+	// run, drawn from — and returned to — the per-config arena pool.
 	var segs []Segment
 	var w *segWorker
 	if opts.Cache != nil {
-		comp = opts.Cache.composerFor(t, bsas, plans)
-		segs = comp.segmentize(assign)
+		segs = opts.Cache.composerFor(t, plans).segmentize(assign)
 		w = opts.Cache.getWorker()
 		defer opts.Cache.putWorker(w)
 	} else {
@@ -317,8 +314,10 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 	}
 
 	var lastEnd int64
-	var descScratch []uint64
-	var pkeyScratch, pvalScratch []byte
+	// pkey holds the cache's persist namespace followed by the unit's key;
+	// the memo and the shared pool use the key, the durable store all of
+	// pkey.
+	var pkey, pvalScratch []byte
 	for _, u := range units {
 		usp := obs.Span{}
 		if opts.Span.Active() {
@@ -328,8 +327,8 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 		}
 		var out *unitOutcome
 		if opts.Cache != nil {
-			var key unitKey
-			key, descScratch = opts.Cache.keyOf(&u, descScratch)
+			pkey = appendKey(append(pkey[:0], opts.Cache.persistNS...), &u)
+			key := pkey[len(opts.Cache.persistNS):]
 			out = opts.Cache.lookup(key)
 			if usp.Active() {
 				usp.Arg("cache", map[bool]string{true: "hit", false: "miss"}[out != nil])
@@ -341,16 +340,9 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 				// consult the cross-core shared pool populated by sibling
 				// caches for the same TDG.
 				var shared *sharedPool
-				var shKey sharedKey
 				if len(u.segs) == 1 && u.names[0] != "" && bsas[u.names[0]].OffloadsCore() {
 					shared = opts.Cache.shared
-					seg := u.segs[0]
-					shKey = sharedKey{
-						start: int32(seg.Start), end: int32(seg.End),
-						loop: int32(seg.LoopID), cfgRes: u.cfgRes[0],
-						name: u.names[0],
-					}
-					if so := shared.lookup(shKey); so != nil &&
+					if so := shared.lookup(key); so != nil &&
 						(!opts.RecordRegions || so.segClasses != nil) {
 						out = opts.Cache.store(key, so)
 						opts.Cache.sharedHits.Add(1)
@@ -358,9 +350,8 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 						// evaluation persisted under its own namespace, so
 						// without this a restart of this core goes cold.
 						if opts.Cache.persist != nil && !opts.RecordRegions {
-							pkeyScratch = opts.Cache.persistKey(&u, pkeyScratch)
 							pvalScratch = encodeOutcome(out, pvalScratch)
-							opts.Cache.persist.Put(pkeyScratch, pvalScratch)
+							opts.Cache.persist.Put(pkey, pvalScratch)
 						}
 						break
 					}
@@ -375,58 +366,45 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 					persist = nil
 				}
 				if persist != nil {
-					pkeyScratch = opts.Cache.persistKey(&u, pkeyScratch)
-					if raw, ok := persist.Get(pkeyScratch); ok {
-						if po := decodeOutcome(raw); po != nil && po.n() == len(u.segs) {
+					if raw, ok := persist.Get(pkey); ok {
+						if po := decodeOutcome(raw); po != nil && len(po.segDurs) == len(u.segs) {
 							out = opts.Cache.store(key, po)
 							break
 						}
 					}
 				}
-				// Evaluating this unit also publishes outcomes for every
-				// cut-aligned prefix of it, so later assignments that cut
-				// the trace here pay only their delta.
-				var pub *publisher
-				if cuts := comp.cutsIn(u.segs[0].Start, u.segs[len(u.segs)-1].End); len(cuts) > 0 {
-					pub = &publisher{
-						cache: opts.Cache,
-						descs: descScratch,
-						start: key.start,
-						cuts:  cuts,
-					}
-				}
-				o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, pub)
+				o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions)
 				out = opts.Cache.store(key, &o)
 				if persist != nil {
 					pvalScratch = encodeOutcome(out, pvalScratch)
-					persist.Put(pkeyScratch, pvalScratch)
+					persist.Put(pkey, pvalScratch)
 				}
 				// Publish to the shared pool only when the evaluation proved
 				// itself core-independent: zero retired core µops means the
 				// transform never consulted the host pipeline.
 				if shared != nil && w.gpp.Retired() == 0 {
-					shared.store(shKey, out)
+					shared.store(key, out)
 				}
 			case opts.RecordRegions && out.segClasses == nil:
 				// Cached by a sweep without class attribution; re-evaluate
 				// once with it and replace the entry.
-				o := evalUnit(w, t, bsas, plans, u, usp, true, nil)
+				o := evalUnit(w, t, bsas, plans, u, usp, true)
 				out = opts.Cache.store(key, &o)
 			}
 		} else {
-			o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, nil)
+			o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions)
 			out = &o
 		}
 
 		for i, seg := range u.segs {
 			name := u.names[i]
 			dyn := int64(seg.End - seg.Start)
-			dur := out.dur(i)
+			dur := out.segDurs[i]
 			st := res.stat(name)
 			st.Dyn += dyn
 			st.Cycles += dur
-			st.Counts.AddCounts(out.counts(i))
-			res.Counts.AddCounts(out.counts(i))
+			st.Counts.AddCounts(&out.segCounts[i])
+			res.Counts.AddCounts(&out.segCounts[i])
 			segLen.Observe(dyn)
 			if name != "" {
 				st.ActiveCycles += dur
@@ -449,7 +427,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 				rs := res.regionStat(seg.LoopID, name)
 				rs.Dyn += dyn
 				rs.Cycles += dur
-				rs.Counts.AddCounts(out.counts(i))
+				rs.Counts.AddCounts(&out.segCounts[i])
 				for cl, v := range out.segClasses[i] {
 					rs.Classes[cl] += v
 				}

@@ -35,13 +35,13 @@ func sameRun(a, b *RunResult) string {
 
 // TestLeanRunMatchesAttribution holds lean runs to attributed ones: a
 // lean Run — the lean step, per-segment retirement, and through a Cache
-// also prefix publication and delta composition — must equal an
-// uncached RecordRegions Run, whose core takes the attributed step and
-// whose transforms build attribution graphs that are never retired. (The attributed step itself
+// also delta composition — must equal an uncached RecordRegions Run,
+// whose core takes the attributed step and whose transforms build
+// attribution graphs that are never retired. (The attributed step itself
 // is held to the node-form core by the cores package's differential
 // tests.) The corpus is one benchmark per family × every core × random
 // assignments drawn over every registered BSA; each cache first runs the
-// baseline, so the assigned runs compose from published prefixes.
+// baseline, so the assigned runs compose partly from cached units.
 func TestLeanRunMatchesAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	bsas := bsa.Default().New()

@@ -1,6 +1,7 @@
 package exocore
 
 import (
+	"bytes"
 	"reflect"
 	"sort"
 	"sync"
@@ -160,7 +161,7 @@ func TestPersistSkipsClassAttribution(t *testing.T) {
 }
 
 // TestOutcomeCodecRoundTrip exercises the value encoding directly,
-// including the prefix-aliased form and malformed input.
+// including malformed input.
 func TestOutcomeCodecRoundTrip(t *testing.T) {
 	o := &unitOutcome{
 		segDurs:   []int64{10, 0, 1 << 40},
@@ -173,26 +174,43 @@ func TestOutcomeCodecRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("decode failed")
 	}
-	if got.n() != 3 || got.dur(2) != 1<<40 || got.counts(0)[0] != 7 || got.counts(2)[1] != -3 {
+	if !reflect.DeepEqual(got, o) {
 		t.Fatalf("round trip mismatch: %+v", got)
-	}
-
-	// Prefix-aliased outcome flattens through the accessors.
-	pre := &unitOutcome{
-		segDurs:    o.segDurs[:2:2],
-		segCounts:  o.segCounts[:2:2],
-		nsegs:      3,
-		lastDur:    99,
-		lastCounts: energy.Counts{5},
-	}
-	got = decodeOutcome(encodeOutcome(pre, nil))
-	if got == nil || got.n() != 3 || got.dur(2) != 99 || got.counts(2)[0] != 5 {
-		t.Fatalf("prefix round trip mismatch: %+v", got)
 	}
 
 	for _, bad := range [][]byte{nil, {}, {2}, raw[:len(raw)-1], append(append([]byte{}, raw...), 0)} {
 		if decodeOutcome(bad) != nil {
 			t.Errorf("decode accepted malformed input %v", bad)
+		}
+	}
+}
+
+// TestUnitKeyBytes pins appendKey's encoding for three unit shapes: a
+// pure general-core unit, a configuration-resident offload solo unit and
+// a general core, SIMD, general core unit. The key bytes name persisted
+// outcomes, so a store written by an earlier build stays warm only while
+// they hold.
+func TestUnitKeyBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		u    unit
+		want []byte
+	}{
+		{"gpp", unit{
+			segs:  []Segment{{LoopID: -1, Start: 0, End: 4000}},
+			names: []string{""}, cfgRes: []bool{false},
+		}, []byte{0x0, 0xa0, 0x1f, 0x1, 0x0, 0x0, 0x0, 0x0}},
+		{"offload-resident", unit{
+			segs:  []Segment{{LoopID: 12, Start: 1500, End: 2100}},
+			names: []string{"NS-DF"}, cfgRes: []bool{true},
+		}, []byte{0xdc, 0xb, 0xb4, 0x10, 0x1, 0x0, 0xd, 0x5, 'N', 'S', '-', 'D', 'F', 0x1}},
+		{"gpp-simd-gpp", unit{
+			segs:  []Segment{{LoopID: -1, Start: 300, End: 420}, {LoopID: 5, Start: 420, End: 900}, {LoopID: -1, Start: 900, End: 1000}},
+			names: []string{"", "SIMD", ""}, cfgRes: []bool{false, false, false},
+		}, []byte{0xac, 0x2, 0xe8, 0x7, 0x3, 0x0, 0x0, 0x0, 0x0, 0x78, 0x6, 0x4, 'S', 'I', 'M', 'D', 0x0, 0xd8, 0x4, 0x0, 0x0, 0x0}},
+	} {
+		if got := appendKey(nil, &tc.u); !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: appendKey = %#v, want %#v", tc.name, got, tc.want)
 		}
 	}
 }

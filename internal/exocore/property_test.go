@@ -92,12 +92,12 @@ func TestArbitraryAssignmentsAreSane(t *testing.T) {
 // TestRandomizedAssignmentsDeltaEqualsFull is the property-level gate for
 // the incremental delta-evaluation path: over a seeded corpus of random
 // assignments, a Run through the delta machinery (shared cache, atom
-// segmentation, prefix publication, cross-core shared pool) must agree
+// segmentation, cross-core shared pool) must agree
 // exactly — cycles, energy counts, model attribution, offload cycles and
 // per-region stats — with a cache-less Run, which segmentizes and
 // evaluates from scratch, on the same assignment.
 // The cache is shared across the whole corpus so later assignments
-// exercise prefix reuse against outcomes published by earlier ones, and
+// exercise unit reuse against outcomes stored by earlier ones, and
 // both cores draw from the same process-wide shared-pool registry the way
 // a DSE sweep does.
 func TestRandomizedAssignmentsDeltaEqualsFull(t *testing.T) {

@@ -64,7 +64,7 @@ func eachSegmentizer(t *testing.T, td *tdg.TDG, assign Assignment, check func(t 
 		}
 		plans[name].Regions[l] = &tdg.Region{LoopID: l}
 	}
-	comp := newComposer(td, allBSAs(), plans)
+	comp := newComposer(td, plans)
 	t.Run("Segmentize", func(t *testing.T) { check(t, Segmentize(td, assign)) })
 	t.Run("composer", func(t *testing.T) { check(t, comp.segmentize(assign)) })
 }

@@ -193,19 +193,9 @@ func (c *Coordinator) planSweep(req serve.SweepRequest) (*plan, error) {
 	return p, nil
 }
 
-// Sweep coordinates one sweep: plan, dispatch every shard across the
-// replicas, reassemble. The result is byte-identical to POSTing the
-// same request at a single daemon (the fabric scenario of scripts/e2e
-// gates this).
-func (c *Coordinator) Sweep(ctx context.Context, req serve.SweepRequest) ([]byte, error) {
-	p, err := c.planSweep(req)
-	if err != nil {
-		return nil, err
-	}
-	return c.run(ctx, p)
-}
-
-// run dispatches a plan's shards and merges the partial documents.
+// run dispatches a plan's shards and merges the partial documents. The
+// result is byte-identical to POSTing the same request at a single
+// daemon (the fabric scenario of scripts/e2e gates this).
 func (c *Coordinator) run(ctx context.Context, p *plan) ([]byte, error) {
 	c.mSweeps.Add(1)
 	ctx, cancel := context.WithCancel(ctx)

@@ -76,7 +76,11 @@ func TestSweepMatchesSingleDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Sweep(context.Background(), testSweep)
+	p, err := c.planSweep(testSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +117,11 @@ func TestSweepSurvivesReplicaKilledMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Sweep(context.Background(), testSweep)
+	p, err := c.planSweep(testSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +158,11 @@ func TestSweepRetriesBusyReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Sweep(context.Background(), testSweep)
+	p, err := c.planSweep(testSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +196,11 @@ func TestSweepHedgesStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Sweep(context.Background(), testSweep)
+	p, err := c.planSweep(testSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

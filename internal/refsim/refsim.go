@@ -208,12 +208,3 @@ func Simulate(cfg cores.Config, tr *trace.Trace) int64 {
 	}
 	return cycle
 }
-
-// IPC returns instructions per cycle under the reference model.
-func IPC(cfg cores.Config, tr *trace.Trace) float64 {
-	c := Simulate(cfg, tr)
-	if c == 0 {
-		return 0
-	}
-	return float64(tr.Len()) / float64(c)
-}

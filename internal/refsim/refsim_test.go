@@ -15,7 +15,7 @@ func TestIPCWithinWidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cfg := range cores.Configs {
-			ipc := IPC(cfg, tr)
+			ipc := float64(tr.Len()) / float64(Simulate(cfg, tr))
 			if ipc <= 0 || ipc > float64(cfg.Width) {
 				t.Errorf("%s on %s: IPC %.2f out of range", name, cfg.Name, ipc)
 			}

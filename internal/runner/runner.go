@@ -257,8 +257,6 @@ func (e *Engine) Metrics() Metrics {
 		agg.Misses += s.Misses
 		agg.BytesReused += s.BytesReused
 		agg.Entries += s.Entries
-		agg.PrefixEntries += s.PrefixEntries
-		agg.InternedSigs += s.InternedSigs
 		agg.SharedHits += s.SharedHits
 	}
 	e.cachesMu.Unlock()
@@ -268,8 +266,6 @@ func (e *Engine) Metrics() Metrics {
 	e.reg.Gauge("evalcache.segment_misses").Set(agg.Misses)
 	e.reg.Gauge("evalcache.bytes_reused").Set(agg.BytesReused)
 	e.reg.Gauge("evalcache.entries").Set(agg.Entries)
-	e.reg.Gauge("evalcache.prefix_entries").Set(agg.PrefixEntries)
-	e.reg.Gauge("evalcache.interned_sigs").Set(agg.InternedSigs)
 	e.reg.Gauge("evalcache.shared_hits").Set(agg.SharedHits)
 	m.EvalCache = &agg
 	m.Points = e.reg.Snapshot()

@@ -67,27 +67,3 @@ func (b *StreamBuilder) Finish() *Stream {
 		Prof: b.pb.Finish(), Stats: b.stats, Dyn: b.dyn,
 	}
 }
-
-// BuildStream drains src through a StreamBuilder — Build's streaming
-// arm. On the same instruction stream it produces the same CFG, loop
-// nest and profile as Build on the materialized trace (the profile
-// builder carries all cross-chunk state), with peak memory O(chunk)
-// instead of O(trace).
-func BuildStream(src trace.Source) (*Stream, error) {
-	b, err := NewStreamBuilder(src.Prog())
-	if err != nil {
-		return nil, err
-	}
-	for {
-		c, ok := src.Next()
-		if !ok {
-			break
-		}
-		b.Feed(c)
-		c.Release()
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	return b.Finish(), nil
-}

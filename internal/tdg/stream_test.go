@@ -9,7 +9,7 @@ import (
 )
 
 // TestBuildStreamMatchesBuild is the identity gate for the streaming TDG
-// arm: feeding the trace through BuildStream in chunks of any size must
+// arm: feeding the trace through a StreamBuilder in chunks of any size must
 // produce the same CFG, loop nest, profile and statistics as Build on
 // the materialized trace. Chunk sizes include values that split the
 // trace mid-loop and mid-block.
@@ -28,10 +28,15 @@ func TestBuildStreamMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, chunk := range []int{1, 313, 4096, 1 << 20} {
-			s, err := BuildStream(trace.NewSliceSource(tr, chunk))
+			src := trace.NewSliceSource(tr, chunk)
+			b, err := NewStreamBuilder(src.Prog())
 			if err != nil {
 				t.Fatal(err)
 			}
+			for c, ok := src.Next(); ok; c, ok = src.Next() {
+				b.Feed(c)
+			}
+			s := b.Finish()
 			if s.Dyn != tr.Len() {
 				t.Fatalf("%s chunk %d: stream dyn %d != %d", name, chunk, s.Dyn, tr.Len())
 			}

@@ -74,17 +74,6 @@ func All() []*Workload {
 	return out
 }
 
-// ByCategory returns the workloads in a category.
-func ByCategory(c Category) []*Workload {
-	var out []*Workload
-	for _, w := range All() {
-		if w.Category == c {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // ByName returns the named workload, or an error naming the nearest
 // registered workload when the name looks like a typo.
 func ByName(name string) (*Workload, error) {

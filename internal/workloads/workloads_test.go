@@ -13,15 +13,17 @@ func TestRegistryComplete(t *testing.T) {
 		t.Fatalf("only %d workloads registered, paper uses 40+", len(all))
 	}
 	suites := map[string]int{}
+	categories := map[Category]int{}
 	for _, w := range all {
 		suites[w.Suite]++
+		categories[w.Category]++
 	}
 	for _, s := range []string{"TPT", "Parboil", "SPECfp", "Mediabench", "TPCH", "SPECint"} {
 		if suites[s] == 0 {
 			t.Errorf("suite %s has no workloads", s)
 		}
 	}
-	if len(ByCategory(Regular)) == 0 || len(ByCategory(SemiRegular)) == 0 || len(ByCategory(Irregular)) == 0 {
+	if categories[Regular] == 0 || categories[SemiRegular] == 0 || categories[Irregular] == 0 {
 		t.Error("every category must be populated")
 	}
 }
@@ -72,7 +74,10 @@ func TestCategoriesHaveExpectedBehaviors(t *testing.T) {
 	// irregular ones in aggregate.
 	missRate := func(c Category) float64 {
 		var miss, br int64
-		for _, w := range ByCategory(c) {
+		for _, w := range All() {
+			if w.Category != c {
+				continue
+			}
 			tr, err := w.Trace(30000)
 			if err != nil {
 				t.Fatal(err)

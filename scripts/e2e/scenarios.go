@@ -296,9 +296,11 @@ const (
 //  2. the same identity when replica2 is SIGKILLed while it evaluates
 //     a shard, with the coordinator's fabric.retries growing (its
 //     shards failed over) and its /healthz degrading honestly;
-//  3. replica1, restarted with the same -store, to come up warm: a
-//     nonzero store occupancy at boot, the pre-kill bytes for a repeated
-//     shard-shaped partial sweep, and nonzero store.hits;
+//  3. replica1, restarted with the same -store, to come up fully warm:
+//     a nonzero store occupancy at boot, the pre-kill bytes for a
+//     repeated shard-shaped partial sweep, nonzero store.hits and zero
+//     store.misses (it answered that shard before the kill, so every
+//     unit it needs is in the store);
 //  4. bad -role/-replicas/-store flags to fail fast with helpful
 //     messages;
 //  5. SIGTERM to drain every surviving process to a clean exit 0.
@@ -432,6 +434,13 @@ func fabricScenario(e *env) (string, error) {
 	if hits == 0 {
 		return "", fmt.Errorf("restarted replica served its first shard with store.hits = 0; the persistent store was not used")
 	}
+	misses, err := metric(r1b.base, "store.misses")
+	if err != nil {
+		return "", err
+	}
+	if misses != 0 {
+		return "", fmt.Errorf("restarted replica served its first shard with store.misses = %d; units it evaluated before the kill were not in the store", misses)
+	}
 
 	// The fabric still answers (degraded to one live replica) and still
 	// matches the single daemon.
@@ -449,7 +458,7 @@ func fabricScenario(e *env) (string, error) {
 			return "", err
 		}
 	}
-	return fmt.Sprintf("fabric.retries %d -> %d across the kill, %d store hits after restart",
+	return fmt.Sprintf("fabric.retries %d -> %d across the kill, %d store hits and 0 misses after restart",
 		retriesBefore, retriesAfter, hits), nil
 }
 
@@ -638,7 +647,7 @@ func memScenario(*env) (string, error) {
 // never materialized, inside sysBudget, with the µDG and the resident
 // trace chunks bounded on their own high-water gauges. An
 // overlap check first replays a smaller budget down both arms —
-// materialized Build+Run versus streamed Tee+BuildStream+RunStream —
+// materialized Build+Run versus streamed Tee+StreamBuilder+RunStream —
 // and requires identical cycles, energy counts, statistics and block
 // profile, so the 200M numbers mean what the materialized path would
 // have said.
