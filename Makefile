@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: check build fmt vet test race tier1 fuzz bench benchdiff benchsmoke perfbenchtest e2e examples tools clean
 
 # The full pre-merge gate: gofmt + vet + build + race-enabled tests +
-# tier-1 + ten seconds of fuzzing + a single-iteration pass over every
+# tier-1 + the fuzz targets + a single-iteration pass over every
 # benchmark so they can't rot + the repo benchmark's self-test (its own
 # module, so tier-1 never compiles it against the internal API) + the
 # end-to-end scenarios + the runnable examples.
@@ -40,16 +40,21 @@ test:
 
 # Fuzz past the seed corpora (which tier-1 runs): streaming
 # evaluation's chunk boundaries — RunStream over any chunking of a trace
-# must equal the attribution-mode Run — and the daemon's untrusted
-# inputs: /v1/evaluate and /v1/sweep bodies, design codes and BSA
-# letters must never panic, and accepted ones must round-trip. A failing
-# input lands in the package's testdata/fuzz as a regression case.
+# must equal the attribution-mode Run — and the bytes that reach the
+# process from outside: /v1/evaluate and /v1/sweep bodies, design codes
+# and BSA letters, store object frames, persisted unit outcomes and the
+# partial documents a fabric coordinator merges must never panic, and
+# accepted ones must round-trip. A failing input lands in the package's
+# testdata/fuzz as a regression case.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunStreamChunks$$' -fuzztime 10s ./internal/exocore
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 3s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 3s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDesignCode$$' -fuzztime 3s ./internal/dse
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLetters$$' -fuzztime 3s ./internal/bsa
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeObject$$' -fuzztime 3s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOutcome$$' -fuzztime 3s ./internal/exocore
+	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 3s ./internal/report
 
 # Run the tracked benchmarks and record them in BENCH_9.json.
 # BENCH_7.json remains as the record of the previous optimization round;

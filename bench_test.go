@@ -573,8 +573,9 @@ func itoa(v int) string {
 // BenchmarkServeEvaluate measures the daemon's warm serving path: one
 // /v1/evaluate request against a hot engine, over real HTTP. After the
 // first iteration pays for the pipeline, the steady state is request
-// decode + singleflight + cache-hit evaluation + document render — the
-// latency a client of a long-running exocored actually sees.
+// decode + singleflight + a read of the engine's report memo + document
+// render — the latency a client of a long-running exocored actually
+// sees.
 func BenchmarkServeEvaluate(b *testing.B) {
 	eng := stdEngine()
 	srv, err := serve.New(serve.Config{Engine: eng})

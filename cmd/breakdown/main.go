@@ -61,13 +61,19 @@ func main() {
 		} else {
 			assign = ctx.Oracle(avail)
 		}
-		// Reuse the context's models and unit cache; the scheduler already
-		// evaluated most of these units.
-		sp := app.Tracer().Begin("stage", "report "+wl.Name)
-		res, err := exocore.Run(td, core, ctx.BSAs, ctx.Plans, assign, exocore.RunOpts{
-			Cache: ctx.Cache, RecordRegions: *regions, Span: sp, Reg: eng.Registry(),
-		})
-		sp.End()
+		var res *exocore.RunResult
+		if *regions {
+			res, err = eng.Report(wl, core, assign)
+		} else {
+			// Without -regions the run skips attribution: reuse the
+			// context's models and unit cache, where the scheduler already
+			// evaluated most of these units.
+			sp := app.Tracer().Begin("stage", "report "+wl.Name)
+			res, err = exocore.Run(td, core, ctx.BSAs, ctx.Plans, assign, exocore.RunOpts{
+				Cache: ctx.Cache, Span: sp, Reg: eng.Registry(),
+			})
+			sp.End()
+		}
 		if err != nil {
 			app.Fail(err)
 		}

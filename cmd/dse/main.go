@@ -77,10 +77,11 @@ func main() {
 	app.Finish()
 }
 
-// reportRegions evaluates one design over every benchmark with
-// per-region attribution on — served almost entirely from the unit
-// outcomes the exploration already cached — and either prints the paper
-// style breakdown tables (doc == nil) or appends schema rows.
+// reportRegions runs one design over every benchmark through the
+// engine's report stage (per-region attribution on, served almost
+// entirely from the unit outcomes the exploration already cached) and
+// either prints the paper style breakdown tables (doc == nil) or
+// appends schema rows.
 func reportRegions(app *cli.App, code string, doc *report.Document) error {
 	eng := app.Engine()
 	core, mask, err := dse.ParseDesignCodeIn(eng.BSAs(), code)
@@ -99,11 +100,7 @@ func reportRegions(app *cli.App, code string, doc *report.Document) error {
 		} else {
 			assign = sc.Oracle(avail)
 		}
-		sp := app.Tracer().Begin("stage", "regions "+wl.Name)
-		res, err := exocore.Run(sc.TDG, core, sc.BSAs, sc.Plans, assign, exocore.RunOpts{
-			Cache: sc.Cache, RecordRegions: true, Span: sp, Reg: eng.Registry(),
-		})
-		sp.End()
+		res, err := eng.Report(wl, core, assign)
 		if err != nil {
 			return err
 		}

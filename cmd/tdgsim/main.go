@@ -104,14 +104,7 @@ func run(app *cli.App, wl *workloads.Workload, fuse bool) error {
 		assign = ctx.Oracle(names)
 	}
 
-	// Reuse the context's models and unit cache: the reporting run is
-	// then served almost entirely from the outcomes the scheduler
-	// already computed.
-	sp := app.Tracer().Begin("stage", "report "+wl.Name)
-	res, err := exocore.Run(td, core, ctx.BSAs, ctx.Plans, assign, exocore.RunOpts{
-		Cache: ctx.Cache, RecordRegions: true, Span: sp, Reg: eng.Registry(),
-	})
-	sp.End()
+	res, err := eng.Report(wl, core, assign)
 	if err != nil {
 		return err
 	}

@@ -64,10 +64,15 @@ func decodeOutcome(raw []byte) *unitOutcome {
 	}
 	p = p[k:]
 	n, k := binary.Uvarint(p)
-	if k <= 0 || n == 0 || n > 1<<24 {
+	if k <= 0 || n == 0 {
 		return nil
 	}
 	p = p[k:]
+	// Every segment takes at least one byte per varint, so a count the
+	// remaining bytes cannot hold is rejected before it sizes anything.
+	if n > uint64(len(p))/(1+uint64(energy.NumEvents)) {
+		return nil
+	}
 	o := &unitOutcome{
 		segDurs:   make([]int64, n),
 		segCounts: make([]energy.Counts, n),

@@ -2,6 +2,7 @@ package exocore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"sort"
 	"sync"
@@ -183,6 +184,52 @@ func TestOutcomeCodecRoundTrip(t *testing.T) {
 			t.Errorf("decode accepted malformed input %v", bad)
 		}
 	}
+}
+
+// A segment count the value's bytes cannot hold is rejected before
+// anything is sized by it: seven bytes claiming 1<<24 segments decode to
+// nil without allocating.
+func TestOutcomeCountBoundedByBytes(t *testing.T) {
+	raw := []byte{outcomeVersion}
+	raw = binary.AppendUvarint(raw, uint64(energy.NumEvents))
+	raw = binary.AppendUvarint(raw, 1<<24)
+	raw = append(raw, 0)
+	if len(raw) != 7 {
+		t.Fatalf("value is %d bytes, want 7", len(raw))
+	}
+	var got *unitOutcome
+	allocs := testing.AllocsPerRun(1, func() { got = decodeOutcome(raw) })
+	if got != nil {
+		t.Fatal("decode accepted a segment count its bytes cannot hold")
+	}
+	if allocs != 0 {
+		t.Fatalf("decode made %v allocations before rejecting, want 0", allocs)
+	}
+}
+
+// FuzzDecodeOutcome: decoding any persisted value must not panic, and an
+// accepted value must decode to the same outcome again once re-encoded.
+func FuzzDecodeOutcome(f *testing.F) {
+	o := &unitOutcome{
+		segDurs:   []int64{10, 0, 1 << 40},
+		segCounts: make([]energy.Counts, 3),
+	}
+	o.segCounts[0][0] = 7
+	o.segCounts[2][1] = -3
+	good := encodeOutcome(o, nil)
+	huge := binary.AppendUvarint(binary.AppendUvarint([]byte{outcomeVersion}, uint64(energy.NumEvents)), 1<<24)
+	for _, seed := range [][]byte{good, good[:len(good)-1], append(huge, 0), {2}, nil} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		o := decodeOutcome(raw)
+		if o == nil {
+			return
+		}
+		if again := decodeOutcome(encodeOutcome(o, nil)); !reflect.DeepEqual(again, o) {
+			t.Fatalf("%x decodes to %+v, its re-encoding to %+v", raw, o, again)
+		}
+	})
 }
 
 // TestUnitKeyBytes pins appendKey's encoding for three unit shapes: a

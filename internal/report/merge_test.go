@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -99,4 +101,39 @@ func TestMergeRejections(t *testing.T) {
 	withMetrics.Add(Result{Design: "OOO2", Bench: "mm"})
 	withMetrics.Metrics = &runner.Metrics{}
 	check("metrics attachment", "metrics", goodB, render(t, withMetrics))
+}
+
+// FuzzMerge: merging any two byte strings must not panic, and a merged
+// output must pass the strict decoder. The seeds are two real partial
+// sweep shards (the payloads a fabric coordinator merges), one of them
+// truncated or stamped with another schema version, and an overlap.
+func FuzzMerge(f *testing.F) {
+	var shards [][]byte
+	for _, name := range []string{"shard_mm.json", "shard_gzip.json"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		shards = append(shards, b)
+	}
+	mm, gz := shards[0], shards[1]
+	skewed := bytes.Replace(gz, []byte(Schema), []byte("exocore-result/v0"), 1)
+	for _, pair := range [][2][]byte{
+		{mm, gz},
+		{mm, gz[:len(gz)/2]},
+		{skewed, mm},
+		{mm, mm},
+		{mm, nil},
+	} {
+		f.Add(pair[0], pair[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		out, err := Merge(a, b)
+		if err != nil {
+			return
+		}
+		if _, err := Decode(bytes.NewReader(out)); err != nil {
+			t.Fatalf("merged output does not decode: %v\n%s", err, out)
+		}
+	})
 }

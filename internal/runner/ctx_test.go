@@ -33,6 +33,9 @@ func TestStageCancellationIsNotCached(t *testing.T) {
 	if _, _, err := e.EvaluateCtx(canceled, w, core, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EvaluateCtx under canceled ctx: err = %v, want context.Canceled", err)
 	}
+	if _, err := e.ReportCtx(canceled, w, core, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReportCtx under canceled ctx: err = %v, want context.Canceled", err)
+	}
 
 	// The canceled attempts must not have poisoned any memo: the same
 	// engine now serves the full pipeline under a live ctx (a cached
@@ -46,6 +49,16 @@ func TestStageCancellationIsNotCached(t *testing.T) {
 	}
 	if hits := e.Metrics().Stage(StageEval).Hits; hits != hitsBefore+1 {
 		t.Fatalf("eval hits %d -> %d, want the successful result cached", hitsBefore, hits)
+	}
+	if _, err := e.ReportCtx(context.Background(), w, core, nil); err != nil {
+		t.Fatalf("ReportCtx after canceled attempts: %v", err)
+	}
+	hitsBefore = e.Metrics().Stage(StageReport).Hits
+	if _, err := e.ReportCtx(context.Background(), w, core, nil); err != nil {
+		t.Fatalf("repeat ReportCtx: %v", err)
+	}
+	if hits := e.Metrics().Stage(StageReport).Hits; hits != hitsBefore+1 {
+		t.Fatalf("report hits %d -> %d, want the successful result cached", hitsBefore, hits)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 )
 
 // fullPipeline drives every stage for one benchmark: trace, tdg, sched
-// (via Context) and eval (via Evaluate with the Oracle assignment).
+// (via Context), eval (via Evaluate with the Oracle assignment) and
+// report (via Report with the same assignment).
 func fullPipeline(e *Engine, name string) error {
 	w, err := workloads.ByName(name)
 	if err != nil {
@@ -24,7 +25,11 @@ func fullPipeline(e *Engine, name string) error {
 	if err != nil {
 		return err
 	}
-	_, _, err = e.Evaluate(w, cores.OOO2, sc.Oracle(e.BSAs().Names()))
+	assign := sc.Oracle(e.BSAs().Names())
+	if _, _, err := e.Evaluate(w, cores.OOO2, assign); err != nil {
+		return err
+	}
+	_, err = e.Report(w, cores.OOO2, assign)
 	return err
 }
 

@@ -1,10 +1,11 @@
 // Package runner is the shared evaluation engine behind every driver and
 // the design-space exploration. It memoizes the expensive per-(benchmark,
 // core) pipeline stages — dynamic trace, reconstructed TDG, scheduling
-// context, assignment evaluation — in a concurrency-safe artifact cache,
-// fans work out over a bounded worker pool with deterministic result
-// ordering, and exposes per-stage wall-clock / instruction-count metrics
-// plus cache hit/miss counters and an optional progress callback.
+// context, assignment evaluation, region-attributed report run — in a
+// concurrency-safe artifact cache, fans work out over a bounded worker
+// pool with deterministic result ordering, and exposes per-stage
+// wall-clock / instruction-count metrics plus cache hit/miss counters and
+// an optional progress callback.
 //
 // One Engine per tool invocation is the normal lifetime; sharing an
 // Engine across calls (eg. several dse.Explore runs) shares the caches.
@@ -30,17 +31,18 @@ import (
 
 // Pipeline stage names, in execution order.
 const (
-	StageTrace = "trace"
-	StageTDG   = "tdg"
-	StageSched = "sched"
-	StageEval  = "eval"
+	StageTrace  = "trace"
+	StageTDG    = "tdg"
+	StageSched  = "sched"
+	StageEval   = "eval"
+	StageReport = "report"
 )
 
-var stageOrder = []string{StageTrace, StageTDG, StageSched, StageEval}
+var stageOrder = []string{StageTrace, StageTDG, StageSched, StageEval, StageReport}
 
 // Event describes one cache lookup, delivered to the progress callback.
 type Event struct {
-	Stage    string        // StageTrace, StageTDG, StageSched or StageEval
+	Stage    string        // one of the Stage* names
 	Key      string        // "bench" or "bench/core[/assignment]"
 	CacheHit bool          // true when the artifact was already cached
 	Wall     time.Duration // compute time (zero on hits)
@@ -74,7 +76,8 @@ type Options struct {
 	Progress ProgressFunc
 	// Tracer, if non-nil, receives one span per stage cache miss, with
 	// per-unit segment spans and per-transform spans nested under the
-	// sched and eval stages. Nil keeps the hot path nil-check cheap.
+	// sched, eval and report stages. Nil keeps the hot path nil-check
+	// cheap.
 	Tracer *obs.Tracer
 	// Reg is the metrics registry backing the engine's counters. Nil
 	// makes the engine create a private one; pass a shared registry to
@@ -173,6 +176,7 @@ type Engine struct {
 	tdgs    memo[*tdg.TDG]
 	scheds  memo[*sched.Context]
 	evals   memo[evalResult]
+	reports memo[*exocore.RunResult]
 	streams memo[*StreamBaselineResult]
 
 	stages map[string]*stageInstruments
@@ -477,6 +481,42 @@ func (e *Engine) EvaluateCtx(ctx context.Context, w *workloads.Workload, core co
 		return 0, 0, err
 	}
 	return res.cycles, res.energyNJ, nil
+}
+
+// Report returns the benchmark's run on the core under an assignment
+// with per-region attribution (exocore.RunOpts.RecordRegions): per-model
+// and per-region cycles, energy events and critical-path classes. It is
+// memoized under Evaluate's key in a memo of its own, so sweeps, which
+// only Evaluate, never pay for attribution, and a repeated query reads
+// one map entry instead of recomposing its units. The result is shared
+// by every caller of the same key: treat it as read-only.
+func (e *Engine) Report(w *workloads.Workload, core cores.Config, assign exocore.Assignment) (*exocore.RunResult, error) {
+	return e.ReportCtx(context.Background(), w, core, assign)
+}
+
+// ReportCtx is Report with cancellation (see TraceCtx for the
+// semantics).
+func (e *Engine) ReportCtx(ctx context.Context, w *workloads.Workload, core cores.Config, assign exocore.Assignment) (*exocore.RunResult, error) {
+	key := w.Name + "/" + core.Name + "/" + AssignmentKey(assign)
+	res, hit, wall, err := e.reports.getCtx(ctx, key, func(ctx context.Context) (*exocore.RunResult, error) {
+		sc, err := e.ContextCtx(ctx, w, core)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sp := e.tracer.BeginCtx(ctx, "stage", StageReport+" "+key)
+		defer sp.End()
+		// The context's unit cache serves the units the scheduler already
+		// evaluated; those it holds without critical-path classes are
+		// evaluated again with attribution and replace their entries.
+		return exocore.Run(sc.TDG, core, sc.BSAs, sc.Plans, assign, exocore.RunOpts{
+			Cache: sc.Cache, RecordRegions: true, Span: sp, Reg: e.reg,
+		})
+	})
+	e.account(ctx, StageReport, key, hit, wall, 0)
+	return res, err
 }
 
 // StreamBaselineResult is the memoized outcome of one streamed baseline

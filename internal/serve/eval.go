@@ -192,7 +192,15 @@ func (q sweepQuery) key() string {
 // engine-metrics attachment): one row per benchmark with cycles, energy,
 // per-BSA coverage and baseline-relative extras, plus per-region
 // attribution rows. All pipeline stages run through the shared engine;
-// ctx cancels cleanly at stage boundaries.
+// ctx cancels cleanly at stage boundaries. The attributed run is the
+// engine's report stage (runner.Engine.ReportCtx), memoized by (bench,
+// core, assignment): a repeated request, or one whose BSA set schedules
+// to an assignment already reported, reads it from that memo and only
+// renders.
+//
+// tracer is unused: the report stage records its spans on the engine's
+// own tracer. The parameter stays until the benchmark harness in
+// perfbench/, which calls this signature, changes with it.
 func EvaluateDocument(ctx context.Context, eng *runner.Engine, tool string,
 	wls []*workloads.Workload, core cores.Config, bsas []string, sched string,
 	tracer *obs.Tracer) (*report.Document, error) {
@@ -213,19 +221,7 @@ func EvaluateDocument(ctx context.Context, eng *runner.Engine, tool string,
 		} else {
 			assign = sc.Oracle(bsas)
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-
-		// Reuse the context's models and unit cache. The scheduler's
-		// outcomes carry no critical-path classes, so the reporting run
-		// re-evaluates every unit that has none yet, with attribution, and
-		// stores it back; repeated requests are then served from the cache.
-		sp := tracer.BeginCtx(ctx, "stage", "report "+wl.Name)
-		res, err := exocore.Run(td, core, sc.BSAs, sc.Plans, assign, exocore.RunOpts{
-			Cache: sc.Cache, RecordRegions: true, Span: sp, Reg: eng.Registry(),
-		})
-		sp.End()
+		res, err := eng.ReportCtx(ctx, wl, core, assign)
 		if err != nil {
 			return nil, err
 		}

@@ -408,15 +408,17 @@ func decodeObject(raw []byte) (key, val []byte, err error) {
 	if len(p) < 4 {
 		return nil, nil, errCorrupt
 	}
-	klen := binary.BigEndian.Uint32(p)
+	// Lengths compare in 64 bits: klen+4 wraps in 32 when a crafted
+	// key length is within 4 of 2^32.
+	klen := uint64(binary.BigEndian.Uint32(p))
 	p = p[4:]
-	if uint32(len(p)) < klen+4 {
+	if uint64(len(p)) < klen+4 {
 		return nil, nil, errCorrupt
 	}
 	key, p = p[:klen], p[klen:]
-	vlen := binary.BigEndian.Uint32(p)
+	vlen := uint64(binary.BigEndian.Uint32(p))
 	p = p[4:]
-	if uint32(len(p)) != vlen {
+	if uint64(len(p)) != vlen {
 		return nil, nil, errCorrupt
 	}
 	return key, p, nil

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
@@ -154,6 +157,77 @@ func TestCorruptEntryQuarantinedAtGet(t *testing.T) {
 	if _, ok := s.Get([]byte("k")); ok {
 		t.Fatal("quarantined entry resurrected")
 	}
+}
+
+// wrappedKeyFrame is a 26-byte object with a valid checksum whose key
+// length, 0xFFFFFFFC, makes klen+4 wrap to zero in 32-bit arithmetic.
+func wrappedKeyFrame() []byte {
+	b := append([]byte(nil), magic[:]...)
+	b = binary.BigEndian.AppendUint32(b, 0xFFFFFFFC)
+	b = append(b, make([]byte, 6)...)
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum(b)
+}
+
+// A key length the file cannot hold is corruption, however close to
+// 2^32 it is: decoding returns errCorrupt instead of slicing past the
+// frame, and a store opened over such a file quarantines it and starts.
+func TestWrappedKeyLengthQuarantined(t *testing.T) {
+	raw := wrappedKeyFrame()
+	if len(raw) != 26 {
+		t.Fatalf("frame is %d bytes, want 26", len(raw))
+	}
+	if _, _, err := decodeObject(raw); !errors.Is(err, errCorrupt) {
+		t.Fatalf("decodeObject = %v, want errCorrupt", err)
+	}
+
+	dir := t.TempDir()
+	mustOpen(t, dir, Options{})
+	addr := addrOf([]byte("k"))
+	path := filepath.Join(dir, "objects", addr[:2], addr)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s := mustOpen(t, dir, Options{Reg: reg})
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", s.Len())
+	}
+	if v := reg.Counter("store.quarantined").Value(); v != 1 {
+		t.Fatalf("store.quarantined = %d, want 1", v)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", addr)); err != nil {
+		t.Fatalf("frame not in quarantine: %v", err)
+	}
+}
+
+// FuzzDecodeObject: decoding any file's bytes must not panic, and an
+// accepted frame must be exactly the encoding of what it decoded to.
+func FuzzDecodeObject(f *testing.F) {
+	good := encodeObject([]byte("u1|mm/OOO2/10000|key"), []byte{1, 2, 3})
+	for _, seed := range [][]byte{
+		good,
+		encodeObject(nil, nil),
+		good[:len(good)-1],
+		wrappedKeyFrame(),
+		magic[:],
+		nil,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		key, val, err := decodeObject(raw)
+		if err != nil {
+			return
+		}
+		if re := encodeObject(key, val); !bytes.Equal(re, raw) {
+			t.Fatalf("accepted %x, but key %q and value %x encode to %x", raw, key, val, re)
+		}
+	})
 }
 
 func TestEvictionCap(t *testing.T) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -133,7 +134,8 @@ var goldenSeries = []string{
 // runtime sampler and pprof must still match tdgsim -json, expose a
 // Prometheus page with at least 20 series including every golden name,
 // serve a goroutine profile, retain the evaluation in /debug/requests
-// with a valid trace fragment, and drain to exit 0 on SIGTERM.
+// with a valid trace fragment, answer the same evaluation again from
+// the engine's memos alone, and drain to exit 0 on SIGTERM.
 func obsScenario(e *env) (string, error) {
 	d, err := startDaemon(e, "obs", "-addr", "127.0.0.1:0", "-maxdyn", serveMaxDyn,
 		"-pprof", "-obs-interval", "50ms")
@@ -157,11 +159,15 @@ func obsScenario(e *env) (string, error) {
 	} else if len(prof) == 0 {
 		return "", fmt.Errorf("pprof goroutine profile is empty")
 	}
-	spans, err := checkDebugRequests(d.base, reqID)
+	_, _, spans, err := debugRequest(d.base, reqID)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%d prom series, %d fragment spans", series, spans), d.drain()
+	hits, err := checkWarmRepeat(d.base)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%d prom series, %d fragment spans, %d stage hits on the repeat", series, spans, hits), d.drain()
 }
 
 // checkProm scrapes the Prometheus exposition and verifies its content
@@ -199,48 +205,89 @@ func checkProm(base string) (int, error) {
 	return len(series), nil
 }
 
-// checkDebugRequests finds the evaluation in the flight recorder and
-// validates its per-request trace fragment, returning its span count.
-func checkDebugRequests(base, reqID string) (int, error) {
+// debugRecord is the part of a /debug/requests record the scenarios
+// read.
+type debugRecord struct {
+	ID        string `json:"id"`
+	Key       string `json:"key"`
+	Status    int    `json:"status"`
+	LatencyNS int64  `json:"latency_ns"`
+	CacheHits int64  `json:"cache_hits"`
+}
+
+// debugRequest finds reqID in the flight recorder's recent ring and
+// fetches its per-request trace fragment, which must validate and hold
+// at least one span; it returns the record, the fragment and the
+// fragment's span count.
+func debugRequest(base, reqID string) (debugRecord, []byte, int, error) {
+	fail := func(format string, a ...any) (debugRecord, []byte, int, error) {
+		return debugRecord{}, nil, 0, fmt.Errorf(format, a...)
+	}
 	var dbg struct {
-		Recent []struct {
-			ID        string `json:"id"`
-			Key       string `json:"key"`
-			Status    int    `json:"status"`
-			LatencyNS int64  `json:"latency_ns"`
-		} `json:"recent"`
+		Recent []debugRecord `json:"recent"`
 	}
 	if err := getJSON(base+"/debug/requests", &dbg); err != nil {
-		return 0, fmt.Errorf("debug/requests: %w", err)
+		return fail("debug/requests: %w", err)
 	}
-	found := false
-	for _, rec := range dbg.Recent {
-		if rec.ID != reqID {
-			continue
-		}
-		found = true
-		if !strings.HasPrefix(rec.Key, "eval|mm|") {
-			return 0, fmt.Errorf("debug/requests: record %s key %q, want eval|mm| prefix", reqID, rec.Key)
-		}
-		if rec.Status != http.StatusOK || rec.LatencyNS <= 0 {
-			return 0, fmt.Errorf("debug/requests: record %s status=%d latency=%d", reqID, rec.Status, rec.LatencyNS)
+	var rec *debugRecord
+	for i := range dbg.Recent {
+		if dbg.Recent[i].ID == reqID {
+			rec = &dbg.Recent[i]
 		}
 	}
-	if !found {
-		return 0, fmt.Errorf("debug/requests: evaluation %s not in recent ring", reqID)
+	if rec == nil {
+		return fail("debug/requests: evaluation %s not in recent ring", reqID)
+	}
+	if !strings.HasPrefix(rec.Key, "eval|mm|") {
+		return fail("debug/requests: record %s key %q, want eval|mm| prefix", reqID, rec.Key)
+	}
+	if rec.Status != http.StatusOK || rec.LatencyNS <= 0 {
+		return fail("debug/requests: record %s status=%d latency=%d", reqID, rec.Status, rec.LatencyNS)
 	}
 	frag, _, err := get(base + "/debug/requests/" + reqID + "/trace")
 	if err != nil {
-		return 0, fmt.Errorf("trace fragment: %w", err)
+		return fail("trace fragment: %w", err)
 	}
 	n, err := obs.ValidateTrace(frag)
 	if err != nil {
-		return 0, fmt.Errorf("trace fragment invalid: %w", err)
+		return fail("trace fragment invalid: %w", err)
 	}
 	if n < 1 {
-		return 0, fmt.Errorf("trace fragment has %d spans, want >= 1", n)
+		return fail("trace fragment has %d spans, want >= 1", n)
 	}
-	return n, nil
+	return *rec, frag, n, nil
+}
+
+// checkWarmRepeat sends the evaluation again. The engine must answer it
+// from its memos: the flight recorder counts at least three stage hits
+// (tdg, sched and report), and the trace fragment holds no segment
+// span, because no evaluation unit is looked up or recomposed. It
+// returns the hit count.
+func checkWarmRepeat(base string) (int64, error) {
+	_, reqID, err := postJSON(base+"/v1/evaluate", evalReq)
+	if err != nil {
+		return 0, fmt.Errorf("repeat evaluate: %w", err)
+	}
+	rec, frag, _, err := debugRequest(base, reqID)
+	if err != nil {
+		return 0, err
+	}
+	if rec.CacheHits < 3 {
+		return 0, fmt.Errorf("repeat evaluate %s: %d stage cache hits, want >= 3 (tdg, sched, report)", reqID, rec.CacheHits)
+	}
+	var events []struct {
+		Cat  string `json:"cat"`
+		Name string `json:"name"`
+	}
+	if err := json.Unmarshal(frag, &events); err != nil {
+		return 0, fmt.Errorf("repeat evaluate %s: trace fragment: %w", reqID, err)
+	}
+	for _, ev := range events {
+		if ev.Cat == "segment" {
+			return 0, fmt.Errorf("repeat evaluate %s: trace fragment has segment span %q, want the attributed run served from the report memo", reqID, ev.Name)
+		}
+	}
+	return rec.CacheHits, nil
 }
 
 // graphScenario: one graph benchmark through dse over the full
