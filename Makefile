@@ -44,8 +44,9 @@ test:
 # process from outside: /v1/evaluate and /v1/sweep bodies, design codes
 # and BSA letters, store object frames, persisted unit outcomes and the
 # partial documents a fabric coordinator merges must never panic, and
-# accepted ones must round-trip. A failing input lands in the package's
-# testdata/fuzz as a regression case.
+# accepted ones must round-trip; and the document encoder must write
+# exactly encoding/json's bytes for any document. A failing input lands
+# in the package's testdata/fuzz as a regression case.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunStreamChunks$$' -fuzztime 10s ./internal/exocore
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 3s ./internal/serve
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeObject$$' -fuzztime 3s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOutcome$$' -fuzztime 3s ./internal/exocore
 	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 3s ./internal/report
+	$(GO) test -run '^$$' -fuzz '^FuzzDocumentWrite$$' -fuzztime 3s ./internal/report
 
 # Run the tracked benchmarks and record them in BENCH_9.json.
 # BENCH_7.json remains as the record of the previous optimization round;

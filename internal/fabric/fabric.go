@@ -261,11 +261,11 @@ func (c *Coordinator) run(ctx context.Context, p *plan) ([]byte, error) {
 	p.shell.Normalize()
 	agg := report.New("exocored") // the tool name replicas stamp on their shards
 	p.shell.AppendAggregates(agg)
-	var buf bytes.Buffer
-	if err := agg.Write(&buf); err != nil {
+	aggBody, err := agg.Render()
+	if err != nil {
 		return nil, err
 	}
-	return report.Merge(append(parts, buf.Bytes())...)
+	return report.Merge(append(parts, aggBody)...)
 }
 
 // absorb feeds one shard's per-bench rows into the shell.

@@ -7,7 +7,7 @@ import (
 
 // Merge combines partial documents — each the rendered bytes of one
 // Document — into one final document, byte-identical to rendering all
-// the parts' results through a single Document.Write (the stable
+// the parts' results through a single Document.Render (the stable
 // (bench, design, category, params) sort makes this a pure ordered
 // merge; no numeric content is recomputed). It is the merge step under
 // the sweep fabric's coordinator, so it is strict: every part must
@@ -45,9 +45,5 @@ func Merge(parts ...[]byte) ([]byte, error) {
 		}
 		out.Add(d.Results...)
 	}
-	var buf bytes.Buffer
-	if err := out.Write(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return out.Render()
 }

@@ -106,7 +106,8 @@ func TestMergeRejections(t *testing.T) {
 // FuzzMerge: merging any two byte strings must not panic, and a merged
 // output must pass the strict decoder. The seeds are two real partial
 // sweep shards (the payloads a fabric coordinator merges), one of them
-// truncated or stamped with another schema version, and an overlap.
+// truncated, stamped with another schema version or followed by
+// garbage, a row with a misspelt field, and an overlap.
 func FuzzMerge(f *testing.F) {
 	var shards [][]byte
 	for _, name := range []string{"shard_mm.json", "shard_gzip.json"} {
@@ -122,6 +123,8 @@ func FuzzMerge(f *testing.F) {
 		{mm, gz},
 		{mm, gz[:len(gz)/2]},
 		{skewed, mm},
+		{mm, []byte(skewedRow)},
+		{mm, append(append([]byte(nil), gz...), `{"garbage"`...)},
 		{mm, mm},
 		{mm, nil},
 	} {

@@ -7,13 +7,20 @@
 // plus the engine's per-stage metrics. Results are always emitted sorted
 // by (benchmark, design) so output is byte-stable across runs and across
 // worker counts.
+//
+// Every producer renders through Document.Render: the tools' -json, the
+// daemon's response bodies, the fabric's merged documents. It is a
+// schema encoder that appends exactly the bytes encoding/json's indented
+// Encoder would write for a Document, without reflection; the package's
+// tests hold it to that reference. Decode is the strict reader.
 package report
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"exocore/internal/runner"
 )
@@ -78,61 +85,95 @@ func (d *Document) Add(rs ...Result) {
 
 // Sort orders results by (bench, design, category, params) — the stable
 // key the spec requires before printing. Aggregate rows (empty Bench)
-// sort before per-bench rows of the same design.
+// sort before per-bench rows of the same design. Each row's params key
+// is built once, rows are compared in place and moved once.
 func (d *Document) Sort() {
-	sort.SliceStable(d.Results, func(i, j int) bool {
-		a, b := d.Results[i], d.Results[j]
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
+	rs := d.Results
+	keys := make([]string, len(rs))
+	perm := make([]int, len(rs))
+	for i := range rs {
+		keys[i] = paramsKey(rs[i].Params)
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(i, j int) int {
+		a, b := &rs[i], &rs[j]
+		if c := strings.Compare(a.Bench, b.Bench); c != 0 {
+			return c
 		}
-		if a.Design != b.Design {
-			return a.Design < b.Design
+		if c := strings.Compare(a.Design, b.Design); c != 0 {
+			return c
 		}
-		if a.Category != b.Category {
-			return a.Category < b.Category
+		if c := strings.Compare(a.Category, b.Category); c != 0 {
+			return c
 		}
-		return paramsKey(a.Params) < paramsKey(b.Params)
+		return strings.Compare(keys[i], keys[j])
 	})
+	// perm[i] is the row that belongs at i: follow each cycle once.
+	for i := range perm {
+		if perm[i] == i {
+			continue
+		}
+		held, j := rs[i], i
+		for perm[j] != i {
+			next := perm[j]
+			rs[j], perm[j] = rs[next], j
+			j = next
+		}
+		rs[j], perm[j] = held, j
+	}
 }
 
+// paramsKey renders params as "k=v;" terms in key order, the sort and
+// overlap key's last component.
 func paramsKey(p map[string]string) string {
 	if len(p) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(p))
-	for k := range p {
+	var small [8]string
+	keys, n := small[:0], 0
+	for k, v := range p {
 		keys = append(keys, k)
+		n += len(k) + len(v) + 2
 	}
-	sort.Strings(keys)
-	var sb []byte
+	slices.Sort(keys)
+	var sb strings.Builder
+	sb.Grow(n)
 	for _, k := range keys {
-		sb = append(sb, k...)
-		sb = append(sb, '=')
-		sb = append(sb, p[k]...)
-		sb = append(sb, ';')
+		sb.WriteString(k)
+		sb.WriteByte('=')
+		sb.WriteString(p[k])
+		sb.WriteByte(';')
 	}
-	return string(sb)
+	return sb.String()
 }
 
-// Write sorts the results and writes the document as indented JSON.
+// Write sorts the results and writes the document's Render bytes.
 func (d *Document) Write(w io.Writer) error {
-	d.Sort()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
+	b, err := d.Render()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 // Decode is the strict reader for documents this package wrote: it
-// parses one JSON document and rejects anything that does not declare
-// the exact schema version this build speaks. Consumers that echo
-// client-supplied documents (the evaluation daemon, the smoke gates)
-// use it so a version mismatch is a loud error instead of a silently
-// half-decoded document.
+// parses one JSON document and rejects unknown fields, any data after
+// the document and anything that does not declare the exact schema
+// version this build speaks. Consumers that read documents from
+// elsewhere (the fabric's shards, Merge, the smoke gates) use it so a
+// skewed row or a version mismatch is a loud error instead of a
+// silently half-decoded document.
 func Decode(r io.Reader) (*Document, error) {
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	var d Document
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("report: decode: %w", err)
+	}
+	// More alone would pass a stray '}' or ']': only whitespace may follow.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("report: decode: data after the document")
 	}
 	if d.Schema != Schema {
 		return nil, fmt.Errorf("report: unsupported schema %q (this build speaks %q)", d.Schema, Schema)

@@ -166,3 +166,35 @@ func TestDecodeRejectsUnknownSchema(t *testing.T) {
 		t.Error("Decode of malformed JSON succeeded")
 	}
 }
+
+// skewedRow is a shard whose row misspells "cycles": a lenient decoder
+// would read it as a row of 0 cycles and a merge would pass it on.
+const skewedRow = `{"schema":"exocore-result/v1","tool":"exocored","results":[{"design":"IO2","bench":"gzip","cycle":7}]}`
+
+func TestDecodeRejectsUnknownFieldsAndTrailingData(t *testing.T) {
+	d := New("exocored")
+	d.Add(Result{Design: "IO2", Bench: "mm", Cycles: 1})
+	var buf bytes.Buffer
+	if err := d.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.String()
+	for name, in := range map[string]string{
+		"unknown field":     skewedRow,
+		"trailing object":   good + `{"garbage"`,
+		"trailing brace":    good + "}",
+		"trailing bracket":  good + "]",
+		"second document":   good + good,
+		"unknown top field": strings.Replace(good, `"tool"`, `"tools": 1, "tool"`, 1),
+	} {
+		if _, err := Decode(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: Decode accepted\n%s", name, in)
+		}
+		if _, err := Merge([]byte(in)); err == nil {
+			t.Errorf("%s: Merge accepted\n%s", name, in)
+		}
+	}
+	if _, err := Decode(strings.NewReader(good + " \n\t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}

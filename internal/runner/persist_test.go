@@ -1,6 +1,9 @@
 package runner
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"exocore/internal/cores"
@@ -78,5 +81,57 @@ func TestEngineWarmRestartThroughStore(t *testing.T) {
 	if hits := reg3.Counter("store.hits").Value(); hits != 0 {
 		t.Errorf("budget %d engine hit %d entries persisted under budget %d",
 			testMaxDyn/2, hits, testMaxDyn)
+	}
+}
+
+// TestEngineUncachedWhenStoreWritesFail: a store that cannot write (a
+// regular file sits at every object shard directory's path, as a full
+// disk would refuse them) must leave evaluation exactly as without a
+// store, with every failed write counted in store.write_errors.
+func TestEngineUncachedWhenStoreWritesFail(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s, err := store.Open(dir, store.Options{Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		if err := os.WriteFile(filepath.Join(dir, "objects", fmt.Sprintf("%02x", i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := testWorkload(t, "cjpeg")
+	broken := New(Options{MaxDyn: testMaxDyn, Persist: s, Reg: reg})
+	plain := New(Options{MaxDyn: testMaxDyn})
+	sc, err := plain.Context(w, cores.OOO2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assigns := []map[int]string{nil}
+	for _, c := range sc.Candidates {
+		assigns = append(assigns, map[int]string{c.LoopID: c.BSA})
+	}
+	for _, a := range assigns {
+		cyc, nj, err := broken.Evaluate(w, cores.OOO2, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCyc, wantNJ, err := plain.Evaluate(w, cores.OOO2, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cyc != wantCyc || nj != wantNJ {
+			t.Errorf("assign %v: through the failing store = (%d, %g), without a store (%d, %g)",
+				a, cyc, nj, wantCyc, wantNJ)
+		}
+	}
+	if n := reg.Counter("store.write_errors").Value(); n == 0 {
+		t.Error("no failed write was counted")
+	}
+	if n := reg.Counter("store.writes").Value(); n != 0 {
+		t.Errorf("store.writes = %d, want 0", n)
+	}
+	if s.Len() != 0 {
+		t.Errorf("store holds %d entries, want 0", s.Len())
 	}
 }

@@ -126,7 +126,7 @@ func TestEvaluateDocumentConcurrent(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return renderDoc(doc)
+		return doc.Render()
 	}
 
 	serial := runner.New(runner.Options{MaxDyn: testMaxDyn})

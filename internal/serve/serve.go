@@ -43,7 +43,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,7 +56,6 @@ import (
 
 	"exocore/internal/cores"
 	"exocore/internal/obs"
-	"exocore/internal/report"
 	"exocore/internal/runner"
 	"exocore/internal/store"
 	"exocore/internal/workloads"
@@ -435,7 +433,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return renderDoc(doc)
+		return doc.Render()
 	})
 }
 
@@ -460,7 +458,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return renderDoc(doc)
+		return doc.Render()
 	}
 	if req.Async {
 		id := "sweep-" + strconv.FormatInt(s.jobSeq.Add(1), 10)
@@ -638,16 +636,6 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	s.tracer.WriteRequest(w, id)
-}
-
-// renderDoc serializes a document exactly as the CLI tools do (sorted,
-// indented) so responses byte-match their output.
-func renderDoc(doc *report.Document) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := doc.Write(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // DecodeJSON strictly decodes a request body of at most 1 MiB: unknown

@@ -77,7 +77,7 @@ func TestEvaluateMatchesDirectDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := renderDoc(doc)
+	want, err := doc.Render()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSweepMatchesDirectDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := renderDoc(doc)
+	want, err := doc.Render()
 	if err != nil {
 		t.Fatal(err)
 	}

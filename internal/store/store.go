@@ -62,8 +62,8 @@ type Options struct {
 	// negative means uncapped.
 	CapBytes int64
 	// Reg receives the store.* instruments (hits, misses, writes,
-	// evictions, quarantined, and the bytes/entries gauges). Nil is
-	// fine — instruments become inert.
+	// write_errors, evictions, quarantined, and the bytes/entries
+	// gauges). Nil is fine — instruments become inert.
 	Reg *obs.Registry
 }
 
@@ -83,6 +83,7 @@ type Store struct {
 	hits        *obs.Counter
 	misses      *obs.Counter
 	writes      *obs.Counter
+	writeErrors *obs.Counter
 	evictions   *obs.Counter
 	quarantined *obs.Counter
 	gBytes      *obs.Gauge
@@ -142,6 +143,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		hits:        opts.Reg.Counter("store.hits"),
 		misses:      opts.Reg.Counter("store.misses"),
 		writes:      opts.Reg.Counter("store.writes"),
+		writeErrors: opts.Reg.Counter("store.write_errors"),
 		evictions:   opts.Reg.Counter("store.evictions"),
 		quarantined: opts.Reg.Counter("store.quarantined"),
 		gBytes:      opts.Reg.Gauge("store.bytes"),
@@ -274,19 +276,22 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 }
 
 // Put stores val under key, replacing any previous value, and evicts
-// least-recently-used entries if the cap is now exceeded. Errors are
-// swallowed: the store is a cache, and a failed write only costs a
-// future re-computation.
+// least-recently-used entries if the cap is now exceeded. A failed
+// write (a full disk, a read-only directory) only counts in
+// store.write_errors: the store is a cache, and a lost entry only costs
+// a future re-computation.
 func (s *Store) Put(key, val []byte) {
 	if s == nil {
 		return
 	}
 	addr := addrOf(key)
 	path := s.objPath(addr)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
+	err := os.MkdirAll(filepath.Dir(path), 0o755)
+	if err == nil {
+		err = writeFileAtomic(path, encodeObject(key, val))
 	}
-	if err := writeFileAtomic(path, encodeObject(key, val)); err != nil {
+	if err != nil {
+		s.writeErrors.Add(1)
 		return
 	}
 	size := int64(len(key) + len(val))

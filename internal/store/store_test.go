@@ -288,6 +288,33 @@ func TestLRUOrderOnAccess(t *testing.T) {
 	}
 }
 
+// TestFailedWriteCounted: a Put that cannot write (here a regular file
+// sits where the key's object shard directory goes, which stops root
+// too, unlike a chmod) must not panic, must count in store.write_errors
+// and not in store.writes, and must leave the key a miss.
+func TestFailedWriteCounted(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s := mustOpen(t, dir, Options{Reg: reg})
+	key := []byte("u1|bench/core/15000|sig")
+	if err := os.WriteFile(filepath.Dir(s.objPath(addrOf(key))), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(key, []byte("value"))
+	if n := reg.Counter("store.write_errors").Value(); n != 1 {
+		t.Errorf("store.write_errors = %d, want 1", n)
+	}
+	if n := reg.Counter("store.writes").Value(); n != 0 {
+		t.Errorf("store.writes = %d, want 0", n)
+	}
+	if _, ok := s.Get(key); ok {
+		t.Error("a failed write is served")
+	}
+	if s.Len() != 0 {
+		t.Errorf("Len = %d after a failed write, want 0", s.Len())
+	}
+}
+
 func TestNilStoreInert(t *testing.T) {
 	var s *Store
 	s.Put([]byte("k"), []byte("v"))

@@ -258,11 +258,16 @@ func readOK(resp *http.Response, err error) ([]byte, http.Header, error) {
 	return b, resp.Header, err
 }
 
-// compareDocs decodes both sides under the strict versioned-schema
-// decoder, clears the fields that legitimately differ (tool name,
-// run-local engine metrics) and requires the re-rendered documents —
-// every result row — to be byte-identical.
+// compareDocs requires the served body to be exactly the rendering of
+// its own decoded document (so a body in another layout, say from a
+// second render path, cannot pass), then decodes both sides under the
+// strict versioned-schema decoder, clears the fields that legitimately
+// differ (tool name, run-local engine metrics) and requires the
+// re-rendered documents — every result row — to be byte-identical.
 func compareDocs(what string, served, cli []byte) error {
+	if err := checkRendered(served); err != nil {
+		return fmt.Errorf("%s: daemon: %w", what, err)
+	}
 	nd, err := normalize(served)
 	if err != nil {
 		return fmt.Errorf("%s: daemon: %w", what, err)
@@ -273,6 +278,22 @@ func compareDocs(what string, served, cli []byte) error {
 	}
 	if !bytes.Equal(nd, nc) {
 		return fmt.Errorf("%s: documents differ after normalization\n--- daemon ---\n%.2000s\n--- cli ---\n%.2000s", what, nd, nc)
+	}
+	return nil
+}
+
+// checkRendered requires raw to equal Write(Decode(raw)) byte for byte.
+func checkRendered(raw []byte) error {
+	d, err := report.Decode(bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := d.Write(&buf); err != nil {
+		return err
+	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		return fmt.Errorf("served bytes are not the rendered document\n--- served ---\n%.2000s\n--- rendered ---\n%.2000s", raw, buf.Bytes())
 	}
 	return nil
 }

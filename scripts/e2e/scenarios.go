@@ -396,6 +396,9 @@ func fabricScenario(e *env) (string, error) {
 	if !bytes.Equal(fabricBody, singleBody) {
 		return "", fmt.Errorf("coordinated sweep is not byte-identical to the single daemon\n--- fabric ---\n%.2000s\n--- single ---\n%.2000s", fabricBody, singleBody)
 	}
+	if err := checkRendered(fabricBody); err != nil {
+		return "", fmt.Errorf("coordinated sweep: %w", err)
+	}
 	if err := checkCoordHealth(coord.base, 2, "ok"); err != nil {
 		return "", err
 	}
