@@ -15,7 +15,9 @@ import (
 	"exocore/internal/bsa"
 	"exocore/internal/cache"
 	"exocore/internal/cores"
+	"exocore/internal/dg"
 	"exocore/internal/dse"
+	"exocore/internal/energy"
 	"exocore/internal/exocore"
 	"exocore/internal/fusion"
 	"exocore/internal/refsim"
@@ -536,6 +538,43 @@ func BenchmarkGraphConstruction(b *testing.B) {
 		cores.Evaluate(cores.OOO4, tr)
 	}
 	b.SetBytes(int64(tr.Len())) // "bytes" = dynamic instructions
+}
+
+// BenchmarkGPPExecTrace measures the general core's µop step alone, the
+// cost every design point of a sweep pays: the quick set's 50k-instruction
+// traces through one lean GPP per core, reset between traces as the engine
+// resets a pooled core per unit. ns/inst is the time per instruction.
+func BenchmarkGPPExecTrace(b *testing.B) {
+	type prepared struct {
+		dec   *cores.Decoded
+		insts []trace.DynInst
+	}
+	var ps []prepared
+	insts := 0
+	for _, w := range quickSet(b) {
+		tr, err := w.Trace(50000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ps = append(ps, prepared{cores.Decode(tr.Prog), tr.Insts})
+		insts += tr.Len()
+	}
+	for _, cfg := range cores.Configs {
+		b.Run(cfg.Name, func(b *testing.B) {
+			g := dg.NewLeanGraph()
+			var counts energy.Counts
+			m := cores.NewGPP(cfg, g, &counts)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range ps {
+					m.Reset(g, &counts)
+					m.ExecTrace(p.dec, p.insts, 0)
+					m.Fold()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*insts), "ns/inst")
+		})
+	}
 }
 
 // BenchmarkReferenceSimulator measures the independent cycle-level

@@ -138,8 +138,11 @@ type Dataflow struct {
 
 	lastNode dg.NodeID
 	lastExec dg.NodeID
-	ops      int64
-	values   int64
+	// toBus and toDispatch count down the values to the next bus booking
+	// and the ops to the next compound dispatch. toDispatch starts below
+	// one when OpsPerCompound is, and then never reaches zero.
+	toBus      int
+	toDispatch int
 	// written flags registers written during execution; a fixed array
 	// instead of a map keeps the per-op write branchless, and iteration
 	// (WrittenRegs, Exit) deterministic in ascending register order —
@@ -258,7 +261,7 @@ func NewDataflow(cfg DataflowConfig, g *dg.Graph, counts *energy.Counts, entry d
 	d.ctrlNode = entry
 	d.lastNode = entry
 	d.lastExec = dg.None
-	d.ops, d.values = 0, 0
+	d.toBus, d.toDispatch = cfg.BusEvery, cfg.OpsPerCompound
 	return d
 }
 
@@ -313,10 +316,11 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 	p := g.NewNode(dynIdx)
 	g.AddEdge(e, p, OpLatency(in, dyn), dg.EdgeExec)
 	if in.HasDst() {
-		d.values++
 		// Cross-CFU results traverse the writeback bus (a fixed fraction
-		// of values stay local to their compound unit).
-		if d.Cfg.BusEvery <= 1 || d.values%int64(d.Cfg.BusEvery) == 0 {
+		// of values stay local to their compound unit): every BusEvery-th
+		// value, or every value when BusEvery ≤ 1.
+		if d.toBus--; d.toBus <= 0 {
+			d.toBus = d.Cfg.BusEvery
 			g.PushTime(p, d.busRT.Book(g.Time(p)), dg.EdgeFU)
 			d.Counts.Add(energy.EvDFBus, 1)
 		}
@@ -336,8 +340,8 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 	}
 
 	// Energy: compound-amortized dispatch + per-op firing + memory.
-	d.ops++
-	if d.Cfg.OpsPerCompound > 0 && d.ops%int64(d.Cfg.OpsPerCompound) == 0 {
+	if d.toDispatch--; d.toDispatch == 0 {
+		d.toDispatch = d.Cfg.OpsPerCompound
 		d.Counts.Add(d.Cfg.DispatchEvent, 1)
 	}
 	d.Counts.Add(d.Cfg.OpEvent, 1)

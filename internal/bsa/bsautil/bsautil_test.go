@@ -122,8 +122,8 @@ func TestDataflowDataDependence(t *testing.T) {
 	if g.Time(p2) < g.Time(p1)+int64(isa.Mul.Latency()) {
 		t.Errorf("dependent mul at %d, producer at %d", g.Time(p2), g.Time(p1))
 	}
-	if df.ops != 2 {
-		t.Errorf("ops = %d", df.ops)
+	if n := counts[testCfg.OpEvent]; n != 2 {
+		t.Errorf("ops = %d", n)
 	}
 	if got := df.WrittenRegs(); len(got) != 2 || got[0] != isa.R(1) || got[1] != isa.R(4) {
 		t.Errorf("WrittenRegs = %v, want [R1 R4] in ascending order", got)

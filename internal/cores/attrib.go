@@ -126,10 +126,7 @@ func (m *GPP) stepLog(di *decInst, addr uint64, memLat uint16, dflags uint8, dyn
 	if m.robBack > 0 && n >= m.robBack {
 		d.try(m.ring[(n-m.robBack)&(histSize-1)].c+1, 0, 3)
 	}
-	td := d.t
-	if m.winBuf != nil && m.winLen == len(m.winBuf) {
-		td = max(td, m.winBuf[m.winHead])
-	}
+	td := max(d.t, m.win.min)
 
 	// --- Execute ---
 	e := race{t: td + 1, src: logRef(n, stageD)}
@@ -140,7 +137,7 @@ func (m *GPP) stepLog(di *decInst, addr uint64, memLat uint16, dflags uint8, dyn
 	e.try(m.regT[di.src2], m.regRef[di.src2], 2)
 	e.try(m.regT[di.acc], m.regRef[di.acc], 2)
 	if di.flags&fLoad != 0 {
-		if rec, ok := m.stores.get(addr &^ 7); ok && rec.gen == m.gen && n-int(rec.age) < storeWindow {
+		if rec, ok := m.stores.get(addr &^ 7); ok && n-int(rec.age) < storeWindow {
 			e.try(rec.val+2, rec.ref, 3)
 		}
 	}
@@ -191,9 +188,9 @@ func (m *GPP) stepLog(di *decInst, addr uint64, memLat uint16, dflags uint8, dyn
 	// Architectural state updates, as in step, with their positions.
 	m.regT[di.dst], m.regRef[di.dst] = tp, logRef(n, stageP)
 	if di.flags&fStore != 0 {
-		m.stores.set(addr&^7, storeRec{val: te, age: int32(n), gen: m.gen, ref: logRef(n, stageE)})
-		if m.stores.used > 2*storeWindow {
-			m.stores.prune(m.gen, n)
+		m.stores.set(addr&^7, storeRec{val: te, age: int32(n), ref: logRef(n, stageE)})
+		if len(m.stores.slots) > 2*storeWindow {
+			m.stores.prune(n)
 		}
 	}
 	if di.flags&fBranch != 0 && dflags&trace.FlagMispred != 0 {
@@ -202,7 +199,7 @@ func (m *GPP) stepLog(di *decInst, addr uint64, memLat uint16, dflags uint8, dyn
 	if di.flags&fCtrl != 0 && dflags&trace.FlagTaken != 0 {
 		m.redirectT, m.redirectRef = tf+1, logRef(n, stageF)
 	}
-	m.noteIssue(te)
+	m.win.note(te)
 	m.ring[n&(histSize-1)] = stageTimes{tf, td, te, tc}
 	m.lastTP = tp
 	m.n = n + 1

@@ -119,13 +119,11 @@ func FromDyn(p *isa.Inst, d *trace.DynInst) UOp {
 const histSize = 256 // power of two ≥ max ROB
 
 // storeRec is one store-forwarding entry: the last store to a word — its
-// execute time and, on attribution runs, its critical-path position — the
-// retire index it was recorded at, and the GPP generation it belongs to
-// (entries from earlier generations are stale).
+// execute time and, on attribution runs, its critical-path position — and
+// the retire index it was recorded at.
 type storeRec struct {
 	val int64
 	age int32
-	gen uint32
 	ref ref
 }
 
@@ -203,12 +201,9 @@ type GPP struct {
 	robBack int                      // commit distance of the ROB / in-flight limit (0: none)
 	rts     [numRT]*dg.ResourceTable // indexed by decInst.rt
 
-	// stores maps word address → last store. Entries are tagged with a
-	// generation number so Reset invalidates the whole table in O(1) (a
-	// pooled GPP resets once per unit evaluation; clearing thousands of
-	// buckets each time dominated Reset).
+	// stores maps word address → last store; Reset clears the slots the
+	// unit occupied.
 	stores storeTab
-	gen    uint32
 
 	issueRT *dg.ResourceTable
 	aluRT   *dg.ResourceTable
@@ -216,18 +211,7 @@ type GPP struct {
 	fpRT    *dg.ResourceTable
 	portRT  *dg.ResourceTable
 
-	// winBuf holds the Window largest issue times so far, sorted
-	// ascending in a circular buffer starting at winHead (filled
-	// non-circularly until winLen reaches Window). An instruction may
-	// dispatch only when fewer than Window older instructions are still
-	// waiting to issue, i.e. no earlier than the Window-th largest issue
-	// time seen so far — the buffer's head. Issue times are nearly
-	// monotonic, so replacing the minimum is O(1) here (new maxima drop
-	// straight into the freed head slot as the new tail) where the
-	// min-heap this replaces paid a full sift-down per uop.
-	winBuf  []int64
-	winHead int
-	winLen  int
+	win issueWindow // the Window largest issue times (window.go)
 }
 
 // NewGPP returns a constructor appending onto g, charging events to counts.
@@ -239,7 +223,6 @@ type GPP struct {
 func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 	m := &GPP{
 		Cfg:     cfg,
-		gen:     1,
 		issueRT: dg.NewResourceTable(cfg.Width),
 		aluRT:   dg.NewResourceTable(cfg.IntAlu),
 		mulRT:   dg.NewResourceTable(cfg.IntMulDiv),
@@ -255,7 +238,7 @@ func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 	}
 	m.stores.init()
 	if !cfg.InOrder && cfg.Window > 0 {
-		m.winBuf = make([]int64, cfg.Window)
+		m.win.init(cfg.Window)
 	}
 	m.Reset(g, counts)
 	return m
@@ -263,23 +246,20 @@ func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 
 // Reset returns the GPP to its initial (drained-boundary) state on a new
 // graph and energy accumulator, reusing the resource-table rings, the
-// store table and the attribution log. The graph's mode selects whether
-// the core logs attribution. The configuration is unchanged — pool GPPs
-// per core config. Energy counted since the last Fold is discarded.
+// issue window, the store table and the attribution log. The graph's mode
+// selects whether the core logs attribution. The configuration is
+// unchanged — pool GPPs per core config. Energy counted since the last
+// Fold is discarded.
 func (m *GPP) Reset(g *dg.Graph, counts *energy.Counts) {
 	m.G = g
 	m.Counts = counts
-	m.gen++
-	if m.gen == 0 { // wrapped: stale tags could collide, really clear
-		m.stores.clear()
-		m.gen = 1
-	}
+	m.stores.reset()
 	m.issueRT.Reset()
 	m.aluRT.Reset()
 	m.mulRT.Reset()
 	m.fpRT.Reset()
 	m.portRT.Reset()
-	m.winHead, m.winLen = 0, 0
+	m.win.reset()
 
 	clear(m.ring[:min(m.n, histSize)]) // entries past the old n were never written
 	clear(m.regT[:])
@@ -344,7 +324,7 @@ func (m *GPP) settle() {
 		case handReg:
 			m.regT[h.reg], m.regRef[h.reg] = t, p
 		case handStore:
-			m.stores.set(h.addr, storeRec{val: t, age: h.age, gen: m.gen, ref: p})
+			m.stores.set(h.addr, storeRec{val: t, age: h.age, ref: p})
 		case handBarrier:
 			// Ties go to the newer barrier, as the node form's barrier join
 			// (new barrier edge first) resolved them.
@@ -421,7 +401,7 @@ func (m *GPP) NoteStore(addr uint64, node dg.NodeID) {
 func (m *GPP) LastStoreTo(addr uint64) dg.NodeID {
 	m.settle()
 	rec, ok := m.stores.get(addr &^ 7)
-	if !ok || rec.gen != m.gen {
+	if !ok {
 		return dg.None
 	}
 	return m.anchor(rec.val, rec.ref)
@@ -533,9 +513,7 @@ func (m *GPP) step(di *decInst, addr uint64, memLat uint16, dflags uint8) {
 	if m.robBack > 0 {
 		td = max(td, m.ring[(n-m.robBack)&(histSize-1)].c+1)
 	}
-	if m.winBuf != nil && m.winLen == len(m.winBuf) {
-		td = max(td, m.winBuf[m.winHead])
-	}
+	td = max(td, m.win.min)
 
 	// --- Execute ---
 	te := max(td+1, m.regT[di.src1], m.regT[di.src2], m.regT[di.acc])
@@ -543,7 +521,7 @@ func (m *GPP) step(di *decInst, addr uint64, memLat uint16, dflags uint8) {
 		te = max(te, prev.e)
 	}
 	if di.flags&fLoad != 0 {
-		if rec, ok := m.stores.get(addr &^ 7); ok && rec.gen == m.gen && n-int(rec.age) < storeWindow {
+		if rec, ok := m.stores.get(addr &^ 7); ok && n-int(rec.age) < storeWindow {
 			te = max(te, rec.val+2)
 		}
 	}
@@ -567,9 +545,9 @@ func (m *GPP) step(di *decInst, addr uint64, memLat uint16, dflags uint8) {
 	// Architectural state updates.
 	m.regT[di.dst] = tp
 	if di.flags&fStore != 0 {
-		m.stores.set(addr&^7, storeRec{val: te, age: int32(n), gen: m.gen})
-		if m.stores.used > 2*storeWindow {
-			m.stores.prune(m.gen, n)
+		m.stores.set(addr&^7, storeRec{val: te, age: int32(n)})
+		if len(m.stores.slots) > 2*storeWindow {
+			m.stores.prune(n)
 		}
 	}
 	if di.flags&fBranch != 0 && dflags&trace.FlagMispred != 0 {
@@ -578,87 +556,55 @@ func (m *GPP) step(di *decInst, addr uint64, memLat uint16, dflags uint8) {
 	if di.flags&fCtrl != 0 && dflags&trace.FlagTaken != 0 {
 		m.redirectT = tf + 1
 	}
-	m.noteIssue(te)
+	m.win.note(te)
 	m.ring[n&(histSize-1)] = stageTimes{tf, td, te, tc}
 	m.lastTP = tp
 	m.n = n + 1
-}
-
-// noteIssue keeps the Window largest issue times (window bookkeeping).
-func (m *GPP) noteIssue(et int64) {
-	switch {
-	case m.winBuf == nil:
-	case m.winLen < len(m.winBuf):
-		m.winGrow(et)
-	case et > m.winBuf[m.winHead]:
-		m.winReplaceMin(et)
-	}
-}
-
-// winGrow inserts v into the not-yet-full buffer, kept sorted ascending
-// at winBuf[0:winLen] (winHead is 0 during the fill phase).
-func (m *GPP) winGrow(v int64) {
-	b := m.winBuf
-	i := m.winLen
-	for i > 0 && b[i-1] > v {
-		b[i] = b[i-1]
-		i--
-	}
-	b[i] = v
-	m.winLen++
-}
-
-// winReplaceMin evicts the buffer's minimum (the head slot) and inserts
-// v > min, scanning backward from the tail: the common near-monotonic
-// case (v is a new maximum) writes v straight into the freed head slot
-// as the new tail with zero data movement.
-func (m *GPP) winReplaceMin(v int64) {
-	b := m.winBuf
-	n := len(b)
-	dst := m.winHead // freed slot becomes the new tail slot
-	m.winHead++
-	if m.winHead == n {
-		m.winHead = 0
-	}
-	src := dst - 1 // current tail
-	if src < 0 {
-		src = n - 1
-	}
-	for k := 1; k < n && b[src] > v; k++ {
-		b[dst] = b[src]
-		dst = src
-		src--
-		if src < 0 {
-			src = n - 1
-		}
-	}
-	b[dst] = v
 }
 
 // storeTab is an open-addressed, linear-probe map from word address to
 // storeRec, replacing the built-in map on the Exec hot path (hashing and
 // bucket probing there was a top-five cost of a DSE sweep). Occupied
 // slots key on addr|1 — word addresses have their low three bits clear,
-// so 0 safely marks an empty slot whatever the address.
+// so 0 safely marks an empty slot whatever the address. slots lists the
+// occupied slots, so reset clears only those and shrinks the table back
+// to its initial size, keeping the capacity a long unit grew it to: every
+// key past the occupied slots, up to the capacity, stays zero.
 type storeTab struct {
-	keys []uint64
-	recs []storeRec
-	used int // occupied slots, including generation-stale entries
-	mask uint64
+	keys  []uint64
+	recs  []storeRec
+	slots []int32 // occupied slots
+	mask  uint64
+	kept  []storeEntry // rebuild scratch
+}
+
+type storeEntry struct {
+	key uint64
+	rec storeRec
 }
 
 const storeTabInitSize = 1024 // power of two; grows to keep load < 1/2
 
-func (t *storeTab) init() {
-	t.keys = make([]uint64, storeTabInitSize)
-	t.recs = make([]storeRec, storeTabInitSize)
-	t.mask = storeTabInitSize - 1
-	t.used = 0
+func (t *storeTab) init() { t.resize(storeTabInitSize) }
+
+// resize sets the table's size, reusing its capacity when it suffices.
+func (t *storeTab) resize(size int) {
+	if size > cap(t.keys) {
+		t.keys, t.recs = make([]uint64, size), make([]storeRec, size)
+	}
+	t.keys, t.recs = t.keys[:size], t.recs[:size]
+	t.mask = uint64(size - 1)
 }
 
-func (t *storeTab) clear() {
-	clear(t.keys)
-	t.used = 0
+// reset empties the table and shrinks it back to its initial size.
+func (t *storeTab) reset() {
+	for _, i := range t.slots {
+		t.keys[i] = 0
+	}
+	t.slots = t.slots[:0]
+	if len(t.keys) > storeTabInitSize {
+		t.resize(storeTabInitSize)
+	}
 }
 
 func (t *storeTab) slotOf(addr uint64) uint64 {
@@ -678,7 +624,7 @@ func (t *storeTab) get(addr uint64) (storeRec, bool) {
 }
 
 func (t *storeTab) set(addr uint64, rec storeRec) {
-	if 2*(t.used+1) > len(t.keys) {
+	if 2*(len(t.slots)+1) > len(t.keys) {
 		t.grow()
 	}
 	k := addr | 1
@@ -688,9 +634,8 @@ func (t *storeTab) set(addr uint64, rec storeRec) {
 			t.recs[i] = rec
 			return
 		case 0:
-			t.keys[i] = k
-			t.recs[i] = rec
-			t.used++
+			t.keys[i], t.recs[i] = k, rec
+			t.slots = append(t.slots, int32(i))
 			return
 		}
 	}
@@ -701,26 +646,25 @@ func (t *storeTab) grow() {
 	t.rebuild(2*len(t.keys), func(storeRec) bool { return true })
 }
 
-// prune rebuilds the table keeping only live entries: current
-// generation and within the store-forwarding age window.
-func (t *storeTab) prune(gen uint32, n int) {
-	t.rebuild(len(t.keys), func(r storeRec) bool { return r.gen == gen && n-int(r.age) < storeWindow })
+// prune rebuilds the table keeping only the entries within the
+// store-forwarding age window of retire index n.
+func (t *storeTab) prune(n int) {
+	t.rebuild(len(t.keys), func(r storeRec) bool { return n-int(r.age) < storeWindow })
 }
 
-// rebuild rehashes the entries keep accepts into a table of size slots.
+// rebuild rehashes the entries keep accepts into a table of size slots,
+// in place when the capacity allows.
 func (t *storeTab) rebuild(size int, keep func(storeRec) bool) {
-	ok, or := t.keys, t.recs
-	t.keys, t.recs = make([]uint64, size), make([]storeRec, size)
-	t.mask, t.used = uint64(size-1), 0
-	for i, k := range ok {
-		if k == 0 || !keep(or[i]) {
-			continue
+	t.kept = t.kept[:0]
+	for _, i := range t.slots {
+		if keep(t.recs[i]) {
+			t.kept = append(t.kept, storeEntry{t.keys[i], t.recs[i]})
 		}
-		j := t.slotOf(k &^ 1)
-		for t.keys[j] != 0 {
-			j = (j + 1) & t.mask
-		}
-		t.keys[j], t.recs[j] = k, or[i]
-		t.used++
+		t.keys[i] = 0
+	}
+	t.slots = t.slots[:0]
+	t.resize(size)
+	for _, e := range t.kept {
+		t.set(e.key&^1, e.rec)
 	}
 }

@@ -1,6 +1,7 @@
 package cores
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -390,6 +391,34 @@ func fwdChain(t *testing.T, n int64, withFMA bool) *trace.Trace {
 	return tr
 }
 
+// farLoads: a chain of loads that miss for 65535 cycles or a few thousand,
+// whose values feed an accumulator, beside independent work. Issue times
+// land up to many winSpan above the issue window's minimum, so the window
+// parks them; its ring empties whenever a wave of independent work has
+// drained, and parked times come within reach as the minimum rises.
+func farLoads(t *testing.T, n int64) *trace.Trace {
+	b := prog.NewBuilder("farloads")
+	b.MovI(isa.R(1), n)
+	b.Label("loop")
+	b.Ld(isa.R(2), isa.R(2), 0) // the next address is this load's value
+	b.Add(isa.R(3), isa.R(3), isa.R(2))
+	for i := 4; i < 10; i++ {
+		b.AddI(isa.R(i), isa.R(i), 1)
+	}
+	b.SubI(isa.R(1), isa.R(1), 1)
+	b.Bne(isa.R(1), isa.RZ, "loop")
+	tr := buildTrace(t, b.MustBuild(), nil)
+	lats := [...]uint16{65535, 2000, 3000, 2500}
+	k := 0
+	for i := range tr.Insts {
+		if tr.Prog.Insts[tr.Insts[i].SI].Op == isa.Ld {
+			tr.Insts[i].MemLat = lats[k%len(lats)]
+			k++
+		}
+	}
+	return tr
+}
+
 // leanStages returns the stage times of the latest uop of a lean core.
 func leanStages(m *GPP) [5]int64 {
 	h := m.last()
@@ -445,11 +474,12 @@ func pathOf(walk func(dg.NodeID, func(int32, dg.EdgeClass, int64)), from dg.Node
 // identical energy counts once folded, on every core config, while
 // neither GPP allocates a node. Each stream runs twice on the same two
 // GPPs with a Reset between, so entries a first run leaves in the
-// store-forwarding table must stay invisible to the second.
+// store-forwarding table and the issue window must stay invisible to the
+// second.
 func TestLeanExecTimesIdentical(t *testing.T) {
 	traces := []*trace.Trace{
 		buildTrace(t, serialChain(300), nil), buildTrace(t, parallelOps(300), nil),
-		buildTrace(t, memMix(300), nil), fwdChain(t, 300, true),
+		buildTrace(t, memMix(300), nil), fwdChain(t, 300, true), farLoads(t, 200),
 	}
 	for _, tr := range traces {
 		dec := Decode(tr.Prog)
@@ -633,6 +663,94 @@ func TestTiesResolveInEdgeOrder(t *testing.T) {
 		}
 		if !slices.Equal(paths[0], paths[1]) {
 			t.Errorf("%s: critical path %v, node form %v", name, paths[1], paths[0])
+		}
+	}
+}
+
+// randomUOp returns a uop of any opcode on a few registers of each file,
+// with memory latencies up to 65535 and random taken and mispredicted
+// control flags.
+func randomUOp(rng *rand.Rand) UOp {
+	reg := func() isa.Reg {
+		switch k := rng.Intn(10); {
+		case k == 0:
+			return isa.NoReg
+		case k == 1:
+			return isa.RZ
+		case k < 6:
+			return isa.R(1 + rng.Intn(6))
+		}
+		return isa.F(rng.Intn(6))
+	}
+	lat := 1 + rng.Intn(300)
+	if rng.Intn(8) == 0 {
+		lat = rng.Intn(65536)
+	}
+	return UOp{
+		Op: isa.Op(rng.Intn(isa.NumOps)), Dst: reg(), Src1: reg(), Src2: reg(),
+		Addr: uint64(rng.Intn(64)) * 8, MemLat: uint16(lat), Level: trace.MemLevel(rng.Intn(4)),
+		Mispred: rng.Intn(6) == 0, Taken: rng.Intn(3) == 0,
+	}
+}
+
+// TestStageTimesObeyThePipeline holds the time-direct core to its own
+// physics on random uop streams, through a lean and an attribution GPP of
+// every core config, each reused across runs: per uop, fewer than Window
+// older uops execute after its dispatch, it dispatches after the commit
+// of the uop ROB (InFlight on in-order cores) older, fetch < dispatch <
+// execute < complete ≤ commit−1, and commits never decrease; per run, the
+// cycles are at least ⌈n/Width⌉. The attribution GPP's times are
+// recomputed from its log and must equal the lean GPP's.
+func TestStageTimesObeyThePipeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, cfg := range Configs {
+		gl, ga := dg.NewLeanGraph(), dg.NewGraph()
+		ml, ma := NewGPP(cfg, gl, &energy.Counts{}), NewGPP(cfg, ga, &energy.Counts{})
+		back := cfg.ROB
+		if cfg.InOrder {
+			back = cfg.InFlight
+		}
+		for run := 0; run < 4; run++ {
+			gl.Reset()
+			ga.Reset()
+			ml.Reset(gl, &energy.Counts{})
+			ma.Reset(ga, &energy.Counts{})
+			n := 1 + rng.Intn(3000)
+			lean := make([][5]int64, n)
+			for i := range lean {
+				u := randomUOp(rng)
+				ml.Exec(u, int32(i))
+				ma.Exec(u, int32(i))
+				lean[i] = leanStages(ml)
+			}
+			if !slices.Equal(loggedStages(ma), lean) {
+				t.Fatalf("%s run %d: logged stage times differ from the lean core's", cfg.Name, run)
+			}
+			var issued []int64 // older uops' execute times, ascending
+			for i, s := range lean {
+				f, d, e, p, c := s[0], s[1], s[2], s[3], s[4]
+				if !(f < d && d < e && e < p && p <= c-1) {
+					t.Fatalf("%s run %d uop %d: stage times %v out of order", cfg.Name, run, i, s)
+				}
+				if i > 0 && c < lean[i-1][4] {
+					t.Fatalf("%s run %d uop %d: commit %d before the previous uop's %d", cfg.Name, run, i, c, lean[i-1][4])
+				}
+				if back > 0 && i >= back && d <= lean[i-back][4] {
+					t.Fatalf("%s run %d uop %d: dispatch %d not after the commit %d of the uop %d older",
+						cfg.Name, run, i, d, lean[i-back][4], back)
+				}
+				later, _ := slices.BinarySearch(issued, d+1)
+				if cfg.Window > 0 && len(issued)-later >= cfg.Window {
+					t.Fatalf("%s run %d uop %d: %d older uops execute after its dispatch at %d, window %d",
+						cfg.Name, run, i, len(issued)-later, d, cfg.Window)
+				}
+				at, _ := slices.BinarySearch(issued, e)
+				issued = slices.Insert(issued, at, e)
+			}
+			if cycles, bound := ml.EndTime(), int64((n+cfg.Width-1)/cfg.Width); cycles < bound || ma.EndTime() != cycles {
+				t.Fatalf("%s run %d: %d and %d cycles for %d uops, below the width bound %d or unequal",
+					cfg.Name, run, cycles, ma.EndTime(), n, bound)
+			}
 		}
 	}
 }

@@ -403,7 +403,8 @@ type ResourceTable struct {
 	// offset is the epoch base added to requested cycles before they key
 	// the ring. Reset advances it past every key issued so far, making all
 	// stale slots mismatch — an O(1) reset instead of clearing the ring
-	// (~128KB; per-segment evaluation resets constantly).
+	// (~128KB; per-segment evaluation resets constantly). It advances by
+	// whole ring turns, so cycle c keys the same slot in every epoch.
 	offset int64
 	maxKey int64
 	// fullBelow is a monotone probe floor: every cycle below it is known
@@ -555,14 +556,18 @@ search:
 }
 
 // Reset clears all bookings in O(1) by advancing the epoch offset past
-// every key issued so far; stale ring slots are reclaimed lazily. When
-// the accumulated offset nears the 24-bit tag limit (once per ~2^38
-// booked cycles) the ring is cleared wholesale and the epoch restarts
-// from zero, restoring the fresh-table invariant that zeroed slots read
-// as empty.
+// every key issued so far; stale ring slots are reclaimed lazily. Any
+// offset above maxKey reads as a fresh table, since a slot's tag fixes its
+// key. The offset advances by whole ring turns, so the next epoch's early
+// cycles land on the slots — and cache lines — the last epoch's early
+// cycles warmed; an epoch that booked nothing leaves it in place. When
+// the accumulated offset nears the 24-bit tag limit — after at most 2^23
+// epochs that booked, each advancing it a ring turn or more — the ring is
+// cleared wholesale and the epoch restarts from zero, restoring the
+// fresh-table invariant that zeroed slots read as empty.
 func (r *ResourceTable) Reset() {
 	r.fullBelow = 0
-	r.offset = r.maxKey + 1
+	r.offset += ((r.maxKey-r.offset)>>15 + 1) << 15
 	if r.offset >= 1<<38 {
 		clear(r.ring[:])
 		r.offset = 0

@@ -149,6 +149,49 @@ func TestResourceTableReset(t *testing.T) {
 	}
 }
 
+// TestResourceTableEpochsMatchFresh reuses one table across 240 epochs,
+// each a random Book/BookFor sequence on a random unit count whose ready
+// times spread past the ring's span, so every epoch lands on slots earlier
+// epochs left stale, and requires it to grant exactly what a fresh table
+// grants for the same sequence. One epoch starts within a ring turn of
+// 2^38, so the Reset after it clears the ring and restarts the epochs.
+func TestResourceTableEpochsMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	reused := NewResourceTable(1)
+	const forced = 150
+	for epoch := 0; epoch < 240; epoch++ {
+		units := 1 + rng.Intn(4)
+		reused.Retarget(units) // resets
+		if epoch == forced {
+			reused.forceEpoch(1<<38 - resourceWindow + rng.Int63n(resourceWindow))
+		}
+		fresh := NewResourceTable(units)
+		n := 1 + rng.Intn(600)
+		span := 1 + rng.Int63n(3*resourceWindow)
+		for i := 0; i < n; i++ {
+			ready := rng.Int63n(span)
+			if epoch == forced && i == 0 {
+				ready = resourceWindow + rng.Int63n(resourceWindow) // keys reach 2^38
+			}
+			var got, want int64
+			if busy := rng.Int63n(8); busy > 1 && rng.Intn(4) == 0 {
+				got, want = reused.BookFor(ready, busy), fresh.BookFor(ready, busy)
+			} else {
+				got, want = reused.Book(ready), fresh.Book(ready)
+			}
+			if got != want {
+				t.Fatalf("epoch %d booking %d (ready %d, %d units): reused table granted %d, fresh %d",
+					epoch, i, ready, units, got, want)
+			}
+		}
+		if epoch == forced {
+			if reused.Reset(); reused.offset != 0 {
+				t.Fatalf("epoch offset %d after the epoch at 2^38, want the ring cleared and 0", reused.offset)
+			}
+		}
+	}
+}
+
 func TestResourceNeverGrantsBeforeReady(t *testing.T) {
 	rt := NewResourceTable(3)
 	f := func(readies []uint16) bool {
