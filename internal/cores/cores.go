@@ -158,7 +158,7 @@ const (
 // registers as running maxima over the constraints the paper's µDG edges
 // express, allocating no graph node. Nodes appear only on demand, as
 // anchors carrying a time, when a transform asks for one (RegDef,
-// LastCommit, LastStoreTo, LastComplete).
+// LastCommit, LastComplete).
 //
 // On an attribution graph the core also logs, per uop, which term won
 // each stage's maximum (see attrib.go), and WalkCriticalPath walks that
@@ -395,16 +395,6 @@ func (m *GPP) SetRegDef(r isa.Reg, node dg.NodeID) {
 // observe the memory dependence.
 func (m *GPP) NoteStore(addr uint64, node dg.NodeID) {
 	m.handoffs = append(m.handoffs, handoff{node: node, kind: handStore, addr: addr &^ 7, age: int32(m.n)})
-}
-
-// LastStoreTo returns the node of the last store to addr, or None.
-func (m *GPP) LastStoreTo(addr uint64) dg.NodeID {
-	m.settle()
-	rec, ok := m.stores.get(addr &^ 7)
-	if !ok {
-		return dg.None
-	}
-	return m.anchor(rec.val, rec.ref)
 }
 
 const storeWindow = 4096 // uops a store-forwarding entry stays visible

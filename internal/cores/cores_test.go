@@ -248,9 +248,6 @@ func TestNoteStoreCreatesDependence(t *testing.T) {
 	st := g.g.NewNode(-1)
 	g.g.AddEdge(g.g.Origin(), st, 700, 0)
 	m.NoteStore(0x2000, st)
-	if m.LastStoreTo(0x2000) != st {
-		t.Fatal("LastStoreTo lost the store")
-	}
 	m.Exec(UOp{Op: isa.Ld, Dst: isa.R(1), Src1: isa.RZ, Addr: 0x2000, MemLat: 4}, 0)
 	if m.EndTime() < 700 {
 		t.Errorf("load committed at %d, before store at 700", m.EndTime())
@@ -541,7 +538,6 @@ type handoffCore interface {
 	RegDef(r isa.Reg) dg.NodeID
 	SetRegDef(r isa.Reg, node dg.NodeID)
 	NoteStore(addr uint64, node dg.NodeID)
-	LastStoreTo(addr uint64) dg.NodeID
 	WalkCriticalPath(from dg.NodeID, fn func(dyn int32, class dg.EdgeClass, lat int64))
 }
 
@@ -588,8 +584,6 @@ func TestLeanHandoffsMatchAttribution(t *testing.T) {
 		g.AddEdge(at(550), prod, 0, dg.EdgeAccelComm) // still relaxing when handed over
 		m.NoteStore(0x2000, at(700))
 		obs(m.RegDef(isa.R(5)))
-		obs(m.LastStoreTo(0x2004))
-		obs(m.LastStoreTo(0x3000))
 		m.SetRegDef(isa.R(6), dg.None)
 		obs(m.RegDef(isa.R(6)))
 		m.Exec(UOp{Op: isa.Add, Dst: isa.R(7), Src1: isa.R(5), Src2: isa.R(6)}, 0)

@@ -121,13 +121,6 @@ func (m *refGPP) NoteStore(addr uint64, node dg.NodeID) {
 	m.stores[addr&^7] = refStore{node, m.n}
 }
 
-func (m *refGPP) LastStoreTo(addr uint64) dg.NodeID {
-	if s, ok := m.stores[addr&^7]; ok {
-		return s.node
-	}
-	return dg.None
-}
-
 func (m *refGPP) ExecTrace(p *Decoded, insts []trace.DynInst, base int) {
 	for i := range insts {
 		d := &insts[i]

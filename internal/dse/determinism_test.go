@@ -274,8 +274,8 @@ func TestFullSuiteSweepIdentity(t *testing.T) {
 }
 
 // TestDeltaMatchesFullRun is the end-to-end correctness gate for the
-// incremental delta-evaluation path (baseline-relative composer
-// segmentation, the unit-outcome cache, the cross-core shared pool):
+// incremental delta-evaluation path (unit reuse across assignments
+// through the unit-outcome cache, the cross-core shared pool):
 // after a sweep over the quick-set workloads, every number the
 // scheduler's choices rest on — each context's baseline and every
 // candidate solo — must equal a cache-less exocore.Run of the same

@@ -105,8 +105,11 @@ var shardSeed = maphash.MakeSeed()
 
 // Cache memoizes evaluation-unit outcomes for one evaluation context — a
 // fixed (benchmark TDG, core config, BSA set, plans) tuple, the
-// granularity at which sched.Context creates it — and pools the graph/GPP
-// arenas unit evaluation consumes. Safe for concurrent Run calls.
+// granularity at which sched.Context creates it — and counts the arena
+// bytes its Runs reuse from the per-config worker pool. NewCache takes the
+// context's TDG and attaches that TDG's cross-core shared pool; the caller
+// keeps the core config, BSA set and plans fixed. Safe for concurrent Run
+// calls.
 //
 // Correctness rests on the drained-boundary model (see the package
 // comment): a unit's outcome depends only on its key (appendKey), never
@@ -115,17 +118,9 @@ var shardSeed = maphash.MakeSeed()
 // model that carried other state from one unit to the next could not be
 // cached.
 type Cache struct {
-	core cores.Config
-
 	shards [cacheShards]outcomeShard
 
-	// compOnce guards lazy construction of the delta composer for this
-	// cache's (TDG, plans) tuple.
-	compOnce sync.Once
-	comp     *composer
-
-	// shared is the cross-core outcome pool for this cache's TDG,
-	// attached alongside the composer; nil until composerFor runs.
+	// shared is the cross-core outcome pool for this cache's TDG.
 	shared *sharedPool
 
 	// persist is the optional durable tier under this cache (see
@@ -142,11 +137,12 @@ type Cache struct {
 	hits, misses, reused, entries, sharedHits *obs.Counter
 }
 
-// NewCache creates a unit-outcome cache for one core config.
-func NewCache(core cores.Config) *Cache {
+// NewCache creates a unit-outcome cache for one evaluation context over
+// t, attached to t's cross-core shared pool.
+func NewCache(t *tdg.TDG) *Cache {
 	c := &Cache{
-		core: core,
-		hits: obs.NewCounter(), misses: obs.NewCounter(),
+		shared: sharedPoolFor(t),
+		hits:   obs.NewCounter(), misses: obs.NewCounter(),
 		reused: obs.NewCounter(), entries: obs.NewCounter(),
 		sharedHits: obs.NewCounter(),
 	}
@@ -165,17 +161,6 @@ func (c *Cache) Stats() CacheStats {
 		Entries:     c.entries.Value(),
 		SharedHits:  c.sharedHits.Value(),
 	}
-}
-
-// composerFor returns the cache's delta composer, building it on first
-// use. The cache is documented to serve exactly one (TDG, plans) tuple,
-// so the first caller's arguments define it.
-func (c *Cache) composerFor(t *tdg.TDG, plans map[string]*tdg.Plan) *composer {
-	c.compOnce.Do(func() {
-		c.comp = newComposer(t, plans)
-		c.shared = sharedPoolFor(t)
-	})
-	return c.comp
 }
 
 func (c *Cache) shardOf(key []byte) *outcomeShard {
@@ -318,9 +303,7 @@ func acquireWorker(core cores.Config, reused *obs.Counter) *segWorker {
 	}
 	p.mu.Unlock()
 	if w != nil {
-		if reused != nil {
-			reused.Add(w.memBytes())
-		}
+		reused.Add(w.memBytes())
 		return w
 	}
 	return newSegWorker(core)
@@ -336,15 +319,6 @@ func releaseWorker(core cores.Config, w *segWorker) {
 	}
 	p.mu.Unlock()
 }
-
-// getWorker returns a pooled evaluation worker, accounting reused arena
-// bytes, or builds a fresh one.
-func (c *Cache) getWorker() *segWorker {
-	return acquireWorker(c.core, c.reused)
-}
-
-// putWorker returns a worker to the pool.
-func (c *Cache) putWorker(w *segWorker) { releaseWorker(c.core, w) }
 
 // segWorker bundles the reusable arenas one unit evaluation needs: a µDG
 // for the transforms' nodes and a GPP constructor (whose five

@@ -9,6 +9,7 @@ import (
 	"exocore/internal/cores"
 	"exocore/internal/dg"
 	"exocore/internal/energy"
+	"exocore/internal/tdg"
 )
 
 // TestCachedRunMatchesUncached is the correctness gate for the
@@ -22,7 +23,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 		td := buildTDG(t, bench, 15000)
 		bsas := allBSAs()
 		plans := analyzeAll(td, bsas)
-		cache := NewCache(cores.OOO2)
+		cache := NewCache(td)
 
 		assigns := []Assignment{nil, {}}
 		var names []string
@@ -107,7 +108,7 @@ func TestCacheConcurrentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := NewCache(cores.OOO2)
+	cache := NewCache(td)
 	const goroutines = 8
 	results := make([]*RunResult, goroutines)
 	errs := make([]error, goroutines)
@@ -137,7 +138,7 @@ func TestCacheConcurrentRuns(t *testing.T) {
 // from store, a class-less outcome never displaces a class-attributed
 // one, and the key counts as one entry.
 func TestStoreReplacesClasslessEntry(t *testing.T) {
-	c := NewCache(cores.OOO2)
+	c := NewCache(new(tdg.TDG))
 	k := appendKey(nil, &unit{
 		segs:  []Segment{{LoopID: -1, Start: 0, End: 100}},
 		names: []string{""}, cfgRes: []bool{false},
@@ -188,7 +189,7 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 	const rounds, goroutines = 40, 4
 	for r := 0; r < rounds; r++ {
 		assign, ref := assigns[r%len(assigns)], refs[r%len(assigns)]
-		cache := NewCache(cores.OOO2)
+		cache := NewCache(td)
 		results := make([]*RunResult, goroutines)
 		errs := make([]error, goroutines)
 		start := make(chan struct{})
@@ -215,5 +216,43 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 				t.Errorf("round %d goroutine %d: region table diverges from the cache-less reference", r, g)
 			}
 		}
+	}
+}
+
+// TestSharedPoolServesSiblingCore pins the cross-core shared pool to the
+// cache's construction: two caches built on one TDG share its pool, so an
+// NS-DF solo unit one core evaluated reaches the other core as a shared
+// hit, and that core's result still equals its cache-less Run.
+func TestSharedPoolServesSiblingCore(t *testing.T) {
+	td := buildTDG(t, "mm", 15000)
+	bsas := allBSAs()
+	plans := analyzeAll(td, bsas)
+	var loops []int
+	for l := range plans["NS-DF"].Regions {
+		loops = append(loops, l)
+	}
+	if len(loops) == 0 {
+		t.Fatal("NS-DF plans no loop of mm")
+	}
+	sort.Ints(loops)
+	assign := Assignment{loops[0]: "NS-DF"}
+
+	first, second := NewCache(td), NewCache(td)
+	if _, err := Run(td, cores.OOO2, bsas, plans, assign, RunOpts{Cache: first}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(td, cores.OOO4, bsas, plans, assign, RunOpts{Cache: second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := second.Stats().SharedHits; n < 1 {
+		t.Errorf("OOO4 cache counted %d shared hits after OOO2 evaluated the NS-DF solo, want >= 1", n)
+	}
+	want, err := Run(td, cores.OOO4, bsas, plans, assign, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles || got.Counts != want.Counts || !reflect.DeepEqual(got.Models, want.Models) {
+		t.Errorf("OOO4 through the shared pool diverges from its cache-less Run\nshared:     %+v\ncache-less: %+v", got, want)
 	}
 }

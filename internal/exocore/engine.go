@@ -30,9 +30,9 @@
 // pure function of (core, span, model sequence, config residency), which
 // makes outcomes cacheable across the 2^n-assignment design sweeps of §5
 // — a 16-mask sweep evaluates each distinct unit once. The cached and
-// uncached paths share the single evalUnit implementation, so their
-// results agree bit-for-bit by construction (gated by the equivalence
-// tests in this package and internal/dse).
+// uncached paths share one split (Segmentize) and the single evalUnit
+// implementation, so their results agree bit-for-bit by construction
+// (gated by the equivalence tests in this package and internal/dse).
 //
 // Cross-unit accelerator state — configuration residency — is simulated
 // by the engine itself in composition order (per-BSA LRU of
@@ -85,13 +85,14 @@ type RunOpts struct {
 	// (RunResult.Regions): dynamic instructions, cycles, energy events and
 	// critical-path class histogram per (loop, model).
 	RecordRegions bool
-	// Cache, when non-nil, memoizes segment outcomes and pools evaluation
-	// arenas across Runs, and evaluates incrementally: composer
-	// segmentation, unit reuse across assignments and the cross-core shared
-	// pool. It must have been created for the same core config and be
-	// used with a fixed (TDG, bsas, plans) tuple. Without a cache, Run
-	// segmentizes and evaluates every unit from scratch — the reference
-	// the identity tests hold cached runs to.
+	// Cache, when non-nil, memoizes unit outcomes across Runs and
+	// evaluates incrementally: a Run under a new assignment evaluates only
+	// the units no earlier Run produced, and offload units may come from
+	// the cross-core shared pool. It must have been created for the same
+	// TDG (NewCache) and be used with a fixed (core, bsas, plans) tuple.
+	// Without a cache, Run evaluates every unit from scratch — the
+	// reference the identity tests hold cached runs to. Both split the
+	// trace with Segmentize.
 	Cache *Cache
 	// Span, when active, receives one child span per evaluation unit
 	// (annotated with cache hit/miss) with nested transform spans. The
@@ -222,9 +223,9 @@ func (r *RunResult) CyclesOf(name string) int64 {
 // The instruction's region depends only on its innermost loop, so the
 // split runs over the TDG's memoized innermost-loop atoms: one region
 // resolution per distinct loop (memoized in a nest-indexed scratch
-// slice), one merge pass over the atoms — O(atoms + loops × depth)
-// instead of the per-instruction nest walk this replaces, which was the
-// single largest cost of uncached evaluation.
+// slice), one merge pass over the atoms — O(atoms + loops × depth), not
+// O(trace × nest depth). Every Run splits its trace here, with or without
+// a cache.
 func Segmentize(t *tdg.TDG, assign Assignment) []Segment {
 	nest := t.Nest
 	atoms := t.LoopAtoms()
@@ -281,21 +282,16 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 		}
 	}
 
-	// With a cache, the composer's precomputed atoms segmentize in
-	// O(atoms). One worker (graph + GPP arenas) serves every unit of this
-	// run, drawn from — and returned to — the per-config arena pool.
-	var segs []Segment
-	var w *segWorker
+	units := unitize(t, Segmentize(t, assign), assign, bsas)
+	// One worker (graph + GPP arenas) serves every unit of this run,
+	// drawn from — and returned to — the per-config arena pool; a cache
+	// counts the bytes the reuse saved.
+	var reused *obs.Counter
 	if opts.Cache != nil {
-		segs = opts.Cache.composerFor(t, plans).segmentize(assign)
-		w = opts.Cache.getWorker()
-		defer opts.Cache.putWorker(w)
-	} else {
-		segs = Segmentize(t, assign)
-		w = acquireWorker(core, nil)
-		defer releaseWorker(core, w)
+		reused = opts.Cache.reused
 	}
-	units := unitize(t, segs, assign, bsas)
+	w := acquireWorker(core, reused)
+	defer releaseWorker(core, w)
 	res := &RunResult{Models: make([]ModelStat, 0, len(assign)+1)}
 
 	if opts.Reg != nil {

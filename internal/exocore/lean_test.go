@@ -35,7 +35,7 @@ func sameRun(a, b *RunResult) string {
 
 // TestLeanRunMatchesAttribution holds lean runs to attributed ones: a
 // lean Run — the lean step, per-segment retirement, and through a Cache
-// also delta composition — must equal an uncached RecordRegions Run,
+// also unit reuse — must equal an uncached RecordRegions Run,
 // whose core takes the attributed step and whose transforms build
 // attribution graphs that are never retired. (The attributed step itself
 // is held to the node-form core by the cores package's differential
@@ -62,7 +62,7 @@ func TestLeanRunMatchesAttribution(t *testing.T) {
 		}
 		sort.Ints(loops)
 		for _, core := range cores.Configs {
-			cache := NewCache(core)
+			cache := NewCache(td)
 			assigns := []Assignment{nil}
 			for trial := 0; trial < 4; trial++ {
 				a := Assignment{}

@@ -33,7 +33,7 @@ func TestObservationDoesNotPerturbResults(t *testing.T) {
 	tr := obs.NewTracer("test")
 	sp := tr.Begin("stage", "eval cjpeg")
 	obsRun, err := Run(td, cores.OOO2, bsas, plans, assign, RunOpts{
-		Cache:         NewCache(cores.OOO2),
+		Cache:         NewCache(td),
 		Span:          sp,
 		Reg:           obs.NewRegistry(),
 		RecordRegions: true,
@@ -70,7 +70,7 @@ func TestObservationDoesNotPerturbResults(t *testing.T) {
 	ring := obs.NewRingTracer("test", 2)
 	rsp := ring.Begin("stage", "eval cjpeg")
 	ringRun, err := Run(td, cores.OOO2, bsas, plans, assign, RunOpts{
-		Cache:         NewCache(cores.OOO2),
+		Cache:         NewCache(td),
 		Span:          rsp,
 		Reg:           obs.NewRegistry(),
 		RecordRegions: true,

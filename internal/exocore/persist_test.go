@@ -80,7 +80,7 @@ func TestPersistWarmRestartMatchesCold(t *testing.T) {
 
 	// Cold process: populate the persist layer.
 	p := newMapPersist()
-	c1 := NewCache(cores.OOO2)
+	c1 := NewCache(td)
 	c1.AttachPersist(p, "u1|cjpeg/OOO2/15000|")
 	var want []*RunResult
 	for _, a := range assigns {
@@ -92,7 +92,7 @@ func TestPersistWarmRestartMatchesCold(t *testing.T) {
 
 	// Restarted process: fresh cache, same store and namespace.
 	p.gets, p.hits = 0, 0
-	c2 := NewCache(cores.OOO2)
+	c2 := NewCache(td)
 	c2.AttachPersist(p, "u1|cjpeg/OOO2/15000|")
 	for i, a := range assigns {
 		got := run(c2, a)
@@ -106,7 +106,7 @@ func TestPersistWarmRestartMatchesCold(t *testing.T) {
 	t.Logf("warm restart: %d/%d persist hits, %d entries", p.hits, p.gets, len(p.m))
 
 	// A different namespace must not cross-contaminate.
-	c3 := NewCache(cores.OOO2)
+	c3 := NewCache(td)
 	c3.AttachPersist(p, "u1|cjpeg/OOO4/15000|")
 	before := p.hits
 	run(c3, nil)
@@ -129,7 +129,7 @@ func TestPersistSkipsClassAttribution(t *testing.T) {
 	}
 
 	p := newMapPersist()
-	c1 := NewCache(cores.OOO2)
+	c1 := NewCache(td)
 	c1.AttachPersist(p, "ns|")
 	if _, err := Run(td, cores.OOO2, bsas, plans, nil, RunOpts{Cache: c1, RecordRegions: true}); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestPersistSkipsClassAttribution(t *testing.T) {
 	// persist layer), then demand classes from yet another fresh cache:
 	// the classless entries must be bypassed and the result must carry
 	// regions.
-	c1b := NewCache(cores.OOO2)
+	c1b := NewCache(td)
 	c1b.AttachPersist(p, "ns|")
 	if _, err := Run(td, cores.OOO2, bsas, plans, nil, RunOpts{Cache: c1b}); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestPersistSkipsClassAttribution(t *testing.T) {
 	if p.puts == 0 {
 		t.Fatal("classless run persisted nothing")
 	}
-	c2 := NewCache(cores.OOO2)
+	c2 := NewCache(td)
 	c2.AttachPersist(p, "ns|")
 	got, err := Run(td, cores.OOO2, bsas, plans, nil, RunOpts{Cache: c2, RecordRegions: true})
 	if err != nil {

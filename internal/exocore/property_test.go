@@ -91,11 +91,11 @@ func TestArbitraryAssignmentsAreSane(t *testing.T) {
 
 // TestRandomizedAssignmentsDeltaEqualsFull is the property-level gate for
 // the incremental delta-evaluation path: over a seeded corpus of random
-// assignments, a Run through the delta machinery (shared cache, atom
-// segmentation, cross-core shared pool) must agree
+// assignments, a Run through the delta machinery (shared cache, unit
+// reuse, cross-core shared pool) must agree
 // exactly — cycles, energy counts, model attribution, offload cycles and
-// per-region stats — with a cache-less Run, which segmentizes and
-// evaluates from scratch, on the same assignment.
+// per-region stats — with a cache-less Run, which evaluates every unit
+// from scratch, on the same assignment.
 // The cache is shared across the whole corpus so later assignments
 // exercise unit reuse against outcomes stored by earlier ones, and
 // both cores draw from the same process-wide shared-pool registry the way
@@ -137,7 +137,7 @@ func TestRandomizedAssignmentsDeltaEqualsFull(t *testing.T) {
 		}
 
 		for _, core := range []cores.Config{cores.IO2, cores.OOO4} {
-			cache := NewCache(core)
+			cache := NewCache(td)
 			for i := 0; i < assignments; i++ {
 				assign := Assignment{}
 				for _, l := range loops {

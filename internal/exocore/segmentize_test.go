@@ -1,6 +1,8 @@
 package exocore
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"exocore/internal/bpred"
@@ -10,6 +12,7 @@ import (
 	"exocore/internal/sim"
 	"exocore/internal/tdg"
 	"exocore/internal/trace"
+	"exocore/internal/workloads"
 )
 
 // synthTDG executes an authored program and builds its TDG, mirroring the
@@ -52,21 +55,83 @@ func checkCoverage(t *testing.T, td *tdg.TDG, segs []Segment) {
 	}
 }
 
-// eachSegmentizer runs check on both segmentizers Run uses: Segmentize
-// (cache-less runs) and the delta composer's (cached runs), the latter
-// built over a minimal plan for each assigned loop.
+// eachSegmentizer runs check on Segmentize's split, the one every Run
+// makes, cached or cache-less.
 func eachSegmentizer(t *testing.T, td *tdg.TDG, assign Assignment, check func(t *testing.T, segs []Segment)) {
 	t.Helper()
-	plans := map[string]*tdg.Plan{}
-	for l, name := range assign {
-		if plans[name] == nil {
-			plans[name] = &tdg.Plan{BSA: name, Regions: map[int]*tdg.Region{}}
-		}
-		plans[name].Regions[l] = &tdg.Region{LoopID: l}
-	}
-	comp := newComposer(td, plans)
 	t.Run("Segmentize", func(t *testing.T) { check(t, Segmentize(td, assign)) })
-	t.Run("composer", func(t *testing.T) { check(t, comp.segmentize(assign)) })
+}
+
+// refSegmentize is Segmentize's test-only reference. It resolves each
+// dynamic instruction on its own: walk from its innermost loop out
+// through Parent, keep the outermost loop the assignment names (-1 if
+// none), then merge equal neighbours.
+func refSegmentize(td *tdg.TDG, assign Assignment) []Segment {
+	var segs []Segment
+	for i := range td.Trace.Insts {
+		region := -1
+		for l := td.Nest.InnermostOfInst(int(td.Trace.Insts[i].SI)); l != -1; l = td.Nest.Loops[l].Parent {
+			if _, ok := assign[l]; ok {
+				region = l
+			}
+		}
+		if n := len(segs); n > 0 && segs[n-1].LoopID == region {
+			segs[n-1].End = i + 1
+		} else {
+			segs = append(segs, Segment{LoopID: region, Start: i, End: i + 1})
+		}
+	}
+	return segs
+}
+
+// segmentizeTDGs holds FuzzSegmentize's TDGs, built once per process.
+var segmentizeTDGs struct {
+	sync.Mutex
+	m map[string]*tdg.TDG
+}
+
+// FuzzSegmentize holds Segmentize to refSegmentize on any workload at 4k
+// instructions under any pick of its loops, planned or not, nested picks
+// included: loop l is assigned when bit l%64 of mask is set. The seeds —
+// every workload with an empty, a full and two alternating masks — run
+// with the ordinary tests; `make fuzz` explores further.
+func FuzzSegmentize(f *testing.F) {
+	all := workloads.All()
+	for i := range all {
+		for _, mask := range []uint64{0, ^uint64(0), 0x5555555555555555, 0xaaaaaaaaaaaaaaaa} {
+			f.Add(uint8(i), mask)
+		}
+	}
+	f.Fuzz(func(t *testing.T, bench uint8, mask uint64) {
+		name := all[int(bench)%len(all)].Name
+		segmentizeTDGs.Lock()
+		if segmentizeTDGs.m == nil {
+			segmentizeTDGs.m = make(map[string]*tdg.TDG)
+		}
+		td := segmentizeTDGs.m[name]
+		if td == nil {
+			td = buildTDG(t, name, 4000)
+			segmentizeTDGs.m[name] = td
+		}
+		segmentizeTDGs.Unlock()
+
+		assign := Assignment{}
+		for l := range td.Nest.Loops {
+			if mask>>(l%64)&1 != 0 {
+				assign[l] = "NS-DF"
+			}
+		}
+		got, want := Segmentize(td, assign), refSegmentize(td, assign)
+		if slices.Equal(got, want) {
+			return
+		}
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s mask %#x: %d segments, reference %d; first difference at segment %d: %v, reference %v",
+			name, mask, len(got), len(want), i, got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
+	})
 }
 
 // TestSegmentizeEmptyTrace: a trace with no dynamic instructions yields no

@@ -77,7 +77,7 @@ type ContextOpts struct {
 // plus each (loop, BSA) candidate in isolation.
 func NewContext(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts ContextOpts) (*Context, error) {
 	ctx := &Context{TDG: t, Core: core, BSAs: bsas, Plans: make(map[string]*tdg.Plan),
-		Cache: exocore.NewCache(core), reg: opts.Reg}
+		Cache: exocore.NewCache(t), reg: opts.Reg}
 	if opts.Persist != nil {
 		ctx.Cache.AttachPersist(opts.Persist, opts.PersistNS)
 	}

@@ -55,8 +55,8 @@ type LoopAtom struct {
 // LoopAtoms returns (computing lazily, concurrency-safe) the trace's
 // innermost-loop partition. Segmentation under any assignment reduces to
 // one region resolution per distinct loop plus one merge pass over the
-// atoms — O(atoms) instead of O(trace × nest depth) per call, which
-// dominated uncached evaluation.
+// atoms — O(atoms) instead of O(trace × nest depth) per call. That pass is
+// exocore.Segmentize, the one split of every engine Run, cached or not.
 func (t *TDG) LoopAtoms() []LoopAtom {
 	t.atomsOnce.Do(func() {
 		// Innermost loop per static instruction, then one scan of the
