@@ -42,7 +42,9 @@ test:
 # evaluation's chunk boundaries (RunStream over any chunking of a trace
 # must equal the attribution-mode Run), the trace split every Run makes
 # (Segmentize under any pick of a workload's loops must equal its
-# per-instruction reference), and the bytes that reach the
+# per-instruction reference), the store-forwarding table
+# (FuzzStoreTable: any Set/Get/Clear/Keep/ForEach sequence must match a
+# Go map plus its first-store order), and the bytes that reach the
 # process from outside: /v1/evaluate and /v1/sweep bodies, design codes
 # and BSA letters, store object frames, persisted unit outcomes and the
 # partial documents a fabric coordinator merges must never panic, and
@@ -52,6 +54,7 @@ test:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunStreamChunks$$' -fuzztime 10s ./internal/exocore
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentize$$' -fuzztime 3s ./internal/exocore
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreTable$$' -fuzztime 3s ./internal/dg
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 3s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 3s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDesignCode$$' -fuzztime 3s ./internal/dse

@@ -55,12 +55,7 @@ func main() {
 		if err != nil {
 			app.Fail(err)
 		}
-		var assign exocore.Assignment
-		if app.UseAmdahl() {
-			assign = ctx.AmdahlTree(avail)
-		} else {
-			assign = ctx.Oracle(avail)
-		}
+		assign := ctx.Assign(app.Sched, avail)
 		var res *exocore.RunResult
 		if *regions {
 			res, err = eng.Report(wl, core, assign)

@@ -22,7 +22,6 @@ import (
 
 	"exocore/internal/cli"
 	"exocore/internal/dse"
-	"exocore/internal/exocore"
 	"exocore/internal/report"
 )
 
@@ -41,7 +40,7 @@ func main() {
 
 	exp, err := dse.Explore(dse.Options{
 		Workloads: app.Workloads(),
-		UseAmdahl: app.UseAmdahl(),
+		Sched:     app.Sched,
 		Engine:    app.Engine(),
 	})
 	if err != nil {
@@ -94,13 +93,7 @@ func reportRegions(app *cli.App, code string, doc *report.Document) error {
 		if err != nil {
 			return err
 		}
-		var assign exocore.Assignment
-		if app.UseAmdahl() {
-			assign = sc.AmdahlTree(avail)
-		} else {
-			assign = sc.Oracle(avail)
-		}
-		res, err := eng.Report(wl, core, assign)
+		res, err := eng.Report(wl, core, sc.Assign(app.Sched, avail))
 		if err != nil {
 			return err
 		}

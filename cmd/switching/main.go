@@ -49,12 +49,7 @@ func emit(app *cli.App, doc *report.Document, wl *workloads.Workload) error {
 		return err
 	}
 	avail := app.Registry().Names()
-	var assign exocore.Assignment
-	if app.UseAmdahl() {
-		assign = ctx.AmdahlTree(avail)
-	} else {
-		assign = ctx.Oracle(avail)
-	}
+	assign := ctx.Assign(app.Sched, avail)
 	// Reuse the context's models and unit cache; the timeline composes
 	// from the same memoized unit outcomes the scheduler measured.
 	sp := app.Tracer().Begin("stage", "timeline "+wl.Name)

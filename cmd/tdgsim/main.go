@@ -97,12 +97,7 @@ func run(app *cli.App, wl *workloads.Workload, fuse bool) error {
 	if err != nil {
 		return err
 	}
-	var assign exocore.Assignment
-	if app.UseAmdahl() {
-		assign = ctx.AmdahlTree(names)
-	} else {
-		assign = ctx.Oracle(names)
-	}
+	assign := ctx.Assign(app.Sched, names)
 
 	res, err := eng.Report(wl, core, assign)
 	if err != nil {
@@ -154,8 +149,13 @@ func run(app *cli.App, wl *workloads.Workload, fuse bool) error {
 			plan.Summary(), fc, float64(ctx.BaseCycles)/float64(fc))
 	}
 
-	// Baseline stall breakdown for reference.
-	_, _, bd := cores.EvaluateWithBreakdown(core, tr)
+	// Baseline stall breakdown for reference: the general-core row of the
+	// attributed baseline run.
+	base, err := eng.Report(wl, core, nil)
+	if err != nil {
+		return err
+	}
+	bd := base.Region(-1, "").Classes
 	fmt.Println("\nbaseline critical-path breakdown:")
 	for c := dg.EdgeClass(0); c < dg.NumEdgeClasses; c++ {
 		if bd[c] > 0 {

@@ -27,7 +27,7 @@ func main() {
 
 	exp, err := dse.Explore(dse.Options{
 		Workloads: app.Workloads(),
-		UseAmdahl: app.UseAmdahl(),
+		Sched:     app.Sched,
 		Engine:    app.Engine(),
 	})
 	if err != nil {

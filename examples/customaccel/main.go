@@ -116,7 +116,7 @@ func (m *ReduceEngine) TransformRegion(ctx *tdg.Ctx, r *tdg.Region, start, end i
 	// core; the engine performs no stores, so its store table stays empty.
 	exit := g.NewNode(int32(end - 1))
 	g.AddEdge(lastDone, exit, bsautil.TransferLatency(len(ld.LiveOuts)), dg.EdgeAccelComm)
-	return bsautil.HandBack(ctx.GPP, exit, &written, new(bsautil.StoreTab))
+	return bsautil.HandBack(ctx.GPP, exit, &written, new(dg.StoreTable[dg.NodeID]))
 }
 
 func main() {

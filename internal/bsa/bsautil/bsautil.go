@@ -78,7 +78,7 @@ func Enter(ctx *tdg.Ctx, liveIns []isa.Reg, start int, cfgLat int64) dg.NodeID {
 // register, in ascending register order, the region's stores are noted
 // for forwarding into later core loads, and the core's fetch waits for
 // exit. It returns exit.
-func HandBack(gpp tdg.Core, exit dg.NodeID, written *[isa.NumRegs]bool, stores *StoreTab) dg.NodeID {
+func HandBack(gpp tdg.Core, exit dg.NodeID, written *[isa.NumRegs]bool, stores *dg.StoreTable[dg.NodeID]) dg.NodeID {
 	for r, w := range written {
 		if w {
 			gpp.SetRegDef(isa.Reg(r), exit)
@@ -130,7 +130,9 @@ type Dataflow struct {
 
 	regNode  [isa.NumRegs]dg.NodeID
 	ctrlNode dg.NodeID
-	stores   StoreTab
+	// stores maps each stored word to its completion node. It holds every
+	// store of the region, up to a reset after 8192 words (Exec).
+	stores dg.StoreTable[dg.NodeID]
 
 	issueRT *dg.ResourceTable
 	busRT   *dg.ResourceTable
@@ -156,93 +158,6 @@ type Dataflow struct {
 var dfPool = sync.Pool{New: func() any {
 	return &Dataflow{}
 }}
-
-// StoreTab maps the word address of each store an offload region
-// performed to the store's completion node, for store-to-load forwarding
-// inside the region and for handing the stores to the core at exit. It
-// is an open-addressed table instead of a Go map on the per-op hot path,
-// and it holds every store until Clear. Keys are word addresses (the low
-// three bits cleared) tagged with bit 0, so the zero key can mean "empty
-// slot". slots lists the occupied slots in insertion
-// order, so clearing and visiting the table cost O(stores performed), not
-// O(capacity) — a pooled table keeps the capacity its largest region ever
-// grew it to. The zero table is empty; call Clear before its first Get or
-// Set.
-type StoreTab struct {
-	keys  []uint64
-	nodes []dg.NodeID
-	slots []int32
-}
-
-const storeTabInitSize = 1024
-
-// Clear empties the table.
-func (t *StoreTab) Clear() {
-	if t.keys == nil {
-		t.keys = make([]uint64, storeTabInitSize)
-		t.nodes = make([]dg.NodeID, storeTabInitSize)
-	}
-	for _, i := range t.slots {
-		t.keys[i] = 0
-	}
-	t.slots = t.slots[:0]
-}
-
-// Get returns the completion node of the last store to addr's word.
-func (t *StoreTab) Get(addr uint64) (dg.NodeID, bool) {
-	k := addr&^7 | 1
-	mask := uint64(len(t.keys) - 1)
-	for i := (k * 0x9E3779B97F4A7C15) >> 17 & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case k:
-			return t.nodes[i], true
-		case 0:
-			return dg.None, false
-		}
-	}
-}
-
-// Set records n as the last store to addr's word.
-func (t *StoreTab) Set(addr uint64, n dg.NodeID) {
-	if 2*(len(t.slots)+1) > len(t.keys) {
-		t.grow()
-	}
-	t.insert(addr&^7|1, n)
-}
-
-func (t *StoreTab) insert(k uint64, n dg.NodeID) {
-	mask := uint64(len(t.keys) - 1)
-	for i := (k * 0x9E3779B97F4A7C15) >> 17 & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case k:
-			t.nodes[i] = n
-			return
-		case 0:
-			t.keys[i], t.nodes[i] = k, n
-			t.slots = append(t.slots, int32(i))
-			return
-		}
-	}
-}
-
-func (t *StoreTab) grow() {
-	oldKeys, oldNodes, oldSlots := t.keys, t.nodes, t.slots
-	t.keys = make([]uint64, 2*len(oldKeys))
-	t.nodes = make([]dg.NodeID, 2*len(oldNodes))
-	t.slots = make([]int32, 0, cap(oldSlots))
-	for _, i := range oldSlots {
-		t.insert(oldKeys[i], oldNodes[i])
-	}
-}
-
-// ForEach visits every (word address, completion node) pair in
-// first-store order. Addresses are unique, so visit order does not
-// matter to consumers.
-func (t *StoreTab) ForEach(f func(addr uint64, n dg.NodeID)) {
-	for _, i := range t.slots {
-		f(t.keys[i]&^1, t.nodes[i])
-	}
-}
 
 // NewDataflow returns an executor whose inputs become available at the
 // entry node (live-in transfer complete). The executor is pooled: pair
@@ -330,7 +245,7 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 	}
 	if in.Op.IsStore() {
 		d.stores.Set(dyn.Addr, p)
-		if len(d.stores.slots) > 8192 {
+		if d.stores.Len() > 8192 {
 			d.stores.Clear()
 			d.stores.Set(dyn.Addr, p)
 		}

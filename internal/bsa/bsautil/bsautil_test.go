@@ -1,7 +1,7 @@
 package bsautil
 
 import (
-	"maps"
+	"slices"
 	"testing"
 
 	"exocore/internal/bpred"
@@ -283,34 +283,62 @@ func TestDataflowLeanTimesIdentical(t *testing.T) {
 	}
 }
 
-// TestStoreTabReuseVisitsOnlyNewStores: a pooled store table keeps the
-// capacity its largest region grew it to, but clearing and visiting it
-// must cost (and see) only the stores of the current region.
-func TestStoreTabReuseVisitsOnlyNewStores(t *testing.T) {
-	var tab StoreTab
-	tab.Clear()
-	const big = 70_000 // past 64Ki stores: the table grows to 256Ki slots
-	for i := 0; i < big; i++ {
-		tab.Set(uint64(i)*8, dg.NodeID(i))
+// storeLog is the core a region hands back to: it records the noted
+// stores and ignores the rest of the handshake.
+type storeLog struct {
+	tdg.Core
+	stores map[uint64]dg.NodeID
+	order  []uint64
+}
+
+func (s *storeLog) NoteStore(addr uint64, n dg.NodeID) {
+	s.stores[addr] = n
+	s.order = append(s.order, addr)
+}
+func (s *storeLog) SetRegDef(isa.Reg, dg.NodeID) {}
+func (s *storeLog) Barrier(dg.NodeID)            {}
+
+// TestDataflowResetForgetsOldStores: a region that stores to 8193
+// distinct words resets its store table, keeping only the store that
+// overflowed it. The first word, stored late enough that a forwarded
+// load would wait for it, must reach no later load, while a word stored
+// after the reset still forwards, and the exit hands the core exactly
+// the stores made after the reset, in first-store order.
+func TestDataflowResetForgetsOldStores(t *testing.T) {
+	g := dg.NewGraph()
+	var counts energy.Counts
+	df := NewDataflow(testCfg, g, &counts, g.Origin())
+	defer df.Release()
+	ld := func(dst isa.Reg, addr uint64, lat uint16) dg.NodeID {
+		in := isa.Inst{Op: isa.Ld, Dst: dst, Src1: isa.R(1), Src2: isa.NoReg}
+		return df.Exec(&in, &trace.DynInst{Addr: addr, MemLat: lat}, 0)
 	}
-	if len(tab.keys) < 2*big {
-		t.Fatalf("table did not grow: %d slots for %d stores", len(tab.keys), big)
+	st := func(addr uint64, val isa.Reg) dg.NodeID {
+		in := isa.Inst{Op: isa.St, Src1: isa.R(1), Src2: val, Dst: isa.NoReg}
+		return df.Exec(&in, &trace.DynInst{Addr: addr, MemLat: 4}, 0)
 	}
-	tab.Clear()
-	want := map[uint64]dg.NodeID{0x1000: 7, 0x88: 9, 0xdead0: 11}
-	for addr, n := range want {
-		tab.Set(addr, n)
+	const first = 0x100000
+	ld(isa.R(2), 0x8000, 60000) // the late value the first store writes
+	late := st(first, isa.R(2))
+	for i := uint64(1); i < 8193; i++ {
+		st(first+8*i, isa.R(3)) // the last one overflows the table
 	}
-	got := map[uint64]dg.NodeID{}
-	visits := 0
-	tab.ForEach(func(addr uint64, n dg.NodeID) {
-		got[addr] = n
-		visits++
-	})
-	if visits != len(want) || !maps.Equal(got, want) {
-		t.Fatalf("visited %d pairs %v, want exactly %v", visits, got, want)
+	after := st(0x200000, isa.R(2))
+	again := st(first+8, isa.R(3))
+	if p := ld(isa.R(4), first, 4); g.Time(p) >= g.Time(late) {
+		t.Errorf("load of the first word completes at %d, after its store before the reset (%d)", g.Time(p), g.Time(late))
 	}
-	if n, ok := tab.Get(8); ok {
-		t.Fatalf("cleared entry still found (node %d)", n)
+	if p := ld(isa.R(5), 0x200004, 4); g.Time(p) <= g.Time(after) {
+		t.Errorf("load of a word stored after the reset completes at %d, not after its store (%d)", g.Time(p), g.Time(after))
+	}
+
+	core := &storeLog{stores: map[uint64]dg.NodeID{}}
+	df.Exit(core, 0)
+	want := []uint64{first + 8*8192, 0x200000, first + 8}
+	if !slices.Equal(core.order, want) {
+		t.Fatalf("exit noted %d stores %#x, want the %d made after the reset %#x", len(core.order), core.order[:min(len(core.order), 4)], len(want), want)
+	}
+	if core.stores[0x200000] != after || core.stores[first+8] != again {
+		t.Errorf("exit noted the wrong store nodes")
 	}
 }

@@ -277,7 +277,7 @@ type streams struct {
 
 	ops     int64
 	written [isa.NumRegs]bool
-	stores  bsautil.StoreTab
+	stores  dg.StoreTable[dg.NodeID]
 }
 
 // streamsPool recycles executors, and with them their store tables,

@@ -21,6 +21,7 @@ import (
 	"exocore/internal/obs"
 	"exocore/internal/report"
 	"exocore/internal/runner"
+	"exocore/internal/sched"
 	"exocore/internal/sim"
 	"exocore/internal/store"
 	"exocore/internal/workloads"
@@ -40,7 +41,7 @@ type App struct {
 	Bench   string // "all" | "quick" | comma-separated benchmark names
 	Core    string // general-core name (Table 4)
 	BSAs    string // "all" | "none" | comma-separated BSA names
-	Sched   string // "oracle" | "amdahl"
+	Sched   string // a scheduler name (sched.Names)
 	JSON    bool   // emit the versioned JSON schema instead of text
 	Verbose bool   // progress + engine metrics on stderr
 	VV      bool   // debug-level logging (implies -v)
@@ -92,7 +93,7 @@ func New(tool, benchDefault string) *App {
 	a.fs.StringVar(&a.Bench, "bench", benchDefault, "benchmarks: all | quick | comma-separated names")
 	a.fs.StringVar(&a.Core, "core", cores.Default.Name, "general core: IO2, OOO2, OOO4, OOO6")
 	a.fs.StringVar(&a.BSAs, "bsas", "all", "BSAs available: all | none | comma-separated of "+strings.Join(bsa.Default().Names(), ","))
-	a.fs.StringVar(&a.Sched, "sched", "oracle", "scheduler: oracle | amdahl")
+	a.fs.StringVar(&a.Sched, "sched", sched.Names[0], "scheduler: "+strings.Join(sched.Names, " | "))
 	a.fs.BoolVar(&a.JSON, "json", false, "emit the versioned JSON result schema ("+report.Schema+")")
 	a.fs.BoolVar(&a.Verbose, "v", false, "progress and engine metrics on stderr")
 	a.fs.BoolVar(&a.VV, "vv", false, "debug-level logging on stderr (implies -v)")
@@ -172,10 +173,8 @@ func (a *App) Parse(args []string) error {
 		return err
 	}
 
-	switch a.Sched {
-	case "oracle", "amdahl":
-	default:
-		return fmt.Errorf("unknown scheduler %q (have oracle, amdahl)", a.Sched)
+	if a.Sched, err = sched.Resolve(a.Sched); err != nil {
+		return err
 	}
 	if a.VV {
 		a.Verbose = true
@@ -348,9 +347,6 @@ func (a *App) BSANames() []string { return a.bsas }
 // Registry returns the model registry restricted to the -bsas list (the
 // registry the tool's engine is built with).
 func (a *App) Registry() *bsa.Registry { return a.reg }
-
-// UseAmdahl reports whether -sched amdahl was selected.
-func (a *App) UseAmdahl() bool { return a.Sched == "amdahl" }
 
 // Engine returns the tool's shared evaluation engine, constructing it on
 // first use. With -v, cache misses are narrated through the structured

@@ -24,7 +24,7 @@ func TestParseDefaults(t *testing.T) {
 	if got := a.BSANames(); len(got) != bsa.Default().Len() || got[0] != "SIMD" {
 		t.Errorf("default BSAs = %v", got)
 	}
-	if a.UseAmdahl() {
+	if a.Sched != "oracle" {
 		t.Error("default scheduler should be oracle")
 	}
 	if a.MaxDyn != sim.DefaultMaxDyn {
@@ -50,7 +50,7 @@ func TestParseUnifiedFlags(t *testing.T) {
 	if got := a.BSANames(); len(got) != 2 || got[0] != "SIMD" || got[1] != "NS-DF" {
 		t.Errorf("bsas = %v", got)
 	}
-	if !a.UseAmdahl() || !a.JSON || !a.Verbose {
+	if a.Sched != "amdahl" || !a.JSON || !a.Verbose {
 		t.Error("amdahl/json/v flags not picked up")
 	}
 	if a.Engine().MaxDyn() != 5000 || a.Engine().Workers() != 3 {

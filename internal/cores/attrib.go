@@ -137,7 +137,7 @@ func (m *GPP) stepLog(di *decInst, addr uint64, memLat uint16, dflags uint8, dyn
 	e.try(m.regT[di.src2], m.regRef[di.src2], 2)
 	e.try(m.regT[di.acc], m.regRef[di.acc], 2)
 	if di.flags&fLoad != 0 {
-		if rec, ok := m.stores.get(addr &^ 7); ok && n-int(rec.age) < storeWindow {
+		if rec, ok := m.stores.Get(addr); ok && n-int(rec.age) < storeWindow {
 			e.try(rec.val+2, rec.ref, 3)
 		}
 	}
@@ -188,9 +188,9 @@ func (m *GPP) stepLog(di *decInst, addr uint64, memLat uint16, dflags uint8, dyn
 	// Architectural state updates, as in step, with their positions.
 	m.regT[di.dst], m.regRef[di.dst] = tp, logRef(n, stageP)
 	if di.flags&fStore != 0 {
-		m.stores.set(addr&^7, storeRec{val: te, age: int32(n), ref: logRef(n, stageE)})
-		if len(m.stores.slots) > 2*storeWindow {
-			m.stores.prune(n)
+		m.stores.Set(addr, storeRec{val: te, age: int32(n), ref: logRef(n, stageE)})
+		if m.stores.Len() > 2*storeWindow {
+			m.stores.Keep(func(r storeRec) bool { return n-int(r.age) < storeWindow })
 		}
 	}
 	if di.flags&fBranch != 0 && dflags&trace.FlagMispred != 0 {

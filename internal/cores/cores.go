@@ -201,9 +201,10 @@ type GPP struct {
 	robBack int                      // commit distance of the ROB / in-flight limit (0: none)
 	rts     [numRT]*dg.ResourceTable // indexed by decInst.rt
 
-	// stores maps word address → last store; Reset clears the slots the
-	// unit occupied.
-	stores storeTab
+	// stores maps word address → last store. Reset clears it; once it
+	// holds more than 2*storeWindow words, a store prunes it to the
+	// forwarding window.
+	stores dg.StoreTable[storeRec]
 
 	issueRT *dg.ResourceTable
 	aluRT   *dg.ResourceTable
@@ -236,7 +237,6 @@ func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 	case cfg.InOrder && cfg.InFlight > 0:
 		m.robBack = cfg.InFlight
 	}
-	m.stores.init()
 	if !cfg.InOrder && cfg.Window > 0 {
 		m.win.init(cfg.Window)
 	}
@@ -253,7 +253,7 @@ func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 func (m *GPP) Reset(g *dg.Graph, counts *energy.Counts) {
 	m.G = g
 	m.Counts = counts
-	m.stores.reset()
+	m.stores.Clear()
 	m.issueRT.Reset()
 	m.aluRT.Reset()
 	m.mulRT.Reset()
@@ -324,7 +324,7 @@ func (m *GPP) settle() {
 		case handReg:
 			m.regT[h.reg], m.regRef[h.reg] = t, p
 		case handStore:
-			m.stores.set(h.addr, storeRec{val: t, age: h.age, ref: p})
+			m.stores.Set(h.addr, storeRec{val: t, age: h.age, ref: p})
 		case handBarrier:
 			// Ties go to the newer barrier, as the node form's barrier join
 			// (new barrier edge first) resolved them.
@@ -394,7 +394,7 @@ func (m *GPP) SetRegDef(r isa.Reg, node dg.NodeID) {
 // NoteStore records an accelerator-performed store so later core loads
 // observe the memory dependence.
 func (m *GPP) NoteStore(addr uint64, node dg.NodeID) {
-	m.handoffs = append(m.handoffs, handoff{node: node, kind: handStore, addr: addr &^ 7, age: int32(m.n)})
+	m.handoffs = append(m.handoffs, handoff{node: node, kind: handStore, addr: addr, age: int32(m.n)})
 }
 
 const storeWindow = 4096 // uops a store-forwarding entry stays visible
@@ -511,7 +511,7 @@ func (m *GPP) step(di *decInst, addr uint64, memLat uint16, dflags uint8) {
 		te = max(te, prev.e)
 	}
 	if di.flags&fLoad != 0 {
-		if rec, ok := m.stores.get(addr &^ 7); ok && n-int(rec.age) < storeWindow {
+		if rec, ok := m.stores.Get(addr); ok && n-int(rec.age) < storeWindow {
 			te = max(te, rec.val+2)
 		}
 	}
@@ -535,9 +535,9 @@ func (m *GPP) step(di *decInst, addr uint64, memLat uint16, dflags uint8) {
 	// Architectural state updates.
 	m.regT[di.dst] = tp
 	if di.flags&fStore != 0 {
-		m.stores.set(addr&^7, storeRec{val: te, age: int32(n)})
-		if len(m.stores.slots) > 2*storeWindow {
-			m.stores.prune(n)
+		m.stores.Set(addr, storeRec{val: te, age: int32(n)})
+		if m.stores.Len() > 2*storeWindow {
+			m.stores.Keep(func(r storeRec) bool { return n-int(r.age) < storeWindow })
 		}
 	}
 	if di.flags&fBranch != 0 && dflags&trace.FlagMispred != 0 {
@@ -550,111 +550,4 @@ func (m *GPP) step(di *decInst, addr uint64, memLat uint16, dflags uint8) {
 	m.ring[n&(histSize-1)] = stageTimes{tf, td, te, tc}
 	m.lastTP = tp
 	m.n = n + 1
-}
-
-// storeTab is an open-addressed, linear-probe map from word address to
-// storeRec, replacing the built-in map on the Exec hot path (hashing and
-// bucket probing there was a top-five cost of a DSE sweep). Occupied
-// slots key on addr|1 — word addresses have their low three bits clear,
-// so 0 safely marks an empty slot whatever the address. slots lists the
-// occupied slots, so reset clears only those and shrinks the table back
-// to its initial size, keeping the capacity a long unit grew it to: every
-// key past the occupied slots, up to the capacity, stays zero.
-type storeTab struct {
-	keys  []uint64
-	recs  []storeRec
-	slots []int32 // occupied slots
-	mask  uint64
-	kept  []storeEntry // rebuild scratch
-}
-
-type storeEntry struct {
-	key uint64
-	rec storeRec
-}
-
-const storeTabInitSize = 1024 // power of two; grows to keep load < 1/2
-
-func (t *storeTab) init() { t.resize(storeTabInitSize) }
-
-// resize sets the table's size, reusing its capacity when it suffices.
-func (t *storeTab) resize(size int) {
-	if size > cap(t.keys) {
-		t.keys, t.recs = make([]uint64, size), make([]storeRec, size)
-	}
-	t.keys, t.recs = t.keys[:size], t.recs[:size]
-	t.mask = uint64(size - 1)
-}
-
-// reset empties the table and shrinks it back to its initial size.
-func (t *storeTab) reset() {
-	for _, i := range t.slots {
-		t.keys[i] = 0
-	}
-	t.slots = t.slots[:0]
-	if len(t.keys) > storeTabInitSize {
-		t.resize(storeTabInitSize)
-	}
-}
-
-func (t *storeTab) slotOf(addr uint64) uint64 {
-	return (addr * 0x9E3779B97F4A7C15) >> 17 & t.mask
-}
-
-func (t *storeTab) get(addr uint64) (storeRec, bool) {
-	k := addr | 1
-	for i := t.slotOf(addr); ; i = (i + 1) & t.mask {
-		switch t.keys[i] {
-		case k:
-			return t.recs[i], true
-		case 0:
-			return storeRec{}, false
-		}
-	}
-}
-
-func (t *storeTab) set(addr uint64, rec storeRec) {
-	if 2*(len(t.slots)+1) > len(t.keys) {
-		t.grow()
-	}
-	k := addr | 1
-	for i := t.slotOf(addr); ; i = (i + 1) & t.mask {
-		switch t.keys[i] {
-		case k:
-			t.recs[i] = rec
-			return
-		case 0:
-			t.keys[i], t.recs[i] = k, rec
-			t.slots = append(t.slots, int32(i))
-			return
-		}
-	}
-}
-
-// grow doubles the table, rehashing every entry.
-func (t *storeTab) grow() {
-	t.rebuild(2*len(t.keys), func(storeRec) bool { return true })
-}
-
-// prune rebuilds the table keeping only the entries within the
-// store-forwarding age window of retire index n.
-func (t *storeTab) prune(n int) {
-	t.rebuild(len(t.keys), func(r storeRec) bool { return n-int(r.age) < storeWindow })
-}
-
-// rebuild rehashes the entries keep accepts into a table of size slots,
-// in place when the capacity allows.
-func (t *storeTab) rebuild(size int, keep func(storeRec) bool) {
-	t.kept = t.kept[:0]
-	for _, i := range t.slots {
-		if keep(t.recs[i]) {
-			t.kept = append(t.kept, storeEntry{t.keys[i], t.recs[i]})
-		}
-		t.keys[i] = 0
-	}
-	t.slots = t.slots[:0]
-	t.resize(size)
-	for _, e := range t.kept {
-		t.set(e.key&^1, e.rec)
-	}
 }

@@ -661,6 +661,84 @@ func TestTiesResolveInEdgeOrder(t *testing.T) {
 	}
 }
 
+// TestStorePruneKeepsTheWindow stores to more than 2*storeWindow distinct
+// words, so the core prunes its store-forwarding table, then loads words
+// stored inside and outside the storeWindow-µop forwarding window. Each
+// load's time is its forwarded store's: the stores the loads read were
+// executed or handed to the core late enough to decide them, and the one
+// outside the window would have decided its load too. The reference keeps
+// every store and checks ages at each load, so a lean and an attribution
+// GPP must match it µop by µop across the prune, on every core config.
+func TestStorePruneKeepsTheWindow(t *testing.T) {
+	const (
+		old    = 0x8000_0000 // handed over first: outside the window when loaded
+		fwd    = 0x9000      // stored late by the core just before the prune
+		handed = 0xa000      // handed over late just before the prune
+	)
+	for _, cfg := range Configs {
+		var cr, ca, cl energy.Counts
+		ref := newRefGPP(cfg, dg.NewGraph(), &cr)
+		ga, gl := dg.NewGraph(), dg.NewLeanGraph()
+		ma, ml := NewGPP(cfg, ga, &ca), NewGPP(cfg, gl, &cl)
+		cs := [...]struct {
+			m handoffCore
+			g *dg.Graph
+		}{{ref, ref.g}, {ma, ga}, {ml, gl}}
+		note := func(addr uint64, at int64) {
+			for _, c := range cs {
+				n := c.g.NewNode(-1)
+				c.g.AddEdge(c.g.Origin(), n, at, dg.EdgeAccelCompute)
+				c.m.NoteStore(addr, n)
+			}
+		}
+		exec := func(u UOp) {
+			i := int32(len(ref.stages))
+			for _, c := range cs {
+				c.m.Exec(u, i)
+			}
+			if r, l := ref.stages[i], leanStages(ml); r != l {
+				t.Fatalf("%s uop %d: reference times %v != lean %v", cfg.Name, i, r, l)
+			}
+		}
+		store := func(addr uint64, val isa.Reg) {
+			exec(UOp{Op: isa.St, Src1: isa.RZ, Src2: val, Dst: isa.NoReg, Addr: addr})
+		}
+		load := func(dst isa.Reg, addr uint64) int64 {
+			exec(UOp{Op: isa.Ld, Dst: dst, Src1: isa.RZ, Src2: isa.NoReg, Addr: addr, MemLat: 4})
+			return ref.stages[len(ref.stages)-1][2]
+		}
+
+		note(old, 1<<20)
+		for i := 0; i < 2*storeWindow-2; i++ {
+			store(0x100000+8*uint64(i), isa.RZ)
+		}
+		exec(UOp{Op: isa.Ld, Dst: isa.R(5), Src1: isa.RZ, Src2: isa.NoReg, Addr: 0x7000, MemLat: 2000})
+		store(fwd, isa.R(5)) // the table's 2*storeWindow-th word
+		note(handed, 1<<21)
+		store(0x200000, isa.RZ) // past 2*storeWindow words: the prune
+		stFwd := ref.stages[2*storeWindow-1][2]
+		if te := load(isa.R(6), fwd|4); te != stFwd+2 {
+			t.Errorf("%s: load of the word stored before the prune executes at %d, want its store's %d+2", cfg.Name, te, stFwd)
+		}
+		if te := load(isa.R(7), old); te >= 1<<20 {
+			t.Errorf("%s: load of the word handed over first waited for it past the window (%d)", cfg.Name, te)
+		}
+		if te := load(isa.R(8), handed); te != 1<<21+2 {
+			t.Errorf("%s: load of the word handed over before the prune executes at %d, want %d", cfg.Name, te, 1<<21+2)
+		}
+
+		if got := loggedStages(ma); !slices.Equal(got, ref.stages) {
+			t.Fatalf("%s: logged stage times differ from the reference", cfg.Name)
+		}
+		if r, a := pathOf(ref.WalkCriticalPath, ref.LastCommit()), pathOf(ma.WalkCriticalPath, ma.LastCommit()); !slices.Equal(r, a) {
+			t.Fatalf("%s: critical path differs from the reference's", cfg.Name)
+		}
+		if ref.EndTime() != ml.EndTime() || ma.EndTime() != ml.EndTime() {
+			t.Fatalf("%s: end times %d, %d, %d", cfg.Name, ref.EndTime(), ma.EndTime(), ml.EndTime())
+		}
+	}
+}
+
 // randomUOp returns a uop of any opcode on a few registers of each file,
 // with memory latencies up to 65535 and random taken and mispredicted
 // control flags.

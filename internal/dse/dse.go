@@ -88,8 +88,9 @@ type Options struct {
 	Workloads []*workloads.Workload
 	// Cores restricts the core set (nil = all four).
 	Cores []cores.Config
-	// UseAmdahl selects the Amdahl-tree scheduler instead of the Oracle.
-	UseAmdahl bool
+	// Sched names the scheduler (sched.Names): "amdahl" selects the
+	// Amdahl tree, any other name the Oracle.
+	Sched string
 	// Engine is the evaluation engine (required). It fixes the budget,
 	// the worker bound and the BSA registry, and repeated explorations
 	// (or other tools in the same process) reuse its artifact caches.
@@ -169,13 +170,7 @@ func ExploreCtx(ctx context.Context, opts Options) (*Exploration, error) {
 			if err != nil {
 				return d, err
 			}
-			var assign map[int]string
-			if opts.UseAmdahl {
-				assign = sc.AmdahlTree(avail)
-			} else {
-				assign = sc.Oracle(avail)
-			}
-			cycles, energy, err := eng.EvaluateCtx(ctx, w, d.Core, assign)
+			cycles, energy, err := eng.EvaluateCtx(ctx, w, d.Core, sc.Assign(opts.Sched, avail))
 			if err != nil {
 				return d, err
 			}

@@ -20,6 +20,7 @@ import (
 	"exocore/internal/dse"
 	"exocore/internal/obs"
 	"exocore/internal/report"
+	"exocore/internal/sched"
 	"exocore/internal/serve"
 	"exocore/internal/workloads"
 )
@@ -128,10 +129,8 @@ func (c *Coordinator) planSweep(req serve.SweepRequest) (*plan, error) {
 	if req.Partial {
 		return nil, fmt.Errorf("fabric: partial sweeps are shard payloads; request them from a replica, not the coordinator")
 	}
-	switch req.Sched {
-	case "", "oracle", "amdahl":
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (have oracle, amdahl)", req.Sched)
+	if _, err := sched.Resolve(req.Sched); err != nil {
+		return nil, err
 	}
 	spec := req.Bench
 	if spec == "" {

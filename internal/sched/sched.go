@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"exocore/internal/cores"
@@ -180,6 +181,30 @@ func NewContext(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts Con
 // (paper §4: "no individual region should reduce the performance by more
 // than 10%").
 const PerfLossGuard = 0.10
+
+// Names lists the schedulers a run can name, the default first.
+var Names = []string{"oracle", "amdahl"}
+
+// Resolve validates a scheduler name, resolving "" to the default.
+func Resolve(name string) (string, error) {
+	switch name {
+	case "":
+		return Names[0], nil
+	case "oracle", "amdahl":
+		return name, nil
+	}
+	return "", fmt.Errorf("unknown scheduler %q (have %s)", name, strings.Join(Names, ", "))
+}
+
+// Assign returns the named scheduler's assignment drawing only from the
+// available BSA subset: the Amdahl tree for "amdahl", the Oracle for any
+// other name.
+func (c *Context) Assign(name string, avail []string) exocore.Assignment {
+	if name == "amdahl" {
+		return c.AmdahlTree(avail)
+	}
+	return c.Oracle(avail)
+}
 
 // Oracle returns the energy-delay-optimal assignment drawing only from
 // the available BSA subset, resolved hierarchically over the loop forest

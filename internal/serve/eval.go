@@ -20,6 +20,7 @@ import (
 	"exocore/internal/obs"
 	"exocore/internal/report"
 	"exocore/internal/runner"
+	"exocore/internal/sched"
 	"exocore/internal/workloads"
 )
 
@@ -29,7 +30,7 @@ type EvalRequest struct {
 	Bench string `json:"bench"`           // "all" | "quick" | comma-separated names
 	Core  string `json:"core,omitempty"`  // general core; default cores.Default
 	BSAs  string `json:"bsas,omitempty"`  // "all" | "none" | comma list; default all
-	Sched string `json:"sched,omitempty"` // "oracle" (default) | "amdahl"
+	Sched string `json:"sched,omitempty"` // a scheduler name (sched.Names); default "oracle"
 	// MaxDyn, when non-zero, must match the daemon's per-benchmark
 	// budget: the warm engine serves exactly one budget (it is part of
 	// every cache key), so a mismatch is a 400, not a silent re-run.
@@ -42,7 +43,7 @@ type EvalRequest struct {
 // SweepRequest is the body of POST /v1/sweep.
 type SweepRequest struct {
 	Bench string `json:"bench,omitempty"` // benchmark spec; default "all"
-	Sched string `json:"sched,omitempty"` // "oracle" (default) | "amdahl"
+	Sched string `json:"sched,omitempty"` // a scheduler name (sched.Names); default "oracle"
 	// Designs restricts the sweep to a design-code list (eg.
 	// ["IO2","OOO2-SDN"]); empty sweeps the full grid of every core and
 	// every subset of the engine's registry.
@@ -67,17 +68,6 @@ type evalQuery struct {
 	core  cores.Config
 	bsas  []string
 	sched string
-}
-
-// resolveSched validates a scheduler name ("" defaults to oracle).
-func resolveSched(s string) (string, error) {
-	switch s {
-	case "":
-		return "oracle", nil
-	case "oracle", "amdahl":
-		return s, nil
-	}
-	return "", fmt.Errorf("unknown scheduler %q (have oracle, amdahl)", s)
 }
 
 // checkMaxDyn rejects a request budget that differs from the engine's.
@@ -117,14 +107,14 @@ func resolveEval(req EvalRequest, eng *runner.Engine) (evalQuery, error) {
 	if err != nil {
 		return q, err
 	}
-	sched, err := resolveSched(req.Sched)
+	name, err := sched.Resolve(req.Sched)
 	if err != nil {
 		return q, err
 	}
 	if err := checkMaxDyn(req.MaxDyn, eng); err != nil {
 		return q, err
 	}
-	q = evalQuery{wls: wls, core: core, bsas: bsas, sched: sched}
+	q = evalQuery{wls: wls, core: core, bsas: bsas, sched: name}
 	return q, nil
 }
 
@@ -163,14 +153,14 @@ func resolveSweep(req SweepRequest, eng *runner.Engine) (sweepQuery, error) {
 			return q, err
 		}
 	}
-	sched, err := resolveSched(req.Sched)
+	name, err := sched.Resolve(req.Sched)
 	if err != nil {
 		return q, err
 	}
 	if err := checkMaxDyn(req.MaxDyn, eng); err != nil {
 		return q, err
 	}
-	q = sweepQuery{wls: wls, designs: req.Designs, sched: sched, partial: req.Partial}
+	q = sweepQuery{wls: wls, designs: req.Designs, sched: name, partial: req.Partial}
 	return q, nil
 }
 
@@ -215,12 +205,7 @@ func EvaluateDocument(ctx context.Context, eng *runner.Engine, tool string,
 		if err != nil {
 			return nil, err
 		}
-		var assign exocore.Assignment
-		if sched == "amdahl" {
-			assign = sc.AmdahlTree(bsas)
-		} else {
-			assign = sc.Oracle(bsas)
-		}
+		assign := sc.Assign(sched, bsas)
 		res, err := eng.ReportCtx(ctx, wl, core, assign)
 		if err != nil {
 			return nil, err
@@ -269,7 +254,7 @@ func SweepDocument(ctx context.Context, eng *runner.Engine, tool string,
 
 	exp, err := dse.ExploreCtx(ctx, dse.Options{
 		Workloads: wls,
-		UseAmdahl: sched == "amdahl",
+		Sched:     sched,
 		Engine:    eng,
 		Designs:   designs,
 	})

@@ -57,6 +57,7 @@ import (
 	"exocore/internal/cores"
 	"exocore/internal/obs"
 	"exocore/internal/runner"
+	"exocore/internal/sched"
 	"exocore/internal/store"
 	"exocore/internal/workloads"
 )
@@ -561,7 +562,7 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 		"bsas":       bsas,
 		"workloads":  wls,
 		"cores":      coreNames,
-		"schedulers": []string{"oracle", "amdahl"},
+		"schedulers": sched.Names,
 		"maxdyn":     s.eng.MaxDyn(),
 		"fabric":     map[string]any{"role": s.role},
 	})
