@@ -362,7 +362,8 @@ var scratchPool = sync.Pool{New: func() any {
 // instance. byS entries are non-nil only while one instance call runs —
 // every call clears the entries it touched before returning, so the
 // slice comes back empty regardless of which TDG the pooled scratch
-// served last.
+// served last, and nothing points into the arena between calls: each
+// instance rewinds it.
 type instScratch struct {
 	byS   []*memInfo
 	arena []memInfo
@@ -392,6 +393,7 @@ func (m *Model) instance(ctx *tdg.Ctx, p *loopPlan, group []bsautil.Iteration, p
 	gpp := ctx.GPP
 	tr := ctx.TDG.Trace
 	lanes := len(group)
+	scratch.used = 0
 
 	// Pass 1: aggregate per-SI memory behavior across the group, and
 	// count offloaded dynamic ops for energy.

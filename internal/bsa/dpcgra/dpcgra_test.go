@@ -1,9 +1,15 @@
 package dpcgra
 
 import (
+	"runtime/debug"
 	"testing"
 
+	"exocore/internal/bsa/bsautil"
 	"exocore/internal/cores"
+	"exocore/internal/dg"
+	"exocore/internal/energy"
+	"exocore/internal/exocore"
+	"exocore/internal/tdg"
 	"exocore/internal/testutil"
 )
 
@@ -99,5 +105,57 @@ func TestModelMetadata(t *testing.T) {
 	m := New()
 	if m.Name() != "DP-CGRA" || m.OffloadsCore() || m.FUs != 64 {
 		t.Error("metadata wrong")
+	}
+}
+
+// TestRepeatedTransformStopsAllocating holds the per-instance scratch
+// arena to the region: every instance rewinds it, so once the first
+// TransformRegion call on a region has sized it, repeating the call
+// allocates no more than splitting the region into iterations does.
+// An arena that never rewinds takes fresh records for every instance
+// and, each time it runs out, a chunk twice the size of the last.
+func TestRepeatedTransformStopsAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the scratch comes from a sync.Pool, which a -race build empties at random")
+	}
+	td := testutil.TDGFor(t, "nbody", 25000)
+	m := New()
+	plan := m.Analyze(td)
+	// The longest span of any planned loop, so the region runs many
+	// instances.
+	var seg exocore.Segment
+	var region *tdg.Region
+	for l, r := range plan.Regions {
+		for _, s := range exocore.Segmentize(td, exocore.Assignment{l: m.Name()}) {
+			if s.LoopID == l && s.End-s.Start > seg.End-seg.Start {
+				seg, region = s, r
+			}
+		}
+	}
+	if region == nil {
+		t.Fatal("nbody has no DP-CGRA region")
+	}
+
+	g := dg.NewLeanGraph()
+	var counts energy.Counts
+	gpp := cores.NewGPP(cores.OOO2, g, &counts)
+	transform := func() {
+		g.ResetMode(true)
+		counts = energy.Counts{}
+		gpp.Reset(g, &counts)
+		ctx := tdg.Ctx{TDG: td, G: g, GPP: gpp, Counts: &counts, ConfigResident: true}
+		m.TransformRegion(&ctx, region, seg.Start, seg.End)
+	}
+	split := testing.AllocsPerRun(1, func() { bsautil.SplitIterations(td, region.LoopID, seg.Start, seg.End) })
+
+	// The scratch comes from a sync.Pool, which a collection empties;
+	// keep the collector off while measuring.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	transform()
+	for i := 0; i < 20; i++ {
+		if allocs := testing.AllocsPerRun(1, transform); allocs != split {
+			t.Fatalf("repeat %d of TransformRegion on loop %d [%d,%d) allocated %v objects, splitting it %v",
+				i, region.LoopID, seg.Start, seg.End, allocs, split)
+		}
 	}
 }

@@ -447,8 +447,8 @@ func (a *App) Finish() {
 				s.Stage, s.Calls, s.Hits, s.Misses, float64(s.WallNS)/1e6, s.Insts))
 		}
 		if c := m.EvalCache; c != nil {
-			log.Info(fmt.Sprintf("  eval-cache hits=%-4d misses=%-4d entries=%-4d shared=%-4d arena-reuse=%.1fMB",
-				c.Hits, c.Misses, c.Entries, c.SharedHits, float64(c.BytesReused)/(1<<20)))
+			log.Info(fmt.Sprintf("  eval-cache hits=%-4d misses=%-4d entries=%-4d shared=%-4d resident=%.1fMB arena-reuse=%.1fMB",
+				c.Hits, c.Misses, c.Entries, c.SharedHits, float64(c.ResidentBytes)/(1<<20), float64(c.BytesReused)/(1<<20)))
 		}
 		printHistogramQuantiles(log, m.Points)
 	}

@@ -356,3 +356,22 @@ func TestSharedEngineAcrossExplorations(t *testing.T) {
 		t.Error("cached re-exploration produced different results")
 	}
 }
+
+// TestQuickSweepMemoBytesPerEntry bounds what the unit memo holds per
+// entry: keys and outcome values (exocore.CacheStats.ResidentBytes, the
+// map's overhead not counted) average at most 128 bytes over a
+// quick-set sweep at 10k instructions on IO2 and OOO2. Held as their
+// encoded values, 2229 entries take 90 B each; as structs with a full
+// energy.Counts per segment, their keys, durations and counts took 550.
+func TestQuickSweepMemoBytesPerEntry(t *testing.T) {
+	eng, _, _, _ := quickSweep(t)
+	ec := eng.Metrics().EvalCache
+	if ec.Entries == 0 {
+		t.Fatal("the sweep memoized no unit")
+	}
+	perEntry := float64(ec.ResidentBytes) / float64(ec.Entries)
+	if perEntry > 128 {
+		t.Errorf("memo holds %.1f B per entry (%d B over %d entries), want at most 128", perEntry, ec.ResidentBytes, ec.Entries)
+	}
+	t.Logf("memo: %d entries, %d resident bytes, %.1f B per entry", ec.Entries, ec.ResidentBytes, perEntry)
+}

@@ -58,22 +58,63 @@ func appendKey(b []byte, u *unit) []byte {
 }
 
 // unitOutcome is the memoized result of evaluating one unit from a
-// drained boundary, entirely at per-segment granularity: durations,
-// energy-event deltas, and critical-path latency by µDG edge class. The
-// unit's per-model attribution is re-derived at composition time from
-// these plus the unit's segment→model mapping, so one cached outcome
-// serves plain totals, the Figure 14 timeline, and the per-region
-// attribution table alike. Composition is pure summation, so a cached
-// outcome is position-independent.
+// drained boundary, entirely at per-segment granularity: durations and
+// energy-event deltas in enc, critical-path latency by µDG edge class in
+// classes. The unit's per-model attribution is re-derived at composition
+// time from these plus the unit's segment→model mapping, so one cached
+// outcome serves plain totals, the Figure 14 timeline, and the
+// per-region attribution table alike. Composition is pure summation, so
+// a cached outcome is position-independent.
 //
-// segClasses is nil unless the unit was evaluated with class
-// attribution (RunOpts.RecordRegions): the critical-path walk is pure
-// overhead for scheduling sweeps, so it is computed on demand and the
+// enc is the outcome value the durable store persists (see
+// appendOutcomeHeader), held in one allocation of its own; composition
+// decodes it in place. The memo holds it by value (outcomeMap), so a
+// memoized unit costs two heap objects: its key string and enc.
+//
+// classes is nil unless the unit was evaluated with class attribution
+// (RunOpts.RecordRegions): the critical-path walk is pure overhead for
+// scheduling sweeps, so it is computed on demand and the
 // class-attributed outcome replaces the cached one (see Cache.store).
 type unitOutcome struct {
-	segDurs    []int64
-	segCounts  []energy.Counts
-	segClasses [][dg.NumEdgeClasses]int64
+	enc     []byte
+	classes [][dg.NumEdgeClasses]int64
+}
+
+// residentBytes is what the entry for key holds beyond the map itself.
+func (o *unitOutcome) residentBytes(key []byte) int64 {
+	return int64(len(key) + len(o.enc) + len(o.classes)*8*int(dg.NumEdgeClasses))
+}
+
+// outcomeMap holds memoized outcomes by unit key: every outcome's value
+// in enc, and the class attribution of class-attributed ones in classes
+// (nil until one is set). Keeping the rare classes in a map of their own
+// keeps each enc slot to a key and a slice header: 40 bytes, where a
+// slot holding both took 64.
+type outcomeMap struct {
+	enc     map[string][]byte
+	classes map[string][][dg.NumEdgeClasses]int64
+}
+
+func newOutcomeMap() outcomeMap { return outcomeMap{enc: make(map[string][]byte)} }
+
+// get returns key's outcome, with its class attribution if it has one.
+func (m *outcomeMap) get(key []byte) (unitOutcome, bool) {
+	enc, ok := m.enc[string(key)]
+	if !ok {
+		return unitOutcome{}, false
+	}
+	return unitOutcome{enc: enc, classes: m.classes[string(key)]}, true
+}
+
+// set holds o under key, replacing any outcome there.
+func (m *outcomeMap) set(key []byte, o unitOutcome) {
+	m.enc[string(key)] = o.enc
+	if o.classes != nil {
+		if m.classes == nil {
+			m.classes = make(map[string][][dg.NumEdgeClasses]int64)
+		}
+		m.classes[string(key)] = o.classes
+	}
 }
 
 // CacheStats is a point-in-time snapshot of a Cache's counters.
@@ -90,6 +131,11 @@ type CacheStats struct {
 	// pool: offload solo units whose evaluation retired no core µops are
 	// core-independent, so one core's evaluation serves all four.
 	SharedHits int64 `json:"shared_hits"`
+	// ResidentBytes counts the bytes the memo's entries hold: keys,
+	// outcome values and any class attribution, not the map's own
+	// overhead. An outcome value shared with a sibling core's cache
+	// through the cross-core pool counts in each cache.
+	ResidentBytes int64 `json:"resident_bytes"`
 }
 
 // cacheShards bounds lock contention on the outcome map.
@@ -97,7 +143,7 @@ const cacheShards = 16
 
 type outcomeShard struct {
 	mu sync.RWMutex
-	m  map[string]*unitOutcome
+	outcomeMap
 }
 
 // shardSeed hashes unit keys onto the outcome shards.
@@ -134,7 +180,7 @@ type Cache struct {
 	// Counters are obs instruments so a cache slots into the shared
 	// metrics registry; standalone (unregistered) instances keep the
 	// cache usable without one.
-	hits, misses, reused, entries, sharedHits *obs.Counter
+	hits, misses, reused, entries, sharedHits, resident *obs.Counter
 }
 
 // NewCache creates a unit-outcome cache for one evaluation context over
@@ -144,10 +190,10 @@ func NewCache(t *tdg.TDG) *Cache {
 		shared: sharedPoolFor(t),
 		hits:   obs.NewCounter(), misses: obs.NewCounter(),
 		reused: obs.NewCounter(), entries: obs.NewCounter(),
-		sharedHits: obs.NewCounter(),
+		sharedHits: obs.NewCounter(), resident: obs.NewCounter(),
 	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]*unitOutcome)
+		c.shards[i].outcomeMap = newOutcomeMap()
 	}
 	return c
 }
@@ -155,11 +201,12 @@ func NewCache(t *tdg.TDG) *Cache {
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{
-		Hits:        c.hits.Value(),
-		Misses:      c.misses.Value(),
-		BytesReused: c.reused.Value(),
-		Entries:     c.entries.Value(),
-		SharedHits:  c.sharedHits.Value(),
+		Hits:          c.hits.Value(),
+		Misses:        c.misses.Value(),
+		BytesReused:   c.reused.Value(),
+		Entries:       c.entries.Value(),
+		SharedHits:    c.sharedHits.Value(),
+		ResidentBytes: c.resident.Value(),
 	}
 }
 
@@ -167,18 +214,18 @@ func (c *Cache) shardOf(key []byte) *outcomeShard {
 	return &c.shards[maphash.Bytes(shardSeed, key)%cacheShards]
 }
 
-// lookup returns the memoized outcome for a key, or nil on miss.
-func (c *Cache) lookup(key []byte) *unitOutcome {
+// lookup returns the memoized outcome for a key; ok is false on a miss.
+func (c *Cache) lookup(key []byte) (o unitOutcome, ok bool) {
 	s := c.shardOf(key)
 	s.mu.RLock()
-	o := s.m[string(key)]
+	o, ok = s.get(key)
 	s.mu.RUnlock()
-	if o != nil {
+	if ok {
 		c.hits.Add(1)
-		return o
+	} else {
+		c.misses.Add(1)
 	}
-	c.misses.Add(1)
-	return nil
+	return o, ok
 }
 
 // store memoizes an outcome and returns the entry the cache now holds.
@@ -187,18 +234,21 @@ func (c *Cache) lookup(key []byte) *unitOutcome {
 // lacks the class attribution o carries: then o replaces it, so a
 // class-attributed Run always gets classes back however its store
 // raced with a sweep or a candidate solo. Entries counts new keys only.
-func (c *Cache) store(key []byte, o *unitOutcome) *unitOutcome {
+func (c *Cache) store(key []byte, o unitOutcome) unitOutcome {
 	s := c.shardOf(key)
 	s.mu.Lock()
-	prev := s.m[string(key)]
-	if prev != nil && (prev.segClasses != nil || o.segClasses == nil) {
+	prev, had := s.get(key)
+	if had && (prev.classes != nil || o.classes == nil) {
 		s.mu.Unlock()
 		return prev
 	}
-	s.m[string(key)] = o
+	s.set(key, o)
 	s.mu.Unlock()
-	if prev == nil {
+	if had {
+		c.resident.Add(o.residentBytes(key) - prev.residentBytes(key))
+	} else {
 		c.entries.Add(1)
+		c.resident.Add(o.residentBytes(key))
 	}
 	return o
 }
@@ -216,22 +266,22 @@ func (c *Cache) store(key []byte, o *unitOutcome) *unitOutcome {
 // hit is always exact.
 type sharedPool struct {
 	mu sync.RWMutex
-	m  map[string]*unitOutcome
+	outcomeMap
 }
 
-func (p *sharedPool) lookup(key []byte) *unitOutcome {
+func (p *sharedPool) lookup(key []byte) (unitOutcome, bool) {
 	p.mu.RLock()
-	o := p.m[string(key)]
+	o, ok := p.get(key)
 	p.mu.RUnlock()
-	return o
+	return o, ok
 }
 
 // store publishes an outcome; existing entries win (they are identical
 // by the purity argument above).
-func (p *sharedPool) store(key []byte, o *unitOutcome) {
+func (p *sharedPool) store(key []byte, o unitOutcome) {
 	p.mu.Lock()
-	if p.m[string(key)] == nil {
-		p.m[string(key)] = o
+	if _, ok := p.enc[string(key)]; !ok {
+		p.set(key, o)
 	}
 	p.mu.Unlock()
 }
@@ -255,7 +305,7 @@ func sharedPoolFor(t *tdg.TDG) *sharedPool {
 		if len(sharedPools) >= maxSharedPools {
 			clear(sharedPools)
 		}
-		p = &sharedPool{m: make(map[string]*unitOutcome)}
+		p = &sharedPool{outcomeMap: newOutcomeMap()}
 		sharedPools[t] = p
 	}
 	return p
@@ -323,13 +373,16 @@ func releaseWorker(core cores.Config, w *segWorker) {
 // segWorker bundles the reusable arenas one unit evaluation needs: a µDG
 // for the transforms' nodes and a GPP constructor (whose five
 // resource-table rings dominated the old per-Run allocation cost, and
-// whose attribution log serves class-attributed units). Reset between
+// whose attribution log serves class-attributed units), plus the Run's
+// key buffer and the outcome value under construction. Reset between
 // units, pooled between runs.
 type segWorker struct {
 	g      *dg.Graph
 	gpp    *cores.GPP
 	counts energy.Counts
 	ctx    tdg.Ctx // reused per transformed segment; models keep no reference
+	key    []byte  // persist namespace + unit key (appendKey)
+	enc    []byte  // the last evaluated unit's outcome value
 }
 
 func newSegWorker(core cores.Config) *segWorker {
@@ -362,21 +415,21 @@ func (w *segWorker) memBytes() int64 { return w.g.MemBytes() + w.gpp.MemBytes() 
 // core-resident joints. This is the single evaluation path for both
 // cached and uncached runs, so they agree bit-for-bit by construction.
 // sp, when active, receives one child span per model transform.
-// classes enables the critical-path class attribution (segClasses);
-// durations and energy deltas are identical either way.
+// classes enables the critical-path class attribution; durations and
+// energy deltas are identical either way.
 // Without classes the graph is lean, and each segment's nodes are retired
 // when the segment ends, so the resident µDG never outgrows one segment.
+// The outcome's enc is the worker's scratch, valid until its next
+// evaluation: a caller that keeps it copies it.
 func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 	plans map[string]*tdg.Plan, u unit, sp obs.Span, classes bool) unitOutcome {
 
 	w.reset(classes)
-	out := unitOutcome{
-		segDurs:   make([]int64, len(u.segs)),
-		segCounts: make([]energy.Counts, len(u.segs)),
-	}
+	var out unitOutcome
 	if classes {
-		out.segClasses = make([][dg.NumEdgeClasses]int64, len(u.segs))
+		out.classes = make([][dg.NumEdgeClasses]int64, len(u.segs))
 	}
+	b := appendOutcomeHeader(w.enc[:0], len(u.segs))
 	var lastEnd int64
 	var snapshot energy.Counts
 	// walkFrom tracks the node carrying the unit's critical end time,
@@ -417,11 +470,13 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 		// The segment's nodes are dead once its end is read (a lean core
 		// holds none between segments).
 		w.gpp.CompactWindow()
-		out.segDurs[i] = end - lastEnd
-		out.segCounts[i] = diffCounts(&w.counts, &snapshot)
+		delta := diffCounts(&w.counts, &snapshot)
+		b = appendSegment(b, end-lastEnd, &delta)
 		snapshot = w.counts
 		lastEnd = end
 	}
+	w.enc = b
+	out.enc = b
 	if classes {
 		if c := w.gpp.LastCommit(); c != dg.None && w.g.Time(c) >= walkTime {
 			walkFrom = c
@@ -447,7 +502,7 @@ func (o *unitOutcome) attributePath(gpp *cores.GPP, segs []Segment, from dg.Node
 		if dyn >= 0 {
 			cur = segOfDyn(segs, int(dyn), cur)
 		}
-		o.segClasses[cur][class] += lat
+		o.classes[cur][class] += lat
 	})
 }
 

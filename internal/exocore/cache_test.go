@@ -1,6 +1,7 @@
 package exocore
 
 import (
+	"bytes"
 	"reflect"
 	"sort"
 	"sync"
@@ -136,31 +137,39 @@ func TestCacheConcurrentRuns(t *testing.T) {
 // class-attributed runs share a cache with sweeps: a class-attributed
 // outcome replaces a class-less entry for the same key and comes back
 // from store, a class-less outcome never displaces a class-attributed
-// one, and the key counts as one entry.
+// one, and the key counts as one entry. Both outcomes hold the same
+// encoded value, as they do in the engine; the resident bytes follow the
+// entry that stays.
 func TestStoreReplacesClasslessEntry(t *testing.T) {
 	c := NewCache(new(tdg.TDG))
 	k := appendKey(nil, &unit{
 		segs:  []Segment{{LoopID: -1, Start: 0, End: 100}},
 		names: []string{""}, cfgRes: []bool{false},
 	})
-	plain := &unitOutcome{segDurs: []int64{7}, segCounts: make([]energy.Counts, 1)}
-	classed := &unitOutcome{segDurs: []int64{7}, segCounts: make([]energy.Counts, 1),
-		segClasses: make([][dg.NumEdgeClasses]int64, 1)}
+	var counts energy.Counts
+	enc := appendSegment(appendOutcomeHeader(nil, 1), 7, &counts)
+	plain := unitOutcome{enc: enc}
+	classed := unitOutcome{enc: enc, classes: make([][dg.NumEdgeClasses]int64, 1)}
+	classed.classes[0][dg.EdgeData] = 7
 
-	if got := c.store(k, plain); got != plain {
+	if got := c.store(k, plain); got.classes != nil || !bytes.Equal(got.enc, enc) {
 		t.Fatal("first store did not keep its outcome")
 	}
-	if got := c.store(k, classed); got != classed {
+	if got := c.store(k, classed); got.classes == nil || !bytes.Equal(got.enc, enc) {
 		t.Fatal("class-attributed store got the class-less entry back")
 	}
-	if got := c.lookup(k); got != classed {
+	if got, ok := c.lookup(k); !ok || got.classes == nil {
 		t.Error("lookup after replacement returned the class-less entry")
 	}
-	if got := c.store(k, plain); got != classed {
+	if got := c.store(k, plain); got.classes == nil {
 		t.Error("class-less store displaced the class-attributed entry")
 	}
-	if n := c.Stats().Entries; n != 1 {
-		t.Errorf("entries = %d after three stores of one key, want 1", n)
+	s := c.Stats()
+	if s.Entries != 1 {
+		t.Errorf("entries = %d after three stores of one key, want 1", s.Entries)
+	}
+	if want := int64(len(k) + len(enc) + 8*int(dg.NumEdgeClasses)); s.ResidentBytes != want {
+		t.Errorf("resident bytes = %d, want %d (key, value and one segment's classes)", s.ResidentBytes, want)
 	}
 }
 
@@ -255,4 +264,47 @@ func TestSharedPoolServesSiblingCore(t *testing.T) {
 	if got.Cycles != want.Cycles || got.Counts != want.Counts || !reflect.DeepEqual(got.Models, want.Models) {
 		t.Errorf("OOO4 through the shared pool diverges from its cache-less Run\nshared:     %+v\ncache-less: %+v", got, want)
 	}
+}
+
+// TestWarmRunAllocsIndependentOfUnits holds composition to allocating
+// nothing per unit or segment: once every unit is a memo hit, a Run
+// allocates the same number of objects, beyond what splitting its trace
+// (Segmentize, unitize) allocates, for mm's 82 Trace-P units as for one
+// unit — the general core alone, or the 82 SIMD segments that share one
+// pipeline.
+func TestWarmRunAllocsIndependentOfUnits(t *testing.T) {
+	td := buildTDG(t, "mm", 15000)
+	bsas := allBSAs()
+	plans := analyzeAll(td, bsas)
+	every := func(name string) Assignment {
+		a := Assignment{}
+		for l := range plans[name].Regions {
+			a[l] = name
+		}
+		return a
+	}
+	cache := NewCache(td)
+	measure := func(assign Assignment) (units int, beyondSplit float64) {
+		t.Helper()
+		run := func() {
+			if _, err := Run(td, cores.OOO2, bsas, plans, assign, RunOpts{Cache: cache}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // memoizes every unit
+		units = len(unitize(td, Segmentize(td, assign), assign, bsas))
+		split := testing.AllocsPerRun(20, func() { unitize(td, Segmentize(td, assign), assign, bsas) })
+		return units, testing.AllocsPerRun(20, run) - split
+	}
+	_, gpp := measure(nil)
+	simdUnits, simd := measure(every("SIMD"))
+	manyUnits, many := measure(every("Trace-P"))
+	if simdUnits != 1 || manyUnits < 10 {
+		t.Fatalf("SIMD and Trace-P form %d and %d units, want 1 and at least 10", simdUnits, manyUnits)
+	}
+	if many != gpp || simd != gpp {
+		t.Errorf("a warm Run allocates %v objects beyond its split for %d Trace-P units, %v for the SIMD unit and %v for the general core alone",
+			many, manyUnits, simd, gpp)
+	}
+	t.Logf("warm Run beyond its split: %v objects (general core), %v (SIMD unit), %v (%d Trace-P units)", gpp, simd, many, manyUnits)
 }

@@ -41,6 +41,7 @@
 package exocore
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strconv"
@@ -293,6 +294,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 	w := acquireWorker(core, reused)
 	defer releaseWorker(core, w)
 	res := &RunResult{Models: make([]ModelStat, 0, len(assign)+1)}
+	comp := composer{res: res, bsas: bsas, opts: &opts}
 
 	if opts.Reg != nil {
 		// Peak resident µDG footprint across this run's units (the
@@ -301,19 +303,9 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 		defer func() {
 			opts.Reg.Gauge("dg.graph_high_water_bytes").SetMax(w.g.HighWaterBytes())
 		}()
+		comp.segLen = opts.Reg.Histogram("eval.segment_len", obs.DefaultSizeBounds)
 	}
 
-	var segLen *obs.Histogram
-	var offloadCtr map[string]*obs.Counter
-	if opts.Reg != nil {
-		segLen = opts.Reg.Histogram("eval.segment_len", obs.DefaultSizeBounds)
-	}
-
-	var lastEnd int64
-	// pkey holds the cache's persist namespace followed by the unit's key;
-	// the memo and the shared pool use the key, the durable store all of
-	// pkey.
-	var pkey, pvalScratch []byte
 	for _, u := range units {
 		usp := obs.Span{}
 		if opts.Span.Active() {
@@ -321,125 +313,16 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 				"unit["+strconv.Itoa(u.segs[0].Start)+","+strconv.Itoa(u.segs[len(u.segs)-1].End)+")").
 				ArgInt("segments", int64(len(u.segs)))
 		}
-		var out *unitOutcome
+		var out unitOutcome
 		if opts.Cache != nil {
-			pkey = appendKey(append(pkey[:0], opts.Cache.persistNS...), &u)
-			key := pkey[len(opts.Cache.persistNS):]
-			out = opts.Cache.lookup(key)
-			if usp.Active() {
-				usp.Arg("cache", map[bool]string{true: "hit", false: "miss"}[out != nil])
-			}
-			switch {
-			case out == nil:
-				// Offload solo units are usually core-independent (the model
-				// never touches the host pipeline), so before evaluating,
-				// consult the cross-core shared pool populated by sibling
-				// caches for the same TDG.
-				var shared *sharedPool
-				if len(u.segs) == 1 && u.names[0] != "" && bsas[u.names[0]].OffloadsCore() {
-					shared = opts.Cache.shared
-					if so := shared.lookup(key); so != nil &&
-						(!opts.RecordRegions || so.segClasses != nil) {
-						out = opts.Cache.store(key, so)
-						opts.Cache.sharedHits.Add(1)
-						// Write shared hits through too: the sibling core's
-						// evaluation persisted under its own namespace, so
-						// without this a restart of this core goes cold.
-						if opts.Cache.persist != nil && !opts.RecordRegions {
-							pvalScratch = encodeOutcome(out, pvalScratch)
-							opts.Cache.persist.Put(pkey, pvalScratch)
-						}
-						break
-					}
-				}
-				// Durable tier: a restarted daemon re-reads outcomes its
-				// predecessor (or a sibling replica sharing the directory)
-				// already derived. Class-attributed runs bypass it — classes
-				// are never persisted, and storing a classless outcome here
-				// would only be replaced again.
-				persist := opts.Cache.persist
-				if persist != nil && opts.RecordRegions {
-					persist = nil
-				}
-				if persist != nil {
-					if raw, ok := persist.Get(pkey); ok {
-						if po := decodeOutcome(raw); po != nil && len(po.segDurs) == len(u.segs) {
-							out = opts.Cache.store(key, po)
-							break
-						}
-					}
-				}
-				o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions)
-				out = opts.Cache.store(key, &o)
-				if persist != nil {
-					pvalScratch = encodeOutcome(out, pvalScratch)
-					persist.Put(pkey, pvalScratch)
-				}
-				// Publish to the shared pool only when the evaluation proved
-				// itself core-independent: zero retired core µops means the
-				// transform never consulted the host pipeline.
-				if shared != nil && w.gpp.Retired() == 0 {
-					shared.store(key, out)
-				}
-			case opts.RecordRegions && out.segClasses == nil:
-				// Cached by a sweep without class attribution; re-evaluate
-				// once with it and replace the entry.
-				o := evalUnit(w, t, bsas, plans, u, usp, true)
-				out = opts.Cache.store(key, &o)
-			}
+			out = opts.Cache.outcome(w, t, bsas, plans, u, usp, opts.RecordRegions)
 		} else {
-			o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions)
-			out = &o
+			out = evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions)
 		}
-
-		for i, seg := range u.segs {
-			name := u.names[i]
-			dyn := int64(seg.End - seg.Start)
-			dur := out.segDurs[i]
-			st := res.stat(name)
-			st.Dyn += dyn
-			st.Cycles += dur
-			st.Counts.AddCounts(&out.segCounts[i])
-			res.Counts.AddCounts(&out.segCounts[i])
-			segLen.Observe(dyn)
-			if name != "" {
-				st.ActiveCycles += dur
-				if bsas[name].OffloadsCore() {
-					res.OffloadCycles += dur
-					if opts.Reg != nil {
-						c := offloadCtr[name]
-						if c == nil {
-							if offloadCtr == nil {
-								offloadCtr = make(map[string]*obs.Counter, 2)
-							}
-							c = opts.Reg.Counter("eval.offload_segments." + name)
-							offloadCtr[name] = c
-						}
-						c.Add(1)
-					}
-				}
-			}
-			if opts.RecordRegions {
-				rs := res.regionStat(seg.LoopID, name)
-				rs.Dyn += dyn
-				rs.Cycles += dur
-				rs.Counts.AddCounts(&out.segCounts[i])
-				for cl, v := range out.segClasses[i] {
-					rs.Classes[cl] += v
-				}
-			}
-			if opts.RecordSegments {
-				res.Segments = append(res.Segments, SegmentRecord{
-					LoopID: seg.LoopID, BSA: name,
-					StartCycle: lastEnd, EndCycle: lastEnd + dur,
-					Dyn: seg.End - seg.Start,
-				})
-			}
-			lastEnd += dur
-		}
+		comp.add(&u, &out)
 		usp.End()
 	}
-	res.Cycles = lastEnd
+	res.Cycles = comp.at
 	slices.SortFunc(res.Models, func(a, b ModelStat) int { return strings.Compare(a.Name, b.Name) })
 	slices.SortFunc(res.Regions, func(a, b RegionStat) int {
 		if a.LoopID != b.LoopID {
@@ -448,6 +331,151 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 		return strings.Compare(a.BSA, b.BSA)
 	})
 	return res, nil
+}
+
+// outcome returns u's outcome from the cache — its memo, the cross-core
+// shared pool or the durable tier, in that order — or evaluates it on w
+// and memoizes the result. Every outcome it returns is the memo's own
+// entry. classes asks for the critical-path class attribution.
+func (c *Cache) outcome(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
+	plans map[string]*tdg.Plan, u unit, usp obs.Span, classes bool) unitOutcome {
+
+	// w.key holds the cache's persist namespace followed by the unit's
+	// key; the memo and the shared pool use the key, the durable store
+	// all of it.
+	w.key = appendKey(append(w.key[:0], c.persistNS...), &u)
+	pkey := w.key
+	key := pkey[len(c.persistNS):]
+	out, ok := c.lookup(key)
+	if usp.Active() {
+		usp.Arg("cache", map[bool]string{true: "hit", false: "miss"}[ok])
+	}
+	if ok {
+		if classes && out.classes == nil {
+			// Cached by a sweep without class attribution; re-evaluate
+			// once with it and replace the entry. Durations and deltas do
+			// not depend on classes, so the entry's value serves as is.
+			o := evalUnit(w, t, bsas, plans, u, usp, true)
+			o.enc = out.enc
+			out = c.store(key, o)
+		}
+		return out
+	}
+	// Offload solo units are usually core-independent (the model never
+	// touches the host pipeline), so before evaluating, consult the
+	// cross-core shared pool populated by sibling caches for the same
+	// TDG.
+	var shared *sharedPool
+	if len(u.segs) == 1 && u.names[0] != "" && bsas[u.names[0]].OffloadsCore() {
+		shared = c.shared
+		if so, ok := shared.lookup(key); ok && (!classes || so.classes != nil) {
+			out = c.store(key, so)
+			c.sharedHits.Add(1)
+			// Write shared hits through too: the sibling core's
+			// evaluation persisted under its own namespace, so without
+			// this a restart of this core goes cold.
+			if c.persist != nil && !classes {
+				c.persist.Put(pkey, out.enc)
+			}
+			return out
+		}
+	}
+	// Durable tier: a restarted daemon re-reads outcomes its predecessor
+	// (or a sibling replica sharing the directory) already derived.
+	// Class-attributed runs bypass it — classes are never persisted, and
+	// storing a classless outcome here would only be replaced again.
+	persist := c.persist
+	if classes {
+		persist = nil
+	}
+	if persist != nil {
+		if raw, ok := persist.Get(pkey); ok {
+			// The value is checked in place, then kept in an allocation
+			// of its own: a store may hand back a slice of a larger
+			// buffer (internal/store returns its whole object frame's).
+			if n, ok := checkOutcome(raw); ok && n == len(u.segs) {
+				return c.store(key, unitOutcome{enc: bytes.Clone(raw)})
+			}
+		}
+	}
+	o := evalUnit(w, t, bsas, plans, u, usp, classes)
+	o.enc = bytes.Clone(o.enc)
+	out = c.store(key, o)
+	if persist != nil {
+		persist.Put(pkey, out.enc)
+	}
+	// Publish to the shared pool only when the evaluation proved itself
+	// core-independent: zero retired core µops means the transform never
+	// consulted the host pipeline.
+	if shared != nil && w.gpp.Retired() == 0 {
+		shared.store(key, out)
+	}
+	return out
+}
+
+// composer sums unit outcomes, in trace order, into a RunResult.
+type composer struct {
+	res        *RunResult
+	bsas       map[string]tdg.BSA
+	opts       *RunOpts
+	segLen     *obs.Histogram
+	offloadCtr map[string]*obs.Counter
+	at         int64 // cycles composed so far
+}
+
+// add composes one unit's outcome, decoding its value in place: each
+// segment into a stack energy.Counts, so composing allocates nothing per
+// unit.
+func (c *composer) add(u *unit, out *unitOutcome) {
+	res, opts := c.res, c.opts
+	_, p, _ := outcomeBody(out.enc)
+	for i, seg := range u.segs {
+		var counts energy.Counts
+		var dur int64
+		dur, p = nextSegment(p, &counts)
+		name := u.names[i]
+		dyn := int64(seg.End - seg.Start)
+		st := res.stat(name)
+		st.Dyn += dyn
+		st.Cycles += dur
+		st.Counts.AddCounts(&counts)
+		res.Counts.AddCounts(&counts)
+		c.segLen.Observe(dyn)
+		if name != "" {
+			st.ActiveCycles += dur
+			if c.bsas[name].OffloadsCore() {
+				res.OffloadCycles += dur
+				if opts.Reg != nil {
+					ctr := c.offloadCtr[name]
+					if ctr == nil {
+						if c.offloadCtr == nil {
+							c.offloadCtr = make(map[string]*obs.Counter, 2)
+						}
+						ctr = opts.Reg.Counter("eval.offload_segments." + name)
+						c.offloadCtr[name] = ctr
+					}
+					ctr.Add(1)
+				}
+			}
+		}
+		if opts.RecordRegions {
+			rs := res.regionStat(seg.LoopID, name)
+			rs.Dyn += dyn
+			rs.Cycles += dur
+			rs.Counts.AddCounts(&counts)
+			for cl, v := range out.classes[i] {
+				rs.Classes[cl] += v
+			}
+		}
+		if opts.RecordSegments {
+			res.Segments = append(res.Segments, SegmentRecord{
+				LoopID: seg.LoopID, BSA: name,
+				StartCycle: c.at, EndCycle: c.at + dur,
+				Dyn: seg.End - seg.Start,
+			})
+		}
+		c.at += dur
+	}
 }
 
 // regionStat returns the attribution row for (loop, bsa), appending one

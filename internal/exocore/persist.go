@@ -10,9 +10,10 @@ import (
 // AttachPersist): Get returns the value last Put under key, or
 // ok=false. Both sides are best-effort — a persist layer may drop
 // writes (eviction, I/O errors) at the cost of re-computation, never
-// correctness. Implementations must be safe for concurrent use and
-// must not retain key or val after the call returns (the engine reuses
-// scratch buffers); internal/store satisfies this interface.
+// correctness. Implementations must be safe for concurrent use, must
+// not retain key after the call returns (the engine reuses its key
+// buffer) and must not modify val (it is the memo's own value);
+// internal/store satisfies this interface.
 type Persist interface {
 	Get(key []byte) ([]byte, bool)
 	Put(key, val []byte)
@@ -30,71 +31,100 @@ func (c *Cache) AttachPersist(p Persist, ns string) {
 	c.persistNS = ns
 }
 
-// outcomeVersion stamps persisted outcome values; a decoder seeing any
-// other version treats the entry as a miss (forward compatibility
-// across format changes without a store wipe).
+// outcomeVersion stamps outcome values; a value of any other version
+// is treated as a miss (forward compatibility across format changes
+// without a store wipe).
 const outcomeVersion = 1
 
-// encodeOutcome serializes an outcome's per-segment durations and
-// energy-event deltas. Class attribution is never persisted — the
-// engine skips the persist path entirely for RecordRegions runs.
-func encodeOutcome(o *unitOutcome, scratch []byte) []byte {
-	b := append(scratch[:0], outcomeVersion)
+// An outcome value holds a unit's per-segment durations and
+// energy-event deltas. It is both the form the memo holds (unitOutcome)
+// and the value the durable store persists, so its bytes are a
+// persisted contract:
+//
+//	outcomeVersion uvarint(energy.NumEvents) uvarint(nsegs)
+//	| per segment: uvarint(duration) varint(delta) × energy.NumEvents
+//
+// Class attribution is never part of it.
+
+// appendOutcomeHeader starts an outcome value of n segments;
+// appendSegment then adds each segment in order.
+func appendOutcomeHeader(b []byte, n int) []byte {
+	b = append(b, outcomeVersion)
 	b = binary.AppendUvarint(b, uint64(energy.NumEvents))
-	b = binary.AppendUvarint(b, uint64(len(o.segDurs)))
-	for i, d := range o.segDurs {
-		b = binary.AppendUvarint(b, uint64(d))
-		for _, v := range o.segCounts[i] {
-			b = binary.AppendVarint(b, v)
-		}
+	return binary.AppendUvarint(b, uint64(n))
+}
+
+// appendSegment appends one segment's duration and energy-event deltas.
+func appendSegment(b []byte, dur int64, d *energy.Counts) []byte {
+	b = binary.AppendUvarint(b, uint64(dur))
+	for _, v := range d {
+		b = binary.AppendVarint(b, v)
 	}
 	return b
 }
 
-// decodeOutcome is the inverse of encodeOutcome; nil means the value
-// is from another format version or malformed (treated as a miss).
-func decodeOutcome(raw []byte) *unitOutcome {
+// outcomeBody parses an outcome value's header, returning its segment
+// count and the segment bytes after the header; ok is false for another
+// version or a malformed header.
+func outcomeBody(raw []byte) (n int, segs []byte, ok bool) {
 	if len(raw) < 1 || raw[0] != outcomeVersion {
-		return nil
+		return 0, nil, false
 	}
 	p := raw[1:]
 	ev, k := binary.Uvarint(p)
 	if k <= 0 || ev != uint64(energy.NumEvents) {
-		return nil
+		return 0, nil, false
 	}
 	p = p[k:]
-	n, k := binary.Uvarint(p)
-	if k <= 0 || n == 0 {
-		return nil
+	un, k := binary.Uvarint(p)
+	if k <= 0 || un == 0 {
+		return 0, nil, false
 	}
 	p = p[k:]
 	// Every segment takes at least one byte per varint, so a count the
-	// remaining bytes cannot hold is rejected before it sizes anything.
-	if n > uint64(len(p))/(1+uint64(energy.NumEvents)) {
-		return nil
+	// remaining bytes cannot hold is rejected before anything walks it.
+	if un > uint64(len(p))/(1+uint64(energy.NumEvents)) {
+		return 0, nil, false
 	}
-	o := &unitOutcome{
-		segDurs:   make([]int64, n),
-		segCounts: make([]energy.Counts, n),
+	return int(un), p, true
+}
+
+// checkOutcome reports the segment count of a well-formed outcome
+// value; ok is false for another version or a malformed value (treated
+// as a miss). It reads raw in place and allocates nothing.
+func checkOutcome(raw []byte) (n int, ok bool) {
+	n, p, ok := outcomeBody(raw)
+	if !ok {
+		return 0, false
 	}
-	for i := range o.segDurs {
-		d, k := binary.Uvarint(p)
+	// A duration and NumEvents deltas per segment; Varint accepts
+	// exactly the byte strings Uvarint does.
+	for range n * (1 + int(energy.NumEvents)) {
+		_, k := binary.Uvarint(p)
 		if k <= 0 {
-			return nil
+			return 0, false
 		}
-		o.segDurs[i] = int64(d)
 		p = p[k:]
-		for j := range o.segCounts[i] {
-			v, k := binary.Varint(p)
-			if k <= 0 {
-				return nil
-			}
-			o.segCounts[i][j] = v
-			p = p[k:]
+	}
+	return n, len(p) == 0
+}
+
+// nextSegment decodes the segment at the head of p — the segment bytes
+// of a checked outcome value (outcomeBody) — into d, returning its
+// duration and the bytes after it.
+func nextSegment(p []byte, d *energy.Counts) (int64, []byte) {
+	dur, k := binary.Uvarint(p)
+	p = p[k:]
+	for j := range d {
+		// Most deltas are zero or small: one byte, zigzag-decoded here.
+		if b := p[0]; b < 0x80 {
+			d[j] = int64(b>>1) ^ -int64(b&1)
+			p = p[1:]
+			continue
 		}
+		v, k := binary.Varint(p)
+		d[j] = v
+		p = p[k:]
 	}
-	if len(p) != 0 {
-		return nil
-	}
-	return o
+	return int64(dur), p
 }

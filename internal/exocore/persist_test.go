@@ -8,7 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"exocore/internal/bsa"
 	"exocore/internal/cores"
+	"exocore/internal/dg"
 	"exocore/internal/energy"
 )
 
@@ -161,34 +163,156 @@ func TestPersistSkipsClassAttribution(t *testing.T) {
 	}
 }
 
+// recordingPersist serves nothing and keeps every Put as it came: the
+// key copied (the engine reuses its key buffer), the value as is.
+type recordingPersist struct {
+	mu   sync.Mutex
+	puts []recordedPut
+}
+
+type recordedPut struct{ key, val []byte }
+
+func (p *recordingPersist) Get([]byte) ([]byte, bool) { return nil, false }
+
+func (p *recordingPersist) Put(key, val []byte) {
+	p.mu.Lock()
+	p.puts = append(p.puts, recordedPut{append([]byte(nil), key...), val})
+	p.mu.Unlock()
+}
+
+// TestPersistPutsTheMemoBytes holds the durable store to the memo's one
+// encoding: every value a Run writes through is the memo's own entry for
+// its key, the same bytes in the same allocation. It covers the quick
+// set (cli.QuickSet) on two cores, so the second core's shared-pool hits
+// write through as well, under no BSAs, each single BSA and all BSAs.
+func TestPersistPutsTheMemoBytes(t *testing.T) {
+	for _, bench := range []string{"mm", "nbody", "cjpeg", "mcf", "gzip", "stencil"} {
+		td := buildTDG(t, bench, 4000)
+		bsas := bsa.Default().New()
+		plans := analyzeAll(td, bsas)
+		names := make([]string, 0, len(bsas))
+		for name := range bsas {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		assigns := []Assignment{nil}
+		all := Assignment{}
+		for _, name := range names {
+			one := Assignment{}
+			for l := range plans[name].Regions {
+				one[l] = name
+				if _, taken := all[l]; !taken {
+					all[l] = name
+				}
+			}
+			assigns = append(assigns, one)
+		}
+		assigns = append(assigns, all)
+
+		for _, core := range []cores.Config{cores.OOO2, cores.OOO4} {
+			p := &recordingPersist{}
+			c := NewCache(td)
+			ns := bench + "/" + core.Name + "|"
+			c.AttachPersist(p, ns)
+			for _, a := range assigns {
+				if _, err := Run(td, core, bsas, plans, a, RunOpts{Cache: c}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(p.puts) == 0 {
+				t.Fatalf("%s on %s: nothing written through", bench, core.Name)
+			}
+			for _, put := range p.puts {
+				key, ok := bytes.CutPrefix(put.key, []byte(ns))
+				if !ok {
+					t.Fatalf("%s on %s: put key %q lacks the namespace", bench, core.Name, put.key)
+				}
+				memo, ok := c.lookup(key)
+				if !ok || !bytes.Equal(put.val, memo.enc) || &put.val[0] != &memo.enc[0] {
+					t.Fatalf("%s on %s: put %x for key %x, the memo holds %x", bench, core.Name, put.val, key, memo.enc)
+				}
+			}
+			t.Logf("%s on %s: %d puts, %d shared hits", bench, core.Name, len(p.puts), c.Stats().SharedHits)
+		}
+	}
+}
+
+// codecSegs returns the three segments the codec tests share: durations
+// 10, 0 and 1<<40, one count on the first and a negative delta on the
+// last (deltas are non-negative in practice; the codec must not care).
+func codecSegs() ([]int64, []energy.Counts) {
+	counts := make([]energy.Counts, 3)
+	counts[0][0] = 7
+	counts[2][1] = -3
+	return []int64{10, 0, 1 << 40}, counts
+}
+
+// encodeSegs writes an outcome value the way evalUnit does.
+func encodeSegs(durs []int64, counts []energy.Counts) []byte {
+	b := appendOutcomeHeader(nil, len(durs))
+	for i, d := range durs {
+		b = appendSegment(b, d, &counts[i])
+	}
+	return b
+}
+
+// decodeSegs reads a checked outcome value back segment by segment, the
+// way composition does.
+func decodeSegs(raw []byte) ([]int64, []energy.Counts) {
+	n, p, _ := outcomeBody(raw)
+	durs, counts := make([]int64, n), make([]energy.Counts, n)
+	for i := range durs {
+		durs[i], p = nextSegment(p, &counts[i])
+	}
+	return durs, counts
+}
+
+// TestOutcomeBytes pins the outcomeVersion 1 bytes of a three-segment
+// outcome. They are both the memo's form and the durable store's value,
+// so a store written by an earlier build stays warm only while they
+// hold.
+func TestOutcomeBytes(t *testing.T) {
+	zeros := func(n int) []byte { return make([]byte, n) }
+	var want []byte
+	want = append(want, 0x1, 0x21, 0x3)                     // version, 33 events, 3 segments
+	want = append(want, 0xa, 0xe)                           // duration 10, event 0: +7
+	want = append(want, zeros(32)...)                       // events 1-32: 0
+	want = append(want, 0x0)                                // duration 0
+	want = append(want, zeros(33)...)                       // events 0-32: 0
+	want = append(want, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20) // duration 1<<40
+	want = append(want, 0x0, 0x5)                           // event 0: 0, event 1: -3
+	want = append(want, zeros(31)...)                       // events 2-32: 0
+	if energy.NumEvents != 33 {
+		t.Fatalf("energy.NumEvents = %d: a new event changes every outcome value, so it needs a new outcomeVersion", energy.NumEvents)
+	}
+	if got := encodeSegs(codecSegs()); !bytes.Equal(got, want) {
+		t.Errorf("outcome value = %#v\nwant %#v", got, want)
+	}
+}
+
 // TestOutcomeCodecRoundTrip exercises the value encoding directly,
 // including malformed input.
 func TestOutcomeCodecRoundTrip(t *testing.T) {
-	o := &unitOutcome{
-		segDurs:   []int64{10, 0, 1 << 40},
-		segCounts: make([]energy.Counts, 3),
+	durs, counts := codecSegs()
+	raw := encodeSegs(durs, counts)
+	if n, ok := checkOutcome(raw); !ok || n != len(durs) {
+		t.Fatalf("checkOutcome = %d, %v; want %d, true", n, ok, len(durs))
 	}
-	o.segCounts[0][0] = 7
-	o.segCounts[2][1] = -3 // deltas are non-negative in practice; codec must not care
-	raw := encodeOutcome(o, nil)
-	got := decodeOutcome(raw)
-	if got == nil {
-		t.Fatal("decode failed")
-	}
-	if !reflect.DeepEqual(got, o) {
-		t.Fatalf("round trip mismatch: %+v", got)
+	gotDurs, gotCounts := decodeSegs(raw)
+	if !reflect.DeepEqual(gotDurs, durs) || !reflect.DeepEqual(gotCounts, counts) {
+		t.Fatalf("round trip mismatch: %v %+v", gotDurs, gotCounts)
 	}
 
 	for _, bad := range [][]byte{nil, {}, {2}, raw[:len(raw)-1], append(append([]byte{}, raw...), 0)} {
-		if decodeOutcome(bad) != nil {
-			t.Errorf("decode accepted malformed input %v", bad)
+		if _, ok := checkOutcome(bad); ok {
+			t.Errorf("checkOutcome accepted malformed input %v", bad)
 		}
 	}
 }
 
 // A segment count the value's bytes cannot hold is rejected before
-// anything is sized by it: seven bytes claiming 1<<24 segments decode to
-// nil without allocating.
+// anything walks it: seven bytes claiming 1<<24 segments are rejected
+// without allocating.
 func TestOutcomeCountBoundedByBytes(t *testing.T) {
 	raw := []byte{outcomeVersion}
 	raw = binary.AppendUvarint(raw, uint64(energy.NumEvents))
@@ -197,37 +321,55 @@ func TestOutcomeCountBoundedByBytes(t *testing.T) {
 	if len(raw) != 7 {
 		t.Fatalf("value is %d bytes, want 7", len(raw))
 	}
-	var got *unitOutcome
-	allocs := testing.AllocsPerRun(1, func() { got = decodeOutcome(raw) })
-	if got != nil {
-		t.Fatal("decode accepted a segment count its bytes cannot hold")
+	var ok bool
+	allocs := testing.AllocsPerRun(1, func() { _, ok = checkOutcome(raw) })
+	if ok {
+		t.Fatal("checkOutcome accepted a segment count its bytes cannot hold")
 	}
 	if allocs != 0 {
-		t.Fatalf("decode made %v allocations before rejecting, want 0", allocs)
+		t.Fatalf("checkOutcome made %v allocations before rejecting, want 0", allocs)
 	}
 }
 
-// FuzzDecodeOutcome: decoding any persisted value must not panic, and an
-// accepted value must decode to the same outcome again once re-encoded.
+// FuzzDecodeOutcome: checking any persisted value must not panic; an
+// accepted value must decode to the same segments again once
+// re-encoded, and must compose without a panic into exactly the sums of
+// its segments.
 func FuzzDecodeOutcome(f *testing.F) {
-	o := &unitOutcome{
-		segDurs:   []int64{10, 0, 1 << 40},
-		segCounts: make([]energy.Counts, 3),
-	}
-	o.segCounts[0][0] = 7
-	o.segCounts[2][1] = -3
-	good := encodeOutcome(o, nil)
+	good := encodeSegs(codecSegs())
 	huge := binary.AppendUvarint(binary.AppendUvarint([]byte{outcomeVersion}, uint64(energy.NumEvents)), 1<<24)
 	for _, seed := range [][]byte{good, good[:len(good)-1], append(huge, 0), {2}, nil} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		o := decodeOutcome(raw)
-		if o == nil {
+		n, ok := checkOutcome(raw)
+		if !ok {
 			return
 		}
-		if again := decodeOutcome(encodeOutcome(o, nil)); !reflect.DeepEqual(again, o) {
-			t.Fatalf("%x decodes to %+v, its re-encoding to %+v", raw, o, again)
+		durs, counts := decodeSegs(raw)
+		again := encodeSegs(durs, counts)
+		if m, ok := checkOutcome(again); !ok || m != n {
+			t.Fatalf("%x re-encodes to %x, which checks as %d segments, %v", raw, again, m, ok)
+		}
+		if d2, c2 := decodeSegs(again); !reflect.DeepEqual(d2, durs) || !reflect.DeepEqual(c2, counts) {
+			t.Fatalf("%x decodes to %v %+v, its re-encoding to %v %+v", raw, durs, counts, d2, c2)
+		}
+
+		u := unit{segs: make([]Segment, n), names: make([]string, n), cfgRes: make([]bool, n)}
+		for i := range u.segs {
+			u.segs[i] = Segment{LoopID: -1, Start: i, End: i + 1}
+		}
+		comp := composer{res: &RunResult{}, opts: &RunOpts{RecordSegments: true, RecordRegions: true}}
+		comp.add(&u, &unitOutcome{enc: raw, classes: make([][dg.NumEdgeClasses]int64, n)})
+		var cycles int64
+		var sum energy.Counts
+		for i, d := range durs {
+			cycles += d
+			sum.AddCounts(&counts[i])
+		}
+		if comp.at != cycles || comp.res.Counts != sum || len(comp.res.Segments) != n {
+			t.Fatalf("%x composes to %d cycles, %+v over %d segments; its segments sum to %d, %+v over %d",
+				raw, comp.at, comp.res.Counts, len(comp.res.Segments), cycles, sum, n)
 		}
 	})
 }

@@ -262,6 +262,7 @@ func (e *Engine) Metrics() Metrics {
 		agg.BytesReused += s.BytesReused
 		agg.Entries += s.Entries
 		agg.SharedHits += s.SharedHits
+		agg.ResidentBytes += s.ResidentBytes
 	}
 	e.cachesMu.Unlock()
 	// Mirror the aggregate into registry gauges so the exportable
@@ -271,6 +272,7 @@ func (e *Engine) Metrics() Metrics {
 	e.reg.Gauge("evalcache.bytes_reused").Set(agg.BytesReused)
 	e.reg.Gauge("evalcache.entries").Set(agg.Entries)
 	e.reg.Gauge("evalcache.shared_hits").Set(agg.SharedHits)
+	e.reg.Gauge("evalcache.resident_bytes").Set(agg.ResidentBytes)
 	m.EvalCache = &agg
 	m.Points = e.reg.Snapshot()
 	return m
