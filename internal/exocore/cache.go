@@ -57,64 +57,20 @@ func appendKey(b []byte, u *unit) []byte {
 	return b
 }
 
-// unitOutcome is the memoized result of evaluating one unit from a
-// drained boundary, entirely at per-segment granularity: durations and
-// energy-event deltas in enc, critical-path latency by µDG edge class in
-// classes. The unit's per-model attribution is re-derived at composition
-// time from these plus the unit's segment→model mapping, so one cached
-// outcome serves plain totals, the Figure 14 timeline, and the
-// per-region attribution table alike. Composition is pure summation, so
-// a cached outcome is position-independent.
+// unitOutcome is one evaluated unit, at per-segment granularity:
+// durations and energy-event deltas in enc, critical-path latency by µDG
+// edge class in classes. Composition re-derives the per-model and
+// per-region attribution from these and the unit's segment→model
+// mapping by pure summation, so an outcome is position-independent.
 //
 // enc is the outcome value the durable store persists (see
-// appendOutcomeHeader), held in one allocation of its own; composition
-// decodes it in place. The memo holds it by value (outcomeMap), so a
-// memoized unit costs two heap objects: its key string and enc.
-//
-// classes is nil unless the unit was evaluated with class attribution
-// (RunOpts.RecordRegions): the critical-path walk is pure overhead for
-// scheduling sweeps, so it is computed on demand and the
-// class-attributed outcome replaces the cached one (see Cache.store).
+// appendOutcomeHeader), and all a Cache memoizes: a memoized unit costs
+// two heap objects, its key string and its value. classes is nil unless
+// the unit was evaluated for an attributed run (RunOpts.RecordRegions),
+// which memoizes nothing.
 type unitOutcome struct {
 	enc     []byte
 	classes [][dg.NumEdgeClasses]int64
-}
-
-// residentBytes is what the entry for key holds beyond the map itself.
-func (o *unitOutcome) residentBytes(key []byte) int64 {
-	return int64(len(key) + len(o.enc) + len(o.classes)*8*int(dg.NumEdgeClasses))
-}
-
-// outcomeMap holds memoized outcomes by unit key: every outcome's value
-// in enc, and the class attribution of class-attributed ones in classes
-// (nil until one is set). Keeping the rare classes in a map of their own
-// keeps each enc slot to a key and a slice header: 40 bytes, where a
-// slot holding both took 64.
-type outcomeMap struct {
-	enc     map[string][]byte
-	classes map[string][][dg.NumEdgeClasses]int64
-}
-
-func newOutcomeMap() outcomeMap { return outcomeMap{enc: make(map[string][]byte)} }
-
-// get returns key's outcome, with its class attribution if it has one.
-func (m *outcomeMap) get(key []byte) (unitOutcome, bool) {
-	enc, ok := m.enc[string(key)]
-	if !ok {
-		return unitOutcome{}, false
-	}
-	return unitOutcome{enc: enc, classes: m.classes[string(key)]}, true
-}
-
-// set holds o under key, replacing any outcome there.
-func (m *outcomeMap) set(key []byte, o unitOutcome) {
-	m.enc[string(key)] = o.enc
-	if o.classes != nil {
-		if m.classes == nil {
-			m.classes = make(map[string][][dg.NumEdgeClasses]int64)
-		}
-		m.classes[string(key)] = o.classes
-	}
 }
 
 // CacheStats is a point-in-time snapshot of a Cache's counters.
@@ -131,19 +87,41 @@ type CacheStats struct {
 	// pool: offload solo units whose evaluation retired no core µops are
 	// core-independent, so one core's evaluation serves all four.
 	SharedHits int64 `json:"shared_hits"`
-	// ResidentBytes counts the bytes the memo's entries hold: keys,
-	// outcome values and any class attribution, not the map's own
-	// overhead. An outcome value shared with a sibling core's cache
-	// through the cross-core pool counts in each cache.
+	// ResidentBytes counts the bytes the memo's entries hold: each
+	// entry's key and outcome value, not the map's own overhead. An
+	// outcome value shared with a sibling core's cache through the
+	// cross-core pool counts in each cache.
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
-// cacheShards bounds lock contention on the outcome map.
+// cacheShards bounds lock contention on the memo.
 const cacheShards = 16
 
+// outcomeShard is a lock-guarded map of outcome values by unit key: one
+// of a Cache's memo shards, or a TDG's cross-core shared pool.
 type outcomeShard struct {
 	mu sync.RWMutex
-	outcomeMap
+	m  map[string][]byte
+}
+
+func (s *outcomeShard) get(key []byte) ([]byte, bool) {
+	s.mu.RLock()
+	enc, ok := s.m[string(key)]
+	s.mu.RUnlock()
+	return enc, ok
+}
+
+// put holds enc under key unless a value is there already, and returns
+// the value the shard now holds and whether it is enc. The first writer
+// wins: outcomes are deterministic, so either copy is correct.
+func (s *outcomeShard) put(key, enc []byte) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev, ok := s.m[string(key)]; ok {
+		return prev, false
+	}
+	s.m[string(key)] = enc
+	return enc, true
 }
 
 // shardSeed hashes unit keys onto the outcome shards.
@@ -167,7 +145,7 @@ type Cache struct {
 	shards [cacheShards]outcomeShard
 
 	// shared is the cross-core outcome pool for this cache's TDG.
-	shared *sharedPool
+	shared *outcomeShard
 
 	// persist is the optional durable tier under this cache (see
 	// AttachPersist): misses consult it before evaluating and fresh
@@ -193,7 +171,7 @@ func NewCache(t *tdg.TDG) *Cache {
 		sharedHits: obs.NewCounter(), resident: obs.NewCounter(),
 	}
 	for i := range c.shards {
-		c.shards[i].outcomeMap = newOutcomeMap()
+		c.shards[i].m = make(map[string][]byte)
 	}
 	return c
 }
@@ -214,90 +192,54 @@ func (c *Cache) shardOf(key []byte) *outcomeShard {
 	return &c.shards[maphash.Bytes(shardSeed, key)%cacheShards]
 }
 
-// lookup returns the memoized outcome for a key; ok is false on a miss.
-func (c *Cache) lookup(key []byte) (o unitOutcome, ok bool) {
-	s := c.shardOf(key)
-	s.mu.RLock()
-	o, ok = s.get(key)
-	s.mu.RUnlock()
+// lookup returns the memoized outcome value for a key; ok is false on a
+// miss.
+func (c *Cache) lookup(key []byte) (enc []byte, ok bool) {
+	enc, ok = c.shardOf(key).get(key)
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return o, ok
+	return enc, ok
 }
 
-// store memoizes an outcome and returns the entry the cache now holds.
-// An entry another goroutine stored for the same key first wins
-// (outcomes are deterministic, so either copy is correct) unless it
-// lacks the class attribution o carries: then o replaces it, so a
-// class-attributed Run always gets classes back however its store
-// raced with a sweep or a candidate solo. Entries counts new keys only.
-func (c *Cache) store(key []byte, o unitOutcome) unitOutcome {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	prev, had := s.get(key)
-	if had && (prev.classes != nil || o.classes == nil) {
-		s.mu.Unlock()
-		return prev
-	}
-	s.set(key, o)
-	s.mu.Unlock()
-	if had {
-		c.resident.Add(o.residentBytes(key) - prev.residentBytes(key))
-	} else {
+// store memoizes an outcome value and returns the value the cache now
+// holds: a value another goroutine stored for the same key first wins.
+// Entries counts new keys only.
+func (c *Cache) store(key, enc []byte) []byte {
+	held, added := c.shardOf(key).put(key, enc)
+	if added {
 		c.entries.Add(1)
-		c.resident.Add(o.residentBytes(key))
+		c.resident.Add(int64(len(key) + len(enc)))
 	}
-	return o
+	return held
 }
 
-// sharedPool is a cross-core pool of core-independent unit outcomes for
-// one TDG, keyed like the per-core caches (appendKey names no core).
-// Offload models (NS-DF, Trace-P) evaluate solo units, and usually never
-// touch the host pipeline — NS-DF builds a pure dataflow schedule;
-// Trace-P replays on the core only after a misspeculation. When an
-// evaluation retires zero core µops, its outcome is a pure function of
-// (span, loop, model, residency): the GPP starts every unit from the
-// same drained state on every core config, so the result is
-// byte-identical across the four cores and one evaluation can serve all
-// of them. Units that DID execute core µops are never published, so a
-// hit is always exact.
-type sharedPool struct {
-	mu sync.RWMutex
-	outcomeMap
-}
-
-func (p *sharedPool) lookup(key []byte) (unitOutcome, bool) {
-	p.mu.RLock()
-	o, ok := p.get(key)
-	p.mu.RUnlock()
-	return o, ok
-}
-
-// store publishes an outcome; existing entries win (they are identical
-// by the purity argument above).
-func (p *sharedPool) store(key []byte, o unitOutcome) {
-	p.mu.Lock()
-	if _, ok := p.enc[string(key)]; !ok {
-		p.set(key, o)
-	}
-	p.mu.Unlock()
-}
-
-// sharedPools maps each live TDG to its cross-core pool. Keying by TDG
-// pointer scopes entries to one benchmark trace; the registry is cleared
-// wholesale if it ever exceeds maxSharedPools distinct TDGs, bounding
-// memory for long-lived processes that churn traces.
+// sharedPools maps each live TDG to its cross-core shared pool: the
+// core-independent outcomes of that TDG, keyed like the per-core caches
+// (appendKey names no core). Offload models (NS-DF, Trace-P) evaluate
+// solo units, and usually never touch the host pipeline — NS-DF builds
+// a pure dataflow schedule; Trace-P replays on the core only after a
+// misspeculation. When an evaluation retires zero core µops, its outcome
+// is a pure function of (span, loop, model, residency): the GPP starts
+// every unit from the same drained state on every core config, so the
+// result is byte-identical across the four cores and one evaluation can
+// serve all of them. Units that DID execute core µops are never
+// published, so a hit is always exact.
+//
+// Keying by TDG pointer scopes entries to one benchmark trace; the
+// registry is cleared wholesale if it ever exceeds maxSharedPools
+// distinct TDGs, bounding memory for long-lived processes that churn
+// traces.
 var (
 	sharedPoolsMu sync.Mutex
-	sharedPools   = map[*tdg.TDG]*sharedPool{}
+	sharedPools   = map[*tdg.TDG]*outcomeShard{}
 )
 
 const maxSharedPools = 32
 
-func sharedPoolFor(t *tdg.TDG) *sharedPool {
+func sharedPoolFor(t *tdg.TDG) *outcomeShard {
 	sharedPoolsMu.Lock()
 	defer sharedPoolsMu.Unlock()
 	p := sharedPools[t]
@@ -305,7 +247,7 @@ func sharedPoolFor(t *tdg.TDG) *sharedPool {
 		if len(sharedPools) >= maxSharedPools {
 			clear(sharedPools)
 		}
-		p = &sharedPool{outcomeMap: newOutcomeMap()}
+		p = &outcomeShard{m: make(map[string][]byte)}
 		sharedPools[t] = p
 	}
 	return p

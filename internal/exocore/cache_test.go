@@ -1,16 +1,12 @@
 package exocore
 
 import (
-	"bytes"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
 	"exocore/internal/cores"
-	"exocore/internal/dg"
-	"exocore/internal/energy"
-	"exocore/internal/tdg"
 )
 
 // TestCachedRunMatchesUncached is the correctness gate for the
@@ -94,90 +90,75 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 
 // TestCacheConcurrentRuns drives one Cache from concurrent goroutines (as
 // dse.Explore does through a shared sched.Context) and checks results
-// stay identical to a serial uncached reference.
+// stay identical to a serial uncached reference, for SIMD's one
+// core-resident unit and Trace-P's many solo units. Goroutines that miss
+// the same unit at once each evaluate it and the first store wins, so
+// the memo must still count each key as one entry and its resident
+// bytes as exactly its keys and values.
 func TestCacheConcurrentRuns(t *testing.T) {
 	td := buildTDG(t, "mm", 15000)
 	bsas := allBSAs()
 	plans := analyzeAll(td, bsas)
 
-	assign := Assignment{}
-	for l := range plans["SIMD"].Regions {
-		assign[l] = "SIMD"
-	}
-	ref, err := Run(td, cores.OOO2, bsas, plans, assign, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	cache := NewCache(td)
 	const goroutines = 8
-	results := make([]*RunResult, goroutines)
-	errs := make([]error, goroutines)
-	done := make(chan int)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			results[g], errs[g] = Run(td, cores.OOO2, bsas, plans, assign, RunOpts{Cache: cache})
-			done <- g
-		}(g)
-	}
-	for g := 0; g < goroutines; g++ {
-		<-done
-	}
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
+	var lookups int64
+	for _, name := range []string{"SIMD", "Trace-P"} {
+		assign := Assignment{}
+		for l := range plans[name].Regions {
+			assign[l] = name
 		}
-		if !reflect.DeepEqual(ref, results[g]) {
-			t.Errorf("goroutine %d diverged from the serial uncached reference", g)
+		ref, err := Run(td, cores.OOO2, bsas, plans, assign, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		results := make([]*RunResult, goroutines)
+		errs := make([]error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				results[g], errs[g] = Run(td, cores.OOO2, bsas, plans, assign, RunOpts{Cache: cache})
+			}(g)
+		}
+		wg.Wait()
+		for g := 0; g < goroutines; g++ {
+			if errs[g] != nil {
+				t.Fatalf("%s goroutine %d: %v", name, g, errs[g])
+			}
+			if !reflect.DeepEqual(ref, results[g]) {
+				t.Errorf("%s goroutine %d diverged from the serial uncached reference", name, g)
+			}
+		}
+		lookups += goroutines * int64(len(unitize(td, Segmentize(td, assign), assign, bsas)))
+	}
+
+	var keys, resident int64
+	for i := range cache.shards {
+		for k, enc := range cache.shards[i].m {
+			keys++
+			resident += int64(len(k) + len(enc))
+		}
+	}
+	s := cache.Stats()
+	if keys < 10 || s.Entries != keys {
+		t.Errorf("entries = %d, the memo holds %d keys (want at least 10)", s.Entries, keys)
+	}
+	if s.ResidentBytes != resident {
+		t.Errorf("resident bytes = %d, the memo's keys and values take %d", s.ResidentBytes, resident)
+	}
+	if s.Misses < s.Entries || s.Hits+s.Misses != lookups {
+		t.Errorf("cache stats %+v over %d unit lookups", s, lookups)
 	}
 }
 
-// TestStoreReplacesClasslessEntry pins the store rule that lets
-// class-attributed runs share a cache with sweeps: a class-attributed
-// outcome replaces a class-less entry for the same key and comes back
-// from store, a class-less outcome never displaces a class-attributed
-// one, and the key counts as one entry. Both outcomes hold the same
-// encoded value, as they do in the engine; the resident bytes follow the
-// entry that stays.
-func TestStoreReplacesClasslessEntry(t *testing.T) {
-	c := NewCache(new(tdg.TDG))
-	k := appendKey(nil, &unit{
-		segs:  []Segment{{LoopID: -1, Start: 0, End: 100}},
-		names: []string{""}, cfgRes: []bool{false},
-	})
-	var counts energy.Counts
-	enc := appendSegment(appendOutcomeHeader(nil, 1), 7, &counts)
-	plain := unitOutcome{enc: enc}
-	classed := unitOutcome{enc: enc, classes: make([][dg.NumEdgeClasses]int64, 1)}
-	classed.classes[0][dg.EdgeData] = 7
-
-	if got := c.store(k, plain); got.classes != nil || !bytes.Equal(got.enc, enc) {
-		t.Fatal("first store did not keep its outcome")
-	}
-	if got := c.store(k, classed); got.classes == nil || !bytes.Equal(got.enc, enc) {
-		t.Fatal("class-attributed store got the class-less entry back")
-	}
-	if got, ok := c.lookup(k); !ok || got.classes == nil {
-		t.Error("lookup after replacement returned the class-less entry")
-	}
-	if got := c.store(k, plain); got.classes == nil {
-		t.Error("class-less store displaced the class-attributed entry")
-	}
-	s := c.Stats()
-	if s.Entries != 1 {
-		t.Errorf("entries = %d after three stores of one key, want 1", s.Entries)
-	}
-	if want := int64(len(k) + len(enc) + 8*int(dg.NumEdgeClasses)); s.ResidentBytes != want {
-		t.Errorf("resident bytes = %d, want %d (key, value and one segment's classes)", s.ResidentBytes, want)
-	}
-}
-
-// TestCacheConcurrentRegionRuns mixes class-attributed and plain Runs on
-// one fresh cache per round, the way a daemon's region request races a
-// sweep on a shared scheduling context: the plain runs evaluate faster
-// and usually store first, so every class-attributed run must still get
-// its classes back and match the cache-less reference exactly.
+// TestCacheConcurrentRegionRuns races attributed Runs against lean Runs
+// on one fresh cache per round, the way a region request can race a
+// sweep on a shared scheduling context. Attributed runs ignore the
+// cache: every one must match the cache-less reference, and the round
+// must leave the cache's counters and a counting Persist's gets and puts
+// exactly where the lean runs alone leave them.
 func TestCacheConcurrentRegionRuns(t *testing.T) {
 	td := buildTDG(t, "mm", 4000)
 	bsas := allBSAs()
@@ -187,18 +168,53 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 		offload[l] = "NS-DF"
 	}
 	assigns := []Assignment{nil, offload}
+
+	// Each round's lean goroutine runs its assignment twice in a row, so
+	// its counters are deterministic: compare them with the same two
+	// runs alone. A warm-up first publishes the NS-DF units to the TDG's
+	// shared pool, so every round finds them there.
+	type counters struct {
+		stats      CacheStats
+		gets, puts int
+	}
+	lean := func(c *Cache, a Assignment) (*RunResult, error) {
+		if _, err := Run(td, cores.OOO2, bsas, plans, a, RunOpts{Cache: c}); err != nil {
+			return nil, err
+		}
+		return Run(td, cores.OOO2, bsas, plans, a, RunOpts{Cache: c})
+	}
+	count := func(c *Cache, p *mapPersist) counters {
+		s := c.Stats()
+		s.BytesReused = 0 // arena reuse depends on the worker pool's state
+		return counters{s, p.gets, p.puts}
+	}
 	refs := make([]*RunResult, len(assigns))
+	leanRefs := make([]*RunResult, len(assigns))
+	want := make([]counters, len(assigns))
 	for i, a := range assigns {
 		var err error
 		if refs[i], err = Run(td, cores.OOO2, bsas, plans, a, RunOpts{RecordRegions: true}); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := lean(NewCache(td), a); err != nil {
+			t.Fatal(err)
+		}
+		c, p := NewCache(td), newMapPersist()
+		c.AttachPersist(p, "ns|")
+		if leanRefs[i], err = lean(c, a); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = count(c, p)
+	}
+	if want[1].stats.SharedHits == 0 {
+		t.Fatal("the NS-DF assignment served no shared hits: the test no longer covers the shared pool")
 	}
 
 	const rounds, goroutines = 40, 4
 	for r := 0; r < rounds; r++ {
-		assign, ref := assigns[r%len(assigns)], refs[r%len(assigns)]
-		cache := NewCache(td)
+		i := r % len(assigns)
+		cache, p := NewCache(td), newMapPersist()
+		cache.AttachPersist(p, "ns|")
 		results := make([]*RunResult, goroutines)
 		errs := make([]error, goroutines)
 		start := make(chan struct{})
@@ -208,8 +224,12 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				<-start
-				results[g], errs[g] = Run(td, cores.OOO2, bsas, plans, assign,
-					RunOpts{Cache: cache, RecordRegions: g%2 == 0})
+				if g == 0 {
+					results[g], errs[g] = lean(cache, assigns[i])
+					return
+				}
+				results[g], errs[g] = Run(td, cores.OOO2, bsas, plans, assigns[i],
+					RunOpts{Cache: cache, RecordRegions: true})
 			}(g)
 		}
 		close(start)
@@ -218,12 +238,16 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 			if errs[g] != nil {
 				t.Fatalf("round %d goroutine %d: %v", r, g, errs[g])
 			}
-			if res.Cycles != ref.Cycles || res.Counts != ref.Counts {
-				t.Errorf("round %d goroutine %d: totals diverge from the cache-less reference", r, g)
+			if g == 0 {
+				if !reflect.DeepEqual(res, leanRefs[i]) {
+					t.Errorf("round %d: the lean run diverges from its reference", r)
+				}
+			} else if !reflect.DeepEqual(res, refs[i]) {
+				t.Errorf("round %d goroutine %d: attributed run diverges from the cache-less reference", r, g)
 			}
-			if g%2 == 0 && !reflect.DeepEqual(res.Regions, ref.Regions) {
-				t.Errorf("round %d goroutine %d: region table diverges from the cache-less reference", r, g)
-			}
+		}
+		if got := count(cache, p); got != want[i] {
+			t.Errorf("round %d: attributed runs moved the cache's counters: %+v, lean runs alone %+v", r, got, want[i])
 		}
 	}
 }

@@ -34,6 +34,15 @@
 // implementation, so their results agree bit-for-bit by construction
 // (gated by the equivalence tests in this package and internal/dse).
 //
+// # Lean and attributed runs
+//
+// Only lean runs use a Cache: their unit outcomes are what the memo, the
+// cross-core shared pool and the durable store hold, in one encoding
+// (appendOutcomeHeader). An attributed run (RunOpts.RecordRegions) also
+// walks each unit's critical path for the per-region table behind the
+// Figure 13 analysis; it evaluates every unit itself, and the runner's
+// report stage memoizes the whole run instead.
+//
 // Cross-unit accelerator state — configuration residency — is simulated
 // by the engine itself in composition order (per-BSA LRU of
 // ConfigCacheWays entries) and passed into models via Ctx.ConfigResident,
@@ -86,18 +95,21 @@ type RunOpts struct {
 	// (RunResult.Regions): dynamic instructions, cycles, energy events and
 	// critical-path class histogram per (loop, model).
 	RecordRegions bool
-	// Cache, when non-nil, memoizes unit outcomes across Runs and
-	// evaluates incrementally: a Run under a new assignment evaluates only
-	// the units no earlier Run produced, and offload units may come from
-	// the cross-core shared pool. It must have been created for the same
-	// TDG (NewCache) and be used with a fixed (core, bsas, plans) tuple.
-	// Without a cache, Run evaluates every unit from scratch — the
-	// reference the identity tests hold cached runs to. Both split the
-	// trace with Segmentize.
+	// Cache, when non-nil, memoizes unit outcomes across lean Runs and
+	// evaluates incrementally: a Run under a new assignment evaluates
+	// only the units no earlier Run produced, and offload units may come
+	// from the cross-core shared pool. It must have been created for the
+	// same TDG (NewCache) and be used with a fixed (core, bsas, plans)
+	// tuple. Attributed runs (RecordRegions) ignore it: they evaluate
+	// every unit and neither read nor write the memo, the shared pool or
+	// the durable store. Without a cache, Run evaluates every unit from
+	// scratch — the reference the identity tests hold cached runs to.
+	// Both split the trace with Segmentize.
 	Cache *Cache
 	// Span, when active, receives one child span per evaluation unit
-	// (annotated with cache hit/miss) with nested transform spans. The
-	// zero Span disables tracing at nil-check cost.
+	// (annotated with cache hit/miss when a cache serves the run) with
+	// nested transform spans. The zero Span disables tracing at
+	// nil-check cost.
 	Span obs.Span
 	// Reg, when non-nil, receives engine-level instruments: the
 	// "eval.segment_len" histogram, per-BSA
@@ -284,12 +296,16 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 	}
 
 	units := unitize(t, Segmentize(t, assign), assign, bsas)
+	cache := opts.Cache
+	if opts.RecordRegions {
+		cache = nil // attributed runs memoize nothing (see RunOpts.Cache)
+	}
 	// One worker (graph + GPP arenas) serves every unit of this run,
 	// drawn from — and returned to — the per-config arena pool; a cache
 	// counts the bytes the reuse saved.
 	var reused *obs.Counter
-	if opts.Cache != nil {
-		reused = opts.Cache.reused
+	if cache != nil {
+		reused = cache.reused
 	}
 	w := acquireWorker(core, reused)
 	defer releaseWorker(core, w)
@@ -314,8 +330,8 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 				ArgInt("segments", int64(len(u.segs)))
 		}
 		var out unitOutcome
-		if opts.Cache != nil {
-			out = opts.Cache.outcome(w, t, bsas, plans, u, usp, opts.RecordRegions)
+		if cache != nil {
+			out.enc = cache.outcome(w, t, bsas, plans, u, usp)
 		} else {
 			out = evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions)
 		}
@@ -333,12 +349,12 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 	return res, nil
 }
 
-// outcome returns u's outcome from the cache — its memo, the cross-core
-// shared pool or the durable tier, in that order — or evaluates it on w
-// and memoizes the result. Every outcome it returns is the memo's own
-// entry. classes asks for the critical-path class attribution.
+// outcome returns u's lean outcome value from the cache — its memo, the
+// cross-core shared pool or the durable tier, in that order — or
+// evaluates it on w and memoizes the result. Every value it returns is
+// the memo's own entry.
 func (c *Cache) outcome(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
-	plans map[string]*tdg.Plan, u unit, usp obs.Span, classes bool) unitOutcome {
+	plans map[string]*tdg.Plan, u unit, usp obs.Span) []byte {
 
 	// w.key holds the cache's persist namespace followed by the unit's
 	// key; the memo and the shared pool use the key, the durable store
@@ -346,71 +362,59 @@ func (c *Cache) outcome(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 	w.key = appendKey(append(w.key[:0], c.persistNS...), &u)
 	pkey := w.key
 	key := pkey[len(c.persistNS):]
-	out, ok := c.lookup(key)
+	enc, ok := c.lookup(key)
 	if usp.Active() {
-		usp.Arg("cache", map[bool]string{true: "hit", false: "miss"}[ok])
+		state := "miss"
+		if ok {
+			state = "hit"
+		}
+		usp.Arg("cache", state)
 	}
 	if ok {
-		if classes && out.classes == nil {
-			// Cached by a sweep without class attribution; re-evaluate
-			// once with it and replace the entry. Durations and deltas do
-			// not depend on classes, so the entry's value serves as is.
-			o := evalUnit(w, t, bsas, plans, u, usp, true)
-			o.enc = out.enc
-			out = c.store(key, o)
-		}
-		return out
+		return enc
 	}
 	// Offload solo units are usually core-independent (the model never
 	// touches the host pipeline), so before evaluating, consult the
 	// cross-core shared pool populated by sibling caches for the same
 	// TDG.
-	var shared *sharedPool
+	var shared *outcomeShard
 	if len(u.segs) == 1 && u.names[0] != "" && bsas[u.names[0]].OffloadsCore() {
 		shared = c.shared
-		if so, ok := shared.lookup(key); ok && (!classes || so.classes != nil) {
-			out = c.store(key, so)
+		if enc, ok := shared.get(key); ok {
+			enc = c.store(key, enc)
 			c.sharedHits.Add(1)
 			// Write shared hits through too: the sibling core's
 			// evaluation persisted under its own namespace, so without
 			// this a restart of this core goes cold.
-			if c.persist != nil && !classes {
-				c.persist.Put(pkey, out.enc)
+			if c.persist != nil {
+				c.persist.Put(pkey, enc)
 			}
-			return out
+			return enc
 		}
 	}
 	// Durable tier: a restarted daemon re-reads outcomes its predecessor
 	// (or a sibling replica sharing the directory) already derived.
-	// Class-attributed runs bypass it — classes are never persisted, and
-	// storing a classless outcome here would only be replaced again.
-	persist := c.persist
-	if classes {
-		persist = nil
-	}
-	if persist != nil {
-		if raw, ok := persist.Get(pkey); ok {
+	if c.persist != nil {
+		if raw, ok := c.persist.Get(pkey); ok {
 			// The value is checked in place, then kept in an allocation
 			// of its own: a store may hand back a slice of a larger
 			// buffer (internal/store returns its whole object frame's).
 			if n, ok := checkOutcome(raw); ok && n == len(u.segs) {
-				return c.store(key, unitOutcome{enc: bytes.Clone(raw)})
+				return c.store(key, bytes.Clone(raw))
 			}
 		}
 	}
-	o := evalUnit(w, t, bsas, plans, u, usp, classes)
-	o.enc = bytes.Clone(o.enc)
-	out = c.store(key, o)
-	if persist != nil {
-		persist.Put(pkey, out.enc)
+	enc = c.store(key, bytes.Clone(evalUnit(w, t, bsas, plans, u, usp, false).enc))
+	if c.persist != nil {
+		c.persist.Put(pkey, enc)
 	}
 	// Publish to the shared pool only when the evaluation proved itself
 	// core-independent: zero retired core µops means the transform never
 	// consulted the host pipeline.
 	if shared != nil && w.gpp.Retired() == 0 {
-		shared.store(key, out)
+		shared.put(key, enc)
 	}
-	return out
+	return enc
 }
 
 // composer sums unit outcomes, in trace order, into a RunResult.

@@ -228,8 +228,8 @@ func TestPersistPutsTheMemoBytes(t *testing.T) {
 					t.Fatalf("%s on %s: put key %q lacks the namespace", bench, core.Name, put.key)
 				}
 				memo, ok := c.lookup(key)
-				if !ok || !bytes.Equal(put.val, memo.enc) || &put.val[0] != &memo.enc[0] {
-					t.Fatalf("%s on %s: put %x for key %x, the memo holds %x", bench, core.Name, put.val, key, memo.enc)
+				if !ok || !bytes.Equal(put.val, memo) || &put.val[0] != &memo[0] {
+					t.Fatalf("%s on %s: put %x for key %x, the memo holds %x", bench, core.Name, put.val, key, memo)
 				}
 			}
 			t.Logf("%s on %s: %d puts, %d shared hits", bench, core.Name, len(p.puts), c.Stats().SharedHits)

@@ -362,6 +362,17 @@ func TestHandlerEndpoints(t *testing.T) {
 	if resp, _ = post("/v1/evaluate", `{"bench":"nonesuch"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad evaluate: status %d, want 400", resp.StatusCode)
 	}
+	// Data after the body is a coordinator-side 400 on both endpoints.
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/evaluate", evalBody + " }"},
+		{"/v1/evaluate", evalBody + "]"},
+		{"/v1/sweep", `{"bench":"mm","designs":["IO2"]} }`},
+		{"/v1/sweep", `{"bench":"mm","designs":["IO2"]}]`},
+	} {
+		if resp, body = post(tc.path, tc.body); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "trailing data") {
+			t.Errorf("%s %s: status %d, body %s; want 400 for trailing data", tc.path, tc.body, resp.StatusCode, body)
+		}
+	}
 
 	// healthz: coordinator role, both replicas alive.
 	var hz struct {

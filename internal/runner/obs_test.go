@@ -56,7 +56,7 @@ func TestEventForEveryStageLookup(t *testing.T) {
 	if int64(len(events)) != calls {
 		t.Errorf("%d events delivered for %d stage lookups", len(events), calls)
 	}
-	for _, st := range stageOrder {
+	for _, st := range Stages {
 		if perStage[st] == 0 {
 			t.Errorf("no event for stage %q", st)
 		}
@@ -146,7 +146,7 @@ func TestTraceSpanNesting(t *testing.T) {
 			t.Fatalf("no %q spans in trace", cat)
 		}
 	}
-	for _, stage := range stageOrder {
+	for _, stage := range Stages {
 		found := false
 		for _, ev := range byCat["stage"] {
 			if strings.HasPrefix(ev.Name, stage+" ") {

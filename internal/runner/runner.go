@@ -38,7 +38,10 @@ const (
 	StageReport = "report"
 )
 
-var stageOrder = []string{StageTrace, StageTDG, StageSched, StageEval, StageReport}
+// Stages lists the stage names in execution order: the order of
+// Metrics().Stages, and the names under which every Engine registers
+// its "stage.<name>.*" instruments. Read-only.
+var Stages = []string{StageTrace, StageTDG, StageSched, StageEval, StageReport}
 
 // Event describes one cache lookup, delivered to the progress callback.
 type Event struct {
@@ -213,9 +216,9 @@ func New(opts Options) *Engine {
 		tracer:     opts.Tracer,
 		reg:        reg,
 		log:        opts.Log,
-		stages:     make(map[string]*stageInstruments, len(stageOrder)),
+		stages:     make(map[string]*stageInstruments, len(Stages)),
 	}
-	for _, s := range stageOrder {
+	for _, s := range Stages {
 		e.stages[s] = &stageInstruments{
 			calls:  reg.Counter("stage." + s + ".calls"),
 			hits:   reg.Counter("stage." + s + ".hits"),
@@ -242,7 +245,7 @@ func (e *Engine) Workers() int { return e.workers }
 // Metrics snapshots the per-stage counters in pipeline order.
 func (e *Engine) Metrics() Metrics {
 	var m Metrics
-	for _, name := range stageOrder {
+	for _, name := range Stages {
 		c := e.stages[name]
 		m.Stages = append(m.Stages, StageMetrics{
 			Stage:  name,
@@ -490,8 +493,10 @@ func (e *Engine) EvaluateCtx(ctx context.Context, w *workloads.Workload, core co
 // and per-region cycles, energy events and critical-path classes. It is
 // memoized under Evaluate's key in a memo of its own, so sweeps, which
 // only Evaluate, never pay for attribution, and a repeated query reads
-// one map entry instead of recomposing its units. The result is shared
-// by every caller of the same key: treat it as read-only.
+// one map entry instead of recomposing its units. This memo is the one
+// cache of attributed runs: a miss evaluates every unit and leaves the
+// context's unit cache untouched. The result is shared by every caller
+// of the same key: treat it as read-only.
 func (e *Engine) Report(w *workloads.Workload, core cores.Config, assign exocore.Assignment) (*exocore.RunResult, error) {
 	return e.ReportCtx(context.Background(), w, core, assign)
 }
@@ -510,11 +515,8 @@ func (e *Engine) ReportCtx(ctx context.Context, w *workloads.Workload, core core
 		}
 		sp := e.tracer.BeginCtx(ctx, "stage", StageReport+" "+key)
 		defer sp.End()
-		// The context's unit cache serves the units the scheduler already
-		// evaluated; those it holds without critical-path classes are
-		// evaluated again with attribution and replace their entries.
 		return exocore.Run(sc.TDG, core, sc.BSAs, sc.Plans, assign, exocore.RunOpts{
-			Cache: sc.Cache, RecordRegions: true, Span: sp, Reg: e.reg,
+			RecordRegions: true, Span: sp, Reg: e.reg,
 		})
 	})
 	e.account(ctx, StageReport, key, hit, wall, 0)
@@ -588,7 +590,7 @@ func (e *Engine) StreamBaselineCtx(ctx context.Context, w *workloads.Workload, c
 		insts = int64(res.Stream.Dyn)
 	}
 	// Streamed runs account under their own lazily-created instruments:
-	// stageOrder instruments are part of every tool's metrics snapshot,
+	// the instruments of Stages are part of every tool's metrics snapshot,
 	// which must not change shape for runs that never stream.
 	c := e.reg.Counter("stream.baseline.calls")
 	c.Add(1)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,7 +15,8 @@ import (
 var fuzzEngine = runner.New(runner.Options{MaxDyn: testMaxDyn})
 
 // FuzzEvalRequest: decoding and resolving any /v1/evaluate body must not
-// panic, and an accepted request's canonical form — its resolved
+// panic, an accepted body must be one JSON value followed only by
+// whitespace, and an accepted request's canonical form — its resolved
 // benchmark names, core, BSA list and scheduler — must resolve to the
 // same coalescing key.
 func FuzzEvalRequest(f *testing.F) {
@@ -31,6 +33,7 @@ func FuzzEvalRequest(f *testing.F) {
 		`{"bench":""}`,
 		`{"bench":["mm"]}`,
 		`[]`, `null`, `{`, ``,
+		`{"bench":"mm"} }`, `{"bench":"mm"}]`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -38,6 +41,9 @@ func FuzzEvalRequest(f *testing.F) {
 		var req EvalRequest
 		if err := DecodeJSON(httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(string(body))), &req); err != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("%q: accepted a body that is not one JSON value followed only by whitespace", body)
 		}
 		q, err := resolveEval(req, fuzzEngine)
 		if err != nil {
@@ -60,7 +66,8 @@ func FuzzEvalRequest(f *testing.F) {
 }
 
 // FuzzSweepRequest: decoding and resolving any /v1/sweep body must not
-// panic, an accepted request's design codes must all parse, and its
+// panic, an accepted body must be one JSON value followed only by
+// whitespace, an accepted request's design codes must all parse, and its
 // canonical form must resolve to the same coalescing key.
 func FuzzSweepRequest(f *testing.F) {
 	for _, s := range []string{
@@ -74,6 +81,7 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"maxdyn":1}`,
 		`{"partial":true,"x":1}`,
 		`{} []`, `[`, ``,
+		`{"bench":"mm"} }`, `{"bench":"mm"}]`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -81,6 +89,9 @@ func FuzzSweepRequest(f *testing.F) {
 		var req SweepRequest
 		if err := DecodeJSON(httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(string(body))), &req); err != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("%q: accepted a body that is not one JSON value followed only by whitespace", body)
 		}
 		q, err := resolveSweep(req, fuzzEngine)
 		if err != nil {

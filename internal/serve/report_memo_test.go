@@ -23,9 +23,10 @@ var servedBenches = append(append([]string(nil), cli.QuickSet...), "bfs", "pager
 // attributed run behind every /v1/evaluate — to a cache-less
 // exocore.Run with region attribution on every served benchmark and
 // core, under the Oracle assignment of no BSAs, of each single BSA and
-// of all of them, plus the Amdahl tree of all of them. A repeated call
-// must be a pure memo read: the same result, no unit-cache traffic and
-// one more report hit.
+// of all of them, plus the Amdahl tree of all of them. The first call
+// must leave the context's unit cache as it found it (attributed runs
+// ignore it), and a repeated call must be a pure memo read: the same
+// result, no unit-cache traffic and one more report hit.
 func TestReportMatchesUncachedRun(t *testing.T) {
 	wls, err := cli.ResolveBenchSpec(strings.Join(servedBenches, ","))
 	if err != nil {
@@ -51,9 +52,13 @@ func TestReportMatchesUncachedRun(t *testing.T) {
 					continue
 				}
 				seen[key] = true
+				before := sc.Cache.Stats()
 				got, err := eng.Report(w, core, a)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if after := sc.Cache.Stats(); after != before {
+					t.Errorf("%s: the first Report moved the unit cache's counters: %+v -> %+v", key, before, after)
 				}
 				want, err := exocore.Run(sc.TDG, core, sc.BSAs, sc.Plans, a, exocore.RunOpts{RecordRegions: true})
 				if err != nil {

@@ -47,6 +47,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -197,7 +198,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// The engine-stage hit counters, resolved once: the flight recorder
 	// attributes their growth across a request as its cache-hit count.
-	for _, st := range []string{runner.StageTrace, runner.StageTDG, runner.StageSched, runner.StageEval, runner.StageReport} {
+	for _, st := range runner.Stages {
 		s.stageHits = append(s.stageHits, reg.Counter("stage."+st+".hits"))
 	}
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
@@ -649,7 +650,8 @@ func DecodeJSON(r *http.Request, dst any) error {
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	if dec.More() {
+	// More alone would pass a stray '}' or ']': only whitespace may follow.
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("bad request body: trailing data")
 	}
 	return nil

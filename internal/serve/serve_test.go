@@ -247,6 +247,10 @@ func TestBadRequests(t *testing.T) {
 		{"unknown sched", "/v1/evaluate", `{"bench":"mm","sched":"lru"}`, "unknown scheduler"},
 		{"maxdyn mismatch", "/v1/evaluate", `{"bench":"mm","maxdyn":123}`, "not served"},
 		{"bad design", "/v1/sweep", `{"designs":["OOO3-S"]}`, "in design"},
+		{"trailing brace", "/v1/evaluate", `{"bench":"mm"} }`, "trailing data"},
+		{"trailing bracket", "/v1/evaluate", `{"bench":"mm"}]`, "trailing data"},
+		{"sweep trailing brace", "/v1/sweep", `{"bench":"mm","designs":["IO2"]} }`, "trailing data"},
+		{"sweep trailing bracket", "/v1/sweep", `{"bench":"mm","designs":["IO2"]}]`, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
