@@ -22,7 +22,8 @@ vet:
 
 # Race-enabled run of the concurrency-sensitive packages (the runner
 # engine, the exploration that fans out over it, the evaluation cache
-# with its sharded outcome map and cross-core shared pool, the serving
+# with its sharded outcome index over an append-only arena and its
+# cross-core shared pool, the serving
 # layer's singleflight/admission machinery, the fabric's shard
 # dispatcher with its work-stealing workers, the persistent store's
 # locked LRU index, and the streaming trace pipeline: a chunk pool's
@@ -44,7 +45,10 @@ test:
 # (Segmentize under any pick of a workload's loops must equal its
 # per-instruction reference), the store-forwarding table
 # (FuzzStoreTable: any Set/Get/Clear/Keep/ForEach sequence must match a
-# Go map plus its first-store order), and the bytes that reach the
+# Go map plus its first-store order), the unit memo's arena and index
+# (FuzzOutcomeTable: any put/get sequence on a memo and its shared pool,
+# pool references included, must match Go maps with the first writer
+# winning, under colliding hashes), and the bytes that reach the
 # process from outside: /v1/evaluate and /v1/sweep bodies, design codes
 # and BSA letters, store object frames, persisted unit outcomes and the
 # partial documents a fabric coordinator merges must never panic, and
@@ -55,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunStreamChunks$$' -fuzztime 10s ./internal/exocore
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentize$$' -fuzztime 3s ./internal/exocore
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreTable$$' -fuzztime 3s ./internal/dg
+	$(GO) test -run '^$$' -fuzz '^FuzzOutcomeTable$$' -fuzztime 3s ./internal/exocore
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 3s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 3s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDesignCode$$' -fuzztime 3s ./internal/dse

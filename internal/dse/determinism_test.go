@@ -359,10 +359,13 @@ func TestSharedEngineAcrossExplorations(t *testing.T) {
 
 // TestQuickSweepMemoBytesPerEntry bounds what the unit memo holds per
 // entry: keys and outcome values (exocore.CacheStats.ResidentBytes, the
-// map's overhead not counted) average at most 128 bytes over a
-// quick-set sweep at 10k instructions on IO2 and OOO2. Held as their
-// encoded values, 2229 entries take 90 B each; as structs with a full
-// energy.Counts per segment, their keys, durations and counts took 550.
+// arena's and index's overhead not counted) average at most 128 bytes
+// over a quick-set sweep at 10k instructions on IO2 and OOO2. Held as
+// their encoded values, 2229 entries take 90 B each; as structs with a
+// full energy.Counts per segment, their keys, durations and counts took
+// 550. The same sweep's bound with that overhead counted is
+// internal/exocore's TestQuickSweepMemoHeldBytes, which the package's
+// test-only view of the arena serves.
 func TestQuickSweepMemoBytesPerEntry(t *testing.T) {
 	eng, _, _, _ := quickSweep(t)
 	ec := eng.Metrics().EvalCache

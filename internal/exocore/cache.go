@@ -1,10 +1,13 @@
 package exocore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/maphash"
+	"math/bits"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"exocore/internal/cores"
 	"exocore/internal/dg"
@@ -64,10 +67,11 @@ func appendKey(b []byte, u *unit) []byte {
 // mapping by pure summation, so an outcome is position-independent.
 //
 // enc is the outcome value the durable store persists (see
-// appendOutcomeHeader), and all a Cache memoizes: a memoized unit costs
-// two heap objects, its key string and its value. classes is nil unless
-// the unit was evaluated for an attributed run (RunOpts.RecordRegions),
-// which memoizes nothing.
+// appendOutcomeHeader), and all a Cache memoizes: a memoized unit is one
+// record of its key and value in an arena and one index slot, no heap
+// object of its own (see outcomeTable). classes is nil unless the unit
+// was evaluated for an attributed run (RunOpts.RecordRegions), which
+// memoizes nothing.
 type unitOutcome struct {
 	enc     []byte
 	classes [][dg.NumEdgeClasses]int64
@@ -87,45 +91,233 @@ type CacheStats struct {
 	// pool: offload solo units whose evaluation retired no core µops are
 	// core-independent, so one core's evaluation serves all four.
 	SharedHits int64 `json:"shared_hits"`
-	// ResidentBytes counts the bytes the memo's entries hold: each
-	// entry's key and outcome value, not the map's own overhead. An
-	// outcome value shared with a sibling core's cache through the
-	// cross-core pool counts in each cache.
+	// ResidentBytes counts each memo entry's key and outcome value bytes.
+	// It leaves out what holding them costs: the arena's record headers
+	// and unfilled chunk tails and the index slots. An entry that refers
+	// to a record of the cross-core pool counts that record's key and
+	// value in each cache that refers to it, though the pool holds them
+	// once.
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
 // cacheShards bounds lock contention on the memo.
 const cacheShards = 16
 
-// outcomeShard is a lock-guarded map of outcome values by unit key: one
-// of a Cache's memo shards, or a TDG's cross-core shared pool.
+// An outcomeTable holds outcome values by unit key: a Cache's memo, or a
+// TDG's cross-core shared pool. Its keys and values sit back to back in
+// an append-only arena, and each of its shards indexes them with a
+// pointer-free open-addressed table, so a held unit costs no Go object
+// of its own, and the collector scans none of it. The first writer of a
+// key wins: outcomes are deterministic, so either copy is correct.
+//
+// get and put take the key's hash h, computed once per lookup by the
+// caller; hash recomputes it when a shard's index grows and must agree
+// with what callers pass. A memo's entry may refer to a record of its
+// pool instead of holding a copy (poolRef); a pool refers to nothing
+// else, so the sharedPools registry never pins a cache's arena.
+type outcomeTable struct {
+	hash   func(key []byte) uint64
+	arena  arena
+	shards [cacheShards]outcomeShard
+	pool   *outcomeTable // resolves poolRef entries; nil for a pool
+}
+
+// An outcomeShard indexes a share of a table's records: a linear-probe
+// table of slots, 0 for empty, each holding occupied | the hash's tag |
+// the record's ref. It starts at minSlots on its first entry and doubles
+// at 3/4 load.
 type outcomeShard struct {
-	mu sync.RWMutex
-	m  map[string][]byte
+	mu    sync.RWMutex
+	slots []uint64
+	n     int
 }
 
-func (s *outcomeShard) get(key []byte) ([]byte, bool) {
+const minSlots = 16
+
+// A ref locates a record: its chunk in the arena above offBits and its
+// offset in the chunk below. poolRef marks a record in the memo's pool.
+// chunkBits reaches every chunk a process can hold: each chunk is at
+// least chunkSize bytes and Go's heap spans at most 2^48, so at most
+// 2^34 of them exist; arena.add panics rather than let a ref wrap.
+const (
+	offBits   = 14
+	chunkBits = 35
+	poolRef   = 1 << (offBits + chunkBits)
+	refMask   = poolRef<<1 - 1
+	tagShift  = offBits + chunkBits + 1
+	occupied  = 1 << 63
+)
+
+// slotOf packs an occupied slot: the top 13 bits of h, as a tag that
+// spares most probes a key comparison, and ref.
+func slotOf(h, ref uint64) uint64 {
+	return occupied | h>>(tagShift+1)<<tagShift | ref
+}
+
+// record resolves ref to its key and value.
+func (t *outcomeTable) record(ref uint64) (key, val []byte) {
+	if ref&poolRef != 0 {
+		return t.pool.arena.record(ref &^ poolRef)
+	}
+	return t.arena.record(ref)
+}
+
+// find probes s for key. It returns the slot index of key's entry and
+// its value, or ok false and the empty slot that ends the probe.
+func (s *outcomeShard) find(t *outcomeTable, h uint64, key []byte) (i uint64, val []byte, ok bool) {
+	mask := uint64(len(s.slots) - 1)
+	tag := slotOf(h, 0)
+	for i = h / cacheShards & mask; ; i = (i + 1) & mask {
+		v := s.slots[i]
+		if v == 0 {
+			return i, nil, false
+		}
+		if v&^refMask == tag {
+			if k, val := t.record(v & refMask); bytes.Equal(k, key) {
+				return i, val, true
+			}
+		}
+	}
+}
+
+// get returns the value held under key and its ref.
+func (t *outcomeTable) get(h uint64, key []byte) (val []byte, ref uint64, ok bool) {
+	s := &t.shards[h%cacheShards]
 	s.mu.RLock()
-	enc, ok := s.m[string(key)]
+	if s.n > 0 {
+		var i uint64
+		if i, val, ok = s.find(t, h, key); ok {
+			ref = s.slots[i] & refMask
+		}
+	}
 	s.mu.RUnlock()
-	return enc, ok
+	return val, ref, ok
 }
 
-// put holds enc under key unless a value is there already, and returns
-// the value the shard now holds and whether it is enc. The first writer
-// wins: outcomes are deterministic, so either copy is correct.
-func (s *outcomeShard) put(key, enc []byte) ([]byte, bool) {
+// put holds val under key unless key is held already, and returns the
+// value the table now holds, its ref and whether the entry is new. A
+// ref with poolRef set is a record of t's pool, which the entry refers
+// to instead of copying val; any other ref is ignored and val is copied
+// into t's arena. Values it returns are valid for t's life.
+func (t *outcomeTable) put(h uint64, key, val []byte, ref uint64) ([]byte, uint64, bool) {
+	s := &t.shards[h%cacheShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.m[string(key)]; ok {
-		return prev, false
+	var i uint64
+	if s.n > 0 {
+		var held []byte
+		var ok bool
+		if i, held, ok = s.find(t, h, key); ok {
+			return held, s.slots[i] & refMask, false
+		}
 	}
-	s.m[string(key)] = enc
-	return enc, true
+	if (s.n+1)*4 > len(s.slots)*3 {
+		s.grow(t)
+		i = s.vacant(h)
+	}
+	if ref&poolRef == 0 {
+		ref = t.arena.add(key, val)
+	}
+	s.slots[i] = slotOf(h, ref)
+	s.n++
+	_, held := t.record(ref)
+	return held, ref, true
 }
 
-// shardSeed hashes unit keys onto the outcome shards.
-var shardSeed = maphash.MakeSeed()
+// grow doubles s's index (or makes its first), rehashing every entry.
+func (s *outcomeShard) grow(t *outcomeTable) {
+	old := s.slots
+	s.slots = make([]uint64, max(2*len(old), minSlots))
+	for _, v := range old {
+		if v != 0 {
+			k, _ := t.record(v & refMask)
+			h := t.hash(k)
+			s.slots[s.vacant(h)] = slotOf(h, v&refMask)
+		}
+	}
+}
+
+// vacant returns the first empty slot of h's probe sequence.
+func (s *outcomeShard) vacant(h uint64) uint64 {
+	mask := uint64(len(s.slots) - 1)
+	i := h / cacheShards & mask
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// chunkSize is the size of an arena chunk; a record larger than a chunk
+// gets a chunk of its own.
+const chunkSize = 1 << offBits
+
+// An arena is an append-only store of records, each uvarint(len(key))
+// uvarint(len(val)) key val, in chunks that never move and records that
+// are never rewritten, so a value handed out stays valid for the
+// arena's life. Appends take mu; readers resolve refs through dir, the
+// chunk list as last published.
+type arena struct {
+	mu     sync.Mutex
+	chunks [][]byte
+	dir    atomic.Pointer[[][]byte]
+	cur    int // 1 + the chunk records are appended to; 0 before the first
+	fill   int // bytes of cur in use
+}
+
+// add appends a record of key and val and returns its ref.
+func (a *arena) add(key, val []byte) uint64 {
+	n := uvarintLen(len(key)) + uvarintLen(len(val)) + len(key) + len(val)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var c, off int
+	switch {
+	case n > chunkSize:
+		c = a.newChunk(n)
+	case a.cur == 0 || a.fill+n > chunkSize:
+		c = a.newChunk(chunkSize)
+		a.cur, a.fill = c+1, n
+	default:
+		c, off = a.cur-1, a.fill
+		a.fill += n
+	}
+	if uint64(c) >= 1<<chunkBits {
+		panic("exocore: memo arena outgrew its record references")
+	}
+	b := binary.AppendUvarint(a.chunks[c][off:off], uint64(len(key)))
+	b = binary.AppendUvarint(b, uint64(len(val)))
+	b = append(b, key...)
+	_ = append(b, val...)
+	return uint64(c)<<offBits | uint64(off)
+}
+
+// newChunk appends a chunk of size bytes, publishes the chunk list and
+// returns the chunk's index.
+func (a *arena) newChunk(size int) int {
+	a.chunks = append(a.chunks, make([]byte, size))
+	dir := a.chunks
+	a.dir.Store(&dir)
+	return len(a.chunks) - 1
+}
+
+// record resolves a ref of a's to its key and value, both capped at
+// their length.
+func (a *arena) record(ref uint64) (key, val []byte) {
+	p := (*a.dir.Load())[ref>>offBits][ref&(chunkSize-1):]
+	kl, n := binary.Uvarint(p)
+	p = p[n:]
+	vl, n := binary.Uvarint(p)
+	p = p[n:]
+	return p[:kl:kl], p[kl : kl+vl : kl+vl]
+}
+
+func uvarintLen(n int) int {
+	return (bits.Len64(uint64(n)|1) + 6) / 7
+}
+
+// keyHash hashes unit keys for the memo and the shared pools.
+func keyHash(key []byte) uint64 { return maphash.Bytes(keySeed, key) }
+
+var keySeed = maphash.MakeSeed()
 
 // Cache memoizes evaluation-unit outcomes for one evaluation context — a
 // fixed (benchmark TDG, core config, BSA set, plans) tuple, the
@@ -142,10 +334,9 @@ var shardSeed = maphash.MakeSeed()
 // model that carried other state from one unit to the next could not be
 // cached.
 type Cache struct {
-	shards [cacheShards]outcomeShard
-
-	// shared is the cross-core outcome pool for this cache's TDG.
-	shared *outcomeShard
+	// memo holds the outcomes; memo.pool is the cross-core outcome pool
+	// for this cache's TDG.
+	memo outcomeTable
 
 	// persist is the optional durable tier under this cache (see
 	// AttachPersist): misses consult it before evaluating and fresh
@@ -164,16 +355,12 @@ type Cache struct {
 // NewCache creates a unit-outcome cache for one evaluation context over
 // t, attached to t's cross-core shared pool.
 func NewCache(t *tdg.TDG) *Cache {
-	c := &Cache{
-		shared: sharedPoolFor(t),
-		hits:   obs.NewCounter(), misses: obs.NewCounter(),
+	return &Cache{
+		memo: outcomeTable{hash: keyHash, pool: sharedPoolFor(t)},
+		hits: obs.NewCounter(), misses: obs.NewCounter(),
 		reused: obs.NewCounter(), entries: obs.NewCounter(),
 		sharedHits: obs.NewCounter(), resident: obs.NewCounter(),
 	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string][]byte)
-	}
-	return c
 }
 
 // Stats snapshots the cache counters.
@@ -188,14 +375,10 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-func (c *Cache) shardOf(key []byte) *outcomeShard {
-	return &c.shards[maphash.Bytes(shardSeed, key)%cacheShards]
-}
-
-// lookup returns the memoized outcome value for a key; ok is false on a
-// miss.
-func (c *Cache) lookup(key []byte) (enc []byte, ok bool) {
-	enc, ok = c.shardOf(key).get(key)
+// lookup returns the memoized outcome value for a key of hash h; ok is
+// false on a miss.
+func (c *Cache) lookup(h uint64, key []byte) (enc []byte, ok bool) {
+	enc, _, ok = c.memo.get(h, key)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -204,14 +387,15 @@ func (c *Cache) lookup(key []byte) (enc []byte, ok bool) {
 	return enc, ok
 }
 
-// store memoizes an outcome value and returns the value the cache now
-// holds: a value another goroutine stored for the same key first wins.
-// Entries counts new keys only.
-func (c *Cache) store(key, enc []byte) []byte {
-	held, added := c.shardOf(key).put(key, enc)
+// store memoizes an outcome value — a copy of enc, or the pool record
+// ref — and returns the value the cache now holds: a value another
+// goroutine stored for the same key first wins. Entries counts new keys
+// only.
+func (c *Cache) store(h uint64, key, enc []byte, ref uint64) []byte {
+	held, _, added := c.memo.put(h, key, enc, ref)
 	if added {
 		c.entries.Add(1)
-		c.resident.Add(int64(len(key) + len(enc)))
+		c.resident.Add(int64(len(key) + len(held)))
 	}
 	return held
 }
@@ -231,15 +415,16 @@ func (c *Cache) store(key, enc []byte) []byte {
 // Keying by TDG pointer scopes entries to one benchmark trace; the
 // registry is cleared wholesale if it ever exceeds maxSharedPools
 // distinct TDGs, bounding memory for long-lived processes that churn
-// traces.
+// traces. It pins only the pools' own records: caches refer into their
+// pool, never the reverse.
 var (
 	sharedPoolsMu sync.Mutex
-	sharedPools   = map[*tdg.TDG]*outcomeShard{}
+	sharedPools   = map[*tdg.TDG]*outcomeTable{}
 )
 
 const maxSharedPools = 32
 
-func sharedPoolFor(t *tdg.TDG) *outcomeShard {
+func sharedPoolFor(t *tdg.TDG) *outcomeTable {
 	sharedPoolsMu.Lock()
 	defer sharedPoolsMu.Unlock()
 	p := sharedPools[t]
@@ -247,7 +432,7 @@ func sharedPoolFor(t *tdg.TDG) *outcomeShard {
 		if len(sharedPools) >= maxSharedPools {
 			clear(sharedPools)
 		}
-		p = &outcomeShard{m: make(map[string][]byte)}
+		p = &outcomeTable{hash: keyHash}
 		sharedPools[t] = p
 	}
 	return p

@@ -94,7 +94,9 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 // core-resident unit and Trace-P's many solo units. Goroutines that miss
 // the same unit at once each evaluate it and the first store wins, so
 // the memo must still count each key as one entry and its resident
-// bytes as exactly its keys and values.
+// bytes as exactly its keys and values, whether an entry holds its
+// record or refers to the shared pool's (Trace-P units that retire no
+// core µop).
 func TestCacheConcurrentRuns(t *testing.T) {
 	td := buildTDG(t, "mm", 15000)
 	bsas := allBSAs()
@@ -134,13 +136,14 @@ func TestCacheConcurrentRuns(t *testing.T) {
 		lookups += goroutines * int64(len(unitize(td, Segmentize(td, assign), assign, bsas)))
 	}
 
-	var keys, resident int64
-	for i := range cache.shards {
-		for k, enc := range cache.shards[i].m {
-			keys++
-			resident += int64(len(k) + len(enc))
+	var keys, resident, pooled int64
+	cache.memo.each(func(k, enc []byte, inPool bool) {
+		keys++
+		resident += int64(len(k) + len(enc))
+		if inPool {
+			pooled++
 		}
-	}
+	})
 	s := cache.Stats()
 	if keys < 10 || s.Entries != keys {
 		t.Errorf("entries = %d, the memo holds %d keys (want at least 10)", s.Entries, keys)
@@ -150,6 +153,9 @@ func TestCacheConcurrentRuns(t *testing.T) {
 	}
 	if s.Misses < s.Entries || s.Hits+s.Misses != lookups {
 		t.Errorf("cache stats %+v over %d unit lookups", s, lookups)
+	}
+	if pooled == 0 {
+		t.Error("no memo entry refers to the shared pool: the test no longer races pool references")
 	}
 }
 

@@ -38,10 +38,15 @@
 //
 // Only lean runs use a Cache: their unit outcomes are what the memo, the
 // cross-core shared pool and the durable store hold, in one encoding
-// (appendOutcomeHeader). An attributed run (RunOpts.RecordRegions) also
-// walks each unit's critical path for the per-region table behind the
-// Figure 13 analysis; it evaluates every unit itself, and the runner's
-// report stage memoizes the whole run instead.
+// (appendOutcomeHeader). The memo and the pool keep each unit's key and
+// value in an append-only arena behind a pointer-free index
+// (outcomeTable), so a memoized unit costs no heap object of its own,
+// and a memo entry for a core-independent unit refers to the pool's
+// record instead of copying it. An attributed run
+// (RunOpts.RecordRegions) also walks each unit's critical path for the
+// per-region table behind the Figure 13 analysis; it evaluates every
+// unit itself, and the runner's report stage memoizes the whole run
+// instead.
 //
 // Cross-unit accelerator state — configuration residency — is simulated
 // by the engine itself in composition order (per-BSA LRU of
@@ -50,7 +55,6 @@
 package exocore
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"strconv"
@@ -362,7 +366,8 @@ func (c *Cache) outcome(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 	w.key = appendKey(append(w.key[:0], c.persistNS...), &u)
 	pkey := w.key
 	key := pkey[len(c.persistNS):]
-	enc, ok := c.lookup(key)
+	h := keyHash(key)
+	enc, ok := c.lookup(h, key)
 	if usp.Active() {
 		state := "miss"
 		if ok {
@@ -377,11 +382,11 @@ func (c *Cache) outcome(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 	// touches the host pipeline), so before evaluating, consult the
 	// cross-core shared pool populated by sibling caches for the same
 	// TDG.
-	var shared *outcomeShard
+	var shared *outcomeTable
 	if len(u.segs) == 1 && u.names[0] != "" && bsas[u.names[0]].OffloadsCore() {
-		shared = c.shared
-		if enc, ok := shared.get(key); ok {
-			enc = c.store(key, enc)
+		shared = c.memo.pool
+		if _, ref, ok := shared.get(h, key); ok {
+			enc = c.store(h, key, nil, ref|poolRef)
 			c.sharedHits.Add(1)
 			// Write shared hits through too: the sibling core's
 			// evaluation persisted under its own namespace, so without
@@ -396,23 +401,27 @@ func (c *Cache) outcome(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 	// (or a sibling replica sharing the directory) already derived.
 	if c.persist != nil {
 		if raw, ok := c.persist.Get(pkey); ok {
-			// The value is checked in place, then kept in an allocation
-			// of its own: a store may hand back a slice of a larger
-			// buffer (internal/store returns its whole object frame's).
+			// The value is checked in place, then copied into the arena:
+			// a store may hand back a slice of a larger buffer
+			// (internal/store returns its whole object frame's).
 			if n, ok := checkOutcome(raw); ok && n == len(u.segs) {
-				return c.store(key, bytes.Clone(raw))
+				return c.store(h, key, raw, 0)
 			}
 		}
 	}
-	enc = c.store(key, bytes.Clone(evalUnit(w, t, bsas, plans, u, usp, false).enc))
-	if c.persist != nil {
-		c.persist.Put(pkey, enc)
-	}
+	enc = evalUnit(w, t, bsas, plans, u, usp, false).enc
 	// Publish to the shared pool only when the evaluation proved itself
 	// core-independent: zero retired core µops means the transform never
-	// consulted the host pipeline.
+	// consulted the host pipeline. The memo then refers to the pool's
+	// record instead of holding a copy.
+	var ref uint64
 	if shared != nil && w.gpp.Retired() == 0 {
-		shared.put(key, enc)
+		_, ref, _ = shared.put(h, key, enc, 0)
+		ref |= poolRef
+	}
+	enc = c.store(h, key, enc, ref)
+	if c.persist != nil {
+		c.persist.Put(pkey, enc)
 	}
 	return enc
 }

@@ -227,7 +227,7 @@ func TestPersistPutsTheMemoBytes(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s on %s: put key %q lacks the namespace", bench, core.Name, put.key)
 				}
-				memo, ok := c.lookup(key)
+				memo, _, ok := c.memo.get(keyHash(key), key)
 				if !ok || !bytes.Equal(put.val, memo) || &put.val[0] != &memo[0] {
 					t.Fatalf("%s on %s: put %x for key %x, the memo holds %x", bench, core.Name, put.val, key, memo)
 				}

@@ -231,14 +231,14 @@ func (c *Coordinator) run(ctx context.Context, p *plan) ([]byte, error) {
 					c.mSteals.Add(1)
 				}
 				c.mShards.Add(1)
-				body, err := c.runShardHedged(ctx, sh, rep)
+				body, doc, err := c.runShardHedged(ctx, sh, rep)
 				if err != nil {
 					c.mErrors.Add(1)
 					fail(fmt.Errorf("fabric: shard %s: %w", sh.key, err))
 					return
 				}
 				mu.Lock()
-				err = absorb(p.shell, body)
+				err = absorb(p.shell, doc)
 				mu.Unlock()
 				if err != nil {
 					fail(fmt.Errorf("fabric: shard %s: %w", sh.key, err))
@@ -267,12 +267,9 @@ func (c *Coordinator) run(ctx context.Context, p *plan) ([]byte, error) {
 	return report.Merge(append(parts, aggBody)...)
 }
 
-// absorb feeds one shard's per-bench rows into the shell.
-func absorb(shell *dse.Exploration, body []byte) error {
-	doc, err := report.Decode(bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
+// absorb feeds one shard's per-bench rows, decoded by runShard, into
+// the shell.
+func absorb(shell *dse.Exploration, doc *report.Document) error {
 	for _, r := range doc.Results {
 		if r.Bench == "" {
 			return fmt.Errorf("shard returned an aggregate row for design %q; want per-bench rows only", r.Design)
@@ -333,7 +330,7 @@ func (d *dispatcher) take(rep string) (sh *shard, stolen bool) {
 // runShardHedged runs one shard, duplicating it onto the next replica
 // in ring order if the first dispatch is still unanswered after the
 // hedge delay; the first success wins and cancels the loser.
-func (c *Coordinator) runShardHedged(ctx context.Context, sh *shard, first string) ([]byte, error) {
+func (c *Coordinator) runShardHedged(ctx context.Context, sh *shard, first string) ([]byte, *report.Document, error) {
 	if c.hedgeAfter <= 0 {
 		return c.runShard(ctx, sh, first, 0)
 	}
@@ -341,13 +338,14 @@ func (c *Coordinator) runShardHedged(ctx context.Context, sh *shard, first strin
 	defer cancel()
 	type result struct {
 		body []byte
+		doc  *report.Document
 		err  error
 	}
 	ch := make(chan result, 2)
 	launch := func(offset int) {
 		go func() {
-			body, err := c.runShard(hctx, sh, first, offset)
-			ch <- result{body, err}
+			body, doc, err := c.runShard(hctx, sh, first, offset)
+			ch <- result{body, doc, err}
 		}()
 	}
 	launch(0)
@@ -360,11 +358,11 @@ func (c *Coordinator) runShardHedged(ctx context.Context, sh *shard, first strin
 		case r := <-ch:
 			inflight--
 			if r.err == nil {
-				return r.body, nil
+				return r.body, r.doc, nil
 			}
 			lastErr = r.err
 			if inflight == 0 {
-				return nil, lastErr
+				return nil, nil, lastErr
 			}
 		case <-timer.C:
 			if !hedged {
@@ -375,7 +373,7 @@ func (c *Coordinator) runShardHedged(ctx context.Context, sh *shard, first strin
 				launch(1) // start one replica further along the failover order
 			}
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
 }
@@ -383,30 +381,36 @@ func (c *Coordinator) runShardHedged(ctx context.Context, sh *shard, first strin
 // runShard posts a shard to replicas in failover order — the ring order
 // from its key, rotated so the executing worker's replica goes first —
 // retrying transport errors, 5xx and 429 (honoring Retry-After) until
-// the attempt budget, three per replica, runs out. 4xx responses are
-// permanent: the request itself is wrong and no replica will answer
-// differently.
-func (c *Coordinator) runShard(ctx context.Context, sh *shard, first string, offset int) ([]byte, error) {
+// the attempt budget, three per replica, runs out, and returns the body
+// with its decoded document. A 200 body that report.Decode rejects
+// (truncated, or written to another schema) is retried like a 5xx: that
+// replica is broken, not the request. 4xx responses are permanent: the
+// request itself is wrong and no replica will answer differently.
+func (c *Coordinator) runShard(ctx context.Context, sh *shard, first string, offset int) ([]byte, *report.Document, error) {
 	seq := rotateTo(c.ring.Ordered(sh.key), first)
 	attempts := 3 * len(seq)
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
-				return nil, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
+				return nil, nil, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		rep := seq[(offset+attempt)%len(seq)]
 		body, status, retryAfter, err := c.post(ctx, rep, "/v1/sweep", sh.body)
 		switch {
 		case err == nil && status == http.StatusOK:
-			return body, nil
+			doc, derr := report.Decode(bytes.NewReader(body))
+			if derr == nil {
+				return body, doc, nil
+			}
+			lastErr = fmt.Errorf("%s: %w", rep, derr)
 		case err == nil && status == http.StatusTooManyRequests:
 			lastErr = fmt.Errorf("%s: busy (429)", rep)
 			sleepCtx(ctx, retryAfter)
 		case err == nil && status >= 400 && status < 500:
-			return nil, fmt.Errorf("%s: %s", rep, errorBody(status, body))
+			return nil, nil, fmt.Errorf("%s: %s", rep, errorBody(status, body))
 		case err == nil:
 			lastErr = fmt.Errorf("%s: %s", rep, errorBody(status, body))
 		default:
@@ -415,7 +419,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh *shard, first string, off
 		c.mRetries.Add(1)
 		c.log.Info("shard retry", "shard", sh.key, "replica", rep, "err", lastErr)
 	}
-	return nil, fmt.Errorf("gave up after %d attempts: %w", attempts, lastErr)
+	return nil, nil, fmt.Errorf("gave up after %d attempts: %w", attempts, lastErr)
 }
 
 // post issues one replica request; the Retry-After hint (capped at 2s

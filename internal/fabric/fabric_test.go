@@ -174,6 +174,53 @@ func TestSweepRetriesBusyReplica(t *testing.T) {
 	}
 }
 
+// TestSweepFailsOverSchemaSkewedShard: a replica whose first sweep
+// answer is a 200 that report.Decode rejects (one field misspelt, as a
+// replica on another schema would write it) costs a retry on the next
+// replica, not the sweep.
+func TestSweepFailsOverSchemaSkewedShard(t *testing.T) {
+	var answered atomic.Int32
+	skewed := newReplica(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/sweep" || answered.Add(1) != 1 {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			body := bytes.Replace(rec.Body.Bytes(), []byte(`"cycles"`), []byte(`"cycels"`), 1)
+			if rec.Code != http.StatusOK || bytes.Equal(body, rec.Body.Bytes()) {
+				t.Errorf("the replica's first sweep answer (status %d) has no cycles field to misspell", rec.Code)
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(body)
+		})
+	})
+	other := newReplica(t, nil)
+	reg := obs.NewRegistry()
+	c, err := New(Config{Replicas: []string{skewed.URL, other.URL}, Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.planSweep(testSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answered.Load() == 0 {
+		t.Fatal("no shard reached the skewed replica")
+	}
+	if !bytes.Equal(got, singleDaemonBytes(t, testSweep.Bench, testSweep.Designs, testSweep.Sched)) {
+		t.Error("sweep through a schema-skewed shard diverges from single daemon")
+	}
+	if reg.Counter("fabric.retries").Value() == 0 {
+		t.Error("fabric.retries = 0 after a rejected shard body")
+	}
+}
+
 // TestSweepHedgesStragglers: a replica that stalls gets its shards
 // speculatively duplicated onto the next replica; the sweep finishes
 // fast and correct.
