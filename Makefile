@@ -22,8 +22,10 @@ vet:
 
 # Race-enabled run of the concurrency-sensitive packages (the runner
 # engine, the exploration that fans out over it, the evaluation cache
-# with its sharded outcome index over an append-only arena and its
-# cross-core shared pool, the serving
+# with its sharded outcome index over an append-only arena, the
+# cross-core shared pool each TDG holds for every cache built on it, and
+# the process-wide free list of attribution graphs and logs that
+# attributed runs on every core config borrow, the serving
 # layer's singleflight/admission machinery, the fabric's shard
 # dispatcher with its work-stealing workers, the persistent store's
 # locked LRU index, and the streaming trace pipeline: a chunk pool's

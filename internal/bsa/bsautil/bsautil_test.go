@@ -254,8 +254,7 @@ func TestDataflowLeanTimesIdentical(t *testing.T) {
 			cfg.ChainOps = chain
 			cfg.BusEvery = 2
 			ga := dg.NewGraph()
-			gl := dg.NewGraph()
-			gl.ResetMode(true)
+			gl := dg.NewLeanGraph()
 			var ca, cl energy.Counts
 			da := NewDataflow(cfg, ga, &ca, ga.Origin())
 			dl := NewDataflow(cfg, gl, &cl, gl.Origin())

@@ -140,7 +140,7 @@ func TestRepeatedTransformStopsAllocating(t *testing.T) {
 	var counts energy.Counts
 	gpp := cores.NewGPP(cores.OOO2, g, &counts)
 	transform := func() {
-		g.ResetMode(true)
+		g.Reset()
 		counts = energy.Counts{}
 		gpp.Reset(g, &counts)
 		ctx := tdg.Ctx{TDG: td, G: g, GPP: gpp, Counts: &counts, ConfigResident: true}

@@ -56,6 +56,20 @@ type logRec struct {
 
 const logRecBytes = int64(unsafe.Sizeof(logRec{}))
 
+// An AttribLog holds a general core's attribution log: one record per
+// uop an attribution run executes, which WalkCriticalPath reads back. Its
+// zero value is an empty log; it keeps the capacity of the longest unit
+// logged into it.
+type AttribLog struct{ recs []logRec }
+
+// MemBytes reports the log's allocated size; 0 for a nil log.
+func (l *AttribLog) MemBytes() int64 {
+	if l == nil {
+		return 0
+	}
+	return int64(cap(l.recs)) * logRecBytes
+}
+
 // term is one candidate of a stage's running maximum: its edge class and
 // latency, as the node form's edge carried them.
 type term struct {
@@ -176,7 +190,7 @@ func (m *GPP) stepLog(di *decInst, addr uint64, memLat uint16, dflags uint8, dyn
 	}
 	tc := c.t
 
-	m.log = append(m.log, logRec{
+	m.log.recs = append(m.log.recs, logRec{
 		dyn: dyn, fRef: f.src, eRef: e.src,
 		dLat: int32(dispatchTerms[d.k].lat + td - d.t),
 		eLat: int32(executeTerms[e.k].lat + te - e.t),
@@ -210,7 +224,7 @@ func (m *GPP) stepLog(di *decInst, addr uint64, memLat uint16, dflags uint8, dyn
 // step leaves from.
 func (m *GPP) back(p ref) (dyn int32, class dg.EdgeClass, lat int64, from ref) {
 	i, stage := p.at()
-	r := &m.log[i]
+	r := &m.log.recs[i]
 	switch stage {
 	case stageF:
 		t := fetchTerms[r.win&7]

@@ -186,11 +186,12 @@ type GPP struct {
 	handoffs           []handoff
 
 	// Attribution state (maintained only while logging): the critical-path
-	// positions behind the times above, and the per-uop log.
+	// positions behind the times above, and the per-uop log (nil on a lean
+	// graph).
 	logging                            bool
 	regRef                             [isa.NumRegs + 1]ref
 	barrierRef, refillRef, redirectRef ref
-	log                                []logRec
+	log                                *AttribLog
 
 	// Counted energy (see Fold): ExecTrace executions since the last fold
 	// per (static instruction of dec, memory level), and the entries
@@ -246,10 +247,12 @@ func NewGPP(cfg Config, g *dg.Graph, counts *energy.Counts) *GPP {
 
 // Reset returns the GPP to its initial (drained-boundary) state on a new
 // graph and energy accumulator, reusing the resource-table rings, the
-// issue window, the store table and the attribution log. The graph's mode
-// selects whether the core logs attribution. The configuration is
-// unchanged — pool GPPs per core config. Energy counted since the last
-// Fold is discarded.
+// issue window and the store table. The graph's mode selects whether the
+// core logs attribution: on an attribution graph it empties its log (the
+// one LogInto gave it, or one of its own, made on first need) and logs
+// into it; on a lean graph it drops the log, so a lean core holds none.
+// The configuration is unchanged — pool GPPs per core config. Energy
+// counted since the last Fold is discarded.
 func (m *GPP) Reset(g *dg.Graph, counts *energy.Counts) {
 	m.G = g
 	m.Counts = counts
@@ -276,15 +279,30 @@ func (m *GPP) Reset(g *dg.Graph, counts *energy.Counts) {
 	m.logging = !g.Lean()
 	clear(m.regRef[:]) // the origin
 	m.barrierRef, m.refillRef, m.redirectRef = 0, 0, 0
-	m.log = m.log[:0]
+	switch {
+	case !m.logging:
+		m.log = nil
+	case m.log == nil:
+		m.log = new(AttribLog)
+	default:
+		m.log.recs = m.log.recs[:0]
+	}
 }
+
+// LogInto makes l the core's attribution log in place of any it holds:
+// each later Reset on an attribution graph empties l and the core logs
+// into it, until a Reset on a lean graph drops it. The exocore engine
+// lends a log per attributed run this way, so a pooled core holds none
+// between runs.
+func (m *GPP) LogInto(l *AttribLog) { m.log = l }
 
 // MemBytes reports the memory a pooled GPP lets its next user skip
 // allocating: the five resource-table rings (the ~288 KB arrays the
-// engine used to rebuild per evaluation) and the attribution log.
+// engine used to rebuild per evaluation) and the attribution log it
+// holds.
 func (m *GPP) MemBytes() int64 {
 	return m.issueRT.MemBytes() + m.aluRT.MemBytes() + m.mulRT.MemBytes() +
-		m.fpRT.MemBytes() + m.portRT.MemBytes() + int64(cap(m.log))*logRecBytes
+		m.fpRT.MemBytes() + m.portRT.MemBytes() + m.log.MemBytes()
 }
 
 // last returns the history entry of the latest uop.

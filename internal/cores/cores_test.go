@@ -427,8 +427,8 @@ func leanStages(m *GPP) [5]int64 {
 // plus the step's latency. Comparing them with the reference's node times
 // checks every logged winner and latency, not only the core's times.
 func loggedStages(m *GPP) [][5]int64 {
-	out := make([][5]int64, len(m.log))
-	for i := range m.log {
+	out := make([][5]int64, len(m.log.recs))
+	for i := range m.log.recs {
 		for s := range out[i] {
 			_, _, lat, from := m.back(logRef(i, s))
 			if from >= 0 {
@@ -560,7 +560,7 @@ func TestLeanHandoffsMatchAttribution(t *testing.T) {
 		case 1:
 			m = NewGPP(OOO2, g, &energy.Counts{})
 		default:
-			g.ResetMode(true)
+			g = dg.NewLeanGraph()
 			m = NewGPP(OOO2, g, &energy.Counts{})
 		}
 		obs := func(n dg.NodeID) {

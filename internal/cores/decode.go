@@ -198,12 +198,15 @@ func (m *GPP) bind(p *Decoded) {
 // memory level) rather than charged one by one, and the fold is an exact
 // integer multiply-add over the entries touched since the last fold —
 // never the whole program. Lean evaluations fold before reading Counts.
+// A folded core is bound to no program until ExecTrace binds one, so a
+// pooled core keeps no reference to the last program it ran.
 func (m *GPP) Fold() {
 	for _, k := range m.touched {
 		m.charge(&m.dec.insts[k>>2], trace.MemLevel(k&3), m.cnt[k])
 		m.cnt[k] = 0
 	}
 	m.touched = m.touched[:0]
+	m.dec = nil
 }
 
 // charge adds n executions of uop di, its memory accesses served at level

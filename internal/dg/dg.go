@@ -148,7 +148,8 @@ func NewGraph() *Graph {
 }
 
 // NewLeanGraph returns a lean (time-only) graph containing only the
-// origin; see ResetMode.
+// origin. Lean graphs maintain only node times (byte-identical to
+// attribution mode, see the package comment) and support retirement.
 func NewLeanGraph() *Graph {
 	g := &Graph{lean: true}
 	g.origin()
@@ -168,17 +169,10 @@ func (g *Graph) origin() {
 	g.base = 0
 }
 
-// Reset clears the graph for reuse, keeping capacity and mode.
-func (g *Graph) Reset() { g.ResetMode(g.lean) }
-
-// ResetMode clears the graph for reuse in the given mode: lean graphs
-// maintain only node times (byte-identical to attribution mode, see the
-// package comment) and support retirement; attribution graphs
-// additionally record the critical-path structure that WalkCriticalPath
-// and DynIdx read.
-func (g *Graph) ResetMode(lean bool) {
+// Reset clears the graph for reuse, keeping its capacity and its mode,
+// which is fixed when the graph is made (NewGraph, NewLeanGraph).
+func (g *Graph) Reset() {
 	g.noteHighWater()
-	g.lean = lean
 	g.time = g.time[:0]
 	g.pred = g.pred[:0]
 	g.lat = g.lat[:0]

@@ -367,7 +367,9 @@ func TestLeanModeTimesIdentical(t *testing.T) {
 		}
 		run := func(lean bool) []int64 {
 			g := NewGraph()
-			g.ResetMode(lean)
+			if lean {
+				g = NewLeanGraph()
+			}
 			for i := 0; i < nNodes; i++ {
 				g.NewNode(int32(i))
 			}
@@ -398,8 +400,7 @@ func TestLeanModeTimesIdentical(t *testing.T) {
 // across the rebased window, and that the high-water marks record the
 // pre-retirement peak.
 func TestRetireRebasesIndexing(t *testing.T) {
-	g := NewGraph()
-	g.ResetMode(true)
+	g := NewLeanGraph()
 	prev := g.Origin()
 	ids := []NodeID{prev}
 	for i := 0; i < 100; i++ {

@@ -114,7 +114,7 @@ const cacheShards = 16
 // caller; hash recomputes it when a shard's index grows and must agree
 // with what callers pass. A memo's entry may refer to a record of its
 // pool instead of holding a copy (poolRef); a pool refers to nothing
-// else, so the sharedPools registry never pins a cache's arena.
+// else, so the TDG that holds a pool never pins a cache's arena.
 type outcomeTable struct {
 	hash   func(key []byte) uint64
 	arena  arena
@@ -136,9 +136,11 @@ const minSlots = 16
 
 // A ref locates a record: its chunk in the arena above offBits and its
 // offset in the chunk below. poolRef marks a record in the memo's pool.
-// chunkBits reaches every chunk a process can hold: each chunk is at
-// least chunkSize bytes and Go's heap spans at most 2^48, so at most
-// 2^34 of them exist; arena.add panics rather than let a ref wrap.
+// chunkBits reaches every chunk a process can hold: an arena's chunks
+// double from firstChunk, so all but its first growSteps are at least
+// chunkSize bytes, and Go's heap spans at most 2^48, so fewer than
+// 2^34 + growSteps chunks exist; arena.add panics rather than let a ref
+// wrap.
 const (
 	offBits   = 14
 	chunkBits = 35
@@ -247,9 +249,16 @@ func (s *outcomeShard) vacant(h uint64) uint64 {
 	return i
 }
 
-// chunkSize is the size of an arena chunk; a record larger than a chunk
-// gets a chunk of its own.
-const chunkSize = 1 << offBits
+// An arena's first chunk holds firstChunk bytes, and each new chunk
+// doubles the size of the next until it reaches chunkSize, so a table
+// that memoizes a handful of units holds a few hundred bytes, not a
+// whole chunkSize. A record larger than the chunk size in effect gets a
+// chunk of its own.
+const (
+	chunkSize  = 1 << offBits
+	growSteps  = 6 // chunks smaller than chunkSize, at most
+	firstChunk = chunkSize >> growSteps
+)
 
 // An arena is an append-only store of records, each uvarint(len(key))
 // uvarint(len(val)) key val, in chunks that never move and records that
@@ -262,6 +271,7 @@ type arena struct {
 	dir    atomic.Pointer[[][]byte]
 	cur    int // 1 + the chunk records are appended to; 0 before the first
 	fill   int // bytes of cur in use
+	next   int // the size of the next chunk; 0 before the first
 }
 
 // add appends a record of key and val and returns its ref.
@@ -270,15 +280,18 @@ func (a *arena) add(key, val []byte) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var c, off int
-	switch {
-	case n > chunkSize:
-		c = a.newChunk(n)
-	case a.cur == 0 || a.fill+n > chunkSize:
-		c = a.newChunk(chunkSize)
-		a.cur, a.fill = c+1, n
-	default:
+	if a.cur != 0 && a.fill+n <= len(a.chunks[a.cur-1]) {
 		c, off = a.cur-1, a.fill
 		a.fill += n
+	} else {
+		size := max(a.next, firstChunk)
+		a.next = min(2*size, chunkSize)
+		if n > size {
+			c = a.newChunk(n)
+		} else {
+			c = a.newChunk(size)
+			a.cur, a.fill = c+1, n
+		}
 	}
 	if uint64(c) >= 1<<chunkBits {
 		panic("exocore: memo arena outgrew its record references")
@@ -354,14 +367,31 @@ type Cache struct {
 
 // NewCache creates a unit-outcome cache for one evaluation context over
 // t, attached to t's cross-core shared pool.
+//
+// The pool holds the core-independent outcomes of t, keyed like the
+// per-core caches (appendKey names no core). Offload models (NS-DF,
+// Trace-P) evaluate solo units, and usually never touch the host
+// pipeline — NS-DF builds a pure dataflow schedule; Trace-P replays on
+// the core only after a misspeculation. When an evaluation retires zero
+// core µops, its outcome is a pure function of (span, loop, model,
+// residency): the GPP starts every unit from the same drained state on
+// every core config, so the result is byte-identical across the four
+// cores and one evaluation can serve all of them. Units that DID execute
+// core µops are never published, so a hit is always exact. The first
+// cache built on t makes the pool and leaves it in t's pool slot
+// (tdg.TDG.Pool), so it lives as long as t and no process-wide registry
+// refers to it.
 func NewCache(t *tdg.TDG) *Cache {
 	return &Cache{
-		memo: outcomeTable{hash: keyHash, pool: sharedPoolFor(t)},
+		memo: outcomeTable{hash: keyHash, pool: t.Pool(newPool).(*outcomeTable)},
 		hits: obs.NewCounter(), misses: obs.NewCounter(),
 		reused: obs.NewCounter(), entries: obs.NewCounter(),
 		sharedHits: obs.NewCounter(), resident: obs.NewCounter(),
 	}
 }
+
+// newPool makes a TDG's cross-core shared pool (see NewCache).
+func newPool() any { return &outcomeTable{hash: keyHash} }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
@@ -400,67 +430,53 @@ func (c *Cache) store(h uint64, key, enc []byte, ref uint64) []byte {
 	return held
 }
 
-// sharedPools maps each live TDG to its cross-core shared pool: the
-// core-independent outcomes of that TDG, keyed like the per-core caches
-// (appendKey names no core). Offload models (NS-DF, Trace-P) evaluate
-// solo units, and usually never touch the host pipeline — NS-DF builds
-// a pure dataflow schedule; Trace-P replays on the core only after a
-// misspeculation. When an evaluation retires zero core µops, its outcome
-// is a pure function of (span, loop, model, residency): the GPP starts
-// every unit from the same drained state on every core config, so the
-// result is byte-identical across the four cores and one evaluation can
-// serve all of them. Units that DID execute core µops are never
-// published, so a hit is always exact.
-//
-// Keying by TDG pointer scopes entries to one benchmark trace; the
-// registry is cleared wholesale if it ever exceeds maxSharedPools
-// distinct TDGs, bounding memory for long-lived processes that churn
-// traces. It pins only the pools' own records: caches refer into their
-// pool, never the reverse.
-var (
-	sharedPoolsMu sync.Mutex
-	sharedPools   = map[*tdg.TDG]*outcomeTable{}
-)
-
-const maxSharedPools = 32
-
-func sharedPoolFor(t *tdg.TDG) *outcomeTable {
-	sharedPoolsMu.Lock()
-	defer sharedPoolsMu.Unlock()
-	p := sharedPools[t]
-	if p == nil {
-		if len(sharedPools) >= maxSharedPools {
-			clear(sharedPools)
-		}
-		p = &outcomeTable{hash: keyHash}
-		sharedPools[t] = p
-	}
-	return p
-}
-
-// workerPool is a process-wide free list of evaluation workers, one per
-// core config. Unlike a sync.Pool — whose contents are evicted on every
-// GC cycle, which re-allocated the resource-table rings dozens of times
-// per sweep — the free list keeps arenas alive for the process lifetime,
-// bounded by maxPooledWorkers per config.
-type workerPool struct {
+// A freeList keeps up to maxPooledWorkers idle values for reuse. Unlike
+// a sync.Pool — whose contents are evicted on every GC cycle, which
+// re-allocated the resource-table rings dozens of times per sweep — it
+// keeps them alive for the process lifetime.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free []*segWorker
+	free []*T
 }
 
 const maxPooledWorkers = 8
 
+// get takes a value off the list, or returns nil if it is empty.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return nil
+	}
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
+}
+
+// put returns x to the list, dropping it if the list is full.
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	if len(l.free) < maxPooledWorkers {
+		l.free = append(l.free, x)
+	}
+	l.mu.Unlock()
+}
+
+// workerPools holds the idle evaluation workers, one free list per core
+// config.
 var (
 	workerPoolsMu sync.Mutex
-	workerPools   = map[cores.Config]*workerPool{}
+	workerPools   = map[cores.Config]*freeList[segWorker]{}
 )
 
-func poolFor(core cores.Config) *workerPool {
+func poolFor(core cores.Config) *freeList[segWorker] {
 	workerPoolsMu.Lock()
 	defer workerPoolsMu.Unlock()
 	p := workerPools[core]
 	if p == nil {
-		p = &workerPool{}
+		p = &freeList[segWorker]{}
 		workerPools[core] = p
 	}
 	return p
@@ -470,44 +486,53 @@ func poolFor(core cores.Config) *workerPool {
 // the arena bytes reuse saved via reused, which may be nil), or builds a
 // fresh one.
 func acquireWorker(core cores.Config, reused *obs.Counter) *segWorker {
-	p := poolFor(core)
-	p.mu.Lock()
-	var w *segWorker
-	if n := len(p.free); n > 0 {
-		w = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if w != nil {
+	if w := poolFor(core).get(); w != nil {
 		reused.Add(w.memBytes())
 		return w
 	}
 	return newSegWorker(core)
 }
 
-// releaseWorker returns a worker to its config's free list (dropping it
-// if the list is full).
-func releaseWorker(core cores.Config, w *segWorker) {
-	p := poolFor(core)
-	p.mu.Lock()
-	if len(p.free) < maxPooledWorkers {
-		p.free = append(p.free, w)
-	}
-	p.mu.Unlock()
+// releaseWorker returns a worker to its config's free list.
+func releaseWorker(core cores.Config, w *segWorker) { poolFor(core).put(w) }
+
+// An attribution is what an attributed Run evaluates its units on beyond
+// a worker: an attribution graph, whose streams hold a whole unit's
+// transform nodes, and the general core's attribution log, a record per
+// µop of the unit. Both grow to the largest unit they serve, so a Run
+// borrows them from one process-wide free list, whatever its core
+// config, and gives them back when it ends: the pooled workers stay
+// lean, and a process keeps at most maxPooledWorkers attributions, not
+// one per pooled worker. An attribution refers to no TDG and no worker.
+type attribution struct {
+	g   *dg.Graph
+	log cores.AttribLog
 }
 
-// segWorker bundles the reusable arenas one unit evaluation needs: a µDG
-// for the transforms' nodes and a GPP constructor (whose five
-// resource-table rings dominated the old per-Run allocation cost, and
-// whose attribution log serves class-attributed units), plus the Run's
-// key buffer and the outcome value under construction. Reset between
-// units, pooled between runs.
+var attributions freeList[attribution]
+
+// acquireAttribution returns a pooled attribution, or a fresh one.
+func acquireAttribution() *attribution {
+	if a := attributions.get(); a != nil {
+		return a
+	}
+	return &attribution{g: dg.NewGraph()}
+}
+
+// segWorker bundles the reusable arenas one lean unit evaluation needs: a
+// lean µDG for the transforms' nodes and a GPP constructor (whose five
+// resource-table rings dominated the old per-Run allocation cost), plus
+// the Run's key buffer and the outcome value under construction. Reset
+// between units, pooled between runs. An attributed Run lends its worker
+// an attribution for the Run's units (see attribution) and resets the
+// GPP back onto the worker's own graph when it ends, so a pooled worker
+// holds neither attribution arrays nor, since ctx is cleared after each
+// transform, anything of the TDGs it evaluated.
 type segWorker struct {
 	g      *dg.Graph
 	gpp    *cores.GPP
 	counts energy.Counts
-	ctx    tdg.Ctx // reused per transformed segment; models keep no reference
+	ctx    tdg.Ctx // the transform in flight's context; zero between transforms
 	key    []byte  // persist namespace + unit key (appendKey)
 	enc    []byte  // the last evaluated unit's outcome value
 }
@@ -520,15 +545,28 @@ func newSegWorker(core cores.Config) *segWorker {
 }
 
 // reset prepares the worker for one unit evaluation from a drained
-// boundary, keeping all allocations. classes selects the graph mode, and
-// with it whether the core logs attribution: attribution when the
-// evaluation will walk critical paths, lean (time-only, retired segment
-// by segment) otherwise — sweeps never walk, so they skip the log and two
-// thirds of the transforms' per-node write traffic.
-func (w *segWorker) reset(classes bool) {
-	w.g.ResetMode(!classes)
+// boundary, keeping all allocations: on its own lean graph (time-only,
+// retired segment by segment — sweeps never walk critical paths, so they
+// skip the log and two thirds of the transforms' per-node write traffic),
+// or, given an attribution, on its graph with the core logging into its
+// log, for a unit whose critical path will be walked.
+func (w *segWorker) reset(a *attribution) {
+	g := w.g
+	if a != nil {
+		g = a.g
+		w.gpp.LogInto(&a.log)
+	}
+	g.Reset()
 	w.counts = energy.Counts{}
+	w.gpp.Reset(g, &w.counts)
+}
+
+// giveBack ends an attributed Run's loan of a: it resets the GPP onto
+// w's own graph, dropping the GPP's references to a's graph and log, and
+// returns a to the free list.
+func (w *segWorker) giveBack(a *attribution) {
 	w.gpp.Reset(w.g, &w.counts)
+	attributions.put(a)
 }
 
 // memBytes is the arena memory reusing this worker saves.
@@ -542,18 +580,20 @@ func (w *segWorker) memBytes() int64 { return w.g.MemBytes() + w.gpp.MemBytes() 
 // core-resident joints. This is the single evaluation path for both
 // cached and uncached runs, so they agree bit-for-bit by construction.
 // sp, when active, receives one child span per model transform.
-// classes enables the critical-path class attribution; durations and
-// energy deltas are identical either way.
-// Without classes the graph is lean, and each segment's nodes are retired
-// when the segment ends, so the resident µDG never outgrows one segment.
+// An attribution a enables the critical-path class attribution, on a's
+// graph and log; durations and energy deltas are identical either way.
+// Without one the graph is the worker's lean one, and each segment's
+// nodes are retired when the segment ends, so the resident µDG never
+// outgrows one segment.
 // The outcome's enc is the worker's scratch, valid until its next
 // evaluation: a caller that keeps it copies it.
 func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
-	plans map[string]*tdg.Plan, u unit, sp obs.Span, classes bool) unitOutcome {
+	plans map[string]*tdg.Plan, u unit, sp obs.Span, a *attribution) unitOutcome {
 
-	w.reset(classes)
+	w.reset(a)
+	g := w.gpp.G
 	var out unitOutcome
-	if classes {
+	if a != nil {
 		out.classes = make([][dg.NumEdgeClasses]int64, len(u.segs))
 	}
 	b := appendOutcomeHeader(w.enc[:0], len(u.segs))
@@ -575,21 +615,22 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 					Arg("config_resident", strconv.FormatBool(u.cfgRes[i]))
 			}
 			w.ctx = tdg.Ctx{
-				TDG: t, G: w.g, GPP: w.gpp, Counts: &w.counts,
+				TDG: t, G: g, GPP: w.gpp, Counts: &w.counts,
 				ConfigResident: u.cfgRes[i], Span: tsp,
 			}
 			endNode = bsas[name].TransformRegion(&w.ctx, plans[name].Region(seg.LoopID), seg.Start, seg.End)
+			w.ctx = tdg.Ctx{} // a pooled worker keeps nothing of the TDG
 			tsp.End()
 		} else {
 			w.gpp.ExecTrace(t.Decoded(), t.Trace.Insts[seg.Start:seg.End], seg.Start)
 		}
 		w.gpp.Fold()
 		end := w.gpp.EndTime()
-		if endNode != dg.None && w.g.Time(endNode) > end {
-			end = w.g.Time(endNode)
+		if endNode != dg.None && g.Time(endNode) > end {
+			end = g.Time(endNode)
 		}
-		if endNode != dg.None && w.g.Time(endNode) > walkTime {
-			walkFrom, walkTime = endNode, w.g.Time(endNode)
+		if endNode != dg.None && g.Time(endNode) > walkTime {
+			walkFrom, walkTime = endNode, g.Time(endNode)
 		}
 		if end < lastEnd {
 			end = lastEnd
@@ -604,8 +645,8 @@ func evalUnit(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 	}
 	w.enc = b
 	out.enc = b
-	if classes {
-		if c := w.gpp.LastCommit(); c != dg.None && w.g.Time(c) >= walkTime {
+	if a != nil {
+		if c := w.gpp.LastCommit(); c != dg.None && g.Time(c) >= walkTime {
 			walkFrom = c
 		}
 		out.attributePath(w.gpp, u.segs, walkFrom)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"exocore/internal/cores"
+	"exocore/internal/obs"
 )
 
 // TestCachedRunMatchesUncached is the correctness gate for the
@@ -161,10 +162,12 @@ func TestCacheConcurrentRuns(t *testing.T) {
 
 // TestCacheConcurrentRegionRuns races attributed Runs against lean Runs
 // on one fresh cache per round, the way a region request can race a
-// sweep on a shared scheduling context. Attributed runs ignore the
-// cache: every one must match the cache-less reference, and the round
-// must leave the cache's counters and a counting Persist's gets and puts
-// exactly where the lean runs alone leave them.
+// sweep on a shared scheduling context. The attributed runs alternate
+// between two core configs, so the attributions they borrow cross
+// configs and goroutines. Attributed runs ignore the cache: every one
+// must match its core's cache-less reference, and the round must leave
+// the cache's counters and a counting Persist's gets and puts exactly
+// where the lean runs alone leave them.
 func TestCacheConcurrentRegionRuns(t *testing.T) {
 	td := buildTDG(t, "mm", 4000)
 	bsas := allBSAs()
@@ -194,13 +197,18 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 		s.BytesReused = 0 // arena reuse depends on the worker pool's state
 		return counters{s, p.gets, p.puts}
 	}
-	refs := make([]*RunResult, len(assigns))
+	attrCores := []cores.Config{cores.OOO2, cores.OOO4}
+	refs := make([][]*RunResult, len(assigns))
 	leanRefs := make([]*RunResult, len(assigns))
 	want := make([]counters, len(assigns))
 	for i, a := range assigns {
 		var err error
-		if refs[i], err = Run(td, cores.OOO2, bsas, plans, a, RunOpts{RecordRegions: true}); err != nil {
-			t.Fatal(err)
+		for _, core := range attrCores {
+			ref, err := Run(td, core, bsas, plans, a, RunOpts{RecordRegions: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[i] = append(refs[i], ref)
 		}
 		if _, err := lean(NewCache(td), a); err != nil {
 			t.Fatal(err)
@@ -216,7 +224,7 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 		t.Fatal("the NS-DF assignment served no shared hits: the test no longer covers the shared pool")
 	}
 
-	const rounds, goroutines = 40, 4
+	const rounds, goroutines = 40, 5
 	for r := 0; r < rounds; r++ {
 		i := r % len(assigns)
 		cache, p := NewCache(td), newMapPersist()
@@ -234,7 +242,7 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 					results[g], errs[g] = lean(cache, assigns[i])
 					return
 				}
-				results[g], errs[g] = Run(td, cores.OOO2, bsas, plans, assigns[i],
+				results[g], errs[g] = Run(td, attrCores[g%2], bsas, plans, assigns[i],
 					RunOpts{Cache: cache, RecordRegions: true})
 			}(g)
 		}
@@ -248,8 +256,8 @@ func TestCacheConcurrentRegionRuns(t *testing.T) {
 				if !reflect.DeepEqual(res, leanRefs[i]) {
 					t.Errorf("round %d: the lean run diverges from its reference", r)
 				}
-			} else if !reflect.DeepEqual(res, refs[i]) {
-				t.Errorf("round %d goroutine %d: attributed run diverges from the cache-less reference", r, g)
+			} else if !reflect.DeepEqual(res, refs[i][g%2]) {
+				t.Errorf("round %d goroutine %d: attributed %s run diverges from the cache-less reference", r, g, attrCores[g%2].Name)
 			}
 		}
 		if got := count(cache, p); got != want[i] {
@@ -337,4 +345,104 @@ func TestWarmRunAllocsIndependentOfUnits(t *testing.T) {
 			many, manyUnits, simd, gpp)
 	}
 	t.Logf("warm Run beyond its split: %v objects (general core), %v (SIMD unit), %v (%d Trace-P units)", gpp, simd, many, manyUnits)
+}
+
+// TestSharedPoolOutlivesOtherTDGs holds a TDG's shared pool to the TDG's
+// life, however many other TDGs build caches meanwhile: an NS-DF solo
+// unit OOO2 evaluated reaches a later OOO4 cache of the same TDG as a
+// shared hit after 40 other TDGs have built caches.
+func TestSharedPoolOutlivesOtherTDGs(t *testing.T) {
+	td := buildTDG(t, "mm", 15000)
+	bsas := allBSAs()
+	plans := analyzeAll(td, bsas)
+	var loops []int
+	for l := range plans["NS-DF"].Regions {
+		loops = append(loops, l)
+	}
+	if len(loops) == 0 {
+		t.Fatal("NS-DF plans no loop of mm")
+	}
+	sort.Ints(loops)
+	assign := Assignment{loops[0]: "NS-DF"}
+	if _, err := Run(td, cores.OOO2, bsas, plans, assign, RunOpts{Cache: NewCache(td)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 40 {
+		NewCache(buildTDG(t, "mm", 1000+i))
+	}
+	second := NewCache(td)
+	if _, err := Run(td, cores.OOO4, bsas, plans, assign, RunOpts{Cache: second}); err != nil {
+		t.Fatal(err)
+	}
+	if n := second.Stats().SharedHits; n < 1 {
+		t.Errorf("OOO4 cache counted %d shared hits after 40 other TDGs built caches, want >= 1", n)
+	}
+}
+
+// TestAttributedRunsLeaveWorkersLean holds the pooled workers to what
+// lean runs leave in them: attributed runs of a 100k trace on two cores
+// evaluate on a borrowed attribution, so after them the same lean runs
+// leave the workers of both configs holding exactly the bytes they hold
+// after those lean runs alone. The serial attributed runs leave one
+// attribution on the free list, and the next attributed run takes it
+// instead of making another and reports its graph's high water in the
+// dg.graph_high_water_bytes gauge.
+func TestAttributedRunsLeaveWorkersLean(t *testing.T) {
+	td := buildTDG(t, "mm", 100_000)
+	bsas := allBSAs()
+	plans := analyzeAll(td, bsas)
+	every := Assignment{}
+	for _, name := range []string{"SIMD", "NS-DF"} {
+		for l := range plans[name].Regions {
+			if _, taken := every[l]; !taken {
+				every[l] = name
+			}
+		}
+	}
+	assigns := []Assignment{nil, every}
+	cs := []cores.Config{cores.OOO2, cores.OOO4}
+	runAll := func(opts RunOpts) {
+		t.Helper()
+		for _, core := range cs {
+			for _, a := range assigns {
+				if _, err := Run(td, core, bsas, plans, a, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	held := func() (n int64) {
+		for _, core := range cs {
+			n += pooledWorkerBytes(core)
+		}
+		return n
+	}
+
+	emptyPools()
+	runAll(RunOpts{})
+	want := held()
+
+	emptyPools()
+	runAll(RunOpts{RecordRegions: true})
+	pooled := pooledAttributions()
+	if len(pooled) != 1 {
+		t.Fatalf("serial attributed runs left %d attributions on the free list, want 1", len(pooled))
+	}
+	runAll(RunOpts{})
+	if got := held(); got != want {
+		t.Errorf("after attributed runs the pooled workers hold %d B, after the lean runs alone %d B", got, want)
+	}
+	reg := obs.NewRegistry()
+	if _, err := Run(td, cores.OOO2, bsas, plans, every, RunOpts{RecordRegions: true, Reg: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if again := pooledAttributions(); len(again) != 1 || again[0] != pooled[0] {
+		t.Errorf("a second attributed run left %d attributions on the free list, want the one it took", len(again))
+	}
+	if got, want := reg.Gauge("dg.graph_high_water_bytes").Value(), pooled[0].g.HighWaterBytes(); got != want {
+		t.Errorf("the attributed run's graph high water gauge reads %d B, its attribution graph's high water is %d B", got, want)
+	}
+	if a := pooled[0]; a.g.Lean() || a.log.MemBytes() == 0 {
+		t.Errorf("the pooled attribution holds a lean graph or an empty log (%d B)", a.log.MemBytes())
+	}
 }

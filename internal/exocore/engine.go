@@ -42,11 +42,18 @@
 // value in an append-only arena behind a pointer-free index
 // (outcomeTable), so a memoized unit costs no heap object of its own,
 // and a memo entry for a core-independent unit refers to the pool's
-// record instead of copying it. An attributed run
-// (RunOpts.RecordRegions) also walks each unit's critical path for the
-// per-region table behind the Figure 13 analysis; it evaluates every
-// unit itself, and the runner's report stage memoizes the whole run
-// instead.
+// record instead of copying it. The pool lives in its TDG (NewCache), so
+// it is shared by every cache built on that TDG and dropped with it. An
+// attributed run (RunOpts.RecordRegions) also walks each unit's critical
+// path for the per-region table behind the Figure 13 analysis; it
+// evaluates every unit itself, and the runner's report stage memoizes
+// the whole run instead.
+//
+// Lean units run on a pooled worker's own lean graph and general core.
+// An attributed run borrows an attribution graph and the core's
+// attribution log from one process-wide free list for its units and
+// returns them when it ends (see attribution), so the pooled workers
+// never hold the arrays a critical-path walk needs.
 //
 // Cross-unit accelerator state — configuration residency — is simulated
 // by the engine itself in composition order (per-BSA LRU of
@@ -286,19 +293,9 @@ func Segmentize(t *tdg.TDG, assign Assignment) []Segment {
 func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 	plans map[string]*tdg.Plan, assign Assignment, opts RunOpts) (*RunResult, error) {
 
-	// Validate the assignment before doing any work.
-	for loopID, name := range assign {
-		if loopID < 0 || loopID >= len(t.Nest.Loops) {
-			return nil, fmt.Errorf("exocore: assignment names unknown loop %d", loopID)
-		}
-		if _, ok := bsas[name]; !ok {
-			return nil, fmt.Errorf("exocore: assignment names unknown BSA %q", name)
-		}
-		if plans[name].Region(loopID) == nil {
-			return nil, fmt.Errorf("exocore: BSA %q has no plan for loop %d", name, loopID)
-		}
+	if err := checkAssignment(t, bsas, plans, assign); err != nil {
+		return nil, err
 	}
-
 	units := unitize(t, Segmentize(t, assign), assign, bsas)
 	cache := opts.Cache
 	if opts.RecordRegions {
@@ -306,22 +303,30 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 	}
 	// One worker (graph + GPP arenas) serves every unit of this run,
 	// drawn from — and returned to — the per-config arena pool; a cache
-	// counts the bytes the reuse saved.
+	// counts the bytes the reuse saved. An attributed run also borrows an
+	// attribution (graph and log) for its units.
 	var reused *obs.Counter
 	if cache != nil {
 		reused = cache.reused
 	}
 	w := acquireWorker(core, reused)
 	defer releaseWorker(core, w)
+	g := w.g
+	var attr *attribution
+	if opts.RecordRegions {
+		attr = acquireAttribution()
+		defer w.giveBack(attr)
+		g = attr.g
+	}
 	res := &RunResult{Models: make([]ModelStat, 0, len(assign)+1)}
 	comp := composer{res: res, bsas: bsas, opts: &opts}
 
 	if opts.Reg != nil {
-		// Peak resident µDG footprint across this run's units (the
-		// worker samples its own peaks at reset/retire), folded into the
+		// Peak resident µDG footprint across this run's units (the graph
+		// samples its own peaks at reset/retire), folded into the
 		// engine-wide gauge with max semantics.
 		defer func() {
-			opts.Reg.Gauge("dg.graph_high_water_bytes").SetMax(w.g.HighWaterBytes())
+			opts.Reg.Gauge("dg.graph_high_water_bytes").SetMax(g.HighWaterBytes())
 		}()
 		comp.segLen = opts.Reg.Histogram("eval.segment_len", obs.DefaultSizeBounds)
 	}
@@ -337,7 +342,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 		if cache != nil {
 			out.enc = cache.outcome(w, t, bsas, plans, u, usp)
 		} else {
-			out = evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions)
+			out = evalUnit(w, t, bsas, plans, u, usp, attr)
 		}
 		comp.add(&u, &out)
 		usp.End()
@@ -351,6 +356,36 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 		return strings.Compare(a.BSA, b.BSA)
 	})
 	return res, nil
+}
+
+// checkAssignment validates assign before a Run does any work: every
+// loop it names must exist, and its BSA must be modeled and have planned
+// the loop. With several invalid entries it reports the lowest loop ID's,
+// so the error does not depend on the map's iteration order; a valid
+// assignment allocates nothing.
+func checkAssignment(t *tdg.TDG, bsas map[string]tdg.BSA, plans map[string]*tdg.Plan, assign Assignment) error {
+	bad, found := 0, false
+	for loopID, name := range assign {
+		if found && loopID >= bad {
+			continue
+		}
+		_, known := bsas[name]
+		if loopID < 0 || loopID >= len(t.Nest.Loops) || !known || plans[name].Region(loopID) == nil {
+			bad, found = loopID, true
+		}
+	}
+	if !found {
+		return nil
+	}
+	name := assign[bad]
+	_, known := bsas[name]
+	switch {
+	case bad < 0 || bad >= len(t.Nest.Loops):
+		return fmt.Errorf("exocore: assignment names unknown loop %d", bad)
+	case !known:
+		return fmt.Errorf("exocore: assignment names unknown BSA %q", name)
+	}
+	return fmt.Errorf("exocore: BSA %q has no plan for loop %d", name, bad)
 }
 
 // outcome returns u's lean outcome value from the cache — its memo, the
@@ -409,7 +444,7 @@ func (c *Cache) outcome(w *segWorker, t *tdg.TDG, bsas map[string]tdg.BSA,
 			}
 		}
 	}
-	enc = evalUnit(w, t, bsas, plans, u, usp, false).enc
+	enc = evalUnit(w, t, bsas, plans, u, usp, nil).enc
 	// Publish to the shared pool only when the evaluation proved itself
 	// core-independent: zero retired core µops means the transform never
 	// consulted the host pipeline. The memo then refers to the pool's

@@ -192,3 +192,44 @@ func TestRecordSegments(t *testing.T) {
 		t.Error("no SIMD segment in timeline")
 	}
 }
+
+// TestAssignmentErrorIsDeterministic holds Run's assignment check to one
+// answer per assignment: with an unknown loop, an unknown BSA and a
+// valid entry in one assignment, every call reports the lowest invalid
+// loop ID's error, whatever order the map iterates in, and checking a
+// valid assignment allocates nothing.
+func TestAssignmentErrorIsDeterministic(t *testing.T) {
+	td := buildTDG(t, "mm", 4000)
+	bsas := allBSAs()
+	plans := analyzeAll(td, bsas)
+	valid := Assignment{}
+	for l := range plans["SIMD"].Regions {
+		valid[l] = "SIMD"
+	}
+	if len(valid) == 0 {
+		t.Fatal("SIMD plans no loop of mm")
+	}
+	assign := Assignment{1 << 20: "SIMD"}
+	for l, name := range valid {
+		assign[l] = name
+	}
+	assign[0] = "nope"
+	want := `exocore: assignment names unknown BSA "nope"`
+	for i := range 200 {
+		_, err := Run(td, cores.OOO2, bsas, plans, assign, RunOpts{})
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %s", i, err, want)
+		}
+	}
+	if _, err := Run(td, cores.OOO2, bsas, plans, Assignment{-1: "SIMD", 1 << 20: "nope"}, RunOpts{}); err == nil ||
+		err.Error() != "exocore: assignment names unknown loop -1" {
+		t.Errorf("negative loop: error %v, want unknown loop -1", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := checkAssignment(td, bsas, plans, valid); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("checking a valid assignment allocates %v objects, want 0", allocs)
+	}
+}

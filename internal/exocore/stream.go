@@ -35,7 +35,7 @@ func RunStream(src trace.Source, core cores.Config, opts RunOpts) (*RunResult, e
 		}()
 	}
 
-	w.reset(false)
+	w.reset(nil)
 	dec := cores.Decode(src.Prog())
 	total := 0
 	for {

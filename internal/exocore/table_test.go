@@ -35,10 +35,10 @@ func tableHash(key []byte) uint64 {
 // returns must equal the reference's, keep its bytes for the table's
 // life and be capped at its length, and the tables must hold exactly the
 // reference's keys. Each 3-byte op picks a key (empty keys included), a
-// value length (some past a chunk) and one of: a memo put, a memo get, a
-// pool put followed by a memo entry referring to the pool's record (the
-// cache's shared-pool path), or a pool get; ops past the 256th are
-// ignored.
+// value length (some within a few bytes of each chunk size, some past a
+// chunk) and one of: a memo put, a memo get, a pool put followed by a
+// memo entry referring to the pool's record (the cache's shared-pool
+// path), or a pool get; ops past the 256th are ignored.
 func FuzzOutcomeTable(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 1, 0, 0})
 	f.Add([]byte{0, 1, 250, 0, 6, 3, 2, 11, 9, 1, 11, 0, 3, 6, 0})
@@ -48,6 +48,28 @@ func FuzzOutcomeTable(f *testing.F) {
 		seq = append(seq, byte(i%3*2), byte(i), byte(i*37))
 	}
 	f.Add(seq)
+	// Records that straddle each chunk size step: a 1-byte key under
+	// size byte 194+8k+j makes a record of 256<<k - 4 + j bytes, so with
+	// j = 4 the k-th record fills the k-th chunk exactly, and with j = 5
+	// it is a byte larger and gets a chunk of its own.
+	for _, j := range []byte{4, 5} {
+		var steps []byte
+		for k := range byte(growSteps + 1) {
+			steps = append(steps, 0, 5*k+1, 194+8*k+j, 1, 5*k+1, 0)
+		}
+		f.Add(append(steps, 2, 2, 63, 0, 3, 63))
+	}
+	// Small records filling chunk after chunk through every size step,
+	// every fourth a record of about 1 KiB, in the memo and the pool.
+	fill := make([]byte, 0, 3*256)
+	for i := range 256 {
+		size := byte(63)
+		if i%4 == 0 {
+			size = 194 + 8*2 + byte(i/4%8)
+		}
+		fill = append(fill, byte(i/128*2), byte(i), size)
+	}
+	f.Add(fill)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		pool := &outcomeTable{hash: tableHash}
 		memo := &outcomeTable{hash: tableHash, pool: pool}
@@ -71,8 +93,11 @@ func FuzzOutcomeTable(f *testing.F) {
 			op, sel, size := ops[n], ops[n+1], ops[n+2]
 			key := bytes.Repeat([]byte{sel / 5}, int(sel%5))
 			vlen := int(size % 64)
-			if size >= 250 {
+			switch {
+			case size >= 250:
 				vlen = chunkSize + int(size-250)*100 + 1
+			case size >= 194:
+				vlen = firstChunk<<((size-194)/8) - 8 + int(size-194)%8
 			}
 			val := make([]byte, vlen)
 			for i := range val {
@@ -194,10 +219,10 @@ func TestWarmTableInsertsAllocateRarely(t *testing.T) {
 	t.Logf("1,000 warm inserts: %v allocations, %d chunk and index events", allocs, events)
 }
 
-// TestDroppedCacheArenaIsCollected holds the shared-pool registry to
+// TestDroppedCacheArenaIsCollected holds the TDG's shared pool to
 // pinning only pool records: once a Cache is dropped, the arena chunk
 // holding its baseline unit is collected while its TDG's pool, which
-// the cache's NS-DF entries refer to, stays registered.
+// the cache's NS-DF entries refer to, stays in the TDG with its records.
 func TestDroppedCacheArenaIsCollected(t *testing.T) {
 	td := buildTDG(t, "mm", 4000)
 	bsas := allBSAs()
@@ -239,11 +264,8 @@ func TestDroppedCacheArenaIsCollected(t *testing.T) {
 			}
 		}
 	}
-	sharedPoolsMu.Lock()
-	p := sharedPools[td]
-	sharedPoolsMu.Unlock()
-	if p == nil || p.arena.dir.Load() == nil {
-		t.Error("the TDG's shared pool left the registry or holds no record")
+	if p := td.Pool(newPool).(*outcomeTable); p.arena.dir.Load() == nil {
+		t.Error("the TDG's shared pool holds no record")
 	}
 }
 

@@ -2,12 +2,15 @@ package runner
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"exocore/internal/cores"
 	"exocore/internal/exocore"
 	"exocore/internal/sched"
+	"exocore/internal/trace"
 	"exocore/internal/workloads"
 )
 
@@ -238,4 +241,59 @@ func TestProgressEvents(t *testing.T) {
 	if events[0].Stage != StageTrace || events[0].Key != "mm" {
 		t.Errorf("event = %+v", events[0])
 	}
+}
+
+// TestDroppedEngineIsCollected holds process-wide state to keeping no
+// engine alive: once an engine that ran Evaluate and Report on an
+// offload design is dropped and another has booted and evaluated on
+// another core, the first engine's trace is collected. A registry of
+// shared pools keyed by TDG, or a pooled worker keeping the context of
+// its last transform, would keep it reachable.
+func TestDroppedEngineIsCollected(t *testing.T) {
+	w := testWorkload(t, "mm")
+	use := func(e *Engine, core cores.Config) {
+		t.Helper()
+		sc, err := e.Context(w, core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := exocore.Assignment{}
+		for l := range sc.Plans["NS-DF"].Regions {
+			a[l] = "NS-DF"
+		}
+		if len(a) == 0 {
+			t.Fatal("NS-DF plans no loop of mm")
+		}
+		if _, _, err := e.Evaluate(w, core, a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Report(w, core, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collected := make(chan struct{})
+	func() {
+		e := New(Options{MaxDyn: testMaxDyn})
+		tr, err := e.Trace(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(&tr.Insts[0], func(*trace.DynInst) { close(collected) })
+		use(e, cores.OOO2)
+	}()
+	next := New(Options{MaxDyn: testMaxDyn})
+	use(next, cores.OOO4)
+	deadline := time.Now().Add(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("a dropped engine's trace is still reachable 10 s after another engine booted")
+			}
+		}
+	}
+	runtime.KeepAlive(next)
 }

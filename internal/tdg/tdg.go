@@ -42,6 +42,9 @@ type TDG struct {
 
 	decOnce sync.Once
 	dec     *cores.Decoded
+
+	poolOnce sync.Once
+	pool     any
 }
 
 // LoopAtom is a maximal run of consecutive dynamic instructions sharing
@@ -131,6 +134,16 @@ func (t *TDG) HeaderEntries(loopID int) []int32 {
 func (t *TDG) Decoded() *cores.Decoded {
 	t.decOnce.Do(func() { t.dec = cores.Decode(t.Trace.Prog) })
 	return t.dec
+}
+
+// Pool returns what the TDG's pool slot holds, filling it with fill() on
+// the first call (concurrency-safe). The evaluation engine keeps its
+// cross-core outcome pool there (exocore.NewCache), so every cache built
+// on this TDG shares one pool, and the pool lives exactly as long as the
+// TDG; this package never looks inside it.
+func (t *TDG) Pool(fill func() any) any {
+	t.poolOnce.Do(func() { t.pool = fill() })
+	return t.pool
 }
 
 // Build constructs the TDG (IR reconstruction + profiling) from an
