@@ -21,16 +21,19 @@ vet:
 	$(GO) vet ./...
 
 # Race-enabled run of the concurrency-sensitive packages (the runner
-# engine, the exploration that fans out over it, the evaluation cache
-# with its sharded outcome index over an append-only arena, the
-# cross-core shared pool each TDG holds for every cache built on it, and
-# the process-wide free list of attribution graphs and logs that
-# attributed runs on every core config borrow, the serving
-# layer's singleflight/admission machinery, the fabric's shard
-# dispatcher with its work-stealing workers, the persistent store's
-# locked LRU index, and the streaming trace pipeline: a chunk pool's
-# free list shared by the producer and consumer goroutines, the
-# generator sources that fill it and the profile builder they feed).
+# engine, with the release path that drops a cold bench's trace, TDG
+# and contexts at its last Release while other lookups may still hold
+# them, the bench-major exploration that acquires and releases each
+# bench from its jobs, the evaluation cache with its sharded outcome
+# index over an append-only arena, the cross-core shared pool each TDG
+# holds for every cache built on it, and the process-wide free list of
+# attribution graphs and logs that attributed runs on every core config
+# borrow, the serving layer's singleflight/admission machinery, the
+# fabric's shard dispatcher with its work-stealing workers, the
+# persistent store's locked LRU index, and the streaming trace
+# pipeline: a chunk pool's free list shared by the producer and
+# consumer goroutines, the generator sources that fill it and the
+# profile builder they feed).
 race:
 	$(GO) test -race -count=1 ./internal/runner ./internal/dse ./internal/exocore ./internal/serve ./internal/fabric ./internal/store ./internal/trace ./internal/workloads ./internal/ir
 
@@ -107,8 +110,10 @@ perfbenchtest:
 # End-to-end scenarios (scripts/e2e): the tools are built once into a
 # private directory, then the harness checks trace export, the daemon's
 # and the telemetry plane's byte identity with the CLI, the graph-family
-# grid and the sharded fabric (identity, failover from a replica killed
-# mid-shard, warm restart from the store, flag validation). mem (a
+# grid, the peak RSS of a cold full-suite dse sweep (read from the dse
+# child's rusage) and the sharded fabric (identity, failover from a
+# replica killed mid-shard, warm restart from the store, flag
+# validation). mem (a
 # materialized 10M-instruction trace through the µDG, whose transform
 # nodes retire at every segment end) and scale (200M streamed
 # instructions) bound the memory the whole process
@@ -118,7 +123,7 @@ perfbenchtest:
 e2e:
 	bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
 	$(GO) build -o "$$bin/" ./cmd/exocored ./cmd/tdgsim ./cmd/dse ./scripts/e2e && \
-	"$$bin/e2e" "$$bin" trace serve obs graph fabric && \
+	"$$bin/e2e" "$$bin" trace serve obs graph sweep fabric && \
 	GOMEMLIMIT=512MiB "$$bin/e2e" "$$bin" mem && \
 	GOMEMLIMIT=512MiB "$$bin/e2e" "$$bin" scale
 

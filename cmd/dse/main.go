@@ -21,8 +21,11 @@ import (
 	"text/tabwriter"
 
 	"exocore/internal/cli"
+	"exocore/internal/cores"
 	"exocore/internal/dse"
+	"exocore/internal/exocore"
 	"exocore/internal/report"
+	"exocore/internal/workloads"
 )
 
 func main() {
@@ -38,6 +41,16 @@ func main() {
 		*frontier, *characterize, *headline = true, true, true
 	}
 
+	// The region rows run before the sweep, so the sweep finds their
+	// contexts resident and builds none of them twice.
+	var regions *regionReport
+	if *regionsFor != "" {
+		var err error
+		if regions, err = runRegions(app, *regionsFor); err != nil {
+			app.Fail(err)
+		}
+	}
+
 	exp, err := dse.Explore(dse.Options{
 		Workloads: app.Workloads(),
 		Sched:     app.Sched,
@@ -50,10 +63,8 @@ func main() {
 	if app.JSON {
 		doc := report.New("dse")
 		exp.AppendTo(doc)
-		if *regionsFor != "" {
-			if err := reportRegions(app, *regionsFor, doc); err != nil {
-				app.Fail(err)
-			}
+		if regions != nil {
+			regions.appendTo(doc)
 		}
 		app.Emit(doc)
 		return
@@ -68,43 +79,58 @@ func main() {
 	if *headline {
 		printHeadline(exp)
 	}
-	if *regionsFor != "" {
-		if err := reportRegions(app, *regionsFor, nil); err != nil {
-			app.Fail(err)
-		}
+	if regions != nil {
+		regions.print()
 	}
 	app.Finish()
 }
 
-// reportRegions runs one design over every benchmark through the
-// engine's report stage (per-region attribution on, served almost
-// entirely from the unit outcomes the exploration already cached) and
-// either prints the paper style breakdown tables (doc == nil) or
-// appends schema rows.
-func reportRegions(app *cli.App, code string, doc *report.Document) error {
+// regionReport is one design's per-region attribution on every
+// benchmark of the run.
+type regionReport struct {
+	code string
+	core cores.Config
+	wls  []*workloads.Workload
+	runs []*exocore.RunResult // by workload
+}
+
+// runRegions runs one design over every benchmark through the engine's
+// report stage (per-region attribution on).
+func runRegions(app *cli.App, code string) (*regionReport, error) {
 	eng := app.Engine()
 	core, mask, err := dse.ParseDesignCodeIn(eng.BSAs(), code)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	avail := eng.BSAs().SubsetNames(mask)
-	for _, wl := range app.Workloads() {
+	r := &regionReport{code: code, core: core, wls: app.Workloads()}
+	for _, wl := range r.wls {
 		sc, err := eng.Context(wl, core)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := eng.Report(wl, core, sc.Assign(app.Sched, avail))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if doc != nil {
-			doc.Add(report.RegionResults(code, core.Name, wl.Name, res.Regions, core)...)
-			continue
-		}
-		fmt.Printf("\n# per-region attribution of %s on %s\n", code, wl.Name)
-		report.WriteRegionTable(os.Stdout, res.Regions, core)
+		r.runs = append(r.runs, res)
 	}
-	return nil
+	return r, nil
+}
+
+// appendTo appends the region rows in the shared schema.
+func (r *regionReport) appendTo(doc *report.Document) {
+	for i, wl := range r.wls {
+		doc.Add(report.RegionResults(r.code, r.core.Name, wl.Name, r.runs[i].Regions, r.core)...)
+	}
+}
+
+// print writes the paper-style breakdown table of every benchmark.
+func (r *regionReport) print() {
+	for i, wl := range r.wls {
+		fmt.Printf("\n# per-region attribution of %s on %s\n", r.code, wl.Name)
+		report.WriteRegionTable(os.Stdout, r.runs[i].Regions, r.core)
+	}
 }
 
 // byPerf sorts designs by relative performance with a deterministic

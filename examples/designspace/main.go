@@ -26,8 +26,11 @@ func main() {
 		ws = append(ws, w)
 	}
 
-	// An explicit engine makes the artifact caches visible: repeated
-	// explorations (or other tools in the same process) reuse them.
+	// An explicit engine makes the caches visible. The exploration drops
+	// each bench's trace, TDG and contexts once its rows are in, so a
+	// repeated exploration rebuilds those but reads every evaluation
+	// from the engine's eval memo; warm a bench with eng.Context first
+	// to keep it resident.
 	eng := runner.New(runner.Options{MaxDyn: 30000})
 	exp, err := dse.Explore(dse.Options{Workloads: ws, Engine: eng})
 	if err != nil {

@@ -435,7 +435,12 @@ func (a *App) Emit(doc *report.Document) {
 // Finish prints the engine metrics to stderr when -v is set and closes
 // any active profiles, failing the tool if finalization errors.
 // Text-mode tools call it after their report; JSON mode embeds metrics
-// instead.
+// instead. The eval-cache line's entries and resident figures include
+// the unit memos a cold sweep dropped (see runner.Metrics.EvalCache), so
+// they count what was memoized, not what is held at exit. With -store
+// it also prints the durable store's counters: the eval-cache misses
+// count every unit the memo lacked, those the store then served
+// included, so only the store line tells a warm store from a cold one.
 func (a *App) Finish() {
 	closeErr := a.Close()
 	if a.Verbose && a.engine != nil {
@@ -449,6 +454,12 @@ func (a *App) Finish() {
 		if c := m.EvalCache; c != nil {
 			log.Info(fmt.Sprintf("  eval-cache hits=%-4d misses=%-4d entries=%-4d shared=%-4d resident=%.1fMB arena-reuse=%.1fMB",
 				c.Hits, c.Misses, c.Entries, c.SharedHits, float64(c.ResidentBytes)/(1<<20), float64(c.BytesReused)/(1<<20)))
+		}
+		if a.store != nil {
+			r := a.obsReg
+			log.Info(fmt.Sprintf("  store hits=%-4d misses=%-4d writes=%-4d write_errors=%d",
+				r.Counter("store.hits").Value(), r.Counter("store.misses").Value(),
+				r.Counter("store.writes").Value(), r.Counter("store.write_errors").Value()))
 		}
 		printHistogramQuantiles(log, m.Points)
 	}

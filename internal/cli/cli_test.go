@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -122,5 +124,34 @@ func TestEngineIsShared(t *testing.T) {
 	}
 	if a.Engine() != a.Engine() {
 		t.Error("Engine() must return the same instance")
+	}
+}
+
+// TestFinishPrintsStoreCounters: -v prints the durable store's counters
+// after the eval-cache line when -store is set, and no store line
+// without it.
+func TestFinishPrintsStoreCounters(t *testing.T) {
+	run := func(args ...string) string {
+		t.Helper()
+		a := New("tool", "mm")
+		var stderr bytes.Buffer
+		a.Stderr = &stderr
+		if err := a.Parse(append([]string{"-v", "-maxdyn", "2000"}, args...)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Engine().Context(a.Workloads()[0], a.CoreConfig()); err != nil {
+			t.Fatal(err)
+		}
+		a.Finish()
+		return stderr.String()
+	}
+	plain := run()
+	if !strings.Contains(plain, "eval-cache hits=") || strings.Contains(plain, "store hits=") {
+		t.Errorf("-v without -store:\n%s", plain)
+	}
+	stored := run("-store", t.TempDir())
+	m := regexp.MustCompile(`store hits=0 +misses=(\d+) +writes=(\d+) +write_errors=0\n`).FindStringSubmatch(stored)
+	if m == nil || m[1] == "0" || m[2] == "0" {
+		t.Errorf("-v with a fresh -store: want a store line with misses and writes\n%s", stored)
 	}
 }

@@ -110,7 +110,10 @@ func reportDoc(t *testing.T, exp *Exploration) []byte {
 
 // quickSweep explores the quick-set workloads on IO2 and OOO2 with a
 // default engine (delta evaluation over the unit cache, the only
-// evaluation path a scheduling context has).
+// evaluation path a scheduling context has). Each bench's trace is
+// cached first, so the exploration keeps the contexts it builds on
+// demand (a cold one drops them) and the tests read the very contexts
+// the sweep evaluated on.
 func quickSweep(t *testing.T) (*runner.Engine, []*workloads.Workload, []cores.Config, *Exploration) {
 	t.Helper()
 	var ws []*workloads.Workload
@@ -123,6 +126,11 @@ func quickSweep(t *testing.T) (*runner.Engine, []*workloads.Workload, []cores.Co
 	}
 	cs := []cores.Config{cores.IO2, cores.OOO2}
 	eng := runner.New(runner.Options{MaxDyn: 10_000})
+	for _, w := range ws {
+		if _, err := eng.Trace(w); err != nil {
+			t.Fatal(err)
+		}
+	}
 	exp, err := Explore(Options{Workloads: ws, Cores: cs, Engine: eng})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,12 @@
 // Amdahl-tree scheduler for the §5.4 comparison). The grid follows the
 // engine's bsa.Registry, so registering a model grows the sweep without
 // touching this package. All pipeline stages — trace, TDG, scheduling
-// context, assignment evaluation — run through the shared runner.Engine,
-// so per-(benchmark, core) artifacts are built once and identical
-// assignments across subsets are evaluated once.
+// context, assignment evaluation — run through the shared runner.Engine:
+// an exploration builds each per-(benchmark, core) artifact once, and
+// the engine evaluates identical assignments across subsets once. The
+// exploration runs bench by bench and drops each bench it found cold
+// once its rows are in, so it holds the artifacts of the benches in
+// progress, not the suite's; a bench that was resident stays so.
 package dse
 
 import (
@@ -17,6 +20,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"exocore/internal/area"
 	"exocore/internal/bsa"
@@ -92,8 +97,10 @@ type Options struct {
 	// Amdahl tree, any other name the Oracle.
 	Sched string
 	// Engine is the evaluation engine (required). It fixes the budget,
-	// the worker bound and the BSA registry, and repeated explorations
-	// (or other tools in the same process) reuse its artifact caches.
+	// the worker bound and the BSA registry. Repeated explorations (or
+	// other tools in the same process) reuse its eval memo, and the
+	// traces, TDGs and contexts of benches that were resident before
+	// the exploration reached them (see runner.Engine.Acquire).
 	Engine *runner.Engine
 	// Designs, if non-empty, restricts the sweep to these design codes
 	// (eg. "OOO2-SDN"), evaluated in the given order with duplicates
@@ -117,10 +124,18 @@ func Explore(opts Options) (*Exploration, error) {
 }
 
 // ExploreCtx is Explore with cancellation: a done ctx stops workers from
-// claiming new (bench, core) warm-ups or design evaluations and the
-// exploration returns the ctx error. The evaluation daemon threads each
-// request's ctx through here so disconnected sweep clients stop burning
-// workers.
+// claiming new jobs and the exploration returns the ctx error. The
+// evaluation daemon threads each request's ctx through here so
+// disconnected sweep clients stop burning workers.
+//
+// The jobs (sweepJobs: a context build per bench and core, an
+// evaluation per bench and design) run bench-major off one index over
+// the engine's workers, so at most Workers run at once, a one-bench
+// sweep still uses every worker, and about two benches are in progress
+// at a time. A bench's first job acquires it (runner.Engine.Acquire)
+// and its last releases it, so if the bench was cold when the
+// exploration reached it, its trace, TDG and contexts are dropped once
+// every design has its row.
 func ExploreCtx(ctx context.Context, opts Options) (*Exploration, error) {
 	eng := opts.Engine
 	if eng == nil {
@@ -130,58 +145,59 @@ func ExploreCtx(ctx context.Context, opts Options) (*Exploration, error) {
 	if ws == nil {
 		ws = workloads.All()
 	}
-	reg := eng.BSAs()
 
 	// Resolve the design grid: the full cores × 2^N-subset cross product
 	// over the engine's registry, or an explicit design-code list.
-	protos, cs, err := designGrid(reg, opts.Designs, opts.Cores)
+	designs, err := designGrid(eng.BSAs(), opts.Designs, opts.Cores)
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 1: warm the per-(bench, core) scheduling contexts in
-	// parallel. The engine computes each exactly once.
-	type pair struct {
-		w    *workloads.Workload
-		core cores.Config
-	}
-	var pairs []pair
-	for _, w := range ws {
-		for _, core := range cs {
-			pairs = append(pairs, pair{w, core})
-		}
-	}
-	if err := eng.ForEachCtx(ctx, len(pairs), func(i int) error {
-		_, err := eng.ContextCtx(ctx, pairs[i].w, pairs[i].core)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: evaluate every design point. Designs are laid out in a
-	// fixed order and filled by index, so the result is identical
+	// Rows land by (design, bench) index, so the result is identical
 	// regardless of worker count or completion order; the engine's eval
 	// cache deduplicates identical assignments across subsets.
-	designs, err := runner.MapCtx(ctx, eng, len(protos), func(di int) (DesignResult, error) {
-		d := protos[di]
-		avail := d.BSAs
-		for _, w := range ws {
-			sc, err := eng.ContextCtx(ctx, w, d.Core)
-			if err != nil {
-				return d, err
+	for di := range designs {
+		designs[di].PerBench = make([]BenchResult, len(ws))
+	}
+	jobs, perBench := sweepJobs(len(ws), designs)
+	benches := make([]benchRun, len(ws))
+	for bi := range benches {
+		benches[bi].left.Store(perBench)
+	}
+	err = eng.ForEachCtx(ctx, len(jobs), func(i int) error {
+		j := jobs[i]
+		w, b := ws[j.bench], &benches[j.bench]
+		b.acquire.Do(func() { eng.Acquire(w) })
+		defer func() {
+			if b.left.Add(-1) == 0 {
+				eng.Release(w)
 			}
-			cycles, energy, err := eng.EvaluateCtx(ctx, w, d.Core, sc.Assign(opts.Sched, avail))
-			if err != nil {
-				return d, err
-			}
-			d.PerBench = append(d.PerBench, BenchResult{
-				Bench: w.Name, Category: w.Category,
-				Cycles: cycles, EnergyNJ: energy,
-			})
+		}()
+		d := j.design
+		if d == nil {
+			_, err := eng.ContextCtx(ctx, w, *j.core)
+			return err
 		}
-		sort.Slice(d.PerBench, func(a, b int) bool { return d.PerBench[a].Bench < d.PerBench[b].Bench })
-		return d, nil
+		sc, err := eng.ContextCtx(ctx, w, d.Core)
+		if err != nil {
+			return err
+		}
+		cycles, energy, err := eng.EvaluateCtx(ctx, w, d.Core, sc.Assign(opts.Sched, d.BSAs))
+		if err != nil {
+			return err
+		}
+		d.PerBench[j.bench] = BenchResult{
+			Bench: w.Name, Category: w.Category,
+			Cycles: cycles, EnergyNJ: energy,
+		}
+		return nil
 	})
+	// A done ctx leaves the jobs it stopped unrun, so a bench it cut
+	// short was acquired but never released.
+	for bi := range benches {
+		if n := benches[bi].left.Load(); n > 0 && n < perBench {
+			eng.Release(ws[bi])
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -191,15 +207,80 @@ func ExploreCtx(ctx context.Context, opts Options) (*Exploration, error) {
 	return exp, nil
 }
 
+// sweepJob is one job of an exploration: build the scheduling context
+// of core on bench if design is nil, else evaluate design on bench.
+type sweepJob struct {
+	bench  int
+	core   *cores.Config
+	design *DesignResult
+}
+
+// sweepJobs lays out an exploration's jobs over nb benches: per bench,
+// one context build per core of the grid and one evaluation per design,
+// perBench in all. Each bench's builds come just before the previous
+// bench's evaluations — builds(0), builds(1), evals(0), builds(2),
+// evals(1), …, evals(nb-1) — so the workers build a bench's contexts
+// side by side while no evaluation waits on one. A bench's evaluations
+// visit the designs round-robin over their cores, so the workers
+// evaluate on different contexts rather than one waiting on another's
+// evaluation of the same assignment, which neighbouring subsets of one
+// core often share.
+func sweepJobs(nb int, designs []DesignResult) (jobs []sweepJob, perBench int32) {
+	var cs []*cores.Config
+	var byCore [][]*DesignResult
+	slot := map[string]int{}
+	for i := range designs {
+		d := &designs[i]
+		c, ok := slot[d.Core.Name]
+		if !ok {
+			c = len(cs)
+			slot[d.Core.Name] = c
+			cs = append(cs, &d.Core)
+			byCore = append(byCore, nil)
+		}
+		byCore[c] = append(byCore[c], d)
+	}
+	order := make([]*DesignResult, 0, len(designs))
+	for r := 0; len(order) < len(designs); r++ {
+		for _, ds := range byCore {
+			if r < len(ds) {
+				order = append(order, ds[r])
+			}
+		}
+	}
+	jobs = make([]sweepJob, 0, nb*(len(cs)+len(designs)))
+	for b := range nb + 1 {
+		if b < nb {
+			for _, core := range cs {
+				jobs = append(jobs, sweepJob{bench: b, core: core})
+			}
+		}
+		if b > 0 {
+			for _, d := range order {
+				jobs = append(jobs, sweepJob{bench: b - 1, design: d})
+			}
+		}
+	}
+	return jobs, int32(len(cs) + len(designs))
+}
+
+// benchRun tracks one bench's jobs in an exploration: the first to
+// start acquires the bench, and the one that takes left to zero
+// releases it.
+type benchRun struct {
+	acquire sync.Once
+	left    atomic.Int32 // jobs not yet finished
+}
+
 // designGrid resolves a design list into evaluation-ready prototypes
-// (code, BSA names, area — everything but the measurements) plus the
-// distinct cores involved. An explicit code list is kept in order with
-// canonical duplicates collapsed; an empty list expands to the full
-// cs × 2^N-subset cross product (cs nil = all four cores). This is the
-// single grid-resolution path, shared by ExploreCtx and by the fabric
-// coordinator's shell (NewShell), so both agree on design identity,
-// order and area to the last bit.
-func designGrid(reg *bsa.Registry, designs []string, cs []cores.Config) ([]DesignResult, []cores.Config, error) {
+// (code, BSA names, area — everything but the measurements). An
+// explicit code list is kept in order with canonical duplicates
+// collapsed; an empty list expands to the full cs × 2^N-subset cross
+// product (cs nil = all four cores). This is the single grid-resolution
+// path, shared by ExploreCtx and by the fabric coordinator's shell
+// (NewShell), so both agree on design identity, order and area to the
+// last bit.
+func designGrid(reg *bsa.Registry, designs []string, cs []cores.Config) ([]DesignResult, error) {
 	if cs == nil {
 		cs = cores.Configs
 	}
@@ -210,12 +291,10 @@ func designGrid(reg *bsa.Registry, designs []string, cs []cores.Config) ([]Desig
 	var points []point
 	if len(designs) > 0 {
 		seen := make(map[string]bool, len(designs))
-		csSeen := make(map[string]bool)
-		cs = nil
 		for _, code := range designs {
 			core, mask, err := ParseDesignCodeIn(reg, code)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if canon := DesignCodeIn(reg, core, mask); seen[canon] {
 				continue
@@ -223,10 +302,6 @@ func designGrid(reg *bsa.Registry, designs []string, cs []cores.Config) ([]Desig
 				seen[canon] = true
 			}
 			points = append(points, point{core, mask})
-			if !csSeen[core.Name] {
-				csSeen[core.Name] = true
-				cs = append(cs, core)
-			}
 		}
 	} else {
 		for _, core := range cs {
@@ -254,7 +329,7 @@ func designGrid(reg *bsa.Registry, designs []string, cs []cores.Config) ([]Desig
 			AreaMM2: area.Total(p.core, maskModels[p.mask]),
 		})
 	}
-	return protos, cs, nil
+	return protos, nil
 }
 
 // GridCodes enumerates the design codes a sweep would evaluate: the
@@ -263,7 +338,7 @@ func designGrid(reg *bsa.Registry, designs []string, cs []cores.Config) ([]Desig
 // coordinator uses it to shard exactly the grid a single daemon would
 // sweep.
 func GridCodes(reg *bsa.Registry, designs []string, cs []cores.Config) ([]string, error) {
-	protos, _, err := designGrid(reg, designs, cs)
+	protos, err := designGrid(reg, designs, cs)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +356,7 @@ func GridCodes(reg *bsa.Registry, designs []string, cs []cores.Config) ([]string
 // AddBench + Normalize, reproducing ExploreCtx's aggregates bit for
 // bit without re-evaluating anything.
 func NewShell(reg *bsa.Registry, designs []string, cs []cores.Config) (*Exploration, error) {
-	protos, _, err := designGrid(reg, designs, cs)
+	protos, err := designGrid(reg, designs, cs)
 	if err != nil {
 		return nil, err
 	}

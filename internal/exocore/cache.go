@@ -77,7 +77,10 @@ type unitOutcome struct {
 	classes [][dg.NumEdgeClasses]int64
 }
 
-// CacheStats is a point-in-time snapshot of a Cache's counters.
+// CacheStats is a point-in-time snapshot of a Cache's counters. A
+// runner.Engine's Metrics sums them over its contexts, those it has
+// dropped included, so there Entries and ResidentBytes count what the
+// engine memoized rather than what it holds now.
 type CacheStats struct {
 	// Hits and Misses count unit-outcome lookups.
 	Hits   int64 `json:"segment_hits"`

@@ -32,6 +32,13 @@ func TestQuickSweepMemoHeldBytes(t *testing.T) {
 	}
 	cs := []cores.Config{cores.IO2, cores.OOO2}
 	eng := runner.New(runner.Options{MaxDyn: 10_000})
+	// Resident benches keep their contexts through the exploration, so
+	// the held bytes below are those of the caches the sweep filled.
+	for _, w := range ws {
+		if _, err := eng.Trace(w); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := dse.Explore(dse.Options{Workloads: ws, Cores: cs, Engine: eng}); err != nil {
 		t.Fatal(err)
 	}

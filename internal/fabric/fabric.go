@@ -105,7 +105,9 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 // shard is one dispatch unit: every design of one core, on one
 // benchmark. The key is the ring placement key — the same (bench, core)
 // always hashes to the same replica, so that replica's trace/TDG/context
-// memos and persistent store stay specialized to it.
+// memos and persistent store stay specialized to it (a replica keeps a
+// shard's bench resident: serve.SweepDocument caches a partial sweep's
+// traces before it explores).
 type shard struct {
 	idx   int
 	bench string

@@ -72,7 +72,8 @@ type instInfo struct {
 }
 
 // strideSlots is how many distinct deltas a strideAcc counts inline
-// before spilling to its overflow map; regular accesses have one or two.
+// before spilling to its overflow table; regular accesses have one or
+// two.
 const strideSlots = 4
 
 type strideAcc struct {
@@ -81,7 +82,7 @@ type strideAcc struct {
 	seen     bool
 	n        int // inline slots in use
 	slots    [strideSlots]deltaCount
-	overflow map[int64]int64 // deltas past the inline slots
+	overflow deltaTable // deltas past the inline slots
 }
 
 type deltaCount struct{ delta, n int64 }
@@ -98,15 +99,56 @@ func (sa *strideAcc) add(delta int64) {
 		sa.n++
 		return
 	}
-	if sa.overflow == nil {
-		sa.overflow = make(map[int64]int64)
+	sa.overflow.add(delta)
+}
+
+// deltaTable counts deltas exactly: open addressing with linear probing
+// over a power-of-two slice at most three quarters full, where a slot
+// with n == 0 is empty. The zero value is an empty table.
+type deltaTable struct {
+	slots []deltaCount
+	shift uint // 64 - log2(len(slots))
+	used  int
+}
+
+func (t *deltaTable) add(delta int64) {
+	if 4*(t.used+1) > 3*len(t.slots) {
+		t.grow()
 	}
-	sa.overflow[delta]++
+	s := t.slot(delta)
+	if s.n == 0 {
+		s.delta = delta
+		t.used++
+	}
+	s.n++
+}
+
+// slot returns delta's slot, or the empty slot where it belongs.
+func (t *deltaTable) slot(delta int64) *deltaCount {
+	mask := len(t.slots) - 1
+	for i := int(uint64(delta) * fibHashMul >> t.shift); ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.n == 0 || s.delta == delta {
+			return s
+		}
+	}
+}
+
+// grow doubles the table (to 16 slots from empty) and reinserts every
+// count.
+func (t *deltaTable) grow() {
+	old := t.slots
+	t.slots = make([]deltaCount, max(16, 2*len(old)))
+	t.shift = 64 - uint(bits.TrailingZeros(uint(len(t.slots))))
+	for _, s := range old {
+		if s.n != 0 {
+			*t.slot(s.delta) = s
+		}
+	}
 }
 
 // info classifies the accumulated deltas. Ties on frequency break
 // toward the smaller magnitude (then negative) delta: neither slot nor
-// map order may leak into the profile, which is compared byte-for-byte
+// table order may leak into the profile, which is compared byte-for-byte
 // across the materialized and streamed build paths.
 func (sa *strideAcc) info() StrideInfo {
 	info := StrideInfo{Samples: sa.samples}
@@ -119,8 +161,10 @@ func (sa *strideAcc) info() StrideInfo {
 	for _, s := range sa.slots[:sa.n] {
 		consider(s.delta, s.n)
 	}
-	for delta, n := range sa.overflow {
-		consider(delta, n)
+	for _, s := range sa.overflow.slots {
+		if s.n != 0 {
+			consider(s.delta, s.n)
+		}
 	}
 	if sa.samples > 0 {
 		info.Consistent = float64(bestN) / float64(sa.samples)
@@ -169,7 +213,7 @@ type depSlot struct {
 	mark uint64 // stamp<<1 | stored; 0 = never written
 }
 
-const depHashMul = 0x9E3779B97F4A7C15 // Fibonacci hashing
+const fibHashMul = 0x9E3779B97F4A7C15 // Fibonacci hashing (deltaTable, depTable)
 
 // reset starts a new occurrence.
 func (t *depTable) reset() {
@@ -192,7 +236,7 @@ func (t *depTable) access(addr uint64, iter int64, store bool) bool {
 		st = 1
 	}
 	mask := len(t.slots) - 1
-	for i := int(addr * depHashMul >> t.shift); ; i = (i + 1) & mask {
+	for i := int(addr * fibHashMul >> t.shift); ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		prev := s.mark >> 1
 		if prev < t.start {
@@ -225,7 +269,7 @@ func (t *depTable) grow() {
 		if s.mark>>1 < t.start {
 			continue
 		}
-		i := int(s.addr * depHashMul >> t.shift)
+		i := int(s.addr * fibHashMul >> t.shift)
 		for t.slots[i].mark != 0 {
 			i = (i + 1) & mask
 		}

@@ -110,6 +110,31 @@ func TestProfileStrideOverflow(t *testing.T) {
 	}
 }
 
+// TestProfileStrideTableGrows gives a load 4001 distinct deltas, each
+// once, so the overflow table grows from 16 slots to 8192, then three
+// more each of 24 and -24: the top count is tied between two deltas
+// that live in the table, and the tie goes to -24.
+func TestProfileStrideTableGrows(t *testing.T) {
+	const distinct = 4001 // prime, so i*7919 mod distinct visits every residue once
+	var deltas []int64
+	for i := range distinct {
+		deltas = append(deltas, 8*int64(i*7919%distinct-distinct/2))
+	}
+	for range 3 {
+		deltas = append(deltas, 24, -24)
+	}
+	addrs := []uint64{1 << 40}
+	for _, d := range deltas {
+		addrs = append(addrs, uint64(int64(addrs[len(addrs)-1])+d))
+	}
+	tr := memLoopTrace(len(addrs), func(it int) (uint64, uint64) { return addrs[it], 0x8000 })
+	prof := matchesReference(t, "stride table growth", tr.Prog, tr)
+	want := StrideInfo{Samples: int64(len(deltas)), Dominant: -24, Consistent: 4.0 / float64(len(deltas))}
+	if got := prof.Strides[1]; got != want {
+		t.Fatalf("load stride %+v, want %+v", got, want)
+	}
+}
+
 // TestProfileDepTrackBound runs one loop occurrence over more than
 // maxDepTrack distinct words (a fresh load and store address every
 // iteration). Once the table holds maxDepTrack addresses it is frozen:

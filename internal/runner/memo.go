@@ -79,6 +79,51 @@ func (t *memo[V]) getCtx(ctx context.Context, key string, compute func(context.C
 	return ent.val, false, time.Since(start), ent.err
 }
 
+// drop removes every entry whose key matches and whose computation has
+// finished, and returns their values. An entry still computing stays:
+// its caller and waiters share it as before.
+func (t *memo[V]) drop(match func(key string) bool) []V {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []V
+	for key, ent := range t.m {
+		if match(key) && ent.finished() {
+			delete(t.m, key)
+			out = append(out, ent.val)
+		}
+	}
+	return out
+}
+
+// has reports whether key has an entry, finished or still computing.
+func (t *memo[V]) has(key string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.m[key]
+	return ok
+}
+
+// each calls fn, under the memo's lock, with the value of every entry
+// whose computation finished without error.
+func (t *memo[V]) each(fn func(V)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, ent := range t.m {
+		if ent.finished() && ent.err == nil {
+			fn(ent.val)
+		}
+	}
+}
+
+func (ent *memoEntry[V]) finished() bool {
+	select {
+	case <-ent.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // len reports the number of cached entries (for tests).
 func (t *memo[V]) len() int {
 	t.mu.Lock()

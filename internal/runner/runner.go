@@ -8,12 +8,17 @@
 // an optional progress callback.
 //
 // One Engine per tool invocation is the normal lifetime; sharing an
-// Engine across calls (eg. several dse.Explore runs) shares the caches.
+// Engine across calls shares what stays cached. The trace, TDG and
+// scheduling contexts of a workload held between Acquire and Release
+// (as every bench of a dse.Explore is) are dropped at the last Release,
+// unless the workload was resident before; the eval and report memos
+// keep their small results either way.
 package runner
 
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,7 +117,12 @@ type StageMetrics struct {
 type Metrics struct {
 	Stages []StageMetrics `json:"stages"`
 	// EvalCache aggregates the evaluation-unit cache counters over every
-	// scheduling context this engine created.
+	// scheduling context this engine created, those a Release dropped
+	// included (as they were when dropped). So Entries and
+	// ResidentBytes, and the evalcache.entries and
+	// evalcache.resident_bytes gauges, count what the engine memoized,
+	// not what it holds now: a dropped context's memo is freed, and a
+	// bench rebuilt after a drop counts twice.
 	EvalCache *exocore.CacheStats `json:"eval_cache,omitempty"`
 	// Points is the full registry snapshot (every named instrument,
 	// sorted), the exportable form behind the stage/cache fields above.
@@ -184,8 +194,19 @@ type Engine struct {
 
 	stages map[string]*stageInstruments
 
-	cachesMu sync.Mutex
-	caches   []*exocore.Cache // unit caches of every context created
+	// leases tracks the acquired workloads, and released holds the
+	// unit-cache counters of the contexts their releases dropped;
+	// leasesMu guards both.
+	leasesMu sync.Mutex
+	leases   map[string]*lease
+	released exocore.CacheStats
+}
+
+// lease is one workload's acquisitions in progress: the last Release
+// drops the workload's artifacts if the first Acquire found it cold.
+type lease struct {
+	n    int
+	cold bool
 }
 
 // New creates an Engine.
@@ -217,6 +238,7 @@ func New(opts Options) *Engine {
 		reg:        reg,
 		log:        opts.Log,
 		stages:     make(map[string]*stageInstruments, len(Stages)),
+		leases:     make(map[string]*lease),
 	}
 	for _, s := range Stages {
 		e.stages[s] = &stageInstruments{
@@ -256,18 +278,12 @@ func (e *Engine) Metrics() Metrics {
 			Insts:  c.insts.Value(),
 		})
 	}
-	var agg exocore.CacheStats
-	e.cachesMu.Lock()
-	for _, c := range e.caches {
-		s := c.Stats()
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.BytesReused += s.BytesReused
-		agg.Entries += s.Entries
-		agg.SharedHits += s.SharedHits
-		agg.ResidentBytes += s.ResidentBytes
-	}
-	e.cachesMu.Unlock()
+	// leasesMu keeps a drop from moving a context's counters between
+	// the two reads.
+	e.leasesMu.Lock()
+	agg := e.released
+	e.scheds.each(func(sc *sched.Context) { addStats(&agg, sc.Cache.Stats()) })
+	e.leasesMu.Unlock()
 	// Mirror the aggregate into registry gauges so the exportable
 	// snapshot carries the cache state too.
 	e.reg.Gauge("evalcache.segment_hits").Set(agg.Hits)
@@ -405,16 +421,9 @@ func (e *Engine) ContextCtx(ctx context.Context, w *workloads.Workload, core cor
 		}
 		sp := e.tracer.BeginCtx(ctx, "stage", StageSched+" "+key)
 		defer sp.End()
-		sc, err := sched.NewContext(td, core, e.bsaReg.New(),
+		return sched.NewContext(td, core, e.bsaReg.New(),
 			sched.ContextOpts{Workers: e.workers, Reg: e.reg, Span: sp,
 				Persist: e.persist, PersistNS: e.persistNS(key)})
-		if err != nil {
-			return nil, err
-		}
-		e.cachesMu.Lock()
-		e.caches = append(e.caches, sc.Cache)
-		e.cachesMu.Unlock()
-		return sc, nil
 	})
 	var insts int64
 	if sc != nil {
@@ -422,6 +431,70 @@ func (e *Engine) ContextCtx(ctx context.Context, w *workloads.Workload, core cor
 	}
 	e.account(ctx, StageSched, key, hit, wall, insts)
 	return sc, err
+}
+
+// Acquire marks w in use until a matching Release; any of w's artifacts
+// may be looked up in between. If w was cold (no trace cached) when the
+// first of its overlapping acquisitions began, the last Release drops
+// w's trace, TDG and scheduling contexts, and with them the contexts'
+// unit memos and the TDG's cross-core pool, so a cold sweep holds the
+// benches in progress, not the suite's. A resident workload is never
+// dropped. Eval and report results stay memoized, and Metrics keeps the
+// dropped unit caches' counters (Entries and ResidentBytes as they were
+// when dropped; a caller still using a dropped context adds no more). A
+// later lookup rebuilds what was dropped, from the durable store when
+// one is attached.
+func (e *Engine) Acquire(w *workloads.Workload) {
+	e.leasesMu.Lock()
+	defer e.leasesMu.Unlock()
+	l := e.leases[w.Name]
+	if l == nil {
+		l = &lease{cold: !e.traces.has(w.Name)}
+		e.leases[w.Name] = l
+	}
+	l.n++
+}
+
+// Release ends one Acquire of w; the last to end drops w if the first
+// found it cold (see Acquire).
+func (e *Engine) Release(w *workloads.Workload) {
+	e.leasesMu.Lock()
+	defer e.leasesMu.Unlock()
+	l := e.leases[w.Name]
+	if l == nil {
+		panic("runner: Release of " + w.Name + " without Acquire")
+	}
+	if l.n--; l.n > 0 {
+		return
+	}
+	delete(e.leases, w.Name)
+	if l.cold {
+		e.drop(w.Name)
+	}
+}
+
+// drop removes a workload's finished trace, TDG and scheduling
+// contexts from their memos and folds the contexts' unit-cache counters
+// into e.released. The caller holds e.leasesMu.
+func (e *Engine) drop(name string) {
+	is := func(key string) bool { return key == name }
+	e.traces.drop(is)
+	e.tdgs.drop(is)
+	for _, sc := range e.scheds.drop(func(key string) bool { return strings.HasPrefix(key, name+"/") }) {
+		if sc != nil {
+			addStats(&e.released, sc.Cache.Stats())
+		}
+	}
+}
+
+// addStats adds s to agg, field by field.
+func addStats(agg *exocore.CacheStats, s exocore.CacheStats) {
+	agg.Hits += s.Hits
+	agg.Misses += s.Misses
+	agg.BytesReused += s.BytesReused
+	agg.Entries += s.Entries
+	agg.SharedHits += s.SharedHits
+	agg.ResidentBytes += s.ResidentBytes
 }
 
 // persistNS derives the durable-store namespace for one scheduling

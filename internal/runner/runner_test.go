@@ -257,13 +257,7 @@ func TestDroppedEngineIsCollected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := exocore.Assignment{}
-		for l := range sc.Plans["NS-DF"].Regions {
-			a[l] = "NS-DF"
-		}
-		if len(a) == 0 {
-			t.Fatal("NS-DF plans no loop of mm")
-		}
+		a := nsdfAssignment(t, sc)
 		if _, _, err := e.Evaluate(w, core, a); err != nil {
 			t.Fatal(err)
 		}
@@ -283,17 +277,131 @@ func TestDroppedEngineIsCollected(t *testing.T) {
 	}()
 	next := New(Options{MaxDyn: testMaxDyn})
 	use(next, cores.OOO4)
+	waitCollected(t, collected, "a dropped engine's trace is still reachable 10 s after another engine booted")
+	runtime.KeepAlive(next)
+}
+
+// waitCollected runs the collector until a finalizer closes collected,
+// failing with msg after 10 s.
+func waitCollected(t *testing.T, collected <-chan struct{}, msg string) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for done := false; !done; {
+	for {
 		runtime.GC()
 		select {
 		case <-collected:
-			done = true
+			return
 		case <-time.After(10 * time.Millisecond):
 			if time.Now().After(deadline) {
-				t.Fatal("a dropped engine's trace is still reachable 10 s after another engine booted")
+				t.Fatal(msg)
 			}
 		}
 	}
-	runtime.KeepAlive(next)
+}
+
+// nsdfAssignment offloads every loop NS-DF plans on sc's workload.
+func nsdfAssignment(t *testing.T, sc *sched.Context) exocore.Assignment {
+	t.Helper()
+	a := exocore.Assignment{}
+	for l := range sc.Plans["NS-DF"].Regions {
+		a[l] = "NS-DF"
+	}
+	if len(a) == 0 {
+		t.Fatal("NS-DF plans no loop")
+	}
+	return a
+}
+
+// TestReleaseDropsColdWorkload: a workload that was cold when it was
+// acquired has its trace, TDG and contexts dropped when it is released,
+// so its trace and its TDG's cross-core pool are collected while the
+// engine lives on. The dropped unit caches' counters stay in Metrics,
+// and the eval memo keeps its results.
+func TestReleaseDropsColdWorkload(t *testing.T) {
+	w := testWorkload(t, "mm")
+	e := New(Options{MaxDyn: testMaxDyn})
+	traceGone, poolGone := make(chan struct{}), make(chan struct{})
+	var held exocore.CacheStats
+	e.Acquire(w)
+	err := func() error {
+		for _, core := range []cores.Config{cores.OOO2, cores.OOO4} {
+			sc, err := e.Context(w, core)
+			if err != nil {
+				return err
+			}
+			if _, _, err := e.Evaluate(w, core, nsdfAssignment(t, sc)); err != nil {
+				return err
+			}
+		}
+		td, err := e.TDG(w)
+		if err != nil {
+			return err
+		}
+		runtime.SetFinalizer(&td.Trace.Insts[0], func(*trace.DynInst) { close(traceGone) })
+		runtime.SetFinalizer(td.Pool(nil), func(any) { close(poolGone) })
+		held = *e.Metrics().EvalCache
+		return nil
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Release(w)
+	if n := e.traces.len() + e.tdgs.len() + e.scheds.len(); n != 0 {
+		t.Fatalf("%d artifacts of a cold workload outlived its release", n)
+	}
+	if got := *e.Metrics().EvalCache; got != held {
+		t.Errorf("eval-cache counters %+v after the drop, %+v before it", got, held)
+	}
+	if n := e.evals.len(); n != 2 {
+		t.Errorf("eval memo holds %d results after the drop, want 2", n)
+	}
+	waitCollected(t, traceGone, "a dropped workload's trace is still reachable 10 s later")
+	waitCollected(t, poolGone, "a dropped workload's shared pool is still reachable 10 s later")
+	runtime.KeepAlive(e)
+}
+
+// TestReleaseKeepsResidentWorkload: a workload with a cached trace
+// keeps every artifact, those built while it was acquired included,
+// overlapping acquisitions of a cold workload drop it only at the last
+// release, and a release without an acquisition panics.
+func TestReleaseKeepsResidentWorkload(t *testing.T) {
+	w := testWorkload(t, "mm")
+	e := New(Options{MaxDyn: testMaxDyn})
+	warm, err := e.Context(w, cores.OOO2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Acquire(w)
+	if _, err := e.Context(w, cores.OOO4); err != nil {
+		t.Fatal(err)
+	}
+	e.Release(w)
+	if sc, err := e.Context(w, cores.OOO2); err != nil || sc != warm {
+		t.Fatalf("a resident context was replaced (err %v)", err)
+	}
+	if e.Metrics().Stage(StageSched).Misses != 2 {
+		t.Fatal("a context built for a resident workload was dropped")
+	}
+
+	cold := testWorkload(t, "cjpeg")
+	e.Acquire(cold)
+	e.Acquire(cold)
+	if _, err := e.Context(cold, cores.OOO2); err != nil {
+		t.Fatal(err)
+	}
+	e.Release(cold)
+	if !e.scheds.has(cold.Name + "/" + cores.OOO2.Name) {
+		t.Error("a release dropped what another acquisition still uses")
+	}
+	e.Release(cold)
+	if e.traces.has(cold.Name) || e.scheds.has(cold.Name+"/"+cores.OOO2.Name) {
+		t.Error("a cold workload outlived its last release")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a release without an acquisition did not panic")
+		}
+	}()
+	e.Release(cold)
 }

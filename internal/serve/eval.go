@@ -248,10 +248,22 @@ func EvaluateDocument(ctx context.Context, eng *runner.Engine, tool string,
 // (without the engine-metrics attachment). With partial set, only the
 // per-(design, benchmark) observation rows are emitted — the shard
 // payload of a fabric sweep, whose aggregates the coordinator
-// recomputes over the full grid.
+// recomputes over the full grid. A partial sweep first caches its
+// benches' traces, so the exploration finds them resident and keeps
+// them: the fabric sends every shard of a (bench, core) to the same
+// replica, which serves the bench's later shards from its memos. A full
+// sweep leaves a bench it found cold cold again (see dse.ExploreCtx).
 func SweepDocument(ctx context.Context, eng *runner.Engine, tool string,
 	wls []*workloads.Workload, designs []string, sched string, partial bool) (*report.Document, error) {
 
+	if partial {
+		if err := eng.ForEachCtx(ctx, len(wls), func(i int) error {
+			_, err := eng.TraceCtx(ctx, wls[i])
+			return err
+		}); err != nil {
+			return nil, err
+		}
+	}
 	exp, err := dse.ExploreCtx(ctx, dse.Options{
 		Workloads: wls,
 		Sched:     sched,

@@ -125,6 +125,41 @@ func TestSweepMatchesDirectDocument(t *testing.T) {
 	}
 }
 
+// TestPartialSweepKeepsItsBench: a partial sweep, a fabric shard,
+// leaves its bench resident, so the replica's next shard of the bench
+// builds no trace, TDG or context; a full sweep over a cold bench leaves
+// it cold.
+func TestPartialSweepKeepsItsBench(t *testing.T) {
+	eng := runner.New(runner.Options{MaxDyn: testMaxDyn})
+	built := func() int64 {
+		m := eng.Metrics()
+		return m.Stage(runner.StageTrace).Misses + m.Stage(runner.StageTDG).Misses + m.Stage(runner.StageSched).Misses
+	}
+	sweep := func(bench string, designs []string, partial bool) {
+		t.Helper()
+		wls, err := cli.ResolveBenchSpec(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SweepDocument(context.Background(), eng, "exocored", wls, designs, "oracle", partial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep("mm", []string{"OOO2", "OOO2-SDN"}, true)
+	n := built()
+	sweep("mm", []string{"OOO2-S", "OOO2-D"}, true)
+	if got := built(); got != n {
+		t.Errorf("a second shard of a bench built %d artifacts, want none", got-n)
+	}
+
+	sweep("fft", []string{"OOO2", "OOO2-SDN"}, false)
+	n = built()
+	sweep("fft", []string{"OOO2", "OOO2-SDN"}, false)
+	if got := built(); got != n+3 {
+		t.Errorf("a full sweep over a cold bench left %d of its 3 artifacts resident", n+3-got)
+	}
+}
+
 // TestConcurrentClientsShareOneAnswer hammers one query from many
 // goroutines under -race: every response must be 200 and byte-identical.
 func TestConcurrentClientsShareOneAnswer(t *testing.T) {

@@ -29,6 +29,9 @@ func (m *Memory) pageFor(addr uint64, create bool) *page {
 	key := addr >> pageShift
 	p := m.pages[key]
 	if p == nil && create {
+		if m.pages == nil {
+			m.pages = make(map[uint64]*page)
+		}
 		p = new(page)
 		m.pages[key] = p
 	}

@@ -194,6 +194,19 @@ func TestMemorySparse(t *testing.T) {
 	}
 }
 
+// TestMemoryZeroValue: a zero Memory reads zero and takes stores.
+func TestMemoryZeroValue(t *testing.T) {
+	var m Memory
+	if m.LoadInt(64) != 0 {
+		t.Error("a zero memory should read zero")
+	}
+	m.StoreInt(64, 7)
+	m.StoreFloat(1<<30, 2.5)
+	if m.LoadInt(64) != 7 || m.LoadFloat(1<<30) != 2.5 {
+		t.Error("a zero memory lost stored values")
+	}
+}
+
 func TestMemoryProperty(t *testing.T) {
 	m := NewMemory()
 	f := func(addr uint64, v int64) bool {

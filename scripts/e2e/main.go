@@ -44,6 +44,7 @@ var scenarios = []scenario{
 	{"serve", false, serveScenario},
 	{"obs", false, obsScenario},
 	{"graph", false, graphScenario},
+	{"sweep", false, sweepScenario},
 	{"fabric", false, fabricScenario},
 	{"mem", true, memScenario},
 	{"scale", true, scaleScenario},
@@ -103,13 +104,24 @@ type env struct {
 
 // runTool runs one of the built CLI tools and returns its stdout.
 func (e *env) runTool(tool string, args ...string) ([]byte, error) {
+	out, _, err := e.runToolRSS(tool, args...)
+	return out, err
+}
+
+// runToolRSS is runTool that also returns the tool's peak resident set
+// size in MiB, from its own rusage (0 where the platform reports none).
+func (e *env) runToolRSS(tool string, args ...string) ([]byte, float64, error) {
 	cmd := exec.Command(filepath.Join(e.bin, tool), args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", tool, err)
+		return nil, 0, fmt.Errorf("%s: %w", tool, err)
 	}
-	return out, nil
+	var rss float64
+	if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok {
+		rss = float64(ru.Maxrss) / 1024 // Linux reports KiB
+	}
+	return out, rss, nil
 }
 
 // daemon is one exocored process under test. A single goroutine owns

@@ -329,6 +329,42 @@ func graphScenario(e *env) (string, error) {
 	return fmt.Sprintf("%d designs, %d with GS-DAE, %d bfs rows", len(designs), gsdaeDesigns, benchRows), nil
 }
 
+// sweepMaxRSSMiB bounds the peak resident set of a cold full-suite dse
+// sweep. The exploration drops each bench's trace, TDG and contexts
+// once its rows are in, so it holds the benches in progress, not the
+// suite's: dse -bench all -maxdyn 20000 -workers 2 -json peaked at
+// 43.2–46.2 MiB on an idle 2-vCPU host (Go 1.24) and at 43.9–48.4 MiB
+// beside a race-enabled go test run; with every bench resident until
+// the last design it peaked at 84.0–86.5 MiB.
+const sweepMaxRSSMiB = 64
+
+// sweepScenario: a cold sweep of every workload over the full grid
+// must render one row per (design, bench) plus one per design, and stay
+// under sweepMaxRSSMiB. The worker count is pinned because the benches
+// in progress grow with it. The bound reads the dse child's own rusage,
+// so this scenario can share its process.
+func sweepScenario(e *env) (string, error) {
+	out, rss, err := e.runToolRSS("dse", "-bench", "all", "-maxdyn", "20000", "-workers", "2", "-json")
+	if err != nil {
+		return "", err
+	}
+	doc, err := report.Decode(bytes.NewReader(out))
+	if err != nil {
+		return "", err
+	}
+	designs := 4 << bsa.Default().Len()
+	if want := designs * (len(workloads.All()) + 1); len(doc.Results) != want {
+		return "", fmt.Errorf("%d rows, want %d", len(doc.Results), want)
+	}
+	if rss == 0 {
+		return "", fmt.Errorf("no peak RSS reported for the dse child")
+	}
+	if rss > sweepMaxRSSMiB {
+		return "", fmt.Errorf("cold full-suite sweep peaked at %.1f MiB RSS, bound %d MiB", rss, sweepMaxRSSMiB)
+	}
+	return fmt.Sprintf("%d rows, peak RSS %.1f MiB (bound %d MiB)", len(doc.Results), rss, sweepMaxRSSMiB), nil
+}
+
 const (
 	fabricMaxDyn = "12000"
 	// sweepDesigns spans three cores so the grid shards across replicas.
